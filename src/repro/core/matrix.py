@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 from ..datasets import SpatialDataset
-from ..geometry import Rect, common_extent
+from ..geometry import Rect
 from ..histograms.fused import fused_selectivity_matrix, stack_gh
 from .estimator import GHEstimator, PreparedEstimator
 
@@ -56,7 +56,12 @@ def pairwise_selectivities(
     """Estimated selectivity for every dataset pair, keyed by sorted names.
 
     Each dataset is prepared once on a shared extent (given, or the
-    union of all declared extents).  Dataset names must be unique.
+    union of all declared extents).  A dataset whose declared extent
+    already is the shared one is prepared as is; only the others are
+    re-declared through :meth:`~repro.datasets.SpatialDataset.with_extent`.
+    Nothing here scans rectangles, so a warm call (every summary cached,
+    every fingerprint memoized) costs O(k²) in the number of datasets,
+    independent of their sizes.  Dataset names must be unique.
     Output keys are ``(name_a, name_b)`` with ``name_a <= name_b`` —
     exactly the shape :func:`~repro.core.optimizer.optimize_join_order`
     consumes.
@@ -76,8 +81,8 @@ def pairwise_selectivities(
     if len(datasets) < 2:
         raise ValueError("need at least two datasets")
     if extent is None:
-        extent = common_extent(*(ds.rects for ds in datasets if len(ds)))
-        for ds in datasets:
+        extent = datasets[0].extent
+        for ds in datasets[1:]:
             extent = extent.union(ds.extent)
     fusable = _gh_fusable(estimator)
     if engine == "fused" and not fusable:
@@ -85,7 +90,9 @@ def pairwise_selectivities(
             f"engine='fused' needs a GH estimator, got {type(estimator).__name__}"
         )
     summaries = {
-        ds.name: estimator.prepare(ds.with_extent(extent), extent=extent)
+        ds.name: estimator.prepare(
+            ds if ds.extent == extent else ds.with_extent(extent), extent=extent
+        )
         for ds in datasets
     }
     ordered = sorted(names)

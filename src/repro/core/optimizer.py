@@ -12,18 +12,22 @@ Selinger-style dynamic program over join orders:
 * joins without a connecting predicate (Cartesian products) are avoided
   unless unavoidable.
 
-The DP enumerates connected subsets (standard DPsub) — fine for the
-handfuls of relations spatial queries join.  The point of the example
-(examples/query_optimizer.py) is that plugging in GH estimates yields
-the same plan as plugging in the true selectivities, while the naive
-parametric estimator can be fooled by skew.
+The DP runs over integer bitmask subsets of the (sorted) relations:
+adjacency masks are precomputed once, so the connectivity rule is a
+mask test, and each subset's cardinality is computed once, with the
+same formula :func:`plan_cardinality` uses, so every path into a subset
+sees the same float.  A call costs O(2^k · k) for ``k`` relations —
+fine for the handfuls of relations spatial queries join.  The point of
+the example (examples/query_optimizer.py) is that plugging in GH
+estimates yields the same plan as plugging in the true selectivities,
+while the naive parametric estimator can be fooled by skew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["JoinPlan", "optimize_join_order", "plan_cardinality"]
 
@@ -32,6 +36,31 @@ Edge = Tuple[str, str]
 
 def _edge(a: str, b: str) -> Edge:
     return (a, b) if a <= b else (b, a)
+
+
+def _selectivity(selectivities: Mapping[Edge, float], a: str, b: str) -> Optional[float]:
+    """``sel(a, b)`` under either key orientation (the sorted key wins)."""
+    edge = _edge(a, b)
+    sel = selectivities.get(edge)
+    if sel is None:
+        sel = selectivities.get((edge[1], edge[0]))
+    return sel
+
+
+def _independence_product(sizes: Iterable[float], sels: Iterable[float]) -> float:
+    """``prod sizes * prod sels``, multiplied left to right.
+
+    The one cardinality formula: :func:`plan_cardinality` and the DP in
+    :func:`optimize_join_order` both feed it sizes in sorted-name order
+    and the present edges in sorted-pair order, so both produce the
+    same float for the same set of relations.
+    """
+    card = 1.0
+    for size in sizes:
+        card *= size
+    for sel in sels:
+        card *= sel
+    return card
 
 
 @dataclass(frozen=True)
@@ -53,16 +82,16 @@ def plan_cardinality(
     sizes: Mapping[str, int],
     selectivities: Mapping[Edge, float],
 ) -> float:
-    """Modeled result cardinality of joining ``names`` (independence model)."""
-    normalized = {_edge(a, b): s for (a, b), s in selectivities.items()}
-    card = 1.0
-    for name in names:
-        card *= sizes[name]
-    for a, b in combinations(sorted(names), 2):
-        sel = normalized.get(_edge(a, b))
-        if sel is not None:
-            card *= sel
-    return card
+    """Modeled result cardinality of joining ``names`` (independence model).
+
+    Independent of the order of ``names`` and of the orientation of the
+    selectivity keys; absent pairs are Cartesian (selectivity 1).
+    """
+    ordered = sorted(names)
+    pair_sels = (_selectivity(selectivities, a, b) for a, b in combinations(ordered, 2))
+    return _independence_product(
+        (sizes[name] for name in ordered), (sel for sel in pair_sels if sel is not None)
+    )
 
 
 def optimize_join_order(
@@ -83,45 +112,54 @@ def optimize_join_order(
         only = names[0]
         return JoinPlan((only,), 0.0, float(sizes[only]))
 
-    normalized = {_edge(a, b): s for (a, b), s in selectivities.items()}
-    full = frozenset(names)
+    k = len(names)
+    size = [sizes[name] for name in names]
+    adjacent = [0] * k  # bit j of adjacent[i]: an edge joins names[i] and names[j]
+    edges: List[Tuple[int, float]] = []  # (pair mask, selectivity), sorted-pair order
+    for i, j in combinations(range(k), 2):
+        sel = _selectivity(selectivities, names[i], names[j])
+        if sel is not None:
+            adjacent[i] |= 1 << j
+            adjacent[j] |= 1 << i
+            edges.append(((1 << i) | (1 << j), sel))
+
+    def cardinality(subset: int) -> float:
+        return _independence_product(
+            (size[i] for i in range(k) if subset >> i & 1),
+            (sel for pair, sel in edges if subset & pair == pair),
+        )
 
     # DP over subsets: best (cost, order) to produce each subset, where
     # cost = sum of cardinalities of all intermediate results produced
     # (the final result is also counted once, uniformly across plans).
-    best: Dict[frozenset, Tuple[float, Tuple[str, ...]]] = {}
-    for name in names:
-        best[frozenset([name])] = (0.0, (name,))
-
-    # Enumerate subsets by size; extend left-deep plans one dataset at a time.
-    def connected(subset: frozenset, name: str) -> bool:
-        return any(_edge(name, member) in normalized for member in subset)
-
-    subsets_by_size: Dict[int, list[frozenset]] = {1: [frozenset([n]) for n in names]}
-    for size in range(2, len(names) + 1):
-        layer: list[frozenset] = []
-        for subset in subsets_by_size[size - 1]:
-            if subset not in best:
-                continue
+    # Subsets are extended one relation at a time, layer by layer, in
+    # first-reached order; a strict < keeps the first of equal costs.
+    best: Dict[int, Tuple[float, Tuple[int, ...]]] = {1 << i: (0.0, (i,)) for i in range(k)}
+    neighbours = {1 << i: adjacent[i] for i in range(k)}  # relations adjacent to a member
+    card: Dict[int, float] = {}
+    layer = [1 << i for i in range(k)]
+    for _ in range(k - 1):
+        next_layer: List[int] = []
+        for subset in layer:
             base_cost, base_order = best[subset]
-            for name in names:
-                if name in subset:
+            # Prefer connected extensions; allow a Cartesian step only
+            # when no relation connects (keeps disconnected graphs legal).
+            frontier = neighbours[subset] & ~subset
+            for i in range(k):
+                bit = 1 << i
+                if subset & bit or (frontier and not frontier & bit):
                     continue
-                # Prefer connected extensions; allow a Cartesian step only
-                # when no dataset connects (keeps disconnected graphs legal).
-                if not connected(subset, name) and any(
-                    connected(subset, other) for other in names if other not in subset
-                ):
-                    continue
-                new_subset = subset | {name}
-                card = plan_cardinality(tuple(new_subset), sizes, normalized)
-                cost = base_cost + card
-                entry = best.get(new_subset)
+                grown = subset | bit
+                if grown not in card:
+                    card[grown] = cardinality(grown)
+                    neighbours[grown] = neighbours[subset] | adjacent[i]
+                    next_layer.append(grown)
+                cost = base_cost + card[grown]
+                entry = best.get(grown)
                 if entry is None or cost < entry[0]:
-                    best[new_subset] = (cost, base_order + (name,))
-                    if new_subset not in layer:
-                        layer.append(new_subset)
-        subsets_by_size[size] = layer
+                    best[grown] = (cost, base_order + (i,))
+        layer = next_layer
 
+    full = (1 << k) - 1
     cost, order = best[full]
-    return JoinPlan(order, cost, plan_cardinality(order, sizes, normalized))
+    return JoinPlan(tuple(names[i] for i in order), cost, card[full])

@@ -68,8 +68,9 @@ class SpatialDataset:
     name: str
     rects: RectArray
     extent: Rect = field(default_factory=Rect.unit)
-    #: Mutation token — excluded from equality/repr; every dataset gets
-    #: its own (derived datasets too: see :meth:`subset`).
+    #: Mutation token — excluded from equality/repr.  Shared by every
+    #: view over the same arrays (:meth:`with_extent`); a dataset with
+    #: arrays of its own gets a fresh one (:meth:`subset`).
     token: MutationToken = field(
         default_factory=MutationToken, compare=False, repr=False
     )
@@ -133,11 +134,13 @@ class SpatialDataset:
     def with_extent(self, extent: Rect) -> "SpatialDataset":
         """Re-declare the universe (must still contain all data).
 
-        Shares the coordinate arrays but not the token — the extent is
-        part of the fingerprint, so inheriting the parent's memo would
-        serve the wrong digest.
+        Shares the coordinate arrays *and* the token: an in-place edit
+        plus :meth:`mark_mutated` on either object invalidates both
+        fingerprint memos.  The memo itself is per object (see
+        :meth:`_store_fingerprint`), so the view never inherits the
+        parent's digest, whose extent differs.
         """
-        return replace(self, extent=extent, token=MutationToken())
+        return replace(self, extent=extent)
 
     # ------------------------------------------------------------------
     def mark_mutated(self) -> None:

@@ -1,11 +1,20 @@
 """Unit tests for all-pairs selectivity estimation."""
 
+import numpy as np
 import pytest
 
-from repro.core import GHEstimator, ParametricEstimator, pairwise_selectivities
+import repro.perf.fingerprint as fingerprint_mod
+from repro.core import (
+    GHEstimator,
+    ParametricEstimator,
+    PHEstimator,
+    PreparedEstimator,
+    pairwise_selectivities,
+)
 from repro.core.optimizer import optimize_join_order
-from repro.datasets import make_clustered, make_uniform
-from repro.geometry import Rect
+from repro.datasets import SpatialDataset, make_clustered, make_uniform
+from repro.geometry import Rect, RectArray, common_extent
+from repro.perf import CachedEstimator, HistogramCache
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +53,15 @@ class TestPairwiseSelectivities:
     def test_mixed_extents_unified(self):
         wide = make_uniform(200, seed=143, extent=Rect(0, 0, 2, 2), name="W")
         unit = make_uniform(200, seed=144, name="U")
-        matrix = pairwise_selectivities([wide, unit], GHEstimator(3))
+        spy = _Spy(GHEstimator(3))
+        matrix = pairwise_selectivities([wide, unit], spy)
         assert ("U", "W") in matrix
+        (w_seen, w_extent), (u_seen, u_extent) = spy.calls
+        assert w_extent == u_extent == wide.extent
+        assert w_seen is wide  # already on the shared extent: passed through
+        assert u_seen is not unit  # re-declared through with_extent
+        assert u_seen.extent == wide.extent and u_seen.token is unit.token
+        assert matrix == _pre_change_matrix([wide, unit], GHEstimator(3))
 
     def test_duplicate_names_rejected(self, three_datasets):
         a = three_datasets[0]
@@ -61,3 +77,104 @@ class TestPairwiseSelectivities:
         sizes = {ds.name: len(ds) for ds in three_datasets}
         plan = optimize_join_order(sizes, matrix)
         assert set(plan.order) == {"A", "B", "C"}
+
+
+class _Spy(PreparedEstimator):
+    """Records what each ``prepare`` call receives (``inner`` keeps a GH
+    estimator fusable, as for :class:`~repro.perf.CachedEstimator`)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def prepare(self, dataset, *, extent=None):
+        self.calls.append((dataset, extent))
+        return self.inner.prepare(dataset, extent=extent)
+
+    def combine(self, prep1, prep2):
+        return self.inner.combine(prep1, prep2)
+
+
+def _pre_change_matrix(datasets, estimator, engine="auto"):
+    """The preparation the pass-through replaced: scan every rectangle
+    for the shared extent, then re-declare every dataset on it."""
+    extent = common_extent(*(ds.rects for ds in datasets if len(ds)))
+    for ds in datasets:
+        extent = extent.union(ds.extent)
+    redeclared = [ds.with_extent(extent) for ds in datasets]
+    return pairwise_selectivities(redeclared, estimator, extent=extent, engine=engine)
+
+
+class TestPassThroughExtents:
+    @pytest.mark.parametrize(
+        "make_estimator",
+        [
+            lambda: GHEstimator(4),
+            lambda: PHEstimator(3),
+            ParametricEstimator,
+            lambda: CachedEstimator(GHEstimator(4), HistogramCache()),
+        ],
+        ids=["gh", "ph", "parametric", "cached-gh"],
+    )
+    @pytest.mark.parametrize("engine", ["auto", "pairwise"])
+    def test_equal_extents_match_the_with_extent_path(
+        self, three_datasets, make_estimator, engine
+    ):
+        new = pairwise_selectivities(three_datasets, make_estimator(), engine=engine)
+        old = _pre_change_matrix(three_datasets, make_estimator(), engine=engine)
+        assert new == old
+
+    def test_equal_extents_pass_through(self, three_datasets):
+        spy = _Spy(GHEstimator(3))
+        pairwise_selectivities(three_datasets, spy)
+        assert all(seen is ds for (seen, _), ds in zip(spy.calls, three_datasets))
+        assert len(spy.calls) == len(three_datasets)
+
+    def test_warm_call_folds_no_fingerprint(self, three_datasets, monkeypatch):
+        """Second call over a warm cache: every fingerprint is memoized,
+        so no coordinate fold runs (audit switched off to isolate it)."""
+        monkeypatch.setattr(fingerprint_mod, "_AUDIT_INTERVAL", 1 << 62)
+        folds = []
+        fold = fingerprint_mod.dataset_fingerprint_uncached
+
+        def counting_fold(dataset):
+            folds.append(dataset.name)
+            return fold(dataset)
+
+        monkeypatch.setattr(fingerprint_mod, "dataset_fingerprint_uncached", counting_fold)
+        # Fresh tokens: nothing memoized yet.
+        datasets = [SpatialDataset(ds.name, ds.rects, ds.extent) for ds in three_datasets]
+        estimator = CachedEstimator(GHEstimator(4), HistogramCache())
+        cold = pairwise_selectivities(datasets, estimator)
+        assert sorted(folds) == ["A", "B", "C"]
+        folds.clear()
+        warm = pairwise_selectivities(datasets, estimator)
+        assert folds == []
+        assert warm == cold
+        assert estimator.cache.stats.hits == 3
+
+    def test_degenerate_boundary_extent_pinned(self):
+        """Every rectangle of every dataset is a horizontal segment on
+        the declared top edge.  The rect scan found a zero-height bounding
+        box and widened it past ``ymax = 1`` (by ~5e-10); the shared
+        extent is now exactly the union of the declared extents."""
+        rng = np.random.default_rng(145)
+        datasets = []
+        for name, n in (("A", 50), ("B", 60)):
+            x0 = rng.uniform(0.0, 0.9, n)
+            x1 = x0 + rng.uniform(0.0, 0.1, n)
+            y = np.ones(n)
+            datasets.append(SpatialDataset(name, RectArray(x0, y, x1, y), Rect.unit()))
+        widened = common_extent(*(ds.rects for ds in datasets)).union(Rect.unit())
+        assert widened.ymax > 1.0  # the pre-change shared extent
+        spy = _Spy(GHEstimator(3))
+        matrix = pairwise_selectivities(datasets, spy)
+        assert [extent for _, extent in spy.calls] == [Rect.unit(), Rect.unit()]
+        assert all(seen is ds for (seen, _), ds in zip(spy.calls, datasets))
+        assert matrix == pairwise_selectivities(datasets, GHEstimator(3), extent=Rect.unit())
+
+    def test_all_empty_datasets(self):
+        """No rectangle to scan no longer means no extent: the declared
+        ones are enough."""
+        datasets = [SpatialDataset(n, RectArray.from_rects([]), Rect.unit()) for n in "AB"]
+        assert pairwise_selectivities(datasets, GHEstimator(3)) == {("A", "B"): 0.0}

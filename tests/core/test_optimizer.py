@@ -1,6 +1,11 @@
 """Unit tests for the join-order optimizer."""
 
+import math
+from itertools import combinations, permutations
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import optimize_join_order, plan_cardinality
 
@@ -86,3 +91,165 @@ class TestOptimizeJoinOrder:
         bad_plan = optimize_join_order(sizes, bad_sels)
         assert set(good_plan.order[:2]) == {"A", "B"}
         assert set(bad_plan.order[:2]) == {"B", "C"}
+
+
+class TestOneCardinalityFormula:
+    def test_cost_is_the_sum_of_prefix_cardinalities(self):
+        """The DP and plan_cardinality share one formula, so a plan's
+        cost and final cardinality replay bit-for-bit from its order."""
+        sizes = {"A": 1_000_003, "B": 77, "C": 999_331, "D": 12_345, "E": 3}
+        sels = {
+            ("A", "B"): 0.1 / 3,
+            ("C", "B"): 1e-3 / 7,  # reversed key orientation
+            ("A", "D"): 0.3,
+            ("D", "E"): 2e-5,
+            ("B", "E"): 0.7,
+        }
+        plan = optimize_join_order(sizes, sels)
+        cost = 0.0
+        for k in range(2, len(plan.order) + 1):
+            cost += plan_cardinality(plan.order[:k], sizes, sels)
+        assert plan.cost == cost
+        assert plan.cardinality == plan_cardinality(plan.order, sizes, sels)
+
+    def test_name_order_does_not_change_the_float(self):
+        sizes = {"A": 1_000_003, "B": 999_331, "C": 12_347, "D": 3}
+        sels = {("A", "B"): 0.1 / 3, ("B", "C"): 1e-3 / 7, ("C", "D"): 0.3}
+        values = {
+            plan_cardinality(perm, sizes, sels) for perm in permutations(sizes)
+        }
+        assert len(values) == 1
+
+
+# ----------------------------------------------------------------------
+# The DP against brute force, and against the subset DP it replaced.
+
+
+def _connected(sels, prefix, name) -> bool:
+    return any((name, m) in sels or (m, name) in sels for m in prefix)
+
+
+def _legal(sels, order) -> bool:
+    """Every step extends by a connected relation unless none connects."""
+    for step in range(1, len(order)):
+        prefix, rest = order[:step], order[step:]
+        if not _connected(sels, prefix, order[step]) and any(
+            _connected(sels, prefix, other) for other in rest
+        ):
+            return False
+    return True
+
+
+def _cardinality(names, sizes, sels) -> float:
+    card = float(math.prod(sizes[n] for n in names))
+    for a, b in combinations(names, 2):
+        card *= sels.get((a, b), sels.get((b, a), 1.0))
+    return card
+
+
+def _brute_force_cost(sizes, sels) -> float:
+    costs = [
+        sum(_cardinality(order[:k], sizes, sels) for k in range(2, len(order) + 1))
+        for order in permutations(sorted(sizes))
+        if _legal(sels, order)
+    ]
+    return min(costs)
+
+
+_SELECTIVITY = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),  # zeros and equal values: ties
+    st.floats(min_value=1e-6, max_value=1.0),
+)
+
+
+@st.composite
+def _join_graphs(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    names = [chr(ord("A") + i) for i in range(k)]
+    sizes = {
+        n: draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6)))
+        for n in names
+    }
+    sels = {}
+    for a, b in combinations(names, 2):
+        if draw(st.booleans()):  # about half the edges: sparse, often disconnected
+            key = (a, b) if draw(st.booleans()) else (b, a)
+            sels[key] = draw(_SELECTIVITY)
+    return sizes, sels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_join_graphs())
+def test_dp_matches_brute_force(graph):
+    sizes, sels = graph
+    plan = optimize_join_order(sizes, sels)
+    assert sorted(plan.order) == sorted(sizes)
+    assert _legal(sels, plan.order)
+    if len(sizes) == 1:
+        return
+    assert math.isclose(plan.cost, _brute_force_cost(sizes, sels), rel_tol=1e-12, abs_tol=0.0)
+
+
+def _reference_optimize_join_order(sizes, selectivities):
+    """The frozenset subset DP that the bitmask DP replaced, verbatim
+    apart from names: the oracle for identical join orders."""
+
+    def edge(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    def cardinality(names, normalized):
+        card = 1.0
+        for name in names:
+            card *= sizes[name]
+        for a, b in combinations(sorted(names), 2):
+            sel = normalized.get(edge(a, b))
+            if sel is not None:
+                card *= sel
+        return card
+
+    names = sorted(sizes)
+    normalized = {edge(a, b): s for (a, b), s in selectivities.items()}
+    best = {frozenset([name]): (0.0, (name,)) for name in names}
+
+    def connected(subset, name):
+        return any(edge(name, member) in normalized for member in subset)
+
+    subsets_by_size = {1: [frozenset([n]) for n in names]}
+    for size in range(2, len(names) + 1):
+        layer = []
+        for subset in subsets_by_size[size - 1]:
+            base_cost, base_order = best[subset]
+            for name in names:
+                if name in subset:
+                    continue
+                if not connected(subset, name) and any(
+                    connected(subset, other) for other in names if other not in subset
+                ):
+                    continue
+                new_subset = subset | {name}
+                cost = base_cost + cardinality(tuple(new_subset), normalized)
+                entry = best.get(new_subset)
+                if entry is None or cost < entry[0]:
+                    best[new_subset] = (cost, base_order + (name,))
+                    if new_subset not in layer:
+                        layer.append(new_subset)
+        subsets_by_size[size] = layer
+    return best[frozenset(names)]
+
+
+def test_orders_identical_to_the_replaced_dp():
+    rng = np.random.default_rng(20_011)
+    for _ in range(2_000):
+        k = int(rng.integers(2, 8))
+        names = [f"R{i}" for i in range(k)]
+        sizes = {n: int(rng.integers(1, 200_000)) for n in names}
+        density = rng.uniform(0.0, 1.0)
+        sels = {
+            (a, b): float(10 ** rng.uniform(-7, 0))
+            for a, b in combinations(names, 2)
+            if rng.uniform() < density
+        }
+        cost, order = _reference_optimize_join_order(sizes, sels)
+        plan = optimize_join_order(sizes, sels)
+        assert plan.order == order, (sizes, sels)
+        assert math.isclose(plan.cost, cost, rel_tol=1e-12)

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.perf.fingerprint as fingerprint_mod
 from repro.core import GHEstimator, PHEstimator
 from repro.datasets import MutationToken, SpatialDataset
 from repro.errors import InvalidDatasetError
@@ -170,16 +171,33 @@ class TestMutationToken:
         b = SpatialDataset("b", random_rects(rng, 50))
         assert a.token is not b.token
 
-    def test_subset_and_with_extent_get_fresh_tokens(self, rng):
+    def test_subset_gets_fresh_token_with_extent_shares_it(self, rng):
         ds = SpatialDataset("d", random_rects(rng, 100))
         dataset_fingerprint(ds)  # prime the memo on the parent
         sub = ds.subset(np.arange(10))
         grown = ds.with_extent(Rect(-1.0, -1.0, 2.0, 2.0))
-        assert sub.token is not ds.token
-        assert grown.token is not ds.token
+        assert sub.token is not ds.token  # own arrays, own history
+        assert grown.token is ds.token  # same arrays, same history
         # Derived datasets never inherit the parent's fingerprint memo.
         assert peek_fingerprint(sub) is None
         assert peek_fingerprint(grown) is None
+
+    @pytest.mark.parametrize("writer", ["parent", "view"])
+    def test_with_extent_view_sees_sanctioned_writes(self, rng, monkeypatch, writer):
+        """A write through either object, plus ``mark_mutated()``, moves
+        both fingerprints at once — no audit needed to notice."""
+        monkeypatch.setattr(fingerprint_mod, "_AUDIT_INTERVAL", 1 << 62)
+        ds = SpatialDataset("d", random_rects(rng, 100))
+        grown = ds.with_extent(Rect(-1.0, -1.0, 2.0, 2.0))
+        before = (dataset_fingerprint(ds), dataset_fingerprint(grown))
+        target = ds if writer == "parent" else grown
+        target.rects.xmin[0] = target.rects.xmin[0] / 2.0
+        target.mark_mutated()
+        assert peek_fingerprint(ds) is None
+        assert peek_fingerprint(grown) is None
+        after = (dataset_fingerprint(ds), dataset_fingerprint(grown))
+        assert after == (dataset_fingerprint_uncached(ds), dataset_fingerprint_uncached(grown))
+        assert after[0] != before[0] and after[1] != before[1]
 
     def test_fingerprint_memoized_until_bump(self, rng):
         ds = SpatialDataset("d", random_rects(rng, 100))
