@@ -9,7 +9,9 @@ This example plays that scenario end to end with the library's intended
 deployment shape:
 
 1. offline, a :class:`~repro.StatisticsCatalog` builds one GH histogram
-   file per dataset (roads, streams) and persists them to disk;
+   file per dataset (roads, streams) through a
+   :class:`~repro.HistogramCache` that persists them in an
+   :class:`~repro.store.ArtifactCatalog` on disk;
 2. online, "how many bridges?" is answered instantly from the two
    histogram files — no data access, no join;
 3. the exact join is run once at the end to score the approximation.
@@ -25,7 +27,14 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import GHEstimator, StatisticsCatalog, join_count, make_paper_dataset
+from repro import (
+    GHEstimator,
+    HistogramCache,
+    StatisticsCatalog,
+    join_count,
+    make_paper_dataset,
+)
+from repro.store import ArtifactCatalog
 
 
 def main() -> None:
@@ -38,17 +47,19 @@ def main() -> None:
     print(f"streams: {len(streams):>8} MBRs")
 
     with tempfile.TemporaryDirectory() as tmp:
-        stats_dir = Path(tmp) / "stats"
+        store = ArtifactCatalog(Path(tmp) / "stats")
 
         # -- offline: build and persist the histogram files -------------
         t0 = time.perf_counter()
-        catalog = StatisticsCatalog(GHEstimator(level=7), directory=stats_dir)
+        catalog = StatisticsCatalog(
+            GHEstimator(level=7), cache=HistogramCache(store=store)
+        )
         catalog.register(roads)
         catalog.register(streams)
         catalog.summary_for("CAR")
         catalog.summary_for("CAS")
         build_seconds = time.perf_counter() - t0
-        files = sorted(p.name for p in stats_dir.glob("*.npz"))
+        files = [entry.name for entry in store.entries()]
         print(f"\n[offline] built histogram files in {build_seconds:.2f}s: {files}")
 
         # -- online: answer the aggregate from statistics alone ---------

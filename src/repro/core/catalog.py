@@ -2,77 +2,64 @@
 
 This is the deployment shape the paper envisions — an SDBMS maintains a
 histogram file per dataset offline, and the query optimizer consults the
-files at planning time without touching the data.  The catalog caches
-the per-dataset summaries of any :class:`~repro.core.estimator.PreparedEstimator`
-and can spill them to a directory as histogram files.
+files at planning time without touching the data.  The catalog is a
+name-keyed view over a :class:`~repro.perf.cache.HistogramCache`: the
+cache owns the histogram files (content-addressed, so re-registered data
+never reads stale statistics) and, given a
+:class:`~repro.store.ArtifactCatalog`, persists them.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..datasets import SpatialDataset
 from ..geometry import Rect, common_extent
-from ..histograms import load_histogram, save_histogram
+from ..perf.cache import HistogramCache
 from .estimator import BasicGHEstimator, GHEstimator, PHEstimator, PreparedEstimator
-
-if TYPE_CHECKING:
-    from ..perf.cache import HistogramCache
 
 __all__ = ["StatisticsCatalog"]
 
 
 class StatisticsCatalog:
-    """Registry of datasets plus cached per-dataset estimator summaries.
+    """Registry of datasets plus their per-dataset estimator summaries.
 
     Parameters
     ----------
     estimator:
-        The prepared estimator whose summaries are cached (default: GH
+        The prepared estimator whose summaries are served (default: GH
         at level 7, the paper's recommended configuration).
-    directory:
-        Optional path; when given, histogram summaries are persisted as
-        files there and reloaded on cache misses.
     cache:
-        Optional :class:`~repro.perf.cache.HistogramCache` shared with
-        other serving components.  When given, GH/PH/basic-GH summaries
-        are resolved through it instead of the catalog's own name-keyed
-        dict: entries are content-addressed (re-registering changed data
-        under an old name can never serve stale statistics), coarser GH
-        levels derive from cached finer ones, and the byte budget / LRU
-        policy governs retention.
+        The :class:`~repro.perf.cache.HistogramCache` that GH, PH and
+        basic-GH summaries resolve through (default: a private one).
+        Share it with other serving components, or give it a ``store``
+        (``HistogramCache(store=ArtifactCatalog(root))``) to persist the
+        histogram files across processes.  Other estimators (parametric)
+        prepare their four first-order statistics on each request.
     """
 
     def __init__(
         self,
         estimator: Optional[PreparedEstimator] = None,
         *,
-        directory: str | Path | None = None,
         cache: "HistogramCache | None" = None,
     ) -> None:
         self.estimator = estimator if estimator is not None else GHEstimator(level=7)
-        self.directory = Path(directory) if directory is not None else None
-        self.cache = cache
+        self.cache = cache if cache is not None else HistogramCache()
         self._datasets: Dict[str, SpatialDataset] = {}
-        self._summaries: Dict[Tuple[str, str], Any] = {}
         self._extent: Rect | None = None
 
     # ------------------------------------------------------------------
     def register(self, dataset: SpatialDataset) -> None:
         """Add a dataset. All registered datasets must share one universe:
-        the catalog extent grows to cover every registration, and cached
-        summaries are invalidated when it changes."""
+        the catalog extent grows to cover every registration."""
         self._datasets[dataset.name] = dataset
-        new_extent = dataset.extent if self._extent is None else Rect(
+        self._extent = dataset.extent if self._extent is None else Rect(
             min(self._extent.xmin, dataset.extent.xmin),
             min(self._extent.ymin, dataset.extent.ymin),
             max(self._extent.xmax, dataset.extent.xmax),
             max(self._extent.ymax, dataset.extent.ymax),
         )
-        if new_extent != self._extent:
-            self._extent = new_extent
-            self._summaries.clear()
 
     def dataset(self, name: str) -> SpatialDataset:
         """Look up a registered dataset by name."""
@@ -93,27 +80,14 @@ class StatisticsCatalog:
 
     # ------------------------------------------------------------------
     def summary_for(self, name: str) -> Any:
-        """The cached (or freshly built / loaded) per-dataset summary."""
-        if self.cache is not None and self._cache_scheme() is not None:
+        """The per-dataset summary: a cached, derived, stored or freshly
+        built histogram file, or a freshly prepared non-histogram one."""
+        dataset = self.dataset(name)
+        if isinstance(self.estimator, (GHEstimator, PHEstimator, BasicGHEstimator)):
             return self.cache.get_or_build(
-                self.dataset(name),
-                self._cache_scheme(),
-                self.estimator.level,  # type: ignore[attr-defined]
-                extent=self.extent,
+                dataset, self.estimator.name, self.estimator.level, extent=self.extent
             )
-        key = (name, self._estimator_key())
-        if key in self._summaries:
-            return self._summaries[key]
-        path = self._summary_path(name)
-        if path is not None and path.exists():
-            summary = load_histogram(path)
-            self._summaries[key] = summary
-            return summary
-        summary = self.estimator.prepare(self.dataset(name), extent=self.extent)
-        self._summaries[key] = summary
-        if path is not None:
-            save_histogram(summary, path)
-        return summary
+        return self.estimator.prepare(dataset, extent=self.extent)
 
     def estimate(self, name1: str, name2: str) -> float:
         """Estimated selectivity between two registered datasets."""
@@ -124,24 +98,6 @@ class StatisticsCatalog:
         return self.estimate(name1, name2) * len(self.dataset(name1)) * len(
             self.dataset(name2)
         )
-
-    # ------------------------------------------------------------------
-    def _cache_scheme(self) -> str | None:
-        """The histogram-cache scheme name for the estimator, if cacheable."""
-        if isinstance(self.estimator, (GHEstimator, PHEstimator, BasicGHEstimator)):
-            return self.estimator.name
-        return None
-
-    def _estimator_key(self) -> str:
-        level = getattr(self.estimator, "level", None)
-        return f"{self.estimator.name}-{level}" if level is not None else self.estimator.name
-
-    def _summary_path(self, name: str) -> Path | None:
-        if self.directory is None:
-            return None
-        if not isinstance(self.estimator, (GHEstimator, PHEstimator)):
-            return None  # only histogram summaries have a file format
-        return self.directory / f"{name}.{self._estimator_key()}.npz"
 
 
 def catalog_for(

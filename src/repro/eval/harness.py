@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 from ..core.metrics import relative_error_pct
 from ..core.workload import FIGURE6_COMBOS, FIGURE6_METHODS, FIGURE7_LEVELS, SampleCombo
 from ..datasets import SpatialDataset
-from ..histograms import BasicGHHistogram, GHHistogram, PHHistogram
+from ..histograms.file import HISTOGRAM_SCHEMES
 from ..rtree import bulk_load_str, rtree_join_count, tree_size_bytes
 from ..sampling import SamplingJoinEstimator
 from .timing import measure_seconds
@@ -42,12 +42,6 @@ __all__ = [
     "run_histogram_experiment",
     "HISTOGRAM_SCHEMES",
 ]
-
-HISTOGRAM_SCHEMES: Mapping[str, type] = {
-    "ph": PHHistogram,
-    "gh": GHHistogram,
-    "gh_basic": BasicGHHistogram,
-}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import os
 from pathlib import Path
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -29,11 +29,20 @@ __all__ = [
     "histogram_parts",
     "histogram_from_parts",
     "STAT_PLANES",
+    "HISTOGRAM_SCHEMES",
 ]
 
 Histogram = Union[PHHistogram, GHHistogram, BasicGHHistogram]
 
-_KINDS = {PHHistogram: "ph", GHHistogram: "gh", BasicGHHistogram: "gh_basic"}
+#: Histogram class per scheme name — the ``scheme`` axis of cache and
+#: store keys, and the one table every builder and decoder dispatches on.
+HISTOGRAM_SCHEMES: Mapping[str, "type[Histogram]"] = {
+    "ph": PHHistogram,
+    "gh": GHHistogram,
+    "gh_basic": BasicGHHistogram,
+}
+
+_KINDS = {cls: kind for kind, cls in HISTOGRAM_SCHEMES.items()}
 
 #: Stat-plane order per kind — the row order of the stacked ``stats``
 #: array produced by :func:`histogram_parts` (and stored in files).

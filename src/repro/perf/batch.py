@@ -54,9 +54,10 @@ import numpy as np
 
 from ..datasets import SpatialDataset
 from ..geometry import Rect
+from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 from ..histograms.fused import fused_pair_estimates, stack_gh
 from ..runtime import active_scope
-from .cache import CacheKey, Histogram, HistogramCache, _BUILDERS
+from .cache import CacheKey, HistogramCache
 from .fingerprint import dataset_fingerprint
 from .memo import EstimateCache, EstimateKey, scheme_formula
 
@@ -157,9 +158,9 @@ def estimate_many(
     memo_hits: dict[int, float] = {}
     memo_keys: list[EstimateKey | None] = []
     for position, query in enumerate(batch):
-        if query.scheme not in _BUILDERS:
+        if query.scheme not in HISTOGRAM_SCHEMES:
             raise ValueError(
-                f"unknown scheme {query.scheme!r}; choose from {sorted(_BUILDERS)}"
+                f"unknown scheme {query.scheme!r}; choose from {sorted(HISTOGRAM_SCHEMES)}"
             )
         if len(query.ds1) == 0 or len(query.ds2) == 0:
             plans.append(None)
@@ -203,7 +204,7 @@ def estimate_many(
         dataset, scheme, level, extent = task
         if cache is not None:
             return cache.get_or_build(dataset, scheme, level, extent=extent)
-        return _BUILDERS[scheme].build(dataset, level, extent=extent)
+        return HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=extent)
 
     keys = list(tasks)
     if active_scope() is not None or len(keys) <= 1:

@@ -37,7 +37,10 @@ bulk-loaded :class:`~repro.rtree.flat.FlatRTree` structures, keyed by
 estimator's confidence replicas re-join the *same* full dataset when a
 fraction is 1.0, and the paper's "Est. Time 2" scenario assumes the
 input trees already exist — both reduce to warm hits here instead of
-rebuilds.
+rebuilds.  Both caches share one retention tier (:class:`_ByteLRU`:
+the LRU within its byte budget, the counters, the no-poison insert and
+the best-effort store publish) and differ only in their keys and
+resolve steps.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Generic, Iterable, Protocol, TypeVar
 
 from ..core.estimator import (
     BasicGHEstimator,
@@ -55,7 +58,8 @@ from ..core.estimator import (
 )
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
-from ..histograms import BasicGHHistogram, GHHistogram, PHHistogram, downsample_gh
+from ..histograms import GHHistogram, downsample_gh
+from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 from ..rtree import DEFAULT_MAX_ENTRIES, FlatRTree, flat_load_hilbert, flat_load_str
 from ..errors import EstimationTimeout
 from ..runtime import active_scope
@@ -74,12 +78,11 @@ __all__ = [
     "FlatTreeCache",
 ]
 
-Histogram = Union[GHHistogram, PHHistogram, BasicGHHistogram]
-
-_BUILDERS = {
-    "gh": GHHistogram,
-    "ph": PHHistogram,
-    "gh_basic": BasicGHHistogram,
+#: Bulk loader per flat-tree packing (the ``packing`` axis of
+#: :class:`TreeCacheKey`, and of the store's tree entry names).
+_TREE_LOADERS = {
+    "str": flat_load_str,
+    "hilbert": flat_load_hilbert,
 }
 
 #: Default byte budget: 64 MiB ≈ a level-9 GH plus plenty of headroom.
@@ -94,6 +97,15 @@ class CacheKey:
     scheme: str
     level: int
     extent: tuple[float, float, float, float]
+
+
+@dataclass(frozen=True, slots=True)
+class TreeCacheKey:
+    """Content-addressed identity of one bulk-loaded flat tree."""
+
+    fingerprint: str
+    packing: str
+    max_entries: int
 
 
 @dataclass
@@ -124,25 +136,25 @@ class CacheStats:
         }
 
 
-class HistogramCache:
-    """LRU histogram-file cache with a byte budget and GH derivation.
+class _Sized(Protocol):
+    @property
+    def size_bytes(self) -> int: ...
 
-    Parameters
-    ----------
-    max_bytes:
-        Retention budget over the sum of cached ``size_bytes``.  An
-        entry larger than the whole budget is still built and returned,
-        just never retained.
-    derive_gh:
-        When True (default), a GH miss is answered by 2×2-pooling a
-        cached finer GH of the same dataset/extent when one exists.
-    store:
-        Optional :class:`~repro.store.ArtifactCatalog` L2 tier.  An L1
-        miss then consults the catalog before building (exact key
-        first, then a stored *finer* GH pooled down), and fresh builds
-        are published back (atomically; skipped while any runtime
-        scope is active, mirroring the no-poison insertion rule).
-        Catalog loads are zero-copy mmap views.
+
+_K = TypeVar("_K", CacheKey, TreeCacheKey)
+_V = TypeVar("_V", bound=_Sized)
+
+
+class _ByteLRU(Generic[_K, _V]):
+    """The retention tier shared by :class:`HistogramCache` and
+    :class:`FlatTreeCache`: LRU within a byte budget.
+
+    Owns the entries, their byte count, the lock and the
+    :class:`CacheStats`; the L1 probe; the insert (nothing is retained
+    under a fault hook, an entry larger than the whole budget is never
+    retained, a racing insert keeps the first entry); and the
+    best-effort publish to the optional ``store`` L2 tier.  Subclasses
+    add their key type, ``key_for`` and ``resolve``.
 
     Thread-safe: lookups and insertions are lock-protected; builds run
     outside the lock so concurrent misses on different keys overlap.
@@ -152,16 +164,14 @@ class HistogramCache:
         self,
         max_bytes: int = DEFAULT_MAX_BYTES,
         *,
-        derive_gh: bool = True,
         store: "ArtifactCatalog | None" = None,
     ) -> None:
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self.derive_gh = derive_gh
         self.store = store
         self.stats = CacheStats()
-        self._entries: OrderedDict[CacheKey, Histogram] = OrderedDict()  # guarded-by: _lock
+        self._entries: OrderedDict[_K, _V] = OrderedDict()  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
         self._lock = threading.RLock()
 
@@ -176,11 +186,11 @@ class HistogramCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
+    def __contains__(self, key: _K) -> bool:
         with self._lock:
             return key in self._entries
 
-    def keys(self) -> list[CacheKey]:
+    def keys(self) -> list[_K]:
         """Retained keys, least- to most-recently used."""
         with self._lock:
             return list(self._entries)
@@ -192,13 +202,101 @@ class HistogramCache:
             self._bytes = 0
 
     # ------------------------------------------------------------------
+    def _probe(self, key: _K) -> "tuple[_V | None, _V | None]":
+        """Count one lookup: ``(hit, None)``, or ``(None, donor)`` on a
+        miss, the donor picked by :meth:`_donor` under the same lock."""
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return hit, None
+            self.stats.misses += 1
+            return None, self._donor(key, self._entries.items())
+
+    def _donor(self, key: _K, retained: Iterable[tuple[_K, _V]]) -> "_V | None":
+        """A retained entry a miss on ``key`` can be derived from."""
+        return None
+
+    def _admit_build(self, key: _K, value: _V) -> _V:
+        """Count a fresh build, publish it to the store, retain it."""
+        with self._lock:
+            self.stats.builds += 1
+        self._publish(key, value)
+        self._insert(key, value)
+        return value
+
+    def _publish(self, key: _K, value: _V) -> None:
+        """Best-effort L2 publish of a fresh build.
+
+        Skipped while a fault hook is active (the ``_insert`` no-poison
+        rule, made durable) or a deadline is ticking (a request's
+        budget must not be spent on fsyncs).  Publish failures
+        (deadline mid-write, disk errors) abandon the staging dir and
+        never fail the lookup.
+        """
+        if self.store is None or self.store.read_only:
+            return
+        scope = active_scope()
+        if scope is not None and (scope.hook is not None or scope.deadline is not None):
+            return
+        try:
+            self._put(self.store, key, value)
+        except (EstimationTimeout, OSError):
+            return
+
+    def _put(self, store: "ArtifactCatalog", key: _K, value: _V) -> None:
+        raise NotImplementedError
+
+    def _insert(self, key: _K, value: _V) -> None:
+        scope = active_scope()
+        if scope is not None and scope.hook is not None:
+            return  # a mutation hook may have corrupted this build
+        size = value.size_bytes
+        if size > self.max_bytes:
+            return  # would evict everything and still not fit
+        with self._lock:
+            if key in self._entries:  # another thread raced us; keep theirs
+                self._entries.move_to_end(key)
+                return
+            self._entries[key] = value
+            self._bytes += size
+            while self._bytes > self.max_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.size_bytes
+                self.stats.evictions += 1
+
+
+class HistogramCache(_ByteLRU[CacheKey, Histogram]):
+    """LRU histogram-file cache with a byte budget and GH derivation.
+
+    Parameters
+    ----------
+    max_bytes:
+        Retention budget over the sum of cached ``size_bytes``.  An
+        entry larger than the whole budget is still built and returned,
+        just never retained.
+    store:
+        Optional :class:`~repro.store.ArtifactCatalog` L2 tier.  An L1
+        miss then consults the catalog before building (exact key
+        first, then a stored *finer* GH pooled down), and fresh builds
+        are published back (atomically; skipped while any runtime
+        scope is active, mirroring the no-poison insertion rule).
+        Catalog loads are zero-copy mmap views.
+
+    A GH miss is answered by 2×2-pooling a cached finer GH of the same
+    dataset/extent when one exists.
+    """
+
     @staticmethod
     def key_for(
         dataset: SpatialDataset, scheme: str, level: int, extent: Rect | None = None
     ) -> CacheKey:
         """The content-addressed key a lookup would use."""
-        if scheme not in _BUILDERS:
-            raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_BUILDERS)}")
+        if scheme not in HISTOGRAM_SCHEMES:
+            raise ValueError(
+                f"unknown scheme {scheme!r}; choose from {sorted(HISTOGRAM_SCHEMES)}"
+            )
         extent = extent or dataset.extent
         return CacheKey(
             fingerprint=dataset_fingerprint(dataset),
@@ -244,108 +342,58 @@ class HistogramCache:
         """
         extent = extent or dataset.extent
         key = self.key_for(dataset, scheme, level, extent)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return hit, "l1"
-            self.stats.misses += 1
-            donor = self._finest_cached_finer_gh(key) if scheme == "gh" and self.derive_gh else None
-        if donor is not None:
-            hist = self._pool_down(donor, level)
-            with self._lock:
-                self.stats.derivations += 1
-            self._insert(key, hist)
-            return hist, "derived"
+        hit, donor = self._probe(key)
+        if hit is not None:
+            return hit, "l1"
+        if isinstance(donor, GHHistogram):
+            return self._derive(key, donor), "derived"
         if self.store is not None:
             stored = self.store.load_histogram(key)
             if stored is not None:
                 self._insert(key, stored)
                 return stored, "store"
-            if scheme == "gh" and self.derive_gh:
-                donor_key = self.store.gh_donor_key(key)
-                stored_donor = (
-                    self.store.load_histogram(donor_key)
-                    if donor_key is not None
-                    else None
-                )
-                if stored_donor is not None:
-                    hist = self._pool_down(stored_donor, level)  # type: ignore[arg-type]
-                    with self._lock:
-                        self.stats.derivations += 1
-                    self._insert(key, hist)
-                    return hist, "store-derived"
-        hist = _BUILDERS[scheme].build(dataset, level, extent=extent)
-        with self._lock:
-            self.stats.builds += 1
-        self._publish_to_store(key, hist)
-        self._insert(key, hist)
-        return hist, "build"
+            donor_key = self.store.gh_donor_key(key) if scheme == "gh" else None
+            stored_donor = (
+                self.store.load_histogram(donor_key) if donor_key is not None else None
+            )
+            if isinstance(stored_donor, GHHistogram):
+                return self._derive(key, stored_donor), "store-derived"
+        hist = HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=extent)
+        return self._admit_build(key, hist), "build"
 
-    @staticmethod
-    def _pool_down(donor: GHHistogram, level: int) -> Histogram:
-        """Fold a finer GH down to ``level`` by exact 2×2 pooling."""
-        hist: Histogram = donor
-        for _ in range(donor.grid.level - level):
-            hist = downsample_gh(hist)
-        return hist
-
-    def _publish_to_store(self, key: CacheKey, hist: Histogram) -> None:
-        """Best-effort L2 publish of a fresh build.
-
-        Skipped while a fault hook is active (the ``_insert`` no-poison
-        rule, made durable) or a deadline is ticking (a request's
-        budget must not be spent on fsyncs).  Publish failures
-        (deadline mid-write, disk errors) abandon the staging dir and
-        never fail the lookup.
-        """
-        if self.store is None or self.store.read_only:
-            return
-        scope = active_scope()
-        if scope is not None and (scope.hook is not None or scope.deadline is not None):
-            return
-        try:
-            self.store.put_histogram(key, hist)
-        except (EstimationTimeout, OSError):
-            return
-
-    def _finest_cached_finer_gh(self, key: CacheKey) -> GHHistogram | None:
-        """Cheapest derivation donor: the *coarsest* cached level > requested.
-
-        (Pooling cost is dominated by the finest level folded, so among
-        valid donors the one closest to the requested level wins.)
-        Caller must hold the lock.
-        """
+    def _donor(
+        self, key: CacheKey, retained: Iterable[tuple[CacheKey, Histogram]]
+    ) -> GHHistogram | None:
+        """Cheapest GH derivation donor: the *coarsest* retained level >
+        requested (pooling cost is dominated by the finest level folded,
+        so among valid donors the one closest to the requested level
+        wins)."""
+        if key.scheme != "gh":
+            return None
         best: GHHistogram | None = None
-        for other, hist in self._entries.items():
+        for other, hist in retained:
             if (
-                other.scheme == "gh"
+                isinstance(hist, GHHistogram)
                 and other.fingerprint == key.fingerprint
                 and other.extent == key.extent
                 and other.level > key.level
                 and (best is None or other.level < best.grid.level)
             ):
-                best = hist  # type: ignore[assignment]
+                best = hist
         return best
 
-    def _insert(self, key: CacheKey, hist: Histogram) -> None:
-        scope = active_scope()
-        if scope is not None and scope.hook is not None:
-            return  # a mutation hook may have corrupted this build
-        size = hist.size_bytes
-        if size > self.max_bytes:
-            return  # would evict everything and still not fit
+    def _derive(self, key: CacheKey, donor: GHHistogram) -> GHHistogram:
+        """Fold a finer GH down to ``key.level`` by exact 2×2 pooling."""
+        hist = donor
+        for _ in range(donor.grid.level - key.level):
+            hist = downsample_gh(hist)
         with self._lock:
-            if key in self._entries:  # another thread raced us; keep theirs
-                self._entries.move_to_end(key)
-                return
-            self._entries[key] = hist
-            self._bytes += size
-            while self._bytes > self.max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.size_bytes
-                self.stats.evictions += 1
+            self.stats.derivations += 1
+        self._insert(key, hist)
+        return hist
+
+    def _put(self, store: "ArtifactCatalog", key: CacheKey, value: Histogram) -> None:
+        store.put_histogram(key, value)
 
 
 class CachedEstimator(PreparedEstimator):
@@ -399,77 +447,20 @@ class CachedEstimator(PreparedEstimator):
         return f"CachedEstimator({self.inner!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class TreeCacheKey:
-    """Content-addressed identity of one bulk-loaded flat tree."""
-
-    fingerprint: str
-    packing: str
-    max_entries: int
-
-
-_TREE_LOADERS = {
-    "str": flat_load_str,
-    "hilbert": flat_load_hilbert,
-}
-
-
-class FlatTreeCache:
+class FlatTreeCache(_ByteLRU[TreeCacheKey, FlatRTree]):
     """LRU cache of bulk-loaded :class:`FlatRTree` structures.
 
-    Same retention scheme as :class:`HistogramCache` — LRU within a byte
+    Same retention tier as :class:`HistogramCache` — LRU within a byte
     budget over each tree's ``size_bytes``, content-addressed keys, and
     no insertion while a fault hook is active — but keyed on bare
     rectangle arrays (:func:`~repro.perf.fingerprint.rects_fingerprint`)
     because sample trees are built from picked rects, not datasets.
-    ``stats`` reuses :class:`CacheStats`; the ``derivations`` counter
-    stays zero (trees have no cross-level derivation).  An optional
-    ``store`` catalog adds the same L2 tier as :class:`HistogramCache`:
-    miss → mmap load of the packed blocks → bulk-load + publish.
+    The ``derivations`` counter stays zero (trees have no cross-level
+    derivation).  An optional ``store`` catalog adds the same L2 tier as
+    :class:`HistogramCache`: miss → mmap load of the packed blocks →
+    bulk-load + publish.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        *,
-        store: "ArtifactCatalog | None" = None,
-    ) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self.store = store
-        self.stats = CacheStats()
-        self._entries: OrderedDict[TreeCacheKey, FlatRTree] = OrderedDict()  # guarded-by: _lock
-        self._bytes = 0  # guarded-by: _lock
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    @property
-    def current_bytes(self) -> int:
-        """Total ``size_bytes`` of retained trees (always ≤ budget)."""
-        with self._lock:
-            return self._bytes
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: TreeCacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def keys(self) -> list[TreeCacheKey]:
-        """Retained keys, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    # ------------------------------------------------------------------
     @staticmethod
     def key_for(
         rects: RectArray,
@@ -514,51 +505,16 @@ class FlatTreeCache:
         """:meth:`get_or_build` plus the source: ``"l1"`` / ``"store"``
         / ``"build"`` (same contract as :meth:`HistogramCache.resolve`)."""
         key = self.key_for(rects, packing, max_entries)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return hit, "l1"
-            self.stats.misses += 1
+        hit, _ = self._probe(key)
+        if hit is not None:
+            return hit, "l1"
         if self.store is not None:
             stored = self.store.load_tree(key)
             if stored is not None:
                 self._insert(key, stored)
                 return stored, "store"
         tree = _TREE_LOADERS[packing](rects, max_entries=max_entries)
-        with self._lock:
-            self.stats.builds += 1
-        self._publish_to_store(key, tree)
-        self._insert(key, tree)
-        return tree, "build"
+        return self._admit_build(key, tree), "build"
 
-    def _publish_to_store(self, key: TreeCacheKey, tree: FlatRTree) -> None:
-        """Best-effort L2 publish (same skip rules as the histogram cache)."""
-        if self.store is None or self.store.read_only:
-            return
-        scope = active_scope()
-        if scope is not None and (scope.hook is not None or scope.deadline is not None):
-            return
-        try:
-            self.store.put_tree(key, tree)
-        except (EstimationTimeout, OSError):
-            return
-
-    def _insert(self, key: TreeCacheKey, tree: FlatRTree) -> None:
-        scope = active_scope()
-        if scope is not None and scope.hook is not None:
-            return  # a mutation hook may have corrupted this build
-        size = tree.size_bytes
-        if size > self.max_bytes:
-            return  # would evict everything and still not fit
-        with self._lock:
-            if key in self._entries:  # another thread raced us; keep theirs
-                self._entries.move_to_end(key)
-                return
-            self._entries[key] = tree
-            self._bytes += size
-            while self._bytes > self.max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.size_bytes
-                self.stats.evictions += 1
+    def _put(self, store: "ArtifactCatalog", key: TreeCacheKey, value: FlatRTree) -> None:
+        store.put_tree(key, value)

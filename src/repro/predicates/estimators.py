@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Any, List, Tuple
 
 from ..core.estimator import (
+    _COARSEN_BY,
     GHEstimator,
     JoinSelectivityEstimator,
     ParametricEstimator,
@@ -58,9 +59,6 @@ __all__ = [
 
 #: Default bucket level for the 1-D endpoint histograms (64 buckets).
 _DEFAULT_ENDPOINT_LEVEL = 6
-
-#: How far a fallback hop coarsens a level (matches the resilient chain).
-_COARSEN_BY = 3
 
 
 def _axis_range(extent: Rect, axis: str) -> Tuple[float, float]:

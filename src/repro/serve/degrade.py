@@ -57,19 +57,18 @@ _ORDER = (
 
 @dataclass(frozen=True)
 class DegradePolicy:
-    """Pressure thresholds (each in ``[0, 1]``) and coarsening step.
+    """Pressure thresholds (each in ``[0, 1]``).
 
     A request admitted at pressure ``p`` runs at the cheapest rung whose
     threshold is exceeded: ``cached_at <= p`` degrades to the cached
     coarser histogram, ``parametric_at <= p`` to the closed form,
-    ``shed_at <= p`` refuses outright.  ``coarsen_by`` is how many
-    levels the ``cached-coarse`` rung drops from the requested one.
+    ``shed_at <= p`` refuses outright.  The ``cached-coarse`` rung drops
+    ``repro.core.estimator._COARSEN_BY`` levels from the requested one.
     """
 
     cached_at: float = 0.50
     parametric_at: float = 0.75
     shed_at: float = 0.95
-    coarsen_by: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cached_at <= self.parametric_at <= self.shed_at:
@@ -77,8 +76,6 @@ class DegradePolicy:
                 "thresholds must satisfy 0 < cached_at <= parametric_at <= "
                 f"shed_at, got {self.cached_at}, {self.parametric_at}, {self.shed_at}"
             )
-        if self.coarsen_by < 1:
-            raise ValueError(f"coarsen_by must be >= 1, got {self.coarsen_by}")
 
 
 @dataclass(frozen=True)

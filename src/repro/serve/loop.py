@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ..core.estimator import ParametricEstimator
+from ..core.estimator import _COARSEN_BY, ParametricEstimator
 from ..datasets import SpatialDataset
 from ..errors import EstimatorUnavailable, ServiceOverloadError
 from ..perf.batch import BatchQuery, estimate_many
@@ -383,7 +383,7 @@ class EstimationServer:
             value = await self.batcher.submit(query, deadline)
             return value, "batch", ()
         if rung is ServiceRung.CACHED:
-            level = max(1, request.level - self.config.policy.coarsen_by)
+            level = max(1, request.level - _COARSEN_BY)
             value, via = await loop.run_in_executor(
                 None, lambda: self._cached_coarse(request, ds1, ds2, level, deadline)
             )

@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping
 from ..datasets import SpatialDataset
 from ..errors import EstimatorUnavailable, ShardUnavailableError
 from ..geometry import Rect
-from ..histograms import BasicGHHistogram, GHHistogram, PHHistogram
+from ..histograms.file import HISTOGRAM_SCHEMES
 from ..parallel.shm import DatasetMeta, SharedDataset, attach_dataset
 from ..perf.cache import HistogramCache
 from ..runtime import Deadline, runtime_scope
@@ -66,14 +66,6 @@ from ..store import ArtifactCatalog, materialize_histogram
 __all__ = ["CircuitBreaker", "ShardStats", "ShardPool"]
 
 Clock = Callable[[], float]
-
-#: Builders a shard worker can run, by scheme name (same registry shape
-#: as the perf cache; typed callables so strict call-checking applies).
-_PREPARE: Mapping[str, Callable[..., Any]] = {
-    "gh": GHHistogram.build,
-    "ph": PHHistogram.build,
-    "gh_basic": BasicGHHistogram.build,
-}
 
 
 class CircuitBreaker:
@@ -213,7 +205,7 @@ def _shard_worker(
             extent = Rect(*extent_tuple) if extent_tuple is not None else dataset.extent
             hist: Any = None
             source = "build"
-            if store is not None and scheme in _PREPARE:
+            if store is not None and scheme in HISTOGRAM_SCHEMES:
                 key = HistogramCache.key_for(dataset, scheme, int(level), extent)
                 stored = store.load_histogram(key)
                 if stored is not None:
@@ -224,7 +216,7 @@ def _shard_worker(
             if hist is None:
                 deadline = Deadline(max(0.0, budget_s)) if budget_s is not None else None
                 with runtime_scope(deadline=deadline, hook=hook):
-                    hist = _PREPARE[scheme](dataset, int(level), extent=extent)
+                    hist = HISTOGRAM_SCHEMES[scheme].build(dataset, int(level), extent=extent)
             conn.send(("ok", (hist, source)))
         # The reply channel is this worker's only way to surface a
         # failure; swallowing nothing, it reports everything and stays

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.estimator import (
+    _COARSEN_BY,
     BasicGHEstimator,
     GHEstimator,
     JoinSelectivityEstimator,
@@ -62,9 +63,6 @@ __all__ = [
     "ResilientEstimator",
     "default_fallback_chain",
 ]
-
-#: How far the default chain coarsens a histogram level in one hop.
-_COARSEN_BY = 3
 
 
 @dataclass(frozen=True, slots=True)

@@ -52,17 +52,16 @@ import shutil
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Container, Mapping
 
 import numpy as np
 
 from ..errors import ArtifactIntegrityError
-from ..perf.cache import CacheKey, TreeCacheKey
+from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
+from ..perf.cache import _TREE_LOADERS, CacheKey, TreeCacheKey
 from ..runtime import checkpoint
 from .codec import (
-    HIST_KINDS,
     TREE_KIND,
-    Histogram,
     decode_histogram,
     decode_tree,
     encode_histogram,
@@ -88,8 +87,6 @@ FORMAT_VERSION = 1
 #: The per-entry manifest file, written last inside the staging dir.
 MANIFEST_NAME = "manifest.json"
 
-_TREE_PACKINGS = ("str", "hilbert")
-
 
 def _digest(*parts: object) -> str:
     """16-hex-char BLAKE2b over the repr of ``parts`` (dirname component)."""
@@ -103,8 +100,10 @@ def _hist_group(key: CacheKey) -> str:
 
 def hist_entry_name(key: CacheKey) -> str:
     """Catalog directory name for a histogram key."""
-    if key.scheme not in HIST_KINDS:
-        raise ValueError(f"unknown scheme {key.scheme!r}; choose from {sorted(HIST_KINDS)}")
+    if key.scheme not in HISTOGRAM_SCHEMES:
+        raise ValueError(
+            f"unknown scheme {key.scheme!r}; choose from {sorted(HISTOGRAM_SCHEMES)}"
+        )
     if not 0 <= key.level <= 99:
         raise ValueError(f"level out of catalog range [0, 99]: {key.level}")
     return f"{key.scheme}.h{key.level:02d}.{_hist_group(key)}"
@@ -112,9 +111,9 @@ def hist_entry_name(key: CacheKey) -> str:
 
 def tree_entry_name(key: TreeCacheKey) -> str:
     """Catalog directory name for a flat-tree key."""
-    if key.packing not in _TREE_PACKINGS:
+    if key.packing not in _TREE_LOADERS:
         raise ValueError(
-            f"unknown packing {key.packing!r}; choose from {sorted(_TREE_PACKINGS)}"
+            f"unknown packing {key.packing!r}; choose from {sorted(_TREE_LOADERS)}"
         )
     if key.max_entries < 2:
         raise ValueError(f"max_entries must be >= 2, got {key.max_entries}")
@@ -239,7 +238,7 @@ class ArtifactCatalog:
         """
         name = hist_entry_name(key)
         try:
-            found = self._read_entry(name, HIST_KINDS, _hist_key_json(key))
+            found = self._read_entry(name, HISTOGRAM_SCHEMES, _hist_key_json(key))
             if found is None:
                 self._note_miss()
                 return None
@@ -488,7 +487,7 @@ class ArtifactCatalog:
     def _read_entry(
         self,
         name: str,
-        kinds: tuple[str, ...],
+        kinds: Container[str],
         key_json: dict[str, object],
     ) -> tuple[dict[str, object], dict[str, np.ndarray]] | None:
         """Manifest + mmap-opened arrays, ``None`` on clean miss.

@@ -15,31 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..datasets.registry import PAPER_CARDINALITIES, make_paper_dataset
 from ..geometry import Rect
-from ..histograms import BasicGHHistogram, GHHistogram, PHHistogram
-from ..histograms.file import histogram_parts
-from ..perf.cache import CacheKey, FlatTreeCache, HistogramCache, TreeCacheKey
-from ..rtree import FlatRTree, flat_load_hilbert, flat_load_str
+from ..histograms.file import HISTOGRAM_SCHEMES, histogram_parts
+from ..perf.cache import _TREE_LOADERS, CacheKey, FlatTreeCache, HistogramCache, TreeCacheKey
 from .catalog import ArtifactCatalog, StoreEntry
-from .codec import HIST_KINDS, TREE_KIND, Histogram
+from .codec import TREE_KIND
 
 __all__ = ["main"]
-
-_BUILDERS: Mapping[str, Callable[..., Histogram]] = {
-    "gh": GHHistogram.build,
-    "ph": PHHistogram.build,
-    "gh_basic": BasicGHHistogram.build,
-}
-
-_LOADERS: Mapping[str, Callable[..., FlatRTree]] = {
-    "str": flat_load_str,
-    "hilbert": flat_load_hilbert,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trees", action="store_true", help="also publish packed flat trees"
     )
     prewarm.add_argument(
-        "--packing", default="str", choices=sorted(_LOADERS), help="tree packing"
+        "--packing", default="str", choices=sorted(_TREE_LOADERS), help="tree packing"
     )
     prewarm.add_argument(
         "--max-entries", type=int, default=8, help="tree fan-out (default 8)"
@@ -116,9 +103,9 @@ def _cmd_prewarm(args: argparse.Namespace, out: "TextOut") -> int:
         out.line(f"prewarm: unknown datasets {unknown}; registry has "
                  f"{sorted(PAPER_CARDINALITIES)}")
         return 2
-    bad = [s for s in schemes if s not in _BUILDERS]
+    bad = [s for s in schemes if s not in HISTOGRAM_SCHEMES]
     if bad:
-        out.line(f"prewarm: unknown schemes {bad}; choose from {sorted(_BUILDERS)}")
+        out.line(f"prewarm: unknown schemes {bad}; choose from {sorted(HISTOGRAM_SCHEMES)}")
         return 2
     for name in names:
         scale = PAPER_CARDINALITIES[name] / args.cardinality
@@ -127,7 +114,7 @@ def _cmd_prewarm(args: argparse.Namespace, out: "TextOut") -> int:
         for scheme in schemes:
             for level in levels:
                 key = HistogramCache.key_for(dataset, scheme, level)
-                hist = _BUILDERS[scheme](dataset, level, extent=dataset.extent)
+                hist = HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=dataset.extent)
                 # put_* is idempotent-True; the publish counter only
                 # moves when the entry is genuinely new.
                 before = catalog.stats.publishes
@@ -139,7 +126,7 @@ def _cmd_prewarm(args: argparse.Namespace, out: "TextOut") -> int:
             tree_key = FlatTreeCache.key_for(
                 dataset.rects, args.packing, args.max_entries
             )
-            tree = _LOADERS[args.packing](
+            tree = _TREE_LOADERS[args.packing](
                 dataset.rects, max_entries=args.max_entries
             )
             tree_source = dict(source)
@@ -189,7 +176,7 @@ def _rebuild_problems(catalog: ArtifactCatalog, entry: StoreEntry) -> list[str]:
     if name not in PAPER_CARDINALITIES:
         return [f"{entry.name}: source dataset {name!r} not in the registry"]
     dataset = make_paper_dataset(name, scale=float(scale))
-    if entry.kind in HIST_KINDS:
+    if entry.kind in HISTOGRAM_SCHEMES:
         key = CacheKey(
             fingerprint=str(entry.key.get("fingerprint")),
             scheme=str(entry.key.get("scheme")),
@@ -202,7 +189,7 @@ def _rebuild_problems(catalog: ArtifactCatalog, entry: StoreEntry) -> list[str]:
         stored = catalog.load_histogram(key)
         if stored is None:
             return [f"{entry.name}: stored histogram failed to load"]
-        fresh = _BUILDERS[key.scheme](
+        fresh = HISTOGRAM_SCHEMES[key.scheme].build(
             dataset, key.level, extent=Rect(*key.extent)
         )
         stored_scalars, stored_stats = histogram_parts(stored)
@@ -228,7 +215,7 @@ def _rebuild_problems(catalog: ArtifactCatalog, entry: StoreEntry) -> list[str]:
         stored_tree = catalog.load_tree(key2)
         if stored_tree is None:
             return [f"{entry.name}: stored tree failed to load"]
-        fresh_tree = _LOADERS[packing](dataset.rects, max_entries=max_entries)
+        fresh_tree = _TREE_LOADERS[packing](dataset.rects, max_entries=max_entries)
         stored_blocks = stored_tree.to_blocks()
         fresh_blocks = fresh_tree.to_blocks()
         if sorted(stored_blocks) != sorted(fresh_blocks):

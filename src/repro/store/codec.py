@@ -22,16 +22,14 @@ a corrupt-entry miss rather than serving a torn artifact.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from ..histograms import BasicGHHistogram, GHHistogram, PHHistogram
-from ..histograms.file import histogram_from_parts, histogram_parts
+from ..histograms.file import Histogram, histogram_from_parts, histogram_parts
 from ..rtree import FlatRTree
 
 __all__ = [
-    "HIST_KINDS",
     "TREE_KIND",
     "encode_histogram",
     "decode_histogram",
@@ -39,12 +37,6 @@ __all__ = [
     "decode_tree",
     "materialize_histogram",
 ]
-
-Histogram = Union[GHHistogram, PHHistogram, BasicGHHistogram]
-
-#: Histogram kinds the catalog can hold (the ``scheme`` axis of
-#: :class:`repro.perf.cache.CacheKey`).
-HIST_KINDS: tuple[str, ...] = ("gh", "ph", "gh_basic")
 
 #: Manifest ``kind`` tag for packed :class:`FlatRTree` artifacts.
 TREE_KIND = "flat_tree"

@@ -2,11 +2,19 @@
 
 import pytest
 
-from repro.core import GHEstimator, ParametricEstimator, PHEstimator, StatisticsCatalog
+from repro.core import (
+    BasicGHEstimator,
+    GHEstimator,
+    ParametricEstimator,
+    PHEstimator,
+    StatisticsCatalog,
+)
 from repro.core.catalog import catalog_for
 from repro.datasets import make_clustered, make_uniform
 from repro.geometry import Rect
 from repro.histograms import gh_selectivity
+from repro.perf import HistogramCache
+from repro.store import ArtifactCatalog
 
 
 @pytest.fixture
@@ -93,35 +101,79 @@ class TestEstimation:
         assert catalog.estimator.level == 7
 
 
+class TestFreshStatistics:
+    """Re-registered data is never answered from its old statistics."""
+
+    def test_reregistered_dataset_is_not_stale(self, datasets):
+        a, b, _ = datasets
+        catalog = StatisticsCatalog(GHEstimator(level=5))
+        catalog.register(a)
+        catalog.register(b)
+        before = catalog.estimate("A", "B")
+        new_a = make_clustered(800, seed=33, name="A")
+        catalog.register(new_a)  # same name, same extent, new data
+        assert catalog.estimate("A", "B") == gh_selectivity(new_a, b, 5)
+        assert catalog.estimate("A", "B") != before
+
+    def test_second_catalog_over_one_store_is_not_stale(self, datasets, tmp_path):
+        a, b, _ = datasets
+        first = StatisticsCatalog(GHEstimator(level=5), cache=_store_cache(tmp_path))
+        first.register(a)
+        first.register(b)
+        first.estimate("A", "B")
+        new_a = make_clustered(800, seed=33, name="A")
+        second = StatisticsCatalog(GHEstimator(level=5), cache=_store_cache(tmp_path))
+        second.register(new_a)
+        second.register(b)
+        assert second.estimate("A", "B") == gh_selectivity(new_a, b, 5)
+
+
+def _store_cache(root) -> HistogramCache:
+    return HistogramCache(store=ArtifactCatalog(root))
+
+
 class TestPersistence:
     def test_histograms_spill_to_disk(self, datasets, tmp_path):
         a, b, _ = datasets
-        catalog = StatisticsCatalog(GHEstimator(level=3), directory=tmp_path)
+        cache = _store_cache(tmp_path)
+        catalog = StatisticsCatalog(GHEstimator(level=3), cache=cache)
         catalog.register(a)
         catalog.register(b)
         catalog.estimate("A", "B")
-        files = list(tmp_path.glob("*.npz"))
-        assert len(files) == 2
+        assert cache.store.stats.publishes == 2
+        assert [entry.kind for entry in cache.store.entries()] == ["gh", "gh"]
 
     def test_reload_from_disk(self, datasets, tmp_path):
         a, b, _ = datasets
-        first = StatisticsCatalog(GHEstimator(level=3), directory=tmp_path)
+        first = StatisticsCatalog(GHEstimator(level=3), cache=_store_cache(tmp_path))
         first.register(a)
         first.register(b)
         expected = first.estimate("A", "B")
 
-        second = StatisticsCatalog(GHEstimator(level=3), directory=tmp_path)
+        cache = _store_cache(tmp_path)
+        second = StatisticsCatalog(GHEstimator(level=3), cache=cache)
         second.register(a)
         second.register(b)
         assert second.estimate("A", "B") == expected
+        assert cache.stats.builds == 0
 
     def test_ph_persists_too(self, datasets, tmp_path):
         a, b, _ = datasets
-        catalog = StatisticsCatalog(PHEstimator(level=3), directory=tmp_path)
+        cache = _store_cache(tmp_path)
+        catalog = StatisticsCatalog(PHEstimator(level=3), cache=cache)
         catalog.register(a)
         catalog.register(b)
         catalog.estimate("A", "B")
-        assert list(tmp_path.glob("*.ph-3.npz"))
+        assert [entry.kind for entry in cache.store.entries()] == ["ph", "ph"]
+
+    def test_basic_gh_persists_too(self, datasets, tmp_path):
+        a, b, _ = datasets
+        cache = _store_cache(tmp_path)
+        catalog = StatisticsCatalog(BasicGHEstimator(level=3), cache=cache)
+        catalog.register(a)
+        catalog.register(b)
+        catalog.estimate("A", "B")
+        assert [entry.kind for entry in cache.store.entries()] == ["gh_basic", "gh_basic"]
 
 
 class TestCatalogFor:

@@ -91,3 +91,16 @@ class TestErrors:
         path = save_histogram(hist, tmp_path / "bare")
         assert path.suffix == ".npz"
         assert path.exists()
+
+
+class TestSchemeTable:
+    def test_schemes_and_stat_planes_agree(self, dataset):
+        import repro.eval
+        from repro.histograms.file import HISTOGRAM_SCHEMES, STAT_PLANES, histogram_parts
+
+        assert repro.eval.HISTOGRAM_SCHEMES is HISTOGRAM_SCHEMES
+        assert set(HISTOGRAM_SCHEMES) == set(STAT_PLANES)
+        for scheme, hist_cls in HISTOGRAM_SCHEMES.items():
+            scalars, stats = histogram_parts(hist_cls.build(dataset, 2))
+            assert scalars["kind"] == scheme
+            assert stats.shape[0] == len(STAT_PLANES[scheme])

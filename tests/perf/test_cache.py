@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import repro.perf.cache as cache_module
 from repro.datasets import SpatialDataset
 from repro.geometry import Rect
 from repro.histograms import GHHistogram, PHHistogram
-from repro.perf import CacheKey, HistogramCache, dataset_fingerprint
+from repro.histograms.file import histogram_parts
+from repro.perf import CacheKey, FlatTreeCache, HistogramCache, dataset_fingerprint
+from repro.rtree import flat_load_str
 from repro.runtime import runtime_scope
 from tests.conftest import random_rects
 
@@ -104,7 +110,7 @@ class TestLRUAndBudget:
     def test_eviction_is_lru_ordered(self, rng):
         level = 5
         size = 8 * 4 * (1 << level) ** 2  # GH size_bytes at this level
-        cache = HistogramCache(max_bytes=2 * size, derive_gh=False)
+        cache = HistogramCache(max_bytes=2 * size)
         d1, d2, d3 = (_make(rng, name=f"d{i}") for i in range(3))
         cache.get_or_build(d1, "gh", level)
         cache.get_or_build(d2, "gh", level)
@@ -119,7 +125,7 @@ class TestLRUAndBudget:
     def test_byte_budget_enforced(self, rng):
         level = 4
         size = 8 * 4 * (1 << level) ** 2
-        cache = HistogramCache(max_bytes=3 * size + size // 2, derive_gh=False)
+        cache = HistogramCache(max_bytes=3 * size + size // 2)
         for i in range(8):
             cache.get_or_build(_make(rng, name=f"d{i}"), "gh", level)
             assert cache.current_bytes <= cache.max_bytes
@@ -160,13 +166,6 @@ class TestDerivation:
         assert cache.stats.builds == 1
         assert cache.stats.derivations == 2
 
-    def test_derivation_disabled(self, dataset):
-        cache = HistogramCache(derive_gh=False)
-        cache.get_or_build(dataset, "gh", 6)
-        cache.get_or_build(dataset, "gh", 3)
-        assert cache.stats.builds == 2
-        assert cache.stats.derivations == 0
-
     def test_ph_never_derives(self, dataset):
         # PH averages are not additive across resolutions; a coarser PH
         # must rebuild even when a finer one is cached.
@@ -195,6 +194,53 @@ class TestFaultScopeHygiene:
         cache.get_or_build(dataset, "gh", 4)
         assert len(cache) == 1
         assert cache.stats.builds == 2
+
+
+class TestSharedTier:
+    """Behaviour both caches get from their one retention tier."""
+
+    @pytest.mark.parametrize("cache_cls", [HistogramCache, FlatTreeCache])
+    def test_racing_misses_keep_one_entry(self, cache_cls, rng, monkeypatch):
+        threads = 4
+        barrier = threading.Barrier(threads)
+
+        def held(build):
+            def wrapper(*args, **kwargs):
+                barrier.wait(timeout=30)  # every thread has missed
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        cache = cache_cls()
+        if cache_cls is HistogramCache:
+            dataset = _make(rng)
+            monkeypatch.setattr(GHHistogram, "build", held(GHHistogram.build))
+
+            def lookup(_):
+                return cache.get_or_build(dataset, "gh", 5)
+
+            def arrays(hist):
+                return [histogram_parts(hist)[1]]
+        else:
+            rects = random_rects(rng, 300)
+            monkeypatch.setitem(cache_module._TREE_LOADERS, "str", held(flat_load_str))
+
+            def lookup(_):
+                return cache.get_or_build(rects)
+
+            def arrays(tree):
+                return [block for _, block in sorted(tree.to_blocks().items())]
+
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(lookup, range(threads)))
+        assert cache.stats.misses == threads
+        assert cache.stats.builds == threads
+        for result in results[1:]:
+            for got, want in zip(arrays(result), arrays(results[0])):
+                assert np.array_equal(got, want)
+        assert len(cache) == 1
+        retained = lookup(None)
+        assert retained.size_bytes == cache.current_bytes
 
 
 class TestKeyFor:

@@ -16,7 +16,6 @@ class TestPolicy:
             {"cached_at": 0.0},
             {"cached_at": 0.8, "parametric_at": 0.7},
             {"parametric_at": 0.99, "shed_at": 0.98},
-            {"coarsen_by": 0},
         ],
     )
     def test_bad_policies_rejected(self, kwargs):

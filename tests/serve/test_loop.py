@@ -91,7 +91,7 @@ class TestPressureDegradation:
         # of it, i.e. pressure 0.5 >= cached_at.
         config = ServerConfig(
             max_depth=2,
-            policy=DegradePolicy(cached_at=0.4, coarsen_by=3),
+            policy=DegradePolicy(cached_at=0.4),
             max_delay_s=0.005,
         )
         server = EstimationServer(catalog, config)

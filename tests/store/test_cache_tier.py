@@ -162,7 +162,7 @@ class TestServeProvenance:
         root = tmp_path / "store"
         writer = ArtifactCatalog(root)
         # Prewarm the *coarsened* level the ladder will actually ask for
-        # (requested 6 − coarsen_by 3 = 3).
+        # (requested 6 − _COARSEN_BY 3 = 3).
         for ds in datasets.values():
             writer.put_histogram(
                 HistogramCache.key_for(ds, "gh", 3), GHHistogram.build(ds, 3)
