@@ -45,11 +45,6 @@ __all__ = [
     "create_estimator",
 ]
 
-#: How many levels one coarsening step drops: a fallback hop in the
-#: resilient and predicate chains, and the serving ladder's
-#: ``cached-coarse`` rung.
-_COARSEN_BY = 3
-
 
 class JoinSelectivityEstimator(ABC):
     """Anything that can guess the selectivity of a spatial join."""

@@ -28,7 +28,7 @@ Usage::
 
 Suppression: append ``# repro-lint: disable=R001`` to the flagged line
 (``disable=R001,R005`` for several rules, ``disable=all`` for every
-rule); ``# repro-lint: disable-next=R002`` suppresses the following
+rule); ``# repro-lint: disable-next=R010`` suppresses the following
 line, and a ``# repro-lint: disable-file=R004`` comment on a line of its
 own anywhere in the file suppresses the rule file-wide.  Each rule's
 invariant and the intended escape hatches are documented in DESIGN.md

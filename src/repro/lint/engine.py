@@ -2,14 +2,11 @@
 
 Two layers compose here:
 
-* **per-file rules** (R001–R009, :mod:`repro.lint.rules`) — each file is
+* **per-file rules** (R001, R003–R009, :mod:`repro.lint.rules`) — each file is
   parsed and checked independently;
 * **flow rules** (R010–R014, :mod:`repro.lint.flow`) — every project
   module's summary is linked into one call graph and the interprocedural
-  rules run over the whole program.  When flow is active the default
-  selection drops R002: R010 is its strict successor (a lexical
-  checkpoint still counts — it is simply one way of *reaching* the
-  runtime checkpoint).
+  rules run over the whole program.
 
 Both layers are incremental when :func:`run_lint` is given a cache: file
 summaries are keyed by BLAKE2b content digests, per-file diagnostics
@@ -338,10 +335,6 @@ def run_lint(
     perfile_ids, flow_ids = _select_rules(select, ignore)
     if not flow:
         flow_ids = []
-    if "R010" in flow_ids and select is None and "R002" in perfile_ids:
-        # R010 subsumes R002 (reachability ⊇ lexical presence); running
-        # both would flag helper-covered loops that are in fact fine.
-        perfile_ids.remove("R002")
 
     cache_obj = (
         cache if isinstance(cache, LintCache) or cache is None else LintCache(cache)

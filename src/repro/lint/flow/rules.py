@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..diagnostics import Diagnostic
-from ..rules import CHECKPOINT_STATEMENT_THRESHOLD
 from .dataflow import entry_locks, reaches_with_witness, transitive_weights
 from .graph import (
     ArgInfo,
@@ -33,13 +32,15 @@ from .graph import (
 __all__ = ["FLOW_RULES", "FlowProject", "FlowRule", "KERNEL_SUBPACKAGES"]
 
 
-#: Subpackages whose loops are long-running kernels.  Extends R002's set
-#: with the predicate-join and R-tree kernels: their block loops are just
-#: as unbounded, and the interprocedural check can afford the wider net
-#: because callee checkpoints now count as coverage.
+#: Subpackages whose loops are long-running kernels (the predicate-join
+#: and R-tree block loops are as unbounded as the histogram builds).
 KERNEL_SUBPACKAGES = frozenset(
     {"histograms", "join", "parallel", "sampling", "predicates", "rtree"}
 )
+
+#: A loop whose per-iteration weight (statements, callees included)
+#: exceeds this is a long path that must be cooperatively preemptible.
+CHECKPOINT_STATEMENT_THRESHOLD = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,10 +119,10 @@ def _loop_descendants(fn: FunctionInfo) -> dict[int, set[int]]:
 def _check_r010(project: FlowProject) -> list[Diagnostic]:
     """A kernel loop is preemptible iff ``repro.runtime.checkpoint`` is
     reachable from its body — lexically or through any chain of callees.
-    This subsumes R002 (which demanded a *lexical* checkpoint and both
-    missed helper-based coverage and was fooled by any function named
-    ``checkpoint``): here the callee chain is resolved through imports,
-    so only the real runtime checkpoint counts."""
+    The callee chain is resolved through imports, so only the real
+    runtime checkpoint counts (not any function named ``checkpoint``),
+    and a checkpoint elsewhere in the function — before or after the
+    loop — does not cover it."""
     graph = project.graph
     weights = transitive_weights(graph)
     # functions from which the runtime checkpoint is reachable
@@ -613,7 +614,7 @@ FLOW_RULES: dict[str, FlowRule] = {
             "R010",
             "missing-checkpoint-path",
             "kernel loops must reach runtime.checkpoint (lexically or "
-            "through callees) — interprocedural successor of R002",
+            "through callees)",
             _check_r010,
         ),
         FlowRule(

@@ -50,32 +50,6 @@ def _dotted(node: ast.expr) -> tuple[str, ...] | None:
     return tuple(reversed(parts))
 
 
-def _statement_weight(stmts: list[ast.stmt]) -> int:
-    """Recursive count of statement nodes under ``stmts``."""
-    return sum(
-        1
-        for stmt in stmts
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.stmt)
-    )
-
-
-def _calls_checkpoint(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            func = sub.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else None
-            )
-            if name == "checkpoint":
-                return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # R001 — seeded-RNG discipline
 # ----------------------------------------------------------------------
@@ -121,48 +95,6 @@ def _check_global_rng(ctx: FileContext) -> list[Diagnostic]:
                     "explicit numpy Generator parameter instead",
                 )
             )
-    return out
-
-
-# ----------------------------------------------------------------------
-# R002 — checkpoint coverage in kernel loops
-# ----------------------------------------------------------------------
-
-#: Subpackages whose loops are long-running kernels.
-_KERNEL_SUBPACKAGES = frozenset({"histograms", "join", "parallel", "sampling"})
-
-#: A loop whose body exceeds this many statements (recursively) is
-#: considered a long path that must be cooperatively preemptible.
-CHECKPOINT_STATEMENT_THRESHOLD = 8
-
-
-def _check_checkpoint_coverage(ctx: FileContext) -> list[Diagnostic]:
-    if not (ctx.in_repro and ctx.subpackage() in _KERNEL_SUBPACKAGES):
-        return []
-    out = []
-    # A checkpoint covers a loop only when it sits *inside* the loop
-    # (executed per iteration); one elsewhere in the enclosing function
-    # runs a bounded number of times and leaves the loop unpreemptible.
-    for loop in ast.walk(ctx.tree):
-        if not isinstance(loop, (ast.For, ast.While)):
-            continue
-        weight = _statement_weight(loop.body) + _statement_weight(loop.orelse)
-        if weight <= CHECKPOINT_STATEMENT_THRESHOLD:
-            continue
-        if _calls_checkpoint(loop):
-            continue
-        out.append(
-            ctx.diagnostic(
-                "R002",
-                "missing-checkpoint",
-                loop,
-                f"kernel loop spans {weight} statements with no "
-                "runtime.checkpoint() inside it — long loops must stay "
-                "preemptible by deadlines and the fault harness; a "
-                "checkpoint elsewhere in the function does not cover this "
-                "loop (add one in the body, e.g. strided every N iterations)",
-            )
-        )
     return out
 
 
@@ -685,14 +617,6 @@ RULES: dict[str, Rule] = {
             "no global np.random.* / random.* calls in library code; "
             "stochastic paths take an explicit numpy Generator",
             _check_global_rng,
-        ),
-        Rule(
-            "R002",
-            "missing-checkpoint",
-            "loops in histogram/join/parallel/sampling kernels longer than "
-            f"{CHECKPOINT_STATEMENT_THRESHOLD} statements must call "
-            "runtime.checkpoint()",
-            _check_checkpoint_coverage,
         ),
         Rule(
             "R003",

@@ -6,7 +6,7 @@ merely *contain* the directive text never suppress anything):
 * ``# repro-lint: disable=R001`` — suppress the listed rules on the
   physical line carrying the comment (put it on the line the diagnostic
   points at: the ``for``/``raise``/``except`` line);
-* ``# repro-lint: disable-next=R002`` — suppress on the following line;
+* ``# repro-lint: disable-next=R010`` — suppress on the following line;
 * ``# repro-lint: disable-file=R004`` — on a line of its own, suppress
   the listed rules for the whole file.
 

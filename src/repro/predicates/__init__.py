@@ -37,7 +37,6 @@ from .estimators import (
     IntervalOverlapEstimator,
     ParametricIntervalEstimator,
     create_predicate_estimator,
-    predicate_fallback_chain,
     predicate_of,
 )
 from .joins import (
@@ -83,6 +82,5 @@ __all__ = [
     "IntervalOverlapEstimator",
     "ParametricIntervalEstimator",
     "predicate_of",
-    "predicate_fallback_chain",
     "create_predicate_estimator",
 ]

@@ -23,21 +23,16 @@ Every estimator family in the library gets a predicate-generalized rung:
   Equation 2): statistics-only, checkpoint-free, the fallback floor for
   the interval family.
 
-:func:`predicate_fallback_chain` mirrors
-:func:`repro.service.resilient.default_fallback_chain` for these
-estimators, so :class:`~repro.service.ResilientEstimator` degrades
-predicate-aware primaries down predicate-aware ladders.
+Their fallback ladders are defined, with every other ladder, in
+:func:`repro.service.resilient.default_fallback_chain`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 from ..core.estimator import (
-    _COARSEN_BY,
-    GHEstimator,
     JoinSelectivityEstimator,
-    ParametricEstimator,
     PreparedEstimator,
     SamplingEstimatorAdapter,
     create_estimator,
@@ -53,7 +48,6 @@ __all__ = [
     "IntervalOverlapEstimator",
     "ParametricIntervalEstimator",
     "predicate_of",
-    "predicate_fallback_chain",
     "create_predicate_estimator",
 ]
 
@@ -268,7 +262,7 @@ class ParametricIntervalEstimator(PreparedEstimator):
 
 
 # ----------------------------------------------------------------------
-# Resilient-chain integration
+# Registry integration
 # ----------------------------------------------------------------------
 
 def predicate_of(estimator: JoinSelectivityEstimator) -> JoinPredicate | None:
@@ -283,66 +277,6 @@ def predicate_of(estimator: JoinSelectivityEstimator) -> JoinPredicate | None:
     if isinstance(predicate, JoinPredicate) and not isinstance(predicate, Intersects):
         return predicate
     return None
-
-
-def _coarser_levels(level: int) -> List[int]:
-    """The fallback levels below ``level``: one coarsening hop, then 0."""
-    levels: List[int] = []
-    coarser = max(0, level - _COARSEN_BY)
-    if coarser < level:
-        levels.append(coarser)
-    if coarser > 0:
-        levels.append(0)
-    return levels
-
-
-def predicate_fallback_chain(
-    primary: JoinSelectivityEstimator,
-) -> Tuple[JoinSelectivityEstimator, ...]:
-    """The graceful-degradation ladder for a predicate-aware primary.
-
-    Mirrors :func:`repro.service.resilient.default_fallback_chain`
-    rung for rung:
-
-    * inflated(inner) → the inner estimator's ladder, every rung
-      re-wrapped at the same ε (the floor is the inflated parametric
-      closed form — still statistics-only);
-    * endpoint inequality at level ``h`` → coarser level → level 0 (a
-      single bucket: the closed-form ½ floor);
-    * interval overlap at level ``h`` → coarser level → the 1-D
-      parametric closed form;
-    * sampling with a predicate → the matching histogram family →
-      its closed-form floor.
-    """
-    rungs: List[JoinSelectivityEstimator] = [primary]
-    if isinstance(primary, InflatedEstimator):
-        from ..service.resilient import default_fallback_chain  # no import cycle: lazy
-
-        for rung in default_fallback_chain(primary.inner)[1:]:
-            if isinstance(rung, PreparedEstimator):
-                rungs.append(InflatedEstimator(rung, primary.eps))
-        return tuple(rungs)
-    if isinstance(primary, EndpointInequalityEstimator):
-        for level in _coarser_levels(primary.level):
-            rungs.append(EndpointInequalityEstimator(primary.predicate, level=level))
-        return tuple(rungs)
-    if isinstance(primary, IntervalOverlapEstimator):
-        coarser = max(0, primary.level - _COARSEN_BY)
-        if coarser < primary.level:
-            rungs.append(IntervalOverlapEstimator(primary.predicate, level=coarser))
-        rungs.append(ParametricIntervalEstimator(primary.predicate))
-        return tuple(rungs)
-    predicate = predicate_of(primary)
-    if isinstance(predicate, WithinDistance):
-        rungs.append(InflatedEstimator(GHEstimator(level=5), predicate.eps))
-        rungs.append(InflatedEstimator(ParametricEstimator(), predicate.eps))
-    elif isinstance(predicate, Inequality):
-        rungs.append(EndpointInequalityEstimator(predicate, level=5))
-        rungs.append(EndpointInequalityEstimator(predicate, level=0))
-    elif isinstance(predicate, IntervalOverlap):
-        rungs.append(IntervalOverlapEstimator(predicate, level=5))
-        rungs.append(ParametricIntervalEstimator(predicate))
-    return tuple(rungs)
 
 
 def create_predicate_estimator(

@@ -8,10 +8,12 @@ falling over.  The pipeline, in request order:
   buckets; over capacity is an immediate typed
   :class:`~repro.errors.ServiceOverloadError`, never unbounded
   buffering;
-* :mod:`~repro.serve.degrade` — queue pressure selects a rung on the
-  graceful-degradation ladder (full → cached-coarse → parametric →
-  shed), and rung failures descend the same ladder; every response
-  carries :class:`~repro.serve.degrade.ServeProvenance`;
+* :mod:`~repro.serve.degrade` — queue pressure selects a rung (full →
+  cached-coarse → parametric → shed); the answering rungs are the
+  requested estimator's
+  :func:`~repro.service.resilient.default_fallback_chain`, and rung
+  failures walk down that chain; every response carries
+  :class:`~repro.serve.degrade.ServeProvenance`;
 * :mod:`~repro.serve.batcher` — concurrent queries coalesce into one
   :func:`~repro.perf.batch.estimate_many` call with poison-query
   isolation (a failed batch retries its members solo);

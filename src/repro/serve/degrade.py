@@ -11,7 +11,7 @@ rung               cost / quality trade
 =================  =======================================================
 ``full``           the requested estimator, through the micro-batcher or
                    the shard pool — O(data) on a cold cache
-``cached-coarse``  a coarser histogram via the content-addressed cache
+``cached-coarse``  a cheaper histogram via the content-addressed cache
                    (2×2-pooled from a cached finer GH when possible —
                    O(cells), see :func:`~repro.histograms.downsample_gh`)
 ``parametric``     the Aref–Samet closed form over four first-order
@@ -20,12 +20,15 @@ rung               cost / quality trade
                    — the only rung that does not answer
 =================  =======================================================
 
-The same ladder also absorbs *failures*: when a rung raises (shard
-crash, deadline expiry, poison query), the server falls to the next
-rung down via :meth:`DegradationLadder.next_below` — mirroring the
-:class:`~repro.service.resilient.ResilientEstimator` chain — and the
-response's :class:`ServeProvenance` records which rung answered and
-why, so a degraded answer is never confused with a full-quality one.
+The answering rungs are the labels of one
+:func:`~repro.service.resilient.default_fallback_chain` for the
+requested estimator: ``full`` is its index 0, ``parametric`` its
+closed-form floor, and ``cached-coarse`` any histogram rung in between
+(for GH: the coarser GH, then PH).  Pressure picks the starting index;
+when a rung raises (shard crash, deadline expiry, poison query), the
+server moves one index down the same chain, and the response's
+:class:`ServeProvenance` records which rung answered and why, so a
+degraded answer is never confused with a full-quality one.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class ServiceRung(Enum):
     SHED = "shed"
 
 
-#: Ladder order, used for both pressure selection and failure descent.
+#: Ladder order, best to worst (the counters' key order).
 _ORDER = (
     ServiceRung.FULL,
     ServiceRung.CACHED,
@@ -62,8 +65,8 @@ class DegradePolicy:
     A request admitted at pressure ``p`` runs at the cheapest rung whose
     threshold is exceeded: ``cached_at <= p`` degrades to the cached
     coarser histogram, ``parametric_at <= p`` to the closed form,
-    ``shed_at <= p`` refuses outright.  The ``cached-coarse`` rung drops
-    ``repro.core.estimator._COARSEN_BY`` levels from the requested one.
+    ``shed_at <= p`` refuses outright.  The ``cached-coarse`` rung is
+    the first rung below the requested one in its fallback chain.
     """
 
     cached_at: float = 0.50
@@ -108,10 +111,9 @@ class DegradationLadder:
     """Stateful rung selector with per-rung counters.
 
     :meth:`select` maps measured pressure to a rung per
-    :class:`DegradePolicy`; :meth:`next_below` yields the next-cheaper
-    *answering* rung for failure descent (it never returns SHED — a
-    failure makes us answer more cheaply, not refuse after admitting);
-    :meth:`record` tallies which rung ultimately answered.
+    :class:`DegradePolicy`; :meth:`record` tallies which rung
+    ultimately answered (failure descent walks the estimator's fallback
+    chain and never sheds a request it already admitted).
     """
 
     def __init__(self, policy: DegradePolicy | None = None) -> None:
@@ -128,20 +130,6 @@ class DegradationLadder:
         if pressure >= policy.cached_at:
             return ServiceRung.CACHED
         return ServiceRung.FULL
-
-    @staticmethod
-    def next_below(rung: ServiceRung) -> "ServiceRung | None":
-        """The next-cheaper answering rung, or None below the floor.
-
-        FULL → CACHED → PARAMETRIC → None: failure descent stops at the
-        closed form (which needs only first-order statistics and cannot
-        time out); it never *sheds* a request that was already admitted.
-        """
-        if rung is ServiceRung.FULL:
-            return ServiceRung.CACHED
-        if rung is ServiceRung.CACHED:
-            return ServiceRung.PARAMETRIC
-        return None
 
     def record(self, rung: ServiceRung) -> None:
         """Tally that ``rung`` answered (or shed) one request."""

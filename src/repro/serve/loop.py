@@ -8,16 +8,18 @@ batch-oriented estimation stack into a long-running service.  One
    (:mod:`repro.serve.admission`); over capacity means an immediate
    typed :class:`~repro.errors.ServiceOverloadError`, never unbounded
    buffering;
-2. **rung selection** — measured queue pressure picks the cheapest
-   acceptable rung on the graceful-degradation ladder
+2. **validation and rung selection** — an unknown scheme, level or
+   dataset fails the request outright; otherwise measured queue
+   pressure picks the starting rung on the requested estimator's
+   :func:`~repro.service.resilient.default_fallback_chain`
    (:mod:`repro.serve.degrade`);
-3. **execution** — ``full`` runs through the micro-batcher
-   (:mod:`repro.serve.batcher`) or the supervised shard pool
-   (:mod:`repro.serve.shards`); ``cached-coarse`` answers from the
-   content-addressed cache at a coarser gridding level; ``parametric``
-   falls back to the Aref–Samet closed form.  A rung that *fails*
-   (shard crash, deadline expiry) descends to the next-cheaper rung
-   instead of failing the request;
+3. **execution** — the requested estimator runs through the
+   micro-batcher (:mod:`repro.serve.batcher`) or the supervised shard
+   pool (:mod:`repro.serve.shards`); the histogram rungs below it
+   answer from the content-addressed cache; the floor is the
+   Aref–Samet closed form.  A rung that *fails* (shard crash, deadline
+   expiry) moves one rung down the chain instead of failing the
+   request;
 4. **provenance** — every response carries a
    :class:`~repro.serve.degrade.ServeProvenance` naming the rung that
    actually answered, so a degraded answer can never masquerade as a
@@ -36,13 +38,23 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ..core.estimator import _COARSEN_BY, ParametricEstimator
+from ..core.estimator import (
+    BasicGHEstimator,
+    GHEstimator,
+    JoinSelectivityEstimator,
+    ParametricEstimator,
+    PHEstimator,
+    create_estimator,
+)
 from ..datasets import SpatialDataset
 from ..errors import EstimatorUnavailable, ServiceOverloadError
+from ..histograms import MAX_LEVEL
+from ..histograms.file import HISTOGRAM_SCHEMES
 from ..perf.batch import BatchQuery, estimate_many
 from ..perf.cache import HistogramCache
 from ..perf.memo import EstimateCache, scheme_formula
 from ..runtime import Deadline, runtime_scope
+from ..service.resilient import default_fallback_chain
 from .admission import AdmissionController
 from .batcher import BatchRunner, MicroBatcher
 from .degrade import DegradationLadder, DegradePolicy, ServeProvenance, ServiceRung
@@ -174,7 +186,6 @@ class EstimationServer:
             max_batch=self.config.max_batch,
             max_delay_s=self.config.max_delay_s,
         )
-        self._parametric = ParametricEstimator()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -200,9 +211,11 @@ class EstimationServer:
         """Serve one request through admission, the ladder, and descent.
 
         Raises :class:`ServiceOverloadError` when admission rejects the
-        request or pressure selects the ``shed`` rung; any other failure
-        descends the ladder (full → cached-coarse → parametric) and only
-        propagates if even the closed-form floor cannot answer —
+        request or pressure selects the ``shed`` rung, and
+        :class:`ValueError` for an unknown scheme, level or dataset; any
+        other failure moves one rung down the requested estimator's
+        fallback chain and only propagates if even the closed-form floor
+        cannot answer —
         a degraded *honest* answer always beats a confident wrong one,
         and an error always beats a silent zero.
         """
@@ -252,9 +265,9 @@ class EstimationServer:
         pressure = self.admission.pressure_ahead
         try:
             ds1, ds2 = self._resolve(request)
-            rung = self.ladder.select(pressure)
-            if rung is ServiceRung.SHED:
-                self.ladder.record(rung)
+            selected = self.ladder.select(pressure)
+            if selected is ServiceRung.SHED:
+                self.ladder.record(selected)
                 raise ServiceOverloadError(
                     f"shedding at pressure {pressure:.2f} "
                     f"(depth {self.admission.depth}/{self.admission.max_depth})",
@@ -262,13 +275,16 @@ class EstimationServer:
                     queue_depth=self.admission.depth,
                     tenant=request.tenant,
                 )
-            selected = rung
+            chain = default_fallback_chain(
+                create_estimator(request.scheme, level=request.level)
+            )
+            floor = len(chain) - 1
+            index = {ServiceRung.FULL: 0, ServiceRung.CACHED: 1}.get(selected, floor)
             reason = ""
-            current: "ServiceRung | None" = rung
-            while current is not None:
+            while True:
                 try:
                     value, via, shard_ids = await self._execute(
-                        current, request, ds1, ds2, deadline
+                        chain, index, request, ds1, ds2, deadline
                     )
                 # Failure descent: any rung error — shard crash, breaker
                 # open, deadline expiry, poison build — drops us one rung
@@ -276,16 +292,20 @@ class EstimationServer:
                 except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
                     if not reason:
                         reason = f"{type(exc).__name__}: {exc}"
-                    lower = DegradationLadder.next_below(current)
-                    if lower is None:
+                    if index == floor:
                         raise  # even the closed-form floor failed
-                    current = lower
+                    index += 1
                     continue
-                self.ladder.record(current)
+                answered = (
+                    ServiceRung.FULL if index == 0
+                    else ServiceRung.PARAMETRIC if index == floor
+                    else ServiceRung.CACHED
+                )
+                self.ladder.record(answered)
                 provenance = ServeProvenance(
-                    rung=current.value,
+                    rung=answered.value,
                     requested=request.requested,
-                    degraded=current is not ServiceRung.FULL or bool(reason),
+                    degraded=index > 0 or bool(reason),
                     pressure=pressure,
                     reason=reason if reason else (
                         "" if selected is ServiceRung.FULL else
@@ -299,7 +319,6 @@ class EstimationServer:
                     provenance=provenance,
                     latency_s=time.monotonic() - started,
                 )
-            raise AssertionError("unreachable: descent exited without a rung")
         finally:
             self.admission.release(ticket)
 
@@ -349,73 +368,78 @@ class EstimationServer:
 
     async def _execute(
         self,
-        rung: ServiceRung,
+        chain: "tuple[JoinSelectivityEstimator, ...]",
+        index: int,
         request: ServeRequest,
         ds1: SpatialDataset,
         ds2: SpatialDataset,
         deadline: Deadline | None,
     ) -> "tuple[float, str, tuple[int, ...]]":
-        """Run one rung; returns ``(selectivity, via, shard_ids)``."""
-        loop = asyncio.get_running_loop()
-        if rung is ServiceRung.FULL:
-            if self.shard_pool is not None:
-                pool = self.shard_pool
-                budget_s = (
-                    max(0.0, deadline.remaining) if deadline is not None else None
-                )
-                shard_ids = tuple(
-                    sorted({pool.shard_for(request.ds1), pool.shard_for(request.ds2)})
-                )
-                def run_pool() -> float:
-                    value = pool.estimate(
-                        request.ds1,
-                        request.ds2,
-                        request.scheme,
-                        request.level,
-                        budget_s=budget_s,
-                    )
-                    self._memoize_full(request, ds1, ds2, value)
-                    return value
+        """Run rung ``chain[index]``; returns ``(selectivity, via, shard_ids)``.
 
-                value = await loop.run_in_executor(None, run_pool)
-                return value, "shards", shard_ids
-            query = BatchQuery(ds1, ds2, request.scheme, request.level)
-            value = await self.batcher.submit(query, deadline)
-            return value, "batch", ()
-        if rung is ServiceRung.CACHED:
-            level = max(1, request.level - _COARSEN_BY)
+        Index 0 — the requested estimator — runs through the shard pool
+        or the micro-batcher; every lower rung runs :meth:`_fallback` on
+        an executor thread.
+        """
+        loop = asyncio.get_running_loop()
+        if index > 0:
+            rung = chain[index]
             value, via = await loop.run_in_executor(
-                None, lambda: self._cached_coarse(request, ds1, ds2, level, deadline)
+                None, lambda: self._fallback(rung, ds1, ds2, deadline)
             )
             return value, via, ()
-        # PARAMETRIC: four first-order statistics and a closed form —
-        # microseconds, no deadline scope needed, cannot time out.
-        value = await loop.run_in_executor(
-            None, lambda: self._parametric.estimate(ds1, ds2)
-        )
-        return value, "local", ()
+        if self.shard_pool is not None:
+            pool = self.shard_pool
+            budget_s = max(0.0, deadline.remaining) if deadline is not None else None
+            shard_ids = tuple(
+                sorted({pool.shard_for(request.ds1), pool.shard_for(request.ds2)})
+            )
+            def run_pool() -> float:
+                value = pool.estimate(
+                    request.ds1,
+                    request.ds2,
+                    request.scheme,
+                    request.level,
+                    budget_s=budget_s,
+                )
+                self._memoize_full(request, ds1, ds2, value)
+                return value
 
-    def _cached_coarse(
+            value = await loop.run_in_executor(None, run_pool)
+            return value, "shards", shard_ids
+        query = BatchQuery(ds1, ds2, request.scheme, request.level)
+        value = await self.batcher.submit(query, deadline)
+        return value, "batch", ()
+
+    def _fallback(
         self,
-        request: ServeRequest,
+        rung: JoinSelectivityEstimator,
         ds1: SpatialDataset,
         ds2: SpatialDataset,
-        level: int,
         deadline: Deadline | None,
     ) -> "tuple[float, str]":
-        """The ``cached-coarse`` rung body (runs on an executor thread).
+        """One rung below the requested estimator (runs on an executor thread).
 
-        Builds (or derives via 2×2 pooling from a cached finer GH, or
-        mmap-loads from the attached artifact catalog) both sides at a
-        coarser level through the shared cache, then runs the O(cells)
-        combine — all inside a fresh cooperative deadline scope, because
-        runtime scopes do not cross thread boundaries.
+        A histogram rung resolves both sides through the shared cache —
+        built, derived by 2×2 pooling from a cached finer GH, or
+        mmap-loaded from the attached artifact catalog — and runs the
+        rung's O(cells) combine, all inside a fresh cooperative deadline
+        scope, because runtime scopes do not cross thread boundaries.
+        The closed-form floor needs four first-order statistics and no
+        scope: it cannot time out.
 
         Returns ``(selectivity, via)`` where ``via`` summarises the two
         sides' sources honestly: ``"build"`` if any side scanned the
         data, else ``"store"`` if any side came off the catalog, else
-        ``"local"`` (pure in-memory cache).
+        ``"local"`` (pure in-memory cache, or the closed form).
         """
+        if isinstance(rung, ParametricEstimator):
+            # Annotated so the lint call graph dispatches this call to the
+            # closed form alone, not to every estimator's ``estimate``.
+            floor: ParametricEstimator = rung
+            return floor.estimate(ds1, ds2), "local"
+        if not isinstance(rung, (GHEstimator, PHEstimator, BasicGHEstimator)):
+            raise TypeError(f"no serving path for fallback rung {rung!r}")
         if len(ds1) == 0 or len(ds2) == 0:
             return 0.0, "local"
         remaining = (
@@ -426,9 +450,9 @@ class EstimationServer:
                 f"datasets {ds1.name!r} and {ds2.name!r} must share a common extent"
             )
         with runtime_scope(deadline=remaining):
-            hist1, src1 = self.cache.resolve(ds1, request.scheme, level, extent=ds1.extent)
-            hist2, src2 = self.cache.resolve(ds2, request.scheme, level, extent=ds1.extent)
-            value = float(hist1.estimate_selectivity(hist2))
+            hist1, src1 = self.cache.resolve(ds1, rung.name, rung.level, extent=ds1.extent)
+            hist2, src2 = self.cache.resolve(ds2, rung.name, rung.level, extent=ds1.extent)
+            value = float(rung.combine(hist1, hist2))
         sources = (src1, src2)
         if "build" in sources:
             via = "build"
@@ -451,8 +475,15 @@ class EstimationServer:
             return estimate_many(queries, cache=self.cache, memo=self.memo)
 
     def _resolve(self, request: ServeRequest) -> "tuple[SpatialDataset, SpatialDataset]":
-        """Look both datasets up; unknown names fail the request itself
-        (a client error is not an overload and must not degrade)."""
+        """Validate the request and look both datasets up; an unknown
+        scheme, level or dataset fails the request itself (a client
+        error is not an overload and must not degrade)."""
+        if request.scheme not in HISTOGRAM_SCHEMES:
+            raise ValueError(
+                f"unknown scheme {request.scheme!r}; choose from {sorted(HISTOGRAM_SCHEMES)}"
+            )
+        if not 0 <= request.level <= MAX_LEVEL:
+            raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {request.level}")
         try:
             return self.catalog[request.ds1], self.catalog[request.ds2]
         except KeyError as exc:

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.estimator import (
-    _COARSEN_BY,
     BasicGHEstimator,
     GHEstimator,
     JoinSelectivityEstimator,
-    ParametricEstimator,
     PHEstimator,
+    PreparedEstimator,
     SamplingEstimatorAdapter,
     create_estimator,
 )
@@ -49,6 +48,14 @@ from ..errors import (
     EstimationTimeout,
     EstimatorUnavailable,
     TransientEstimationError,
+)
+from ..predicates.base import Intersects
+from ..predicates.estimators import (
+    EndpointInequalityEstimator,
+    InflatedEstimator,
+    IntervalOverlapEstimator,
+    create_predicate_estimator,
+    predicate_of,
 )
 from ..runtime import Deadline, runtime_scope
 from .validate import VALIDATION_POLICIES, ValidationReport, validate_pair
@@ -63,6 +70,9 @@ __all__ = [
     "ResilientEstimator",
     "default_fallback_chain",
 ]
+
+#: How many levels one coarsening hop drops.
+_COARSEN_BY = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,48 +123,67 @@ def _rung_name(estimator: JoinSelectivityEstimator) -> str:
     return f"{estimator.name}(level={level})" if level is not None else estimator.name
 
 
+def _kind_and_level(rung: JoinSelectivityEstimator) -> tuple[type, object]:
+    return type(rung), getattr(rung, "level", None)
+
+
+def _coarser(level: int, floor: int) -> tuple[int, ...]:
+    """The one coarsening hop below ``level``, clamped at ``floor``
+    (empty when ``level`` is already at or below the floor)."""
+    coarser = max(floor, level - _COARSEN_BY)
+    return (coarser,) if coarser < level else ()
+
+
 def default_fallback_chain(
     primary: JoinSelectivityEstimator,
 ) -> tuple[JoinSelectivityEstimator, ...]:
     """The graceful-degradation ladder for a given primary estimator.
 
     * GH (revised or basic) at level ``h`` → GH at a coarser level →
-      PH → parametric;
+      PH(min(h, 4)) → parametric;
     * PH at level ``h`` → PH at a coarser level → parametric;
-    * sampling → GH level 5 → parametric;
-    * parametric → (already the floor).
+    * endpoint inequality at level ``h`` → coarser level → level 0 (a
+      single bucket: the closed-form ½ floor);
+    * interval overlap at level ``h`` → coarser level → the 1-D
+      parametric closed form;
+    * inflated(inner) → the inner estimator's ladder, every rung
+      re-wrapped at the same ε;
+    * sampling → the matching histogram family at level 5 → its
+      closed-form floor;
+    * a closed form → (already the floor).
 
     Each hop trades accuracy for cost and for independence from the
-    failed rung's machinery; the parametric closed form terminates every
-    chain because it needs nothing but four first-order statistics.
-
-    Predicate-aware primaries (an inflated/endpoint/interval estimator,
-    or a sampling estimator configured with a non-default predicate)
-    degrade down the matching predicate-aware ladder
-    (:func:`repro.predicates.estimators.predicate_fallback_chain`) — a
-    fallback must answer the *same question* as the rung it replaces.
+    failed rung's machinery; a statistics-only closed form terminates
+    every chain.  Every rung answers the *same question* as the primary:
+    a predicate-aware primary degrades down its own predicate's ladder.
+    This is the only place a ladder is defined — the resilient wrapper
+    walks it on failure, the serving front door on pressure and failure.
     """
-    from ..predicates.estimators import (  # service → predicates, lazy: no cycle
-        predicate_fallback_chain,
-        predicate_of,
-    )
-
-    if predicate_of(primary) is not None:
-        return predicate_fallback_chain(primary)
+    if isinstance(primary, InflatedEstimator):
+        return (primary,) + tuple(
+            InflatedEstimator(rung, primary.eps)
+            for rung in default_fallback_chain(primary.inner)[1:]
+            if isinstance(rung, PreparedEstimator)
+        )
+    predicate = predicate_of(primary) or Intersects()
     rungs: list[JoinSelectivityEstimator] = [primary]
     if isinstance(primary, (GHEstimator, BasicGHEstimator)):
-        coarser = max(1, primary.level - _COARSEN_BY)
-        if coarser < primary.level:
-            rungs.append(GHEstimator(level=coarser))
+        rungs += [GHEstimator(level=lv) for lv in _coarser(primary.level, 1)]
         rungs.append(PHEstimator(level=min(primary.level, 4)))
     elif isinstance(primary, PHEstimator):
-        coarser = max(1, primary.level - _COARSEN_BY)
-        if coarser < primary.level:
-            rungs.append(PHEstimator(level=coarser))
+        rungs += [PHEstimator(level=lv) for lv in _coarser(primary.level, 1)]
+    elif isinstance(primary, (EndpointInequalityEstimator, IntervalOverlapEstimator)):
+        rungs += [
+            type(primary)(primary.predicate, level=lv)
+            for lv in _coarser(primary.level, 0)
+        ]
     elif isinstance(primary, SamplingEstimatorAdapter):
-        rungs.append(GHEstimator(level=5))
-    if not isinstance(primary, ParametricEstimator):
-        rungs.append(ParametricEstimator())
+        rungs.append(create_predicate_estimator("gh", predicate, level=5))
+    floor = create_predicate_estimator("parametric", predicate)
+    # A primary that already *is* the floor (same kind and level) ends
+    # the chain on itself.
+    if _kind_and_level(rungs[-1]) != _kind_and_level(floor):
+        rungs.append(floor)
     return tuple(rungs)
 
 
@@ -394,12 +423,12 @@ class ResilientEstimator(JoinSelectivityEstimator):
 
     @staticmethod
     def _failure_reason(attempts: list[AttemptRecord], before_index: int) -> str:
-        """Digest of why rungs before ``before_index`` failed."""
-        failed = [a for a in attempts if a.rung_index < before_index and a.outcome != "ok"]
-        if not failed:
-            return ""
-        last = failed[-1]
-        return f"{last.rung} {last.outcome}: {last.detail}" if last.detail else f"{last.rung} {last.outcome}"
+        """The *first* failure before ``before_index`` — why the primary
+        did not answer (the serving front door reports the same)."""
+        for a in attempts:
+            if a.rung_index < before_index and a.outcome != "ok":
+                return f"{a.rung} {a.outcome}: {a.detail}" if a.detail else f"{a.rung} {a.outcome}"
+        return ""
 
     def _finish(
         self,

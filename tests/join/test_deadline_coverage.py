@@ -1,6 +1,6 @@
 """Regression tests: the exact-join kernels honor cooperative deadlines.
 
-The R002 lint rule (``repro.lint``) flagged the nested-loop and
+The checkpoint-coverage lint rule (``repro.lint``) flagged the nested-loop and
 plane-sweep loops as long kernel paths with no
 :func:`repro.runtime.checkpoint`; these tests pin the fix — an expired
 deadline now preempts both — and that the added checkpoints leave the

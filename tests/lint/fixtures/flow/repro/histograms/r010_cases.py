@@ -10,7 +10,7 @@ from .r010_helpers import chatty_helper, far_helper
 
 
 def local_cover(values):
-    """Covered: the loop body itself checkpoints (lexical, like R002)."""
+    """Covered: the loop body itself checkpoints (lexical)."""
     total = 0
     for v in values:
         checkpoint("fixture.local")

@@ -59,7 +59,7 @@ class TestTextOutput:
         code, out, _ = run_cli(capsys, "--list-rules")
         assert code == 0
         for rule_id in (
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R001", "R003", "R004", "R005", "R006", "R007", "R008",
             "R010", "R011", "R012", "R013", "R014",
         ):
             assert rule_id in out

@@ -188,15 +188,3 @@ class TestRuleSelection:
         rules = [d.rule for d in report.diagnostics]
         assert "R010" in rules
         assert "R002" not in rules
-
-    def test_explicit_select_r002_still_works(self, tmp_path):
-        proj = make_project(
-            tmp_path / "proj",
-            body=(
-                "def bad(xs):\n"
-                "    for x in xs:\n"
-                + "".join(f"        y{i} = x + {i}\n" for i in range(9))
-            ),
-        )
-        report = run_lint([proj], select=["R002"])
-        assert {d.rule for d in report.diagnostics} == {"R002"}

@@ -56,6 +56,67 @@ class TestR010CheckpointReachability:
         assert all("checkpoint" in m for m in msgs)
 
 
+#: The two loop shapes R010 must flag without any callee in play: a
+#: long body with no checkpoint (line 6), and a long body whose function
+#: checkpoints only before and after the loop (line 22).
+LONG_LOOPS = """\
+from ..runtime import checkpoint
+
+
+def build(cells):
+    total = 0
+    for cell in cells:
+        a = cell + 1
+        b = a * 2
+        c = b - 3
+        d = c * c
+        e = d + a
+        f = e - b
+        g = f + c
+        h = g * d
+        total += h
+    return total
+
+
+def build_outer_checkpoint(cells):
+    checkpoint("outer")
+    total = 0
+    for cell in cells:
+        a = cell + 1
+        b = a * 2
+        c = b - 3
+        d = c * c
+        e = d + a
+        f = e - b
+        g = f + c
+        h = g * d
+        total += h
+    checkpoint("outer")
+    return total
+"""
+
+
+@pytest.fixture
+def long_loops_report(tmp_path):
+    repro = tmp_path / "repro"
+    (repro / "histograms").mkdir(parents=True)
+    (repro / "__init__.py").write_text("")
+    (repro / "histograms" / "__init__.py").write_text("")
+    (repro / "runtime.py").write_text("def checkpoint(stage):\n    pass\n")
+    (repro / "histograms" / "long_loops.py").write_text(LONG_LOOPS)
+    return run_lint([tmp_path])
+
+
+class TestR010LexicalShapes:
+    def test_flags_long_uncovered_loop(self, long_loops_report):
+        assert ("long_loops.py", 6) in hits(long_loops_report, "R010")
+
+    def test_checkpoint_outside_the_loop_is_not_coverage(self, long_loops_report):
+        # A checkpoint before or after the loop runs a bounded number of
+        # times; it never makes the loop itself preemptible.
+        assert ("long_loops.py", 22) in hits(long_loops_report, "R010")
+
+
 class TestR011AsyncBlocking:
     def test_direct_and_transitive_blocking_flagged(self, flow_report):
         assert hits(flow_report, "R011") == [

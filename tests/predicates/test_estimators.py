@@ -28,11 +28,10 @@ from repro.predicates import (
     ParametricIntervalEstimator,
     WithinDistance,
     create_predicate_estimator,
-    predicate_fallback_chain,
     predicate_of,
     predicate_selectivity,
 )
-from repro.service import ResilientEstimator
+from repro.service import ResilientEstimator, default_fallback_chain
 
 pytestmark = pytest.mark.accuracy
 
@@ -160,7 +159,7 @@ def test_predicate_of():
 
 def test_inflated_chain_rewraps_every_rung():
     primary = InflatedEstimator(GHEstimator(level=6), 0.25)
-    chain = predicate_fallback_chain(primary)
+    chain = default_fallback_chain(primary)
     assert chain[0] is primary
     assert len(chain) >= 3
     for rung in chain:
@@ -171,19 +170,22 @@ def test_inflated_chain_rewraps_every_rung():
 
 
 def test_endpoint_chain_coarsens_to_level_zero():
-    chain = predicate_fallback_chain(EndpointInequalityEstimator(Inequality(), level=6))
+    chain = default_fallback_chain(EndpointInequalityEstimator(Inequality(), level=6))
     assert [r.level for r in chain] == [6, 3, 0]
     assert all(isinstance(r, EndpointInequalityEstimator) for r in chain)
     # Already at the floor: a level-0 primary gets no rungs below it.
     floor = EndpointInequalityEstimator(Inequality(), level=0)
-    assert [r.level for r in predicate_fallback_chain(floor)] == [0]
+    assert [r.level for r in default_fallback_chain(floor)] == [0]
 
 
 def test_interval_chain_floors_at_parametric():
-    chain = predicate_fallback_chain(IntervalOverlapEstimator(IntervalOverlap(), level=6))
+    chain = default_fallback_chain(IntervalOverlapEstimator(IntervalOverlap(), level=6))
     assert isinstance(chain[0], IntervalOverlapEstimator)
     assert isinstance(chain[-1], ParametricIntervalEstimator)
     assert len(chain) == 3
+    # Already at the floor: the closed form gets no rungs below it.
+    floor = ParametricIntervalEstimator(IntervalOverlap())
+    assert default_fallback_chain(floor) == (floor,)
 
 
 @pytest.mark.parametrize(
@@ -193,7 +195,7 @@ def test_interval_chain_floors_at_parametric():
 )
 def test_sampling_primary_gets_matching_histogram_ladder(predicate):
     primary = SamplingEstimatorAdapter(predicate=predicate)
-    chain = predicate_fallback_chain(primary)
+    chain = default_fallback_chain(primary)
     assert chain[0] is primary
     assert len(chain) == 3
     for rung in chain[1:]:

@@ -198,7 +198,7 @@ class TestPoisonQueries:
 
         def poison_runner(queries, deadline_s):
             calls["batch"] += 1
-            if any(q.level == 13 for q in queries):
+            if any(q.level == 6 for q in queries):
                 raise ValueError("cursed histogram level")
             from repro.perf.batch import estimate_many
 
@@ -219,7 +219,7 @@ class TestPoisonQueries:
             async with server:
                 return await asyncio.gather(
                     server.submit(ServeRequest("roads", "rivers", level=5)),
-                    server.submit(ServeRequest("roads", "rivers", level=13)),
+                    server.submit(ServeRequest("roads", "rivers", level=6)),
                     server.submit(ServeRequest("roads", "parks", level=5)),
                     return_exceptions=True,
                 )

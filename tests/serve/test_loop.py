@@ -177,6 +177,23 @@ class TestFailureDescent:
         assert sum(server.ladder.snapshot().values()) == 0
         assert server.admission.depth == 0  # the ticket was released
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            ServeRequest("roads", "rivers", level=13),
+            ServeRequest("roads", "rivers", level=-2),
+            ServeRequest("roads", "rivers", scheme="bogus"),
+        ],
+        ids=["level-13", "level-minus-2", "unknown-scheme"],
+    )
+    def test_bad_scheme_or_level_fails_at_the_front_door(self, catalog, request_):
+        server = EstimationServer(catalog)
+        with pytest.raises(ValueError, match="scheme|level"):
+            serve_one(server, request_)
+        # A client error is not degraded: no rung answered or shed.
+        assert sum(server.ladder.snapshot().values()) == 0
+        assert server.admission.depth == 0
+
     def test_descent_failure_does_not_leak_queue_slots(self, catalog):
         def broken_runner(queries, deadline_s):
             raise OSError("down")

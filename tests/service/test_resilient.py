@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.estimator import (
     GHEstimator,
+    JoinSelectivityEstimator,
     ParametricEstimator,
     PHEstimator,
     SamplingEstimatorAdapter,
@@ -180,6 +181,31 @@ class TestChaos:
                 FaultPlan([FaultSpec("gh.build"), FaultSpec("ph.build")])
             ):
                 assert est.estimate_detailed(*pair).provenance.rung == chain_names[3]
+
+    def test_reason_names_the_first_failure(self, pair):
+        """Two rungs fail before the floor answers: the provenance reason
+        is why the *primary* did not answer, not the last failure."""
+
+        class Down(JoinSelectivityEstimator):
+            def __init__(self, name, exc):
+                self.name = name
+                self.exc = exc
+
+            def estimate(self, ds1, ds2):
+                raise self.exc
+
+        chain = [
+            Down("primary", OSError("primary down")),
+            Down("coarse", RuntimeError("coarse down")),
+            ParametricEstimator(),
+        ]
+        est = ResilientEstimator(chain[0], chain=chain, retries=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            result = est.estimate_detailed(*pair)
+        assert result.provenance.rung == "parametric"
+        assert [a.outcome for a in result.provenance.attempts] == ["error", "error", "ok"]
+        assert result.provenance.reason == "primary error: OSError: primary down"
 
     def test_estimate_never_raises_smoke(self, pair):
         """Plain .estimate under total chaos returns a float, full stop."""

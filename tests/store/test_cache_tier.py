@@ -161,8 +161,8 @@ class TestServeProvenance:
     def test_cached_rung_records_store_when_warm(self, tmp_path, datasets):
         root = tmp_path / "store"
         writer = ArtifactCatalog(root)
-        # Prewarm the *coarsened* level the ladder will actually ask for
-        # (requested 6 − _COARSEN_BY 3 = 3).
+        # Prewarm the *coarsened* level the ladder will actually ask for:
+        # GH(3), the second rung of default_fallback_chain(GH(6)).
         for ds in datasets.values():
             writer.put_histogram(
                 HistogramCache.key_for(ds, "gh", 3), GHHistogram.build(ds, 3)
