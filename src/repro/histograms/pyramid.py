@@ -10,8 +10,11 @@ children's,
     H_parent = sum(H_children) / 2      (length / cell width, width doubles)
     V_parent = sum(V_children) / 2
 
-so a single build at the finest level yields *bit-exact* histograms for
-every coarser level (verified against direct builds in the tests).
+so a single build at the finest level yields every coarser level without
+rescanning the data.  The pooled corner counts ``C`` equal a direct build
+exactly; ``O``/``H``/``V`` add the same terms in another order, so they
+match a direct build only to float64 rounding (up to ~1e-14 relative on
+the paper's datasets; the tests assert 1e-13), not bit for bit.
 :class:`GHPyramid` exploits this to serve multi-resolution estimation —
 e.g. :func:`repro.core.advisor.calibrate_level` walks levels without
 rebuilding — at the cost of one fine-level build.
@@ -34,7 +37,7 @@ __all__ = ["downsample_gh", "GHPyramid"]
 
 
 def downsample_gh(hist: GHHistogram) -> GHHistogram:
-    """The exact level ``h - 1`` histogram from a level ``h`` one."""
+    """The level ``h - 1`` histogram pooled 2×2 from a level ``h`` one."""
     level = hist.grid.level
     if level == 0:
         raise ValueError("cannot downsample a level-0 histogram")

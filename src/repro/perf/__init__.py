@@ -7,9 +7,11 @@ how rarely you rebuild.  This package supplies that amortization layer:
 * :mod:`~repro.perf.fingerprint` — content fingerprints so cache
   identity follows the data, not the dataset name;
 * :mod:`~repro.perf.cache` — :class:`HistogramCache`, a byte-budgeted
-  LRU over built histogram files with hit/miss/eviction counters and
+  cache over built histogram files that evicts by rebuild cost per
+  byte (GreedyDual-Size), with hit/miss/eviction counters and
   multi-level GH *derivation* (a coarser GH is 2×2-pooled from a cached
-  finer one instead of rebuilt — exact, per the additivity of the
+  finer one instead of rebuilt — exact in the corner counts and equal
+  to float summation order in the rest, per the additivity of the
   revised GH statistics), plus :class:`CachedEstimator` to thread the
   cache under any prepared estimator (the
   :class:`~repro.service.resilient.ResilientEstimator` uses this to make

@@ -11,10 +11,18 @@ histogram files by
 where the fingerprint hashes the actual geometry
 (:func:`~repro.perf.fingerprint.dataset_fingerprint`), so renamed
 datasets share entries and mutated datasets never collide with their
-former selves.  Entries are held LRU within a configurable byte budget
+former selves.  Entries are retained within a configurable byte budget
 (sized by each histogram's ``size_bytes``, the paper's file-size
 accounting), with hit/miss/build/derivation/eviction counters exposed
 for observability.
+
+**Cost-aware retention.**  A histogram's size depends only on its level
+(32·4^h bytes for GH, 64·4^h for PH), but its build scans all N
+rectangles, so two files of one size can differ a hundredfold in what
+losing them costs.  Eviction is therefore GreedyDual-Size over rebuild
+cost per byte, not recency alone: at equal bytes a small-N histogram
+goes before a large-N one, and at equal cost per byte the order is
+plain LRU.
 
 **Multi-level GH derivation.**  Revised-GH statistics are additive
 across cell boundaries (paper §3.2.2 / Figure 7), so a parent cell's
@@ -37,16 +45,16 @@ bulk-loaded :class:`~repro.rtree.flat.FlatRTree` structures, keyed by
 estimator's confidence replicas re-join the *same* full dataset when a
 fraction is 1.0, and the paper's "Est. Time 2" scenario assumes the
 input trees already exist — both reduce to warm hits here instead of
-rebuilds.  Both caches share one retention tier (:class:`_ByteLRU`:
-the LRU within its byte budget, the counters, the no-poison insert and
-the best-effort store publish) and differ only in their keys and
-resolve steps.
+rebuilds.  Both caches share one retention tier (:class:`_ByteCache`:
+the cost-aware eviction within its byte budget, the counters, the
+no-poison insert and the best-effort store publish) and differ only in
+their keys, resolve steps and rebuild-cost proxy.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generic, Iterable, Protocol, TypeVar
 
@@ -87,6 +95,10 @@ _TREE_LOADERS = {
 
 #: Default byte budget: 64 MiB ≈ a level-9 GH plus plenty of headroom.
 DEFAULT_MAX_BYTES = 64 << 20
+
+#: Stale heap records tolerated beyond one per live entry before the
+#: retention heap is rebuilt from the live ranks.
+_HEAP_SLACK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,16 +157,27 @@ _K = TypeVar("_K", CacheKey, TreeCacheKey)
 _V = TypeVar("_V", bound=_Sized)
 
 
-class _ByteLRU(Generic[_K, _V]):
+class _ByteCache(Generic[_K, _V]):
     """The retention tier shared by :class:`HistogramCache` and
-    :class:`FlatTreeCache`: LRU within a byte budget.
+    :class:`FlatTreeCache`: GreedyDual-Size within a byte budget.
+
+    Each retained entry carries a priority ``H = L + cost / size_bytes``
+    where ``cost`` is :meth:`_cost`, a deterministic proxy for the work
+    a rebuild would redo, and ``L`` is the inflation floor.  A hit (or
+    a racing re-insert) refreshes ``H`` against the current ``L``; when
+    the budget overflows, the entry with the smallest ``(H, touch
+    sequence)`` is evicted and ``L`` rises to its ``H`` (Cao & Irani,
+    "Cost-Aware WWW Proxy Caching Algorithms", USENIX 1997).  So at
+    equal bytes a cheap rebuild goes before an expensive one, entries
+    nobody touches age out as ``L`` climbs past them, and at equal cost
+    per byte the order is exactly LRU.
 
     Owns the entries, their byte count, the lock and the
     :class:`CacheStats`; the L1 probe; the insert (nothing is retained
     under a fault hook, an entry larger than the whole budget is never
     retained, a racing insert keeps the first entry); and the
     best-effort publish to the optional ``store`` L2 tier.  Subclasses
-    add their key type, ``key_for`` and ``resolve``.
+    add their key type, ``key_for``, ``resolve`` and ``_cost``.
 
     Thread-safe: lookups and insertions are lock-protected; builds run
     outside the lock so concurrent misses on different keys overlap.
@@ -171,8 +194,15 @@ class _ByteLRU(Generic[_K, _V]):
         self.max_bytes = int(max_bytes)
         self.store = store
         self.stats = CacheStats()
-        self._entries: OrderedDict[_K, _V] = OrderedDict()  # guarded-by: _lock
+        self._entries: dict[_K, _V] = {}  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
+        #: Live ``(H, touch sequence)`` per retained key.
+        self._rank: dict[_K, tuple[float, int]] = {}  # guarded-by: _lock
+        #: ``(H, sequence, key)`` records, lazily invalidated: a record
+        #: whose pair no longer matches ``_rank`` is skipped on pop.
+        self._heap: list[tuple[float, int, _K]] = []  # guarded-by: _lock
+        self._floor = 0.0  # guarded-by: _lock
+        self._touches = 0  # guarded-by: _lock
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -191,24 +221,56 @@ class _ByteLRU(Generic[_K, _V]):
             return key in self._entries
 
     def keys(self) -> list[_K]:
-        """Retained keys, least- to most-recently used."""
+        """Retained keys in eviction order, next victim first."""
         with self._lock:
-            return list(self._entries)
+            return sorted(self._entries, key=self._rank.__getitem__)
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+        """Drop every entry and reset the floor (counters are preserved)."""
         with self._lock:
             self._entries.clear()
+            self._rank.clear()
+            self._heap.clear()
             self._bytes = 0
+            self._floor = 0.0
 
     # ------------------------------------------------------------------
+    def _cost(self, value: _V) -> int:
+        """Deterministic work proxy for rebuilding ``value`` (never a
+        timing: eviction must repeat run to run)."""
+        raise NotImplementedError
+
+    def _touch(self, key: _K, value: _V) -> None:
+        """Set ``key``'s priority against the current floor.  Caller
+        holds ``_lock``."""
+        self._touches += 1
+        credit = self._cost(value) / max(value.size_bytes, 1)  # an empty tree has 0 bytes
+        rank = (self._floor + credit, self._touches)
+        self._rank[key] = rank
+        heapq.heappush(self._heap, (*rank, key))
+        if len(self._heap) > 2 * len(self._rank) + _HEAP_SLACK:
+            self._heap = [(*live, k) for k, live in self._rank.items()]
+            heapq.heapify(self._heap)
+
+    def _evict_one(self) -> None:
+        """Drop the lowest-priority entry and raise the floor to its
+        ``H``.  Caller holds ``_lock`` and ``_entries`` is non-empty."""
+        while True:
+            priority, touch, key = heapq.heappop(self._heap)
+            if self._rank.get(key) == (priority, touch):
+                break
+        del self._rank[key]
+        self._bytes -= self._entries.pop(key).size_bytes
+        self._floor = priority
+        self.stats.evictions += 1
+
     def _probe(self, key: _K) -> "tuple[_V | None, _V | None]":
         """Count one lookup: ``(hit, None)``, or ``(None, donor)`` on a
         miss, the donor picked by :meth:`_donor` under the same lock."""
         with self._lock:
             hit = self._entries.get(key)
             if hit is not None:
-                self._entries.move_to_end(key)
+                self._touch(key, hit)
                 self.stats.hits += 1
                 return hit, None
             self.stats.misses += 1
@@ -256,19 +318,19 @@ class _ByteLRU(Generic[_K, _V]):
         if size > self.max_bytes:
             return  # would evict everything and still not fit
         with self._lock:
-            if key in self._entries:  # another thread raced us; keep theirs
-                self._entries.move_to_end(key)
+            kept = self._entries.get(key)
+            if kept is not None:  # another thread raced us; keep theirs
+                self._touch(key, kept)
                 return
             self._entries[key] = value
             self._bytes += size
+            self._touch(key, value)
             while self._bytes > self.max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.size_bytes
-                self.stats.evictions += 1
+                self._evict_one()
 
 
-class HistogramCache(_ByteLRU[CacheKey, Histogram]):
-    """LRU histogram-file cache with a byte budget and GH derivation.
+class HistogramCache(_ByteCache[CacheKey, Histogram]):
+    """Histogram-file cache with a byte budget and GH derivation.
 
     Parameters
     ----------
@@ -285,7 +347,10 @@ class HistogramCache(_ByteLRU[CacheKey, Histogram]):
         Catalog loads are zero-copy mmap views.
 
     A GH miss is answered by 2×2-pooling a cached finer GH of the same
-    dataset/extent when one exists.
+    dataset/extent when one exists.  Eviction weighs each file's
+    rebuild cost (``count + cell_count``: the O(N + 4^h) scan and
+    allocation) per byte, so large datasets outlive small ones of the
+    same level.
     """
 
     @staticmethod
@@ -318,9 +383,9 @@ class HistogramCache(_ByteLRU[CacheKey, Histogram]):
         Resolution order: cache hit → GH derivation from a cached finer
         level → L2 catalog (exact, then stored finer GH pooled down) →
         fresh build from the data.  Derived and built histograms are
-        retained (LRU within the byte budget) unless a fault hook is
-        active in the current runtime scope; fresh builds are also
-        published to the catalog when one is attached.
+        retained within the byte budget unless a fault hook is active in
+        the current runtime scope; fresh builds are also published to
+        the catalog when one is attached.
         """
         return self.resolve(dataset, scheme, level, extent=extent)[0]
 
@@ -383,7 +448,7 @@ class HistogramCache(_ByteLRU[CacheKey, Histogram]):
         return best
 
     def _derive(self, key: CacheKey, donor: GHHistogram) -> GHHistogram:
-        """Fold a finer GH down to ``key.level`` by exact 2×2 pooling."""
+        """Fold a finer GH down to ``key.level`` by 2×2 pooling."""
         hist = donor
         for _ in range(donor.grid.level - key.level):
             hist = downsample_gh(hist)
@@ -394,6 +459,9 @@ class HistogramCache(_ByteLRU[CacheKey, Histogram]):
 
     def _put(self, store: "ArtifactCatalog", key: CacheKey, value: Histogram) -> None:
         store.put_histogram(key, value)
+
+    def _cost(self, value: Histogram) -> int:
+        return value.count + value.grid.cell_count
 
 
 class CachedEstimator(PreparedEstimator):
@@ -447,11 +515,13 @@ class CachedEstimator(PreparedEstimator):
         return f"CachedEstimator({self.inner!r})"
 
 
-class FlatTreeCache(_ByteLRU[TreeCacheKey, FlatRTree]):
-    """LRU cache of bulk-loaded :class:`FlatRTree` structures.
+class FlatTreeCache(_ByteCache[TreeCacheKey, FlatRTree]):
+    """Cache of bulk-loaded :class:`FlatRTree` structures.
 
-    Same retention tier as :class:`HistogramCache` — LRU within a byte
-    budget over each tree's ``size_bytes``, content-addressed keys, and
+    Same retention tier as :class:`HistogramCache` — cost-aware eviction
+    within a byte budget over each tree's ``size_bytes``, with the
+    tree's rectangle count as its rebuild cost (roughly proportional to
+    its size, so trees keep near-LRU order), content-addressed keys, and
     no insertion while a fault hook is active — but keyed on bare
     rectangle arrays (:func:`~repro.perf.fingerprint.rects_fingerprint`)
     because sample trees are built from picked rects, not datasets.
@@ -489,8 +559,8 @@ class FlatTreeCache(_ByteLRU[TreeCacheKey, FlatRTree]):
 
         A hit returns the retained tree (``FlatRTree`` is immutable by
         convention, so sharing is safe); a miss consults the L2 catalog
-        (when attached) and otherwise bulk-loads, retains (LRU within
-        the byte budget, unless a fault hook is active), publishes, and
+        (when attached) and otherwise bulk-loads, retains (within the
+        byte budget, unless a fault hook is active), publishes, and
         returns.
         """
         return self.resolve(rects, packing, max_entries=max_entries)[0]
@@ -518,3 +588,6 @@ class FlatTreeCache(_ByteLRU[TreeCacheKey, FlatRTree]):
 
     def _put(self, store: "ArtifactCatalog", key: TreeCacheKey, value: FlatRTree) -> None:
         store.put_tree(key, value)
+
+    def _cost(self, value: FlatRTree) -> int:
+        return len(value)

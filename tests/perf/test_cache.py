@@ -1,4 +1,4 @@
-"""Cache correctness: fingerprints, LRU policy, budgets, derivation."""
+"""Cache correctness: fingerprints, retention policy, budgets, derivation."""
 
 from __future__ import annotations
 
@@ -142,6 +142,66 @@ class TestLRUAndBudget:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             HistogramCache(max_bytes=0)
+
+
+class TestCostAwareRetention:
+    """GreedyDual-Size: priority ``H = L + cost / size_bytes``."""
+
+    level = 5
+    size = 8 * 4 * (1 << level) ** 2  # GH size_bytes at this level
+
+    def test_cyclic_scan_keeps_the_expensive_entry(self, rng):
+        """Cycling three same-size entries through a two-entry budget
+        misses on every access under LRU; cost-aware eviction builds
+        the large-N one once and keeps it resident."""
+        cache = HistogramCache(max_bytes=2 * self.size)
+        large = _make(rng, n=4000, name="large")
+        small = [_make(rng, n=40, name=f"small{i}") for i in range(2)]
+        large_key = HistogramCache.key_for(large, "gh", self.level)
+        rounds = 6
+        for _ in range(rounds):
+            for ds in (large, *small):
+                cache.get_or_build(ds, "gh", self.level)
+                assert large_key in cache
+        assert cache.stats.hits == rounds - 1  # every large lookup after the first
+        assert cache.stats.builds == 1 + 2 * rounds
+        assert cache.keys()[-1] == large_key  # last in eviction order
+
+    @pytest.mark.parametrize("touched", [True, False])
+    def test_hit_refreshes_priority(self, rng, touched):
+        """A stream of cheap entries raises the floor ``L`` until it
+        passes an untouched expensive entry; a hit each round lifts
+        that entry's priority back above the floor."""
+        cache = HistogramCache(max_bytes=2 * self.size)
+        large = _make(rng, n=2000, name="large")
+        large_key = HistogramCache.key_for(large, "gh", self.level)
+        cache.get_or_build(large, "gh", self.level)
+        for i in range(16):
+            if touched:
+                cache.get_or_build(large, "gh", self.level)
+            cache.get_or_build(_make(rng, n=40, name=f"s{i}"), "gh", self.level)
+        assert (large_key in cache) is touched
+        assert cache.stats.hits == (16 if touched else 0)
+
+    def test_clear_resets_the_floor(self, rng):
+        cache = HistogramCache(max_bytes=self.size)
+        for i in range(3):
+            cache.get_or_build(_make(rng, name=f"d{i}"), "gh", self.level)
+        assert cache._floor > 0.0
+        cache.clear()
+        assert cache._floor == 0.0
+        assert len(cache) == 0 and cache.current_bytes == 0
+        assert cache.stats.evictions == 2  # counters survive the clear
+
+    def test_heap_stays_compact_under_hits(self, rng):
+        cache = HistogramCache()
+        datasets = [_make(rng, n=50, name=f"d{i}") for i in range(4)]
+        for ds in datasets:
+            cache.get_or_build(ds, "gh", 3)
+        for i in range(10_000):
+            cache.get_or_build(datasets[i % 4], "gh", 3)
+            assert len(cache._heap) <= 2 * len(cache) + cache_module._HEAP_SLACK
+        assert cache.stats.hits == 10_000
 
 
 class TestDerivation:

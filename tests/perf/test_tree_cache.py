@@ -1,4 +1,4 @@
-"""FlatTreeCache: content addressing, LRU budget, hit/miss counters,
+"""FlatTreeCache: content addressing, byte budget, hit/miss counters,
 fault-scope hygiene, and the estimator integration."""
 
 from __future__ import annotations
@@ -87,6 +87,20 @@ class TestRetention:
         assert cache.current_bytes <= cache.max_bytes
         # Most recent entry survives.
         assert FlatTreeCache.key_for(parts[-1]) in cache
+
+    def test_budget_holds_across_differing_tree_sizes(self, rng):
+        """Cost-aware eviction still keeps the byte budget exact when
+        trees of very different N (and cost per byte) compete."""
+        parts = [random_rects(rng, n) for n in (40, 900, 120, 300, 60, 900, 200, 40)]
+        sizes = {FlatTreeCache.key_for(p): flat_load_str(p).size_bytes for p in parts}
+        cache = FlatTreeCache(max_bytes=int(max(sizes.values()) * 1.5))
+        for _ in range(3):
+            for p in parts:
+                cache.get_or_build(p)
+                assert cache.current_bytes <= cache.max_bytes
+                assert cache.current_bytes == sum(sizes[k] for k in cache.keys())
+        assert cache.stats.evictions >= 1
+        assert cache.stats.hits + cache.stats.misses == 3 * len(parts)
 
     def test_oversized_entry_served_but_not_retained(self, rects):
         cache = FlatTreeCache(max_bytes=64)
