@@ -14,8 +14,8 @@ Measures the perf claims of the serving subsystem and emits
   an indexed fast path and *wins at every density*; this section keeps
   the measured evidence for that backend choice in the trajectory file.
 * **cache** — cold (build both histograms) vs warm (two cache hits)
-  single-estimate latency, plus exact multi-level derivation vs a
-  fresh coarse build;
+  single-estimate latency, plus GH pyramid pooling (``downsample_gh``,
+  which the cache itself does not use) vs a fresh coarse build;
 * **batch** — a 50-query workload over the paper's datasets: cold
   per-query estimation vs warm-cache ``estimate_many`` (claim: ≥ 5×),
   with throughput and cache hit rate.
@@ -132,7 +132,7 @@ def bench_scatter_backend(cells=16384, n=57716, repeats=200) -> dict:
 
 
 def bench_cache(ds1, ds2, level) -> dict:
-    """Cold vs warm single-estimate latency plus derivation vs rebuild."""
+    """Cold vs warm single-estimate latency plus pyramid pooling vs rebuild."""
     estimator = GHEstimator(level=level)
 
     def cold():

@@ -80,8 +80,8 @@ class StatisticsCatalog:
 
     # ------------------------------------------------------------------
     def summary_for(self, name: str) -> Any:
-        """The per-dataset summary: a cached, derived, stored or freshly
-        built histogram file, or a freshly prepared non-histogram one."""
+        """The per-dataset summary: a cached, stored or freshly built
+        histogram file, or a freshly prepared non-histogram one."""
         dataset = self.dataset(name)
         if isinstance(self.estimator, (GHEstimator, PHEstimator, BasicGHEstimator)):
             return self.cache.get_or_build(

@@ -1,4 +1,4 @@
-"""Serving-performance subsystem: cache, derivation, batched estimation.
+"""Serving-performance subsystem: cache, memo, batched estimation.
 
 The paper's deployment story — build histogram *files* offline, consult
 them at planning time — implies that serving throughput is governed by
@@ -8,17 +8,14 @@ how rarely you rebuild.  This package supplies that amortization layer:
   identity follows the data, not the dataset name;
 * :mod:`~repro.perf.cache` — :class:`HistogramCache`, a byte-budgeted
   cache over built histogram files that evicts by rebuild cost per
-  byte (GreedyDual-Size), with hit/miss/eviction counters and
-  multi-level GH *derivation* (a coarser GH is 2×2-pooled from a cached
-  finer one instead of rebuilt — exact in the corner counts and equal
-  to float summation order in the rest, per the additivity of the
-  revised GH statistics), plus :class:`CachedEstimator` to thread the
-  cache under any prepared estimator (the
-  :class:`~repro.service.resilient.ResilientEstimator` uses this to make
-  its GH→coarser-GH fallback rung build-free when the primary's
-  histogram is cached), and :class:`FlatTreeCache`, the same recipe over
-  bulk-loaded :class:`~repro.rtree.flat.FlatRTree` structures for the
-  sampling engine's "trees already exist" scenario;
+  byte (GreedyDual-Size), with hit/miss/eviction counters, whose every
+  source (L1, store, build) answers with the arrays of a cold build;
+  plus :class:`CachedEstimator` to thread the cache under any prepared
+  estimator (the :class:`~repro.service.resilient.ResilientEstimator`
+  uses this so its rungs build each histogram once), and
+  :class:`FlatTreeCache`, the same recipe over bulk-loaded
+  :class:`~repro.rtree.flat.FlatRTree` structures for the sampling
+  engine's "trees already exist" scenario;
 * :mod:`~repro.perf.memo` — :class:`EstimateCache`, the tier-0 memo of
   final selectivity floats keyed by (fingerprint pair, formula,
   extent): warm repeats skip builds *and* combines, bit-identically;

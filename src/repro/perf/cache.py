@@ -1,4 +1,4 @@
-"""Content-addressed histogram cache with multi-level GH derivation.
+"""Content-addressed histogram cache.
 
 The serving-side observation behind this module: histogram *builds* scan
 the data (milliseconds to seconds), histogram *combines* scan only the
@@ -13,8 +13,8 @@ where the fingerprint hashes the actual geometry
 datasets share entries and mutated datasets never collide with their
 former selves.  Entries are retained within a configurable byte budget
 (sized by each histogram's ``size_bytes``, the paper's file-size
-accounting), with hit/miss/build/derivation/eviction counters exposed
-for observability.
+accounting), with hit/miss/build/eviction counters exposed for
+observability.
 
 **Cost-aware retention.**  A histogram's size depends only on its level
 (32·4^h bytes for GH, 64·4^h for PH), but its build scans all N
@@ -24,15 +24,12 @@ cost per byte, not recency alone: at equal bytes a small-N histogram
 goes before a large-N one, and at equal cost per byte the order is
 plain LRU.
 
-**Multi-level GH derivation.**  Revised-GH statistics are additive
-across cell boundaries (paper §3.2.2 / Figure 7), so a parent cell's
-statistics are exact functions of its 2×2 children
-(:func:`~repro.histograms.pyramid.downsample_gh`).  On a GH miss the
-cache therefore looks for a cached *finer* GH of the same dataset and
-extent and derives the requested level by repeated 2×2 pooling instead
-of rebuilding from the data — turning e.g. the
-:class:`~repro.service.resilient.ResilientEstimator` GH→coarser-GH
-fallback rung from a second O(data) build into an O(cells) fold.
+**One answer per key.**  A lookup resolves from exactly three sources
+— the in-memory L1, the optional artifact store, or a fresh build — and
+every one of them yields the very arrays a cold build would, so a
+selectivity never depends on which source answered.  (A coarser GH is
+*not* pooled from a cached finer one: 2×2 pooling sums cells in a
+different float order, see :mod:`repro.histograms.pyramid`.)
 
 Builds executed while a fault-injection hook is active are *not*
 inserted (a mutation hook may have corrupted the freshly built cells;
@@ -56,7 +53,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generic, Iterable, Protocol, TypeVar
+from typing import TYPE_CHECKING, Generic, Protocol, TypeVar
 
 from ..core.estimator import (
     BasicGHEstimator,
@@ -66,7 +63,6 @@ from ..core.estimator import (
 )
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
-from ..histograms import GHHistogram, downsample_gh
 from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 from ..rtree import DEFAULT_MAX_ENTRIES, FlatRTree, flat_load_hilbert, flat_load_str
 from ..errors import EstimationTimeout
@@ -127,7 +123,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     builds: int = 0  #: misses answered by building from the data
-    derivations: int = 0  #: GH misses answered by pooling a finer level
+    derivations: int = 0  #: always 0; kept for perfbench's counter schema
     evictions: int = 0
 
     @property
@@ -264,21 +260,16 @@ class _ByteCache(Generic[_K, _V]):
         self._floor = priority
         self.stats.evictions += 1
 
-    def _probe(self, key: _K) -> "tuple[_V | None, _V | None]":
-        """Count one lookup: ``(hit, None)``, or ``(None, donor)`` on a
-        miss, the donor picked by :meth:`_donor` under the same lock."""
+    def _probe(self, key: _K) -> "_V | None":
+        """Count one lookup: the retained entry, or ``None`` on a miss."""
         with self._lock:
             hit = self._entries.get(key)
             if hit is not None:
                 self._touch(key, hit)
                 self.stats.hits += 1
-                return hit, None
+                return hit
             self.stats.misses += 1
-            return None, self._donor(key, self._entries.items())
-
-    def _donor(self, key: _K, retained: Iterable[tuple[_K, _V]]) -> "_V | None":
-        """A retained entry a miss on ``key`` can be derived from."""
-        return None
+            return None
 
     def _admit_build(self, key: _K, value: _V) -> _V:
         """Count a fresh build, publish it to the store, retain it."""
@@ -330,7 +321,7 @@ class _ByteCache(Generic[_K, _V]):
 
 
 class HistogramCache(_ByteCache[CacheKey, Histogram]):
-    """Histogram-file cache with a byte budget and GH derivation.
+    """Histogram-file cache with a byte budget.
 
     Parameters
     ----------
@@ -340,17 +331,14 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
         just never retained.
     store:
         Optional :class:`~repro.store.ArtifactCatalog` L2 tier.  An L1
-        miss then consults the catalog before building (exact key
-        first, then a stored *finer* GH pooled down), and fresh builds
+        miss then consults the catalog before building, and fresh builds
         are published back (atomically; skipped while any runtime
         scope is active, mirroring the no-poison insertion rule).
         Catalog loads are zero-copy mmap views.
 
-    A GH miss is answered by 2×2-pooling a cached finer GH of the same
-    dataset/extent when one exists.  Eviction weighs each file's
-    rebuild cost (``count + cell_count``: the O(N + 4^h) scan and
-    allocation) per byte, so large datasets outlive small ones of the
-    same level.
+    Eviction weighs each file's rebuild cost (``count + cell_count``:
+    the O(N + 4^h) scan and allocation) per byte, so large datasets
+    outlive small ones of the same level.
     """
 
     @staticmethod
@@ -380,12 +368,11 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
     ) -> Histogram:
         """The histogram for ``(dataset, scheme, level, extent)``.
 
-        Resolution order: cache hit → GH derivation from a cached finer
-        level → L2 catalog (exact, then stored finer GH pooled down) →
-        fresh build from the data.  Derived and built histograms are
-        retained within the byte budget unless a fault hook is active in
-        the current runtime scope; fresh builds are also published to
-        the catalog when one is attached.
+        Resolution order: cache hit → L2 catalog → fresh build from the
+        data.  Loaded and built histograms are retained within the byte
+        budget unless a fault hook is active in the current runtime
+        scope; fresh builds are also published to the catalog when one
+        is attached.
         """
         return self.resolve(dataset, scheme, level, extent=extent)[0]
 
@@ -399,63 +386,23 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
     ) -> "tuple[Histogram, str]":
         """:meth:`get_or_build` plus the *source* that answered.
 
-        Sources, cheapest first: ``"l1"`` (in-memory hit),
-        ``"derived"`` (pooled from an in-memory finer GH), ``"store"``
-        (catalog mmap load), ``"store-derived"`` (pooled from a stored
-        finer GH), ``"build"`` (scanned the data).  The serving layer
+        Sources, cheapest first: ``"l1"`` (in-memory hit), ``"store"``
+        (catalog mmap load), ``"build"`` (scanned the data).  All three
+        answer with arrays equal to a cold build.  The serving layer
         maps these onto :class:`~repro.serve.degrade.ServeProvenance`.
         """
         extent = extent or dataset.extent
         key = self.key_for(dataset, scheme, level, extent)
-        hit, donor = self._probe(key)
+        hit = self._probe(key)
         if hit is not None:
             return hit, "l1"
-        if isinstance(donor, GHHistogram):
-            return self._derive(key, donor), "derived"
         if self.store is not None:
             stored = self.store.load_histogram(key)
             if stored is not None:
                 self._insert(key, stored)
                 return stored, "store"
-            donor_key = self.store.gh_donor_key(key) if scheme == "gh" else None
-            stored_donor = (
-                self.store.load_histogram(donor_key) if donor_key is not None else None
-            )
-            if isinstance(stored_donor, GHHistogram):
-                return self._derive(key, stored_donor), "store-derived"
         hist = HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=extent)
         return self._admit_build(key, hist), "build"
-
-    def _donor(
-        self, key: CacheKey, retained: Iterable[tuple[CacheKey, Histogram]]
-    ) -> GHHistogram | None:
-        """Cheapest GH derivation donor: the *coarsest* retained level >
-        requested (pooling cost is dominated by the finest level folded,
-        so among valid donors the one closest to the requested level
-        wins)."""
-        if key.scheme != "gh":
-            return None
-        best: GHHistogram | None = None
-        for other, hist in retained:
-            if (
-                isinstance(hist, GHHistogram)
-                and other.fingerprint == key.fingerprint
-                and other.extent == key.extent
-                and other.level > key.level
-                and (best is None or other.level < best.grid.level)
-            ):
-                best = hist
-        return best
-
-    def _derive(self, key: CacheKey, donor: GHHistogram) -> GHHistogram:
-        """Fold a finer GH down to ``key.level`` by 2×2 pooling."""
-        hist = donor
-        for _ in range(donor.grid.level - key.level):
-            hist = downsample_gh(hist)
-        with self._lock:
-            self.stats.derivations += 1
-        self._insert(key, hist)
-        return hist
 
     def _put(self, store: "ArtifactCatalog", key: CacheKey, value: Histogram) -> None:
         store.put_histogram(key, value)
@@ -504,7 +451,7 @@ class CachedEstimator(PreparedEstimator):
         return self.inner.memo_formula()
 
     def prepare(self, dataset: SpatialDataset, *, extent: Rect | None = None) -> Histogram:
-        """The (possibly cached or derived) histogram file for ``dataset``."""
+        """The (possibly cached or stored) histogram file for ``dataset``."""
         return self.cache.get_or_build(dataset, self.name, self.level, extent=extent)
 
     def combine(self, prep1: Histogram, prep2: Histogram) -> float:
@@ -525,8 +472,7 @@ class FlatTreeCache(_ByteCache[TreeCacheKey, FlatRTree]):
     no insertion while a fault hook is active — but keyed on bare
     rectangle arrays (:func:`~repro.perf.fingerprint.rects_fingerprint`)
     because sample trees are built from picked rects, not datasets.
-    The ``derivations`` counter stays zero (trees have no cross-level
-    derivation).  An optional ``store`` catalog adds the same L2 tier as
+    An optional ``store`` catalog adds the same L2 tier as
     :class:`HistogramCache`: miss → mmap load of the packed blocks →
     bulk-load + publish.
     """
@@ -575,7 +521,7 @@ class FlatTreeCache(_ByteCache[TreeCacheKey, FlatRTree]):
         """:meth:`get_or_build` plus the source: ``"l1"`` / ``"store"``
         / ``"build"`` (same contract as :meth:`HistogramCache.resolve`)."""
         key = self.key_for(rects, packing, max_entries)
-        hit, _ = self._probe(key)
+        hit = self._probe(key)
         if hit is not None:
             return hit, "l1"
         if self.store is not None:

@@ -77,7 +77,6 @@ class MemoStats:
     inserts: int = 0
     evictions: int = 0
     skips: int = 0  #: get/put bypassed under an active fault hook
-    audits_failed: int = 0  #: reserved for invalidation observability
 
     @property
     def hit_rate(self) -> float:

@@ -11,9 +11,9 @@ rung               cost / quality trade
 =================  =======================================================
 ``full``           the requested estimator, through the micro-batcher or
                    the shard pool — O(data) on a cold cache
-``cached-coarse``  a cheaper histogram via the content-addressed cache
-                   (2×2-pooled from a cached finer GH when possible —
-                   O(cells), see :func:`~repro.histograms.downsample_gh`)
+``cached-coarse``  a cheaper histogram via the content-addressed cache —
+                   an L1 hit or store load, else its own (coarser,
+                   cheaper) build
 ``parametric``     the Aref–Samet closed form over four first-order
                    statistics — microseconds, cannot time out
 ``shed``           explicit refusal (:class:`~repro.errors.ServiceOverloadError`)

@@ -143,9 +143,9 @@ class EstimationServer:
     store:
         Optional :class:`~repro.store.ArtifactCatalog` attached as the
         histogram cache's L2 tier.  ``cached-coarse`` responses then
-        record honest provenance: ``via="store"`` when every side came
-        off disk (or was pooled from a stored finer GH), ``via="build"``
-        when any side had to scan the data.
+        record honest provenance: ``via="store"`` when a side came off
+        disk and none scanned the data, ``via="build"`` when any side
+        had to scan the data.
 
     Use as an async context manager, or call :meth:`aclose` when done.
     """
@@ -421,10 +421,10 @@ class EstimationServer:
         """One rung below the requested estimator (runs on an executor thread).
 
         A histogram rung resolves both sides through the shared cache —
-        built, derived by 2×2 pooling from a cached finer GH, or
-        mmap-loaded from the attached artifact catalog — and runs the
-        rung's O(cells) combine, all inside a fresh cooperative deadline
-        scope, because runtime scopes do not cross thread boundaries.
+        an L1 hit, an mmap load from the attached artifact catalog, or
+        a fresh build — and runs the rung's O(cells) combine, all inside
+        a fresh cooperative deadline scope, because runtime scopes do
+        not cross thread boundaries.
         The closed-form floor needs four first-order statistics and no
         scope: it cannot time out.
 
@@ -456,7 +456,7 @@ class EstimationServer:
         sources = (src1, src2)
         if "build" in sources:
             via = "build"
-        elif any(src.startswith("store") for src in sources):
+        elif "store" in sources:
             via = "store"
         else:
             via = "local"

@@ -225,13 +225,12 @@ class ResilientEstimator(JoinSelectivityEstimator):
     cache:
         Optional :class:`~repro.perf.cache.HistogramCache`.  When given,
         every histogram rung in the chain prepares its per-dataset
-        summaries through the cache, so (a) repeated calls against the
-        same data stop rebuilding, and (b) the GH→coarser-GH fallback
-        rung *derives* its coarser histogram by exact 2×2 pooling from
-        the cached finer one instead of re-scanning the data — the
-        degraded answer arrives in O(cells) instead of O(data).  Builds
-        performed while a fault hook is active are never cached, so
-        fault-injection semantics are unchanged.
+        summaries through the cache, so repeated calls against the same
+        data stop rebuilding — each rung's histogram, the coarser GH
+        fallback's included, is built once and then served from L1,
+        equal to a cold build.  Builds performed while a fault hook is
+        active are never cached, so fault-injection semantics are
+        unchanged.
     tree_cache:
         Optional :class:`~repro.perf.cache.FlatTreeCache`.  Threaded
         into every sampling rung that runs the flat join engine (and

@@ -14,8 +14,7 @@ content-addressed home on disk:
 * an optional **L2 tier** under
   :class:`~repro.perf.cache.HistogramCache` /
   :class:`~repro.perf.cache.FlatTreeCache` (L1 miss → catalog mmap →
-  build + publish, GH levels derived from stored finer entries by the
-  exact 2×2 pooling);
+  build + publish; a load equals a cold build);
 * **warm shard workers** —
   :class:`~repro.serve.shards.ShardPool(store_root=...)` workers open
   the catalog read-only and serve prebuilt histograms, sharing page

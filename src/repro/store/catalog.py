@@ -13,10 +13,7 @@ Entry names are content-addressed off the existing
 for histograms, :class:`~repro.perf.cache.TreeCacheKey` for flat trees —
 so a mutated dataset can never collide with its former artifact and a
 renamed one shares it.  Histogram names embed scheme and level in clear
-(``gh.h05.<group>``) with the group digest covering fingerprint+extent;
-that makes "is a *finer* GH of this dataset on disk?" one glob, which
-powers the same exact 2×2 ``downsample_gh`` derivation the in-memory
-cache uses.
+(``gh.h05.<group>``) with the group digest covering fingerprint+extent.
 
 **Atomic publish.**  Writers stage the payload in a fresh directory
 under ``tmp/`` (same filesystem), fsync every file, write the manifest
@@ -93,11 +90,6 @@ def _digest(*parts: object) -> str:
     return hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8).hexdigest()
 
 
-def _hist_group(key: CacheKey) -> str:
-    """Digest of the level-independent histogram identity (for donor globs)."""
-    return _digest("hist", key.fingerprint, key.extent)
-
-
 def hist_entry_name(key: CacheKey) -> str:
     """Catalog directory name for a histogram key."""
     if key.scheme not in HISTOGRAM_SCHEMES:
@@ -106,7 +98,8 @@ def hist_entry_name(key: CacheKey) -> str:
         )
     if not 0 <= key.level <= 99:
         raise ValueError(f"level out of catalog range [0, 99]: {key.level}")
-    return f"{key.scheme}.h{key.level:02d}.{_hist_group(key)}"
+    group = _digest("hist", key.fingerprint, key.extent)
+    return f"{key.scheme}.h{key.level:02d}.{group}"
 
 
 def tree_entry_name(key: TreeCacheKey) -> str:
@@ -265,28 +258,6 @@ class ArtifactCatalog:
             return None
         self._note_hit(name)
         return tree
-
-    def gh_donor_key(self, key: CacheKey) -> CacheKey | None:
-        """The cheapest stored GH derivation donor for ``key``.
-
-        Mirrors the in-memory cache's donor rule: among stored GH
-        entries of the same dataset/extent at a *finer* level, the
-        coarsest (fewest 2×2 folds).  ``None`` when nothing qualifies.
-        """
-        group = _hist_group(key)
-        best: int | None = None
-        for path in self._objects.glob(f"gh.h??.{group}"):
-            try:
-                level = int(path.name[4:6])
-            except ValueError:
-                continue
-            if level > key.level and (best is None or level < best):
-                best = level
-        if best is None:
-            return None
-        return CacheKey(
-            fingerprint=key.fingerprint, scheme="gh", level=best, extent=key.extent
-        )
 
     # -- publishes ------------------------------------------------------
     def put_histogram(

@@ -1,12 +1,12 @@
-"""Satellite acceptance test: 2×2 GH pooling ≡ fresh builds, all levels.
+"""2×2 GH pooling ≈ fresh builds, all levels.
 
-The multi-level derivation path (cache + pyramid) rests on one claim:
+The GH pyramid (:mod:`repro.histograms.pyramid`) rests on one claim:
 folding a level-``h`` GH histogram down to any coarser level produces
-the same statistics as building at that level directly.  This file
-proves it to 1e-9 relative tolerance across every level and across the
-distribution shapes that stress different parts of the build — uniform,
-clustered, degenerate (zero-area points), and empty data — plus through
-the :class:`~repro.perf.HistogramCache` derivation path itself.
+the same statistics as building at that level directly, up to float
+summation order.  This file proves it to 1e-9 relative tolerance across
+every level and across the distribution shapes that stress different
+parts of the build — uniform, clustered, degenerate (zero-area points),
+and empty data.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.datasets import SpatialDataset, make_clustered, make_points_like, make_uniform
 from repro.geometry import Rect, RectArray
 from repro.histograms import GHHistogram, downsample_gh
-from repro.perf import HistogramCache
 
 FINEST = 6
 RTOL = 1e-9
@@ -57,20 +56,6 @@ def test_pooled_equals_fresh_build(kind, level):
     dataset = _dataset(kind)
     finest = GHHistogram.build(dataset, FINEST)
     _assert_equivalent(_derive(finest, level), GHHistogram.build(dataset, level))
-
-
-@pytest.mark.parametrize("kind", ["clustered", "points"])
-def test_cache_derivation_equals_fresh_build(kind):
-    """The cache's derivation rung answers exactly what a rebuild would."""
-    dataset = _dataset(kind)
-    cache = HistogramCache()
-    cache.get_or_build(dataset, "gh", FINEST)
-    for level in range(FINEST):
-        _assert_equivalent(
-            cache.get_or_build(dataset, "gh", level), GHHistogram.build(dataset, level)
-        )
-    assert cache.stats.builds == 1
-    assert cache.stats.derivations == FINEST
 
 
 def test_pooled_estimates_match(rng):

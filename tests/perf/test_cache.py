@@ -205,26 +205,19 @@ class TestCostAwareRetention:
 
 
 class TestDerivation:
-    def test_coarser_gh_is_derived_not_built(self, dataset):
+    """A coarser level is never pooled from a cached finer one: every
+    miss builds, so every answer equals a cold build."""
+
+    def test_coarser_gh_after_finer_is_a_cold_build(self, dataset):
         cache = HistogramCache()
         cache.get_or_build(dataset, "gh", 6)
-        derived = cache.get_or_build(dataset, "gh", 3)
-        direct = GHHistogram.build(dataset, 3)
-        assert cache.stats.builds == 1
-        assert cache.stats.derivations == 1
-        for got, want in zip(
-            (derived.c, derived.o, derived.h, derived.v),
-            (direct.c, direct.o, direct.h, direct.v),
-        ):
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
-
-    def test_nearest_finer_donor_is_used(self, dataset):
-        cache = HistogramCache()
-        cache.get_or_build(dataset, "gh", 7)
-        cache.get_or_build(dataset, "gh", 5)  # derived from 7
-        cache.get_or_build(dataset, "gh", 4)  # derived from 5 (nearest)
-        assert cache.stats.builds == 1
-        assert cache.stats.derivations == 2
+        hist, source = cache.resolve(dataset, "gh", 3)
+        assert source == "build"
+        assert cache.stats.builds == 2
+        assert cache.stats.derivations == 0
+        cold = GHHistogram.build(dataset, 3)
+        assert histogram_parts(hist)[0] == histogram_parts(cold)[0]
+        assert np.array_equal(histogram_parts(hist)[1], histogram_parts(cold)[1])
 
     def test_ph_never_derives(self, dataset):
         # PH averages are not additive across resolutions; a coarser PH

@@ -106,12 +106,12 @@ class TestPressureDegradation:
         first, second = asyncio.run(go())
         assert second.provenance.rung == "cached-coarse"
         assert second.provenance.requested == "gh(level=7)"
-        # The coarse answer equals a direct level-4 estimate.
+        # The coarse answer equals a direct level-4 estimate, bit for bit.
         ds1, ds2 = catalog["roads"], catalog["rivers"]
         coarse = GHHistogram.build(ds1, 4).estimate_selectivity(
             GHHistogram.build(ds2, 4)
         )
-        assert second.selectivity == pytest.approx(coarse, rel=1e-12)
+        assert second.selectivity == coarse
 
     def test_depth_one_server_still_answers(self, catalog):
         # Regression: when pressure counted the request's own slot,
@@ -157,7 +157,7 @@ class TestFailureDescent:
         coarse = GHHistogram.build(ds1, 3).estimate_selectivity(
             GHHistogram.build(ds2, 3)
         )
-        assert response.selectivity == pytest.approx(coarse, rel=1e-12)
+        assert response.selectivity == coarse
 
     def test_zero_deadline_falls_to_the_parametric_floor(self, catalog):
         server = EstimationServer(catalog)

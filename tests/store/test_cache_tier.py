@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import SpatialDataset
-from repro.histograms import GHHistogram, downsample_gh
+from repro.histograms import GHHistogram
 from repro.histograms.file import histogram_parts
 from repro.perf import FlatTreeCache, HistogramCache
 from repro.rtree import flat_join_count, flat_load_str
@@ -51,14 +51,13 @@ class TestHistogramCacheTier:
         _, stats_b = histogram_parts(hist)
         assert np.array_equal(stats_a, stats_b)
 
-    def test_store_derived_pools_a_stored_finer_gh(self, store, dataset):
+    def test_stored_finer_gh_does_not_answer_a_coarser_miss(self, store, dataset):
         HistogramCache(store=store).resolve(dataset, "gh", 5)
         warm = HistogramCache(store=store)
         hist, source = warm.resolve(dataset, "gh", 3)
-        assert source == "store-derived"
-        assert warm.stats.builds == 0
-        expected = downsample_gh(downsample_gh(GHHistogram.build(dataset, 5)))
-        _, stats_a = histogram_parts(expected)
+        assert source == "build"
+        assert warm.stats.builds == 1
+        _, stats_a = histogram_parts(GHHistogram.build(dataset, 3))
         _, stats_b = histogram_parts(hist)
         assert np.array_equal(stats_a, stats_b)
 
@@ -69,7 +68,7 @@ class TestHistogramCacheTier:
         _, source = cache.resolve(dataset, "gh", 5)
         assert source == "l1"
         _, source = cache.resolve(dataset, "gh", 4)
-        assert source == "derived"
+        assert source == "build"
 
     def test_deadline_scope_skips_the_publish(self, store, dataset):
         cache = HistogramCache(store=store)

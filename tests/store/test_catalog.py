@@ -131,20 +131,6 @@ class TestCorruption:
         assert catalog.stats.corrupt_detected == 1
 
 
-class TestDonorLookup:
-    def test_prefers_coarsest_stored_finer_level(self, catalog, dataset):
-        for level in (7, 6):
-            publish_gh(catalog, dataset, level)
-        key = HistogramCache.key_for(dataset, "gh", 4)
-        donor = catalog.gh_donor_key(key)
-        assert donor is not None and donor.level == 6
-
-    def test_no_donor_at_or_below_requested_level(self, catalog, dataset):
-        publish_gh(catalog, dataset, 5)
-        assert catalog.gh_donor_key(HistogramCache.key_for(dataset, "gh", 5)) is None
-        assert catalog.gh_donor_key(HistogramCache.key_for(dataset, "gh", 6)) is None
-
-
 class TestRetention:
     def test_invalidate_removes_entry(self, catalog, dataset):
         key, _ = publish_gh(catalog, dataset)
