@@ -14,11 +14,12 @@ hidden by a throttled client):
   (high water <= max_depth), explicit typed sheds (> 0), no unclassified
   errors, and a bounded answered-tail (p99 under a generous cap —
   refusing early is what keeps the tail from collapsing);
-* **faulted** — the ``full`` rung runs through a shard pool whose worker
-  hard-crashes on its first builds: the bench asserts the supervisor
-  restarted it (restarts >= 1), the breaker opened (>= 1), service
-  degraded honestly meanwhile (degraded answers carry provenance), and
-  full-quality service resumed afterwards.
+* **faulted** — the micro-batcher's runner raises on its first
+  :data:`INJECTED_FAULTS` batches, then delegates to the server's
+  default runner: the bench asserts the faults were injected and hit
+  the batcher, service degraded honestly meanwhile (every non-``full``
+  answer is marked degraded), full-quality service resumed afterwards
+  on a pair the load never asked for, and nothing errored.
 
 Run directly::
 
@@ -37,7 +38,7 @@ import asyncio
 import json
 import platform
 import sys
-from multiprocessing import Value
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,6 @@ from repro.serve import (
     EstimationServer,
     ServeRequest,
     ServerConfig,
-    ShardPool,
     run_load,
     validate_bench_report,
 )
@@ -63,6 +63,10 @@ OVERLOAD_P99_CAP_MS = 2000.0
 #: tier-0 memo fast lane answering warm repeats on the event loop, the
 #: typical request must be sub-millisecond.
 HEALTHY_P50_CAP_MS = 1.0
+
+#: Runner calls (fused batches and solo retries alike) the faulted
+#: regime fails before the runner heals.
+INJECTED_FAULTS = 4
 
 
 def make_catalog(n: int, seed: int = 20260808) -> dict[str, SpatialDataset]:
@@ -89,28 +93,23 @@ def templates(level: int) -> list[ServeRequest]:
     ]
 
 
-def crash_first_builds_factory(n: int):
-    """Worker hook: hard-kill the worker for the first ``n`` builds
-    (counted across restarts through shared memory), then heal."""
-    crashes = Value("i", 0)
+class FailFirstBatches:
+    """Batch runner that raises on its first ``n`` calls, then delegates."""
 
-    def factory():
-        import os
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.injected = 0
+        self.delegate = None  # set once the server exists
+        self._lock = threading.Lock()
 
-        class Hook:
-            def on_checkpoint(self, stage: str) -> None:
-                # No get_lock(): dying while holding the shared lock
-                # would deadlock the replacement worker.
-                if crashes.value < n:
-                    crashes.value += 1
-                    os._exit(17)
-
-            def on_mutate(self, stage: str, value):
-                return value
-
-        return Hook()
-
-    return factory
+    def __call__(self, queries, budget_s):
+        with self._lock:
+            fail = self.injected < self.n
+            if fail:
+                self.injected += 1
+        if fail:
+            raise OSError(f"injected batch fault {self.injected}/{self.n}")
+        return self.delegate(queries, budget_s)
 
 
 def bench_healthy(catalog, *, rate_qps: float, duration_s: float) -> dict:
@@ -154,45 +153,27 @@ def bench_overloaded(catalog, *, rate_qps: float, duration_s: float) -> dict:
 
 
 def bench_faulted(catalog, *, rate_qps: float, duration_s: float) -> dict:
-    pool = ShardPool(
-        catalog,
-        2,
-        max_restarts=10,
-        failure_threshold=2,
-        cooldown_s=0.02,
-        worker_hook_factory=crash_first_builds_factory(2),
+    runner = FailFirstBatches(INJECTED_FAULTS)
+    server = EstimationServer(
+        catalog, ServerConfig(max_depth=64, max_delay_s=0.002), batch_runner=runner
     )
-    with pool:
-        server = EstimationServer(
-            catalog, ServerConfig(max_depth=64, max_delay_s=0.002), shard_pool=pool
-        )
+    runner.delegate = server._default_runner
 
-        async def go():
-            async with server:
-                load = await run_load(
-                    server, templates(6), rate_qps=rate_qps, duration_s=duration_s
-                )
-                # Recovery probe: after the crash budget is spent, the
-                # pool must serve the full rung again.
-                recovered = False
-                for _ in range(10):
-                    response = await server.submit(
-                        ServeRequest("roads", "rivers", level=6)
-                    )
-                    if response.provenance.rung == "full":
-                        recovered = True
-                        break
-                return load, recovered
+    async def go():
+        async with server:
+            load = await run_load(
+                server, templates(6), rate_qps=rate_qps, duration_s=duration_s
+            )
+            # Recovery probe on a pair the load never sent, so the memo
+            # cannot answer it: the batcher must serve the full rung.
+            probe = await server.submit(ServeRequest("roads", "rail", level=6))
+            return load, probe.provenance.rung == "full"
 
-        load, recovered = asyncio.run(go())
-        report = load.snapshot()
-        report["server"] = server.stats()
-        report["shards"] = {
-            "restarts": pool.stats()["restarts"],
-            "breaker_opens": pool.stats()["breaker_opens"],
-            "failures": pool.stats()["failures"],
-        }
-        report["recovered_full_rung"] = recovered
+    load, recovered = asyncio.run(go())
+    report = load.snapshot()
+    report["server"] = server.stats()
+    report["injected_faults"] = runner.injected
+    report["recovered_full_rung"] = recovered
     return report
 
 
@@ -243,8 +224,7 @@ def main(argv: "list[str] | None" = None) -> int:
     faulted = bench_faulted(catalog, **faulted_kw)
     print(
         f"  {faulted['ok']} answered ({faulted['degraded']} degraded), "
-        f"{faulted['shards']['restarts']} restarts, "
-        f"{faulted['shards']['breaker_opens']} breaker opens, "
+        f"{faulted['injected_faults']} injected batch faults, "
         f"recovered={faulted['recovered_full_rung']}"
     )
 
@@ -260,9 +240,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "notes": (
             "Open-loop load generation (arrivals are not throttled by server"
             " slowness). Overload health = bounded queue + typed sheds + no"
-            " latency collapse, NOT high throughput. The faulted regime kills"
-            " a shard worker mid-build twice; supervision must restart it"
-            " under breaker backoff and return to the full rung."
+            " latency collapse, NOT high throughput. The faulted regime fails"
+            f" the batch runner's first {INJECTED_FAULTS} calls; the ladder"
+            " must answer degraded meanwhile and return to the full rung."
         ),
         "regimes": {
             "healthy": healthy,
@@ -304,10 +284,14 @@ def main(argv: "list[str] | None" = None) -> int:
             f"overloaded p99 {overloaded['latency_ms']['p99']:.0f} ms blew the "
             f"{OVERLOAD_P99_CAP_MS:.0f} ms no-collapse cap"
         )
-    if faulted["shards"]["restarts"] < 1:
-        failures.append("faulted regime saw no shard restart")
-    if faulted["shards"]["breaker_opens"] < 1:
-        failures.append("faulted regime never opened a circuit breaker")
+    if faulted["server"]["batcher"]["batch_failures"] < 1:
+        failures.append("faulted regime's injected faults never failed a batch")
+    if faulted["degraded"] < 1:
+        failures.append("faulted regime produced no degraded answers")
+    if faulted["degraded"] != faulted["ok"] - faulted["rungs"].get("full", 0):
+        failures.append(
+            "faulted regime: degraded count disagrees with non-full answers"
+        )
     if not faulted["recovered_full_rung"]:
         failures.append("faulted regime never recovered full-rung service")
     if faulted["errors"]:

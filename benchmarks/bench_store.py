@@ -8,10 +8,11 @@ Emits ``BENCH_store.json`` with two scenarios:
   read + ``np.load(mmap_mode="r")``, no stat plane touched).  Bit
   identity of the two histograms is asserted *before* any timing, so
   the speedup claim is over interchangeable artifacts.
-* **shard_warm_start** — a :class:`ShardPool` first-touch ``prepare``
-  sweep over the whole catalog, cold (every worker builds) vs warm
-  (workers attached to a prewarmed read-only catalog), plus the pool's
-  ``store_hits`` accounting for the warm sweep.
+* **warm_start** — a first-touch :meth:`HistogramCache.resolve` sweep
+  over the whole catalog through a fresh cache, cold (no store: every
+  resolve builds) vs warm (the cache's L2 tier is the prewarmed catalog
+  opened read-only), plus how many resolves each sweep sourced from
+  the store.
 
 Timings are min-over-repeats of ``time.perf_counter`` intervals.  The
 acceptance floors (warm open >= 10x cold build; warm sweep faster than
@@ -44,7 +45,6 @@ from repro.datasets.registry import PAPER_CARDINALITIES, make_paper_dataset
 from repro.histograms import GHHistogram
 from repro.histograms.file import histogram_parts
 from repro.perf import HistogramCache
-from repro.serve import ShardPool
 from repro.store import ArtifactCatalog
 
 LEVEL = 5
@@ -133,30 +133,33 @@ def bench_warm_open_scaling(
     return {"dataset": name, "level": LEVEL, "points": rows}
 
 
-def sweep(datasets: dict, root: "Path | None", num_shards: int) -> "tuple[float, int]":
-    """Start a pool, first-touch prepare every dataset, return (s, hits)."""
+def sweep(datasets: dict, root: "Path | None") -> "tuple[float, int]":
+    """First-touch resolve every dataset through a fresh cache.
+
+    Returns ``(seconds, store-sourced resolves)``.  With ``root`` the
+    cache's L2 tier is the catalog opened read-only; the timing covers
+    opening it, as a freshly started server would.
+    """
     start = time.perf_counter()
-    with ShardPool(
-        datasets, num_shards, store_root=root, call_timeout_s=120.0
-    ) as pool:
-        for name in datasets:
-            pool.prepare(name, "gh", LEVEL)
-        elapsed = time.perf_counter() - start
-        hits = int(pool.stats()["store_hits"])
-    return elapsed, hits
+    store = ArtifactCatalog(root, read_only=True) if root is not None else None
+    cache = HistogramCache(store=store)
+    sources = [cache.resolve(dataset, "gh", LEVEL)[1] for dataset in datasets.values()]
+    return time.perf_counter() - start, sources.count("store")
 
 
-def bench_shard_warm_start(datasets: dict, root: Path, num_shards: int) -> dict:
-    cold_s, cold_hits = sweep(datasets, None, num_shards)
-    warm_s, warm_hits = sweep(datasets, root, num_shards)
+def bench_warm_start(datasets: dict, root: Path, repeats: int) -> dict:
+    """Cold vs warm first-touch sweeps, each the best of ``repeats``."""
+    cold_s = best_of(repeats, lambda: sweep(datasets, None))
+    warm_s = best_of(repeats, lambda: sweep(datasets, root))
+    _, cold_store = sweep(datasets, None)
+    _, warm_store = sweep(datasets, root)
     return {
-        "num_shards": num_shards,
         "datasets": len(datasets),
         "cold_sweep_s": cold_s,
         "warm_sweep_s": warm_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-        "cold_store_hits": cold_hits,
-        "warm_store_hits": warm_hits,
+        "cold_store_resolves": cold_store,
+        "warm_store_resolves": warm_store,
     }
 
 
@@ -177,10 +180,10 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.quick:
         names = sorted(PAPER_CARDINALITIES)[:2]
-        cardinality, repeats, num_shards = 300, 2, 1
+        cardinality, repeats = 300, 2
     else:
         names = sorted(PAPER_CARDINALITIES)
-        cardinality, repeats, num_shards = 2000, 5, 2
+        cardinality, repeats = 2000, 5
 
     cpus = os.cpu_count() or 1
     gated = (not args.quick) and cpus >= GATE_MIN_CPUS
@@ -195,14 +198,13 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"  {name}: build {row['cold_build_ms']:.2f} ms -> "
                 f"open {row['warm_open_ms']:.2f} ms ({row['speedup']:.1f}x)"
             )
+        print(f"warm_start: first-touch resolve of {len(datasets)} datasets")
+        warm_start = bench_warm_start(datasets, root, repeats)
         print(
-            f"shard_warm_start: {num_shards} shards over {len(datasets)} datasets"
-        )
-        shard = bench_shard_warm_start(datasets, root, num_shards)
-        print(
-            f"  cold {shard['cold_sweep_s']:.2f} s -> warm "
-            f"{shard['warm_sweep_s']:.2f} s ({shard['speedup']:.1f}x, "
-            f"{shard['warm_store_hits']} store hits)"
+            f"  cold {warm_start['cold_sweep_s'] * 1e3:.2f} ms -> warm "
+            f"{warm_start['warm_sweep_s'] * 1e3:.2f} ms "
+            f"({warm_start['speedup']:.1f}x, "
+            f"{warm_start['warm_store_resolves']} store resolves)"
         )
 
     scaling = None
@@ -232,11 +234,11 @@ def main(argv: "list[str] | None" = None) -> int:
             "Warm open = manifest read + np.load(mmap_mode='r'); no stat"
             " plane is paged in until first use, which is the zero-copy"
             " point. Bit identity of warm and cold artifacts is asserted"
-            " before timing. Floors (warm open >= 10x build; warm shard"
+            " before timing. Floors (warm open >= 10x build; warm resolve"
             " sweep < cold) are enforced only with >= 4 CPUs and never in"
             " --quick; otherwise they are recorded as observations."
         ),
-        "scenarios": {"warm_open": warm_open, "shard_warm_start": shard},
+        "scenarios": {"warm_open": warm_open, "warm_start": warm_start},
     }
     if scaling is not None:
         report["scenarios"]["warm_open_scaling"] = scaling
@@ -251,22 +253,23 @@ def main(argv: "list[str] | None" = None) -> int:
             f"warm open slower than a cold build "
             f"({warm_open['min_speedup']:.2f}x) — the tier is pointless"
         )
-    if shard["warm_store_hits"] != len(datasets):
+    if warm_start["warm_store_resolves"] != len(datasets):
         failures.append(
-            f"warm sweep hit the store only {shard['warm_store_hits']}/"
-            f"{len(datasets)} times"
+            f"warm sweep resolved from the store only "
+            f"{warm_start['warm_store_resolves']}/{len(datasets)} times"
         )
-    if shard["cold_store_hits"] != 0:
-        failures.append("cold sweep unexpectedly reported store hits")
+    if warm_start["cold_store_resolves"] != 0:
+        failures.append("cold sweep unexpectedly resolved from the store")
     if gated:
         if warm_open["min_speedup"] < SPEEDUP_FLOOR:
             failures.append(
                 f"gated floor: warm open {warm_open['min_speedup']:.1f}x < "
                 f"{SPEEDUP_FLOOR:.0f}x"
             )
-        if shard["speedup"] <= 1.0:
+        if warm_start["speedup"] <= 1.0:
             failures.append(
-                f"gated floor: warm shard sweep not faster ({shard['speedup']:.2f}x)"
+                "gated floor: warm resolve sweep not faster "
+                f"({warm_start['speedup']:.2f}x)"
             )
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -30,7 +30,6 @@ __all__ = [
     "EstimatorUnavailable",
     "TransientEstimationError",
     "ServiceOverloadError",
-    "ShardUnavailableError",
     "ArtifactIntegrityError",
     "DegradedResultWarning",
 ]
@@ -107,26 +106,6 @@ class ServiceOverloadError(ReproError, RuntimeError):
         self.queue_depth = queue_depth
         #: Tenant whose quota rejected the request, when quota-based.
         self.tenant = tenant
-
-
-class ShardUnavailableError(EstimatorUnavailable):
-    """A shard of the serving worker pool cannot take this call.
-
-    Covers a crashed worker process awaiting its restart backoff, an
-    open circuit breaker, and a shard that exhausted its restart budget.
-    Subclasses :class:`EstimatorUnavailable` so the degradation ladder
-    (and the resilient fallback chain) treat it as "answer from a
-    cheaper rung", not as a client error.
-    """
-
-    def __init__(
-        self, message: str, *, shard_id: int | None = None, state: str = ""
-    ) -> None:
-        super().__init__(message)
-        #: Which shard refused, when known.
-        self.shard_id = shard_id
-        #: Supervisor state behind the refusal ("open", "dead", "failed").
-        self.state = state
 
 
 class ArtifactIntegrityError(ReproError, RuntimeError):

@@ -483,7 +483,7 @@ class _FunctionExtractor:
                 types.append(name)
 
         def scan(sub: ast.expr) -> None:
-            # Payload semantics: ``shard.metas`` ships the *attribute's*
+            # Payload semantics: ``job.rects`` ships the *attribute's*
             # value, not the receiver — so receivers of attribute chains
             # and subscripts are deliberately not scanned.
             if isinstance(sub, ast.Name):
@@ -611,7 +611,7 @@ class _FunctionExtractor:
                 self._walk_stmt(child)
 
     def _walk_assign_target(self, target: ast.expr) -> None:
-        # record attribute *stores* (e.g. ``shard.failed = True``)
+        # record attribute *stores* (e.g. ``job.done = True``)
         if isinstance(target, ast.Attribute):
             self._record_access(target)
             self._walk_expr(target.value)
@@ -1077,7 +1077,7 @@ class CallGraph:
                 return Edge(caller, site, targets, None)
             return Edge(caller, site, (), None)
 
-        # receiver-annotation dispatch: shard.ping() with shard: _Shard
+        # receiver-annotation dispatch: job.run() with job: _Job
         if site.recv is not None:
             owner = self.resolve_class(module, site.recv)
             if owner is not None:

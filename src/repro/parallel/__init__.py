@@ -31,7 +31,7 @@ from .partition import (
     resolve_workers,
 )
 from .sampling import parallel_sampling_estimates
-from .shm import SharedDataset, SharedRects, attach_dataset, attach_rects
+from .shm import SharedRects, attach_rects
 
 __all__ = [
     "MIN_PARALLEL",
@@ -41,8 +41,6 @@ __all__ = [
     "parallel_partition_join_pairs",
     "parallel_sampling_estimates",
     "resolve_workers",
-    "SharedDataset",
     "SharedRects",
-    "attach_dataset",
     "attach_rects",
 ]

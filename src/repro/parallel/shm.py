@@ -31,15 +31,9 @@ import numpy as np
 
 from multiprocessing import shared_memory
 
-from ..datasets import SpatialDataset
-from ..geometry import Rect, RectArray
+from ..geometry import RectArray
 
-__all__ = ["SharedRects", "attach_rects", "SharedDataset", "attach_dataset"]
-
-#: Pickle-friendly description of one exported dataset: (dataset name,
-#: shm segment name, rectangle count, extent 4-tuple).  Everything a
-#: worker needs to re-materialize the dataset without copying geometry.
-DatasetMeta = tuple[str, str, int, tuple[float, float, float, float]]
+__all__ = ["SharedRects", "attach_rects"]
 
 #: Worker-side registry of attached segments, keyed by shm name.  Keeps
 #: the mappings (and therefore the numpy views into them) alive for the
@@ -104,54 +98,6 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original
     except ImportError:  # no tracker on this platform — plain attach
         return shared_memory.SharedMemory(name=name)
-
-
-class SharedDataset:
-    """Parent-side export of one :class:`SpatialDataset` over shared memory.
-
-    Wraps :class:`SharedRects` with the dataset's identity (name and
-    extent) so persistent workers — the :mod:`repro.serve` shard pool —
-    can re-materialize the full dataset from a few scalars.  The
-    geometry crosses the process boundary exactly once; worker restarts
-    re-attach to the same segment instead of re-shipping coordinates.
-    Same lifecycle rules as :class:`SharedRects`: keep the handle open
-    until every consumer is gone, then :meth:`cleanup`.
-    """
-
-    __slots__ = ("dataset_name", "extent", "shared")
-
-    def __init__(self, dataset: SpatialDataset) -> None:
-        self.dataset_name = dataset.name
-        self.extent: tuple[float, float, float, float] = dataset.extent.as_tuple()
-        self.shared = SharedRects(dataset.rects)
-
-    def meta(self) -> DatasetMeta:
-        """The attach descriptor to ship to workers (picklable scalars)."""
-        return (self.dataset_name, self.shared.name, self.shared.n, self.extent)
-
-    def cleanup(self) -> None:
-        """Close and unlink the underlying segment (idempotent)."""
-        self.shared.cleanup()
-
-    def __enter__(self) -> "SharedDataset":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.cleanup()
-
-    def __repr__(self) -> str:
-        return f"SharedDataset({self.dataset_name!r}, n={self.shared.n})"
-
-
-def attach_dataset(meta: DatasetMeta) -> SpatialDataset:
-    """Worker-side: rebuild a :class:`SpatialDataset` from a :meth:`SharedDataset.meta`.
-
-    The rectangle array is a zero-copy view over the parent's segment
-    (cached per process, like :func:`attach_rects`); only the name and
-    extent are constructed locally.
-    """
-    name, shm_name, n, extent = meta
-    return SpatialDataset(name, attach_rects(shm_name, n), Rect(*extent))
 
 
 def attach_rects(name: str, n: int) -> RectArray:

@@ -17,9 +17,6 @@ falling over.  The pipeline, in request order:
 * :mod:`~repro.serve.batcher` — concurrent queries coalesce into one
   :func:`~repro.perf.batch.estimate_many` call with poison-query
   isolation (a failed batch retries its members solo);
-* :mod:`~repro.serve.shards` — a supervised pool of persistent fork
-  workers, each owning a catalog slice over shared memory, with health
-  checks, bounded restart-with-backoff, and per-shard circuit breakers;
 * :mod:`~repro.serve.loop` — :class:`EstimationServer`, the async
   entry point tying the stages together with end-to-end cooperative
   deadlines;
@@ -32,7 +29,6 @@ from .batcher import BatcherStats, MicroBatcher
 from .degrade import DegradationLadder, DegradePolicy, ServeProvenance, ServiceRung
 from .loadgen import LoadReport, run_load, validate_bench_report
 from .loop import EstimationServer, ServeRequest, ServeResponse, ServerConfig
-from .shards import CircuitBreaker, ShardPool, ShardStats
 
 __all__ = [
     "AdmissionController",
@@ -52,7 +48,4 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "ServerConfig",
-    "CircuitBreaker",
-    "ShardPool",
-    "ShardStats",
 ]

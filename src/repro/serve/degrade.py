@@ -9,8 +9,8 @@ observable.  Measured queue pressure (admission-queue occupancy in
 =================  =======================================================
 rung               cost / quality trade
 =================  =======================================================
-``full``           the requested estimator, through the micro-batcher or
-                   the shard pool — O(data) on a cold cache
+``full``           the requested estimator, through the micro-batcher and
+                   the shared cache — O(data) on a cold cache
 ``cached-coarse``  a cheaper histogram via the content-addressed cache —
                    an L1 hit or store load, else its own (coarser,
                    cheaper) build
@@ -25,7 +25,7 @@ The answering rungs are the labels of one
 requested estimator: ``full`` is its index 0, ``parametric`` its
 closed-form floor, and ``cached-coarse`` any histogram rung in between
 (for GH: the coarser GH, then PH).  Pressure picks the starting index;
-when a rung raises (shard crash, deadline expiry, poison query), the
+when a rung raises (batch failure, deadline expiry, poison query), the
 server moves one index down the same chain, and the response's
 :class:`ServeProvenance` records which rung answered and why, so a
 degraded answer is never confused with a full-quality one.
@@ -98,13 +98,12 @@ class ServeProvenance:
     degraded: bool  #: True unless the full rung answered cleanly
     pressure: float  #: admission-queue pressure when the rung was chosen
     reason: str = ""  #: first failure that forced a descent ("" = pressure only)
-    #: Execution path: "batch", "shards", "memo" (the tier-0 estimate
+    #: Execution path: "batch", "memo" (the tier-0 estimate
     #: memo answered on the event loop — a bit-identical replay of a
     #: previous full-rung answer), or "local"; the cached rung refines
     #: "local" to "store" (answered off the artifact catalog) or
     #: "build" (a side had to scan the data) when a store is attached.
     via: str = "local"
-    shard_ids: tuple[int, ...] = ()  #: shards consulted (shard path only)
 
 
 class DegradationLadder:

@@ -14,21 +14,20 @@ batch-oriented estimation stack into a long-running service.  One
    :func:`~repro.service.resilient.default_fallback_chain`
    (:mod:`repro.serve.degrade`);
 3. **execution** — the requested estimator runs through the
-   micro-batcher (:mod:`repro.serve.batcher`) or the supervised shard
-   pool (:mod:`repro.serve.shards`); the histogram rungs below it
-   answer from the content-addressed cache; the floor is the
-   Aref–Samet closed form.  A rung that *fails* (shard crash, deadline
-   expiry) moves one rung down the chain instead of failing the
-   request;
+   micro-batcher (:mod:`repro.serve.batcher`) into
+   :func:`~repro.perf.batch.estimate_many` over the shared
+   :class:`~repro.perf.cache.HistogramCache`; the histogram rungs below
+   it answer from the same cache; the floor is the Aref–Samet closed
+   form.  A rung that *fails* (batch error, deadline expiry) moves one
+   rung down the chain instead of failing the request;
 4. **provenance** — every response carries a
    :class:`~repro.serve.degrade.ServeProvenance` naming the rung that
    actually answered, so a degraded answer can never masquerade as a
    full-quality one.
 
 Per-request deadlines thread end to end: the budget is checked at
-submission, shipped into executor threads as a cooperative
-:class:`~repro.runtime.Deadline` scope, and forwarded over the wire to
-shard workers.
+submission and shipped into executor threads as a cooperative
+:class:`~repro.runtime.Deadline` scope.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from ..service.resilient import default_fallback_chain
 from .admission import AdmissionController
 from .batcher import BatchRunner, MicroBatcher
 from .degrade import DegradationLadder, DegradePolicy, ServeProvenance, ServiceRung
-from .shards import ShardPool
 
 if TYPE_CHECKING:
     from ..store import ArtifactCatalog
@@ -128,12 +126,6 @@ class EstimationServer:
         :class:`SpatialDataset`; requests reference them by name.
     config:
         :class:`ServerConfig` tunables (defaults are test-friendly).
-    shard_pool:
-        An optional *started* :class:`~repro.serve.shards.ShardPool`.
-        When given, the ``full`` rung runs through the pool's persistent
-        workers (supervised, circuit-broken); otherwise it runs through
-        the in-process micro-batcher.  The server does **not** own the
-        pool's lifecycle — callers close what they open.
     batch_runner:
         Override for the micro-batcher's synchronous runner (chaos tests
         inject failures here).  The default runs
@@ -155,7 +147,6 @@ class EstimationServer:
         catalog: "Mapping[str, SpatialDataset] | Iterable[SpatialDataset]",
         config: ServerConfig | None = None,
         *,
-        shard_pool: ShardPool | None = None,
         batch_runner: BatchRunner | None = None,
         store: "ArtifactCatalog | None" = None,
     ) -> None:
@@ -180,7 +171,6 @@ class EstimationServer:
             else None
         )
         self._memo_fast_hits = 0
-        self.shard_pool = shard_pool
         self.batcher = MicroBatcher(
             batch_runner if batch_runner is not None else self._default_runner,
             max_batch=self.config.max_batch,
@@ -196,11 +186,7 @@ class EstimationServer:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Flush the batcher and stop accepting work (idempotent).
-
-        The shard pool, if any, is *not* closed — it was injected, so
-        its owner closes it.
-        """
+        """Flush the batcher and stop accepting work (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -283,11 +269,11 @@ class EstimationServer:
             reason = ""
             while True:
                 try:
-                    value, via, shard_ids = await self._execute(
+                    value, via = await self._execute(
                         chain, index, request, ds1, ds2, deadline
                     )
-                # Failure descent: any rung error — shard crash, breaker
-                # open, deadline expiry, poison build — drops us one rung
+                # Failure descent: any rung error — batch failure,
+                # deadline expiry, poison build — drops us one rung
                 # rather than failing an admitted request outright.
                 except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
                     if not reason:
@@ -312,7 +298,6 @@ class EstimationServer:
                         f"pressure {pressure:.2f}"
                     ),
                     via=via,
-                    shard_ids=shard_ids,
                 )
                 return ServeResponse(
                     selectivity=value,
@@ -347,25 +332,6 @@ class EstimationServer:
         )
         return self.memo.get(key)
 
-    def _memoize_full(
-        self, request: ServeRequest, ds1: SpatialDataset, ds2: SpatialDataset, value: float
-    ) -> None:
-        """Retain one clean full-rung answer for the fast lane.
-
-        Runs on an executor thread (folding a cold fingerprint there is
-        fine); only well-formed shared-extent pairs are retained, so
-        every memo entry replays a value the slow path would recompute
-        identically.
-        """
-        if self.memo is None:
-            return
-        if len(ds1) == 0 or len(ds2) == 0 or ds1.extent != ds2.extent:
-            return
-        key = EstimateCache.key_for(
-            ds1, ds2, scheme_formula(request.scheme, request.level), ds1.extent
-        )
-        self.memo.put(key, value)
-
     async def _execute(
         self,
         chain: "tuple[JoinSelectivityEstimator, ...]",
@@ -374,42 +340,21 @@ class EstimationServer:
         ds1: SpatialDataset,
         ds2: SpatialDataset,
         deadline: Deadline | None,
-    ) -> "tuple[float, str, tuple[int, ...]]":
-        """Run rung ``chain[index]``; returns ``(selectivity, via, shard_ids)``.
+    ) -> "tuple[float, str]":
+        """Run rung ``chain[index]``; returns ``(selectivity, via)``.
 
-        Index 0 — the requested estimator — runs through the shard pool
-        or the micro-batcher; every lower rung runs :meth:`_fallback` on
-        an executor thread.
+        Index 0 — the requested estimator — runs through the
+        micro-batcher; every lower rung runs :meth:`_fallback` on an
+        executor thread.
         """
-        loop = asyncio.get_running_loop()
         if index > 0:
             rung = chain[index]
-            value, via = await loop.run_in_executor(
+            return await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self._fallback(rung, ds1, ds2, deadline)
             )
-            return value, via, ()
-        if self.shard_pool is not None:
-            pool = self.shard_pool
-            budget_s = max(0.0, deadline.remaining) if deadline is not None else None
-            shard_ids = tuple(
-                sorted({pool.shard_for(request.ds1), pool.shard_for(request.ds2)})
-            )
-            def run_pool() -> float:
-                value = pool.estimate(
-                    request.ds1,
-                    request.ds2,
-                    request.scheme,
-                    request.level,
-                    budget_s=budget_s,
-                )
-                self._memoize_full(request, ds1, ds2, value)
-                return value
-
-            value = await loop.run_in_executor(None, run_pool)
-            return value, "shards", shard_ids
         query = BatchQuery(ds1, ds2, request.scheme, request.level)
         value = await self.batcher.submit(query, deadline)
-        return value, "batch", ()
+        return value, "batch"
 
     def _fallback(
         self,
@@ -510,13 +455,10 @@ class EstimationServer:
         }
         if self.store is not None:
             payload["store"] = self.store.stats.snapshot()
-        if self.shard_pool is not None:
-            payload["shards"] = self.shard_pool.stats()
         return payload
 
     def __repr__(self) -> str:
         return (
             f"EstimationServer(datasets={len(self.catalog)}, "
-            f"depth={self.admission.depth}/{self.admission.max_depth}, "
-            f"shards={self.shard_pool is not None})"
+            f"depth={self.admission.depth}/{self.admission.max_depth})"
         )

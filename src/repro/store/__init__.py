@@ -15,10 +15,9 @@ content-addressed home on disk:
   :class:`~repro.perf.cache.HistogramCache` /
   :class:`~repro.perf.cache.FlatTreeCache` (L1 miss → catalog mmap →
   build + publish; a load equals a cold build);
-* **warm shard workers** —
-  :class:`~repro.serve.shards.ShardPool(store_root=...)` workers open
-  the catalog read-only and serve prebuilt histograms, sharing page
-  cache across forks instead of rebuilding per-process heap copies;
+* **read-only attach** — ``ArtifactCatalog(root, read_only=True)``
+  serves prebuilt histograms without ever writing, so many processes
+  can share one prewarmed root and its page cache;
 * a CLI — ``python -m repro.store prewarm|list|verify|evict`` — to
   build registry artifacts offline, audit checksums (and optionally
   rebuild-and-compare), and trim to a byte budget LRU-first.
@@ -36,7 +35,6 @@ from .catalog import (
     hist_entry_name,
     tree_entry_name,
 )
-from .codec import materialize_histogram
 
 __all__ = [
     "ArtifactCatalog",
@@ -46,5 +44,4 @@ __all__ = [
     "MANIFEST_NAME",
     "hist_entry_name",
     "tree_entry_name",
-    "materialize_histogram",
 ]

@@ -26,8 +26,8 @@ readable partial artifact.  Concurrent publishers of the same key race
 benignly: first rename wins, the loser discards its staging dir.
 
 **Zero-copy loads.**  ``np.load(mmap_mode="r")`` maps payload files
-read-only; forked shard workers touching the same entries share page
-cache instead of heap copies.  Loads cheaply cross-check manifest
+read-only; processes touching the same entries share page cache
+instead of heap copies.  Loads cheaply cross-check manifest
 ``file_bytes`` against ``os.stat`` and dtype/shape against the mapped
 header; full checksums are verified by ``python -m repro.store verify``.
 Any mismatch counts ``corrupt_detected``, discards the entry, and
@@ -194,14 +194,14 @@ class ArtifactCatalog:
         Open without write access: never creates directories, sweeps
         nothing, publishes become no-ops returning ``False``, corrupt
         entries are counted but left in place, and loads skip the
-        recency touch.  This is how forked shard workers attach.
+        recency touch.  This is how the store CLI's ``list`` and
+        ``verify`` commands attach.
 
     **Memmap lifetime.**  Loaded artifacts wrap read-only memmap views.
     Each view pins its backing file via its own descriptor, so (on
     POSIX) it stays valid even after the entry is evicted — but the
     portable contract is the conservative one: treat views as borrowed
-    from this handle and :func:`~repro.store.codec.materialize_histogram`
-    anything that must outlive it or cross a process boundary.
+    from this handle and copy anything that must outlive it.
     """
 
     def __init__(self, root: str | os.PathLike[str], *, read_only: bool = False) -> None:

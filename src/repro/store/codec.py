@@ -35,7 +35,6 @@ __all__ = [
     "decode_histogram",
     "encode_tree",
     "decode_tree",
-    "materialize_histogram",
 ]
 
 #: Manifest ``kind`` tag for packed :class:`FlatRTree` artifacts.
@@ -92,15 +91,3 @@ def decode_tree(
     if tree.height != as_int(params.get("height"), "height"):
         raise ValueError("tree payload height disagrees with its manifest")
     return tree
-
-
-def materialize_histogram(hist: Histogram) -> Histogram:
-    """A plain in-memory deep copy of ``hist``.
-
-    Catalog-loaded histograms hold read-only memmap views; materialize
-    before any use that must not reference the backing file — pickling
-    across a process boundary (shard workers reply over a pipe) or
-    outliving the catalog handle per the lifetime rules in DESIGN.md.
-    """
-    scalars, stats = histogram_parts(hist)
-    return histogram_from_parts(scalars, np.array(stats, dtype=np.float64))

@@ -1,21 +1,21 @@
 """Deterministic chaos tests for the serving front door.
 
-The acceptance bar (ISSUE 6): under injected faults — shard workers
-killed mid-batch, deadline storms, poison queries — the server must
+The acceptance bar: under injected faults — a failing batch runner,
+deadline storms, poison queries — the server must
 **never hang**, **never return a wrong-but-confident answer** (every
 degraded answer says so in its provenance), and must **recover within a
 bounded number of requests** once the faults stop.
 
 All tests run under ``pytest -m chaos`` in CI.  Faults are injected
-through explicit hooks (worker hook factories, broken batch runners,
-zero deadlines), never through timing races, so every run reproduces.
+through explicit hooks (broken batch runners, zero deadlines), never
+through timing races, so every run reproduces.
 """
 
 import asyncio
-from multiprocessing import Value
 
 import pytest
 
+from repro.core.estimator import GHEstimator
 from repro.errors import ServiceOverloadError
 from repro.histograms import GHHistogram
 from repro.serve import (
@@ -23,7 +23,6 @@ from repro.serve import (
     EstimationServer,
     ServeRequest,
     ServerConfig,
-    ShardPool,
 )
 
 pytestmark = pytest.mark.chaos
@@ -41,105 +40,60 @@ def run_bounded(coro):
     return asyncio.run(bounded())
 
 
-def crash_n_builds_factory(n):
-    """A worker hook that hard-kills the worker for the first ``n`` builds
-    (counted across restarts via shared memory), then heals."""
-    crashes = Value("i", 0)
+class FailFirstBatches:
+    """Batch runner that raises on its first ``n`` calls, then heals.
 
-    def factory():
-        import os
+    A call is one fused batch or one solo retry; once healed it
+    delegates to the server's default runner.
+    """
 
-        class Hook:
-            def on_checkpoint(self, stage):
-                # No get_lock(): dying while holding the shared lock would
-                # deadlock the replacement worker; one worker per shard
-                # makes the bare read safe.
-                if crashes.value < n:
-                    crashes.value += 1
-                    os._exit(17)
+    def __init__(self, n):
+        self.n = n
+        self.calls = 0
+        self.delegate = None
 
-            def on_mutate(self, stage, value):
-                return value
-
-        return Hook()
-
-    return factory
+    def __call__(self, queries, budget_s):
+        self.calls += 1
+        if self.calls <= self.n:
+            raise OSError(f"injected batch fault {self.calls}/{self.n}")
+        return self.delegate(queries, budget_s)
 
 
-class TestShardKillsMidBatch:
-    def test_crash_storm_degrades_then_recovers(self, catalog):
-        """Workers die mid-build; answers degrade with honest provenance;
-        once the crashes stop, full-quality service resumes."""
-        pool = ShardPool(
-            catalog,
-            1,
-            max_restarts=10,
-            failure_threshold=3,
-            cooldown_s=0.01,
-            worker_hook_factory=crash_n_builds_factory(2),
-        )
-        with pool:
-            server = EstimationServer(catalog, shard_pool=pool)
+class TestBatchFailureStorm:
+    @pytest.mark.parametrize("failures", [2, 4])
+    def test_failure_storm_degrades_then_recovers(self, catalog, failures):
+        """The batch runner fails, then heals: answers degrade with
+        honest provenance, then full-quality service resumes."""
+        runner = FailFirstBatches(failures)
+        server = EstimationServer(catalog, batch_runner=runner)
+        runner.delegate = server._default_runner
+        level = 5
 
-            async def scenario():
-                async with server:
-                    degraded, recovered = [], None
-                    for attempt in range(10):
-                        response = await server.submit(
-                            ServeRequest("roads", "rivers", level=5)
-                        )
-                        if response.provenance.rung == "full":
-                            recovered = (attempt, response)
-                            break
-                        degraded.append(response)
-                    return degraded, recovered
+        async def scenario():
+            async with server:
+                degraded, recovered = [], None
+                for _ in range(10):
+                    response = await server.submit(
+                        ServeRequest("roads", "rivers", level=level)
+                    )
+                    if response.provenance.rung == "full":
+                        recovered = response
+                        break
+                    degraded.append(response)
+                return degraded, recovered
 
-            degraded, recovered = run_bounded(scenario())
-        # While crashing, every answer admitted to being degraded.
-        assert degraded, "the first requests must hit the crashing worker"
+        degraded, recovered = run_bounded(scenario())
+        # Each failed request spent a fused batch and its solo retry.
+        assert len(degraded) == failures // 2
         for response in degraded:
             assert response.degraded
-            assert "ShardUnavailableError" in response.provenance.reason
+            assert "OSError" in response.provenance.reason
             assert response.provenance.rung in ("cached-coarse", "parametric")
-        # Bounded recovery: full quality within the 10-request budget,
-        # and the recovered answer is bit-identical to a local build.
         assert recovered is not None, "service never recovered full quality"
-        expected = GHHistogram.build(catalog["roads"], 5).estimate_selectivity(
-            GHHistogram.build(catalog["rivers"], 5)
-        )
-        assert recovered[1].selectivity == expected
-        assert pool.stats()["restarts"] >= 1
-
-    def test_breaker_limits_restart_churn(self, catalog):
-        """A crash-looping worker must not be restarted on every request:
-        the breaker fails fast between restart attempts."""
-        pool = ShardPool(
-            catalog,
-            1,
-            max_restarts=10,
-            failure_threshold=1,
-            cooldown_s=30.0,  # long cooldown: everything after the first
-            max_cooldown_s=120.0,
-            worker_hook_factory=crash_n_builds_factory(99),
-        )
-        with pool:
-            server = EstimationServer(catalog, shard_pool=pool)
-
-            async def scenario():
-                async with server:
-                    responses = []
-                    for _ in range(8):
-                        responses.append(
-                            await server.submit(ServeRequest("roads", "rivers"))
-                        )
-                    return responses
-
-            responses = run_bounded(scenario())
-            # All eight answered (degraded), but at most two restarts were
-            # attempted: the initial crash plus maybe one half-open trial.
-            assert all(r.degraded for r in responses)
-            assert pool.stats()["restarts"] <= 2
-            assert pool.stats()["breaker_opens"] >= 1
+        assert not recovered.degraded
+        expected = GHEstimator(level).estimate(catalog["roads"], catalog["rivers"])
+        assert recovered.selectivity == expected
+        assert server.admission.depth == 0
 
 
 class TestDeadlineStorm:

@@ -9,7 +9,6 @@ from repro.datasets import SpatialDataset
 from repro.errors import ServiceOverloadError
 from repro.geometry import Rect
 from repro.serve import EstimationServer, ServeRequest, ServerConfig
-from repro.serve.shards import ShardPool
 from tests.conftest import random_rects
 from tests.serve.conftest import FakeClock
 
@@ -143,14 +142,3 @@ class TestFastLane:
 
         response = asyncio.run(go())
         assert response.provenance.via == "memo"
-
-
-class TestShardPathMemo:
-    def test_shard_answers_populate_memo(self, catalog):
-        with ShardPool(catalog, 2) as pool:
-            server = EstimationServer(catalog, shard_pool=pool)
-            request = ServeRequest("roads", "rivers", level=5)
-            cold, warm = serve_many(server, [request, request])
-        assert cold.provenance.via == "shards"
-        assert warm.provenance.via == "memo"
-        assert warm.selectivity == cold.selectivity

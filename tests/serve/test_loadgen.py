@@ -99,7 +99,7 @@ class TestRunLoad:
             "regimes": {
                 "healthy": entry,
                 "overloaded": entry,
-                "faulted": {**entry, "shards": {"restarts": 1, "breaker_opens": 1}},
+                "faulted": {**entry, "injected_faults": 2},
             },
         }
         assert validate_bench_report(payload) == []
@@ -126,10 +126,7 @@ class TestSchemaGate:
             "regimes": {
                 "healthy": self._valid_entry(),
                 "overloaded": self._valid_entry(),
-                "faulted": {
-                    **self._valid_entry(),
-                    "shards": {"restarts": 2, "breaker_opens": 1},
-                },
+                "faulted": {**self._valid_entry(), "injected_faults": 2},
             },
         }
 
@@ -153,10 +150,16 @@ class TestSchemaGate:
         }
         assert any("p50 <= p95" in p for p in validate_bench_report(payload))
 
-    def test_missing_shard_counters_flagged(self):
+    def test_missing_injected_faults_flagged(self):
         payload = self._valid_payload()
-        del payload["regimes"]["faulted"]["shards"]
-        assert any("faulted.shards" in p for p in validate_bench_report(payload))
+        del payload["regimes"]["faulted"]["injected_faults"]
+        assert any("faulted.injected_faults" in p for p in validate_bench_report(payload))
+
+    @pytest.mark.parametrize("injected", [0, "2", None])
+    def test_faulted_regime_must_inject_a_fault(self, injected):
+        payload = self._valid_payload()
+        payload["regimes"]["faulted"]["injected_faults"] = injected
+        assert any("faulted.injected_faults" in p for p in validate_bench_report(payload))
 
     def test_wrong_bench_name_flagged(self):
         payload = self._valid_payload()

@@ -247,31 +247,3 @@ class TestTenancyAndLifecycle:
         for key in ("admission", "rungs", "batcher", "cache", "pressure"):
             assert key in snap
         assert snap["rungs"]["full"] == 1
-
-
-class TestShardedFullRung:
-    def test_full_rung_runs_through_the_pool(self, catalog):
-        from repro.serve import ShardPool
-
-        with ShardPool(catalog, 2) as pool:
-            server = EstimationServer(catalog, shard_pool=pool)
-            response = serve_one(server, ServeRequest("roads", "rivers", level=5))
-            assert response.provenance.via == "shards"
-            assert response.provenance.shard_ids == (0, 1)
-            expected = GHHistogram.build(catalog["roads"], 5).estimate_selectivity(
-                GHHistogram.build(catalog["rivers"], 5)
-            )
-            assert response.selectivity == pytest.approx(expected, rel=0, abs=0)
-            assert "shards" in server.stats()
-
-    def test_pool_failure_descends_with_provenance(self, catalog):
-        from repro.serve import ShardPool
-
-        with ShardPool(catalog, 1, max_restarts=0, cooldown_s=0.001) as pool:
-            server = EstimationServer(catalog, shard_pool=pool)
-            pool.chaos_kill(0)
-            response = serve_one(server, ServeRequest("roads", "rivers", level=6))
-            # restart budget 0: the pool is down, the ladder answers.
-            assert response.provenance.rung == "cached-coarse"
-            assert "ShardUnavailableError" in response.provenance.reason
-            assert response.degraded

@@ -1,9 +1,9 @@
-"""The catalog as an L2 tier: caches, shard workers, and the server.
+"""The catalog as an L2 tier: caches and the server.
 
 These are the warm-start integration tests: a catalog populated by one
 process (or one cache) must satisfy the next one without touching the
 raw data, and every layer must *say so* — ``resolve`` sources, the
-pool's ``store_hits``, the response's ``via`` — so a warm answer is
+store's counters, the response's ``via`` — so a warm answer is
 distinguishable from a rebuild in any stats snapshot.
 """
 
@@ -18,7 +18,7 @@ from repro.histograms.file import histogram_parts
 from repro.perf import FlatTreeCache, HistogramCache
 from repro.rtree import flat_join_count, flat_load_str
 from repro.runtime import Deadline, runtime_scope
-from repro.serve import EstimationServer, ServeRequest, ShardPool
+from repro.serve import EstimationServer, ServeRequest
 from repro.store import ArtifactCatalog
 from tests.conftest import random_rects
 
@@ -103,37 +103,6 @@ class TestFlatTreeCacheTier:
         assert flat_join_count(loaded_a, tree_b) == flat_join_count(tree_a, tree_b)
         _, source = warm.resolve(a, "str")
         assert source == "l1"
-
-
-class TestShardPoolWarmStart:
-    def test_workers_answer_from_a_prewarmed_catalog(self, tmp_path, rng):
-        datasets = {
-            name: SpatialDataset(name, random_rects(rng, 150))
-            for name in ("roads", "rivers")
-        }
-        root = tmp_path / "store"
-        writer = ArtifactCatalog(root)
-        for ds in datasets.values():
-            writer.put_histogram(
-                HistogramCache.key_for(ds, "gh", 5), GHHistogram.build(ds, 5)
-            )
-        with ShardPool(datasets, 2, store_root=root, call_timeout_s=30.0) as pool:
-            hist = pool.prepare("roads", "gh", 5)
-            assert pool.stats()["store_hits"] == 1
-            # The store-loaded histogram is a real, materialized one.
-            fresh = GHHistogram.build(datasets["roads"], 5)
-            _, stats_a = histogram_parts(fresh)
-            _, stats_b = histogram_parts(hist)
-            assert np.array_equal(stats_a, stats_b)
-            # A level the catalog does not hold still builds normally.
-            pool.prepare("rivers", "gh", 4)
-            assert pool.stats()["store_hits"] == 1
-
-    def test_pool_without_store_counts_nothing(self, rng):
-        datasets = {"solo": SpatialDataset("solo", random_rects(rng, 100))}
-        with ShardPool(datasets, 1, call_timeout_s=30.0) as pool:
-            pool.prepare("solo", "gh", 4)
-            assert pool.stats()["store_hits"] == 0
 
 
 class TestServeProvenance:
