@@ -20,9 +20,10 @@ histograms into ``(k, cells)`` blocks turns
   :meth:`GHHistogram.estimate_selectivity` per pair.  Each row's
   expression tree matches the scalar combine exactly, and numpy's
   pairwise summation of a contiguous row (``.sum(axis=1)``) performs
-  the same reduction as the 1-D ``.sum()`` the scalar path uses.  This
-  is the kernel under ``estimate_many`` and the tier-0 memo, where
-  equality with the unfused path is asserted by tests.
+  the same reduction as the 1-D ``.sum()`` the scalar path uses, and
+  tests assert equality with the unfused path.  It pays off only for
+  many pairs at coarse levels: stacking copies every operand, so
+  ``estimate_many`` combines pair at a time instead.
 - :func:`fused_selectivity_matrix` routes through BLAS, which reorders
   the reduction; results agree with the pairwise path to ~1e-15
   relative — fine for the optimizer matrix, not for bit-identity

@@ -26,15 +26,16 @@ happen in the same sequence and the results are **bit-identical** —
 switching the backend cannot change any estimate (builds scatter into
 zero-initialized arrays, and ``0.0 + x == x`` exactly).
 
-The real build-time lever (measured in ``benchmarks/bench_serving.py``)
-is not the scatter backend but the *index-expansion machinery* around
-it: the optimized build path computes cell ranges once per build and
-shares one axis-run expansion across every statistic, where the legacy
-path re-derived them per stage.  The ``add_at_baseline`` context manager
-restores the full legacy path — per-stage expansion *and* the
-``np.add.at`` backend — so the benchmark's A/B compares the shipped
-build against the faithful pre-optimization implementation.  It exists
-for benchmarking and equivalence tests, not for production use.
+The real build-time lever is not the scatter backend but the
+*index-expansion machinery* around it: the optimized build path computes
+cell ranges once per build and shares one axis-run expansion across
+every statistic, where the legacy path re-derived them per stage.  The
+``add_at_baseline`` context manager restores the full legacy path —
+per-stage expansion *and* the ``np.add.at`` backend — so an A/B compares
+the shipped build against the faithful pre-optimization implementation
+(``tests/histograms/test_scatter.py`` gates GH ≥ 1.5× and PH ≥ 1.2× at
+levels 6–7).  It exists for that A/B and for equivalence tests, not for
+production use.
 """
 
 from __future__ import annotations

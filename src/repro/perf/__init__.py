@@ -23,11 +23,12 @@ how rarely you rebuild.  This package supplies that amortization layer:
   histogram builds across a whole workload of queries, runs the
   distinct builds on a shared process pool (falling back to serial
   whenever a runtime deadline/fault scope is active, preserving
-  checkpoint semantics), and fuses same-grid GH combines into one
-  broadcasted Equation 5 pass.
+  checkpoint semantics), and combines each query pair at a time.
 
-``benchmarks/bench_serving.py`` measures the resulting build-time,
-latency, and throughput story and emits ``BENCH_serving.json``.
+``perfbench/run.py`` measures this layer under serving traffic
+(``--workload serve-miss --trace 1`` breaks a request down into memo,
+fingerprint, resolve, build and combine time); the warm-batch floor
+lives in ``tests/perf/test_batch.py``.
 """
 
 from .batch import BatchQuery, estimate_many
@@ -45,7 +46,6 @@ from .fingerprint import (
     dataset_fingerprint_uncached,
     peek_fingerprint,
     rects_fingerprint,
-    set_fingerprint_memo,
 )
 from .memo import EstimateCache, EstimateKey, MemoStats, scheme_formula
 
@@ -66,6 +66,5 @@ __all__ = [
     "dataset_fingerprint_uncached",
     "peek_fingerprint",
     "audit_fingerprint",
-    "set_fingerprint_memo",
     "rects_fingerprint",
 ]

@@ -1,4 +1,4 @@
-"""Batched estimation: one pass of builds, fused combines, a tier-0 memo.
+"""Batched estimation: one pass of builds, per-pair combines, a tier-0 memo.
 
 A query-optimizer workload asks for many selectivities at once — every
 candidate join order touches the same handful of datasets.  Estimating
@@ -15,11 +15,16 @@ over; :func:`estimate_many` instead
    :class:`~repro.perf.cache.HistogramCache` when one is supplied (so a
    warm cache skips building entirely), on a shared process-wide thread
    pool otherwise eligible;
-3. combines per query: GH queries on a shared grid go through the fused
-   Equation 5 kernel (:func:`~repro.histograms.fused.fused_pair_estimates`
-   — one broadcasted pass for the whole group, bit-identical to the
-   per-pair combine), other schemes combine pair-at-a-time; fresh
+3. combines each query through its histogram's own
+   ``estimate_selectivity`` (the Equation 5 combine for GH); fresh
    results are then published to the memo.
+
+The same-grid GH stack-and-fuse kernel
+(:func:`~repro.histograms.fused.fused_pair_estimates`) is not used
+here: copying the operands into a stack costs more than the combines
+it saves (on a 2-CPU x86_64 host, numpy 2.4.6, the per-pair combine
+won at levels 7 and 9 for 2 to 50 pairs).  The all-pairs matrix
+(:mod:`repro.core.matrix`) keeps its fused GEMM kernel.
 
 **Runtime-scope fallback.**  Deadlines and fault hooks live in
 context-local state that does not propagate into worker threads
@@ -32,13 +37,12 @@ memo refuses both lookups and inserts while a fault hook is active.
 **Build pool.**  Builds release the GIL inside numpy kernels, so they
 overlap on threads; the pool is created once per process (first
 eligible call), shared by every ``estimate_many`` call, and shut down
-``atexit``.  Passing an explicit ``max_workers`` still gets a dedicated
-pool sized to the request (benchmarks sweep worker counts this way).
+``atexit``.
 
 Results are exactly what per-query estimation would produce: the same
-builders, the same combine formulas (bit-identical through the fused
-kernel and the memo), the same empty-side and extent-mismatch semantics
-as :class:`~repro.core.estimator.PreparedEstimator`.
+builders, the same combine formulas, the same empty-side and
+extent-mismatch semantics as
+:class:`~repro.core.estimator.PreparedEstimator`.
 """
 
 from __future__ import annotations
@@ -50,12 +54,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..datasets import SpatialDataset
 from ..geometry import Rect
 from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
-from ..histograms.fused import fused_pair_estimates, stack_gh
+# Looked up by name here by perfbench's span tracer; no call remains.
+from ..histograms.fused import fused_pair_estimates  # noqa: F401
 from ..runtime import active_scope
 from .cache import CacheKey, HistogramCache
 from .fingerprint import dataset_fingerprint
@@ -125,7 +128,6 @@ def estimate_many(
     *,
     cache: HistogramCache | None = None,
     memo: EstimateCache | None = None,
-    max_workers: int | None = None,
 ) -> list[float]:
     """Selectivity per query, deduplicating histogram builds workload-wide.
 
@@ -155,7 +157,7 @@ def estimate_many(
 
     tasks: dict[CacheKey, tuple[SpatialDataset, str, int, Rect]] = {}
     plans: list[tuple[CacheKey, CacheKey] | None] = []
-    memo_hits: dict[int, float] = {}
+    results: list[float] = [0.0] * len(batch)
     memo_keys: list[EstimateKey | None] = []
     for position, query in enumerate(batch):
         if query.scheme not in HISTOGRAM_SCHEMES:
@@ -187,7 +189,7 @@ def estimate_many(
             )
             cached = memo.get(estimate_key)
             if cached is not None:
-                memo_hits[position] = cached
+                results[position] = cached
                 plans.append(None)
                 memo_keys.append(None)
                 continue
@@ -197,8 +199,7 @@ def estimate_many(
         memo_keys.append(estimate_key)
 
     # Phase 2 — run the distinct builds: serial when a runtime scope
-    # (deadline / fault hook) demands in-context execution, on a
-    # dedicated pool when the caller sized one explicitly, on the
+    # (deadline / fault hook) demands in-context execution, on the
     # shared process pool otherwise.
     def run(task: tuple[SpatialDataset, str, int, Rect]) -> Histogram:
         dataset, scheme, level, extent = task
@@ -209,47 +210,15 @@ def estimate_many(
     keys = list(tasks)
     if active_scope() is not None or len(keys) <= 1:
         built = {key: run(tasks[key]) for key in keys}
-    elif max_workers:
-        workers = min(max_workers, len(keys))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = dict(zip(keys, pool.map(lambda k: run(tasks[k]), keys)))
     else:
         pool = _shared_build_pool()
         built = dict(zip(keys, pool.map(lambda k: run(tasks[k]), keys)))
 
-    # Phase 3 — combines.  GH queries sharing a grid go through the
-    # fused Equation 5 kernel in one broadcasted pass (bit-identical to
-    # per-pair combines); everything else combines pair-at-a-time.
-    results: list[float] = [0.0] * len(batch)
-    gh_groups: dict[tuple[int, tuple], list[int]] = {}
-    for position, (query, plan) in enumerate(zip(batch, plans)):
-        if position in memo_hits:
-            results[position] = memo_hits[position]
-        elif plan is None:
-            results[position] = 0.0
-        elif query.scheme == "gh":
-            group = (int(query.level), plan[0].extent)
-            gh_groups.setdefault(group, []).append(position)
-        else:
+    # Phase 3 — combines, pair at a time through each histogram's own
+    # formula (the same call per-query estimation makes).
+    for position, plan in enumerate(plans):
+        if plan is not None:
             results[position] = built[plan[0]].estimate_selectivity(built[plan[1]])
-
-    for indices in gh_groups.values():
-        if len(indices) == 1:
-            only = plans[indices[0]]
-            results[indices[0]] = built[only[0]].estimate_selectivity(built[only[1]])
-            continue
-        # One stack per shared grid; fancy-indexed rows keep each pair's
-        # operand order, so the fused results match scalar combines.
-        order: dict[CacheKey, int] = {}
-        for position in indices:
-            for key in plans[position]:
-                order.setdefault(key, len(order))
-        stack = stack_gh([built[key] for key in order])
-        idx1 = np.array([order[plans[i][0]] for i in indices], dtype=np.intp)
-        idx2 = np.array([order[plans[i][1]] for i in indices], dtype=np.intp)
-        fused = fused_pair_estimates(stack, idx1, idx2)
-        for offset, position in enumerate(indices):
-            results[position] = float(fused[offset])
 
     if memo is not None:
         for position, estimate_key in enumerate(memo_keys):

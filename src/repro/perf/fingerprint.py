@@ -31,7 +31,7 @@ fault-injection hook is active, so chaos suites exercise it constantly
 — the digest is recomputed from the coordinates and compared;
 a mismatch raises :class:`~repro.errors.InvalidDatasetError` naming the
 violated contract.  :func:`dataset_fingerprint_uncached` is the audit
-fold, kept public as the benchmark baseline.
+fold, kept public as the rehash-every-call baseline.
 
 The dataset *name* is deliberately excluded — renaming a dataset keeps
 its cached histograms valid.
@@ -55,7 +55,6 @@ __all__ = [
     "peek_fingerprint",
     "audit_fingerprint",
     "rects_fingerprint",
-    "set_fingerprint_memo",
 ]
 
 #: 128-bit digests: collision-safe for any realistic catalog size.
@@ -71,21 +70,7 @@ _AUDIT_INTERVAL = 1024
 
 _weights = np.empty(0, dtype=np.uint64)
 
-_memo_enabled = True
 _hits_since_audit = 0
-
-
-def set_fingerprint_memo(enabled: bool) -> bool:
-    """Toggle token-based memoization; returns the previous setting.
-
-    Exists for the warm-path benchmark (which measures the pre-token
-    rehash-every-call baseline) and for bisecting cache anomalies.
-    Disabling restores the legacy recompute-on-every-call behaviour.
-    """
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = bool(enabled)
-    return previous
 
 
 def _mix_weights(n: int) -> np.ndarray:
@@ -112,8 +97,6 @@ def dataset_fingerprint(dataset: SpatialDataset) -> str:
     publish a stale digest under a new version.
     """
     global _hits_since_audit
-    if not _memo_enabled:
-        return dataset_fingerprint_uncached(dataset)
     memo = dataset._cached_fingerprint()
     if memo is not None:
         _hits_since_audit += 1
@@ -137,8 +120,6 @@ def peek_fingerprint(dataset: SpatialDataset) -> "str | None":
     would stall every other request; a cold memo simply means "take the
     slow path", which computes (and memoizes) the digest off-loop.
     """
-    if not _memo_enabled:
-        return None
     return dataset._cached_fingerprint()
 
 

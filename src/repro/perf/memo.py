@@ -51,8 +51,8 @@ DEFAULT_MAX_ENTRIES = 64 * 1024
 def scheme_formula(scheme: str, level: int) -> str:
     """Canonical formula label shared by every memo producer.
 
-    Matches the serving layer's ``requested`` quality label, so a memo
-    key names exactly what a :class:`~repro.serve.loop.ServeRequest`
+    :attr:`ServeRequest.requested <repro.serve.loop.ServeRequest.requested>`
+    returns this label, so a memo key names exactly what a request
     asked for.
     """
     return f"{scheme}(level={int(level)})"

@@ -19,15 +19,16 @@ falling over.  The pipeline, in request order:
   isolation (a failed batch retries its members solo);
 * :mod:`~repro.serve.loop` — :class:`EstimationServer`, the async
   entry point tying the stages together with end-to-end cooperative
-  deadlines;
-* :mod:`~repro.serve.loadgen` — the open-loop load generator and the
-  ``BENCH_serve.json`` schema used by the serving benchmark and CI.
+  deadlines.
+
+``perfbench/run.py --workload serve-miss`` drives the server with
+closed-loop clients; the overload and fault regimes are chaos tests
+(``pytest -m chaos``).
 """
 
 from .admission import AdmissionController, AdmissionStats, AdmissionTicket, TokenBucket
 from .batcher import BatcherStats, MicroBatcher
 from .degrade import DegradationLadder, DegradePolicy, ServeProvenance, ServiceRung
-from .loadgen import LoadReport, run_load, validate_bench_report
 from .loop import EstimationServer, ServeRequest, ServeResponse, ServerConfig
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
     "DegradePolicy",
     "ServeProvenance",
     "ServiceRung",
-    "LoadReport",
-    "run_load",
-    "validate_bench_report",
     "EstimationServer",
     "ServeRequest",
     "ServeResponse",

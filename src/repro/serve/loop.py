@@ -83,8 +83,8 @@ class ServeRequest:
 
     @property
     def requested(self) -> str:
-        """Human-readable quality label, e.g. ``"gh(level=7)"``."""
-        return f"{self.scheme}(level={self.level})"
+        """Quality label, e.g. ``"gh(level=7)"`` — the memo's formula."""
+        return scheme_formula(self.scheme, self.level)
 
 
 @dataclass(frozen=True)
@@ -327,9 +327,7 @@ class EstimationServer:
             return None
         if len(ds1) == 0 or len(ds2) == 0 or ds1.extent != ds2.extent:
             return None
-        key = EstimateCache.peek_key_for(
-            ds1, ds2, scheme_formula(request.scheme, request.level), ds1.extent
-        )
+        key = EstimateCache.peek_key_for(ds1, ds2, request.requested, ds1.extent)
         return self.memo.get(key)
 
     async def _execute(

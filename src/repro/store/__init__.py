@@ -22,8 +22,8 @@ content-addressed home on disk:
   build registry artifacts offline, audit checksums (and optionally
   rebuild-and-compare), and trim to a byte budget LRU-first.
 
-``benchmarks/bench_store.py`` measures the payoff and commits it as
-``BENCH_store.json``.
+``tests/store/test_warm_start.py`` gates the payoff: a warm open beats
+a cold build, and a warm resolve sweep builds nothing.
 """
 
 from .catalog import (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect, RectArray
+from repro.histograms import GHHistogram
 
 
 @pytest.fixture
@@ -26,6 +27,19 @@ def random_rects(
     x0 = extent.xmin + rng.uniform(0, 1, size=n) * (extent.width - w)
     y0 = extent.ymin + rng.uniform(0, 1, size=n) * (extent.height - h)
     return RectArray(x0, y0, x0 + w, y0 + h)
+
+
+def count_gh_builds(monkeypatch) -> list[tuple[str, int]]:
+    """Record ``(dataset name, level)`` for every GH build from now on."""
+    calls: list[tuple[str, int]] = []
+    original = GHHistogram.build.__func__
+
+    def counting(cls, dataset, level, *, extent=None):
+        calls.append((dataset.name, level))
+        return original(cls, dataset, level, extent=extent)
+
+    monkeypatch.setattr(GHHistogram, "build", classmethod(counting))
+    return calls
 
 
 @pytest.fixture

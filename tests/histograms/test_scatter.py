@@ -2,15 +2,18 @@
 
 ``add_at_baseline`` restores the full pre-optimization build path (the
 ``np.add.at`` backend *and* the per-stage index expansion); the shipped
-optimized builds must match it bit-for-bit.
+optimized builds must match it bit-for-bit, and beat it on paper-shaped
+data.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.datasets import make_clustered, make_uniform
+from repro.datasets import make_clustered, make_uniform, paper_pairs
 from repro.histograms import GHHistogram, PHHistogram, add_at_baseline
 from repro.histograms.scatter import scatter_add
 
@@ -85,3 +88,38 @@ class TestBaselineEquivalence:
         other = GHHistogram.build(ds, 5)
         for name in ("c", "o", "h", "v"):
             assert np.array_equal(getattr(built, name), getattr(other, name)), name
+
+
+#: Build-time floors over the legacy path at levels 6-7 on the scale-20
+#: TS/TCB pair (measured ~2.0-2.2x GH and ~1.4-1.5x PH on a 2-CPU x86_64 host).
+BUILD_FLOORS = {GHHistogram: 1.5, PHHistogram: 1.2}
+
+
+@pytest.fixture(scope="module")
+def ts_tcb():
+    return paper_pairs(scale=20.0)["TS_TCB"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("level", [6, 7])
+@pytest.mark.parametrize("cls", [GHHistogram, PHHistogram], ids=["gh", "ph"])
+def test_optimized_build_beats_the_legacy_path(ts_tcb, cls, level):
+    """Interleaved best-of-40 A/B, so machine-speed drift cannot fake a
+    speedup either way."""
+    ts, tcb = ts_tcb
+
+    def build():
+        cls.build(ts, level)
+        cls.build(tcb, level)
+
+    build()  # warm caches and allocators before timing
+    fast = slow = float("inf")
+    for _ in range(40):
+        start = time.perf_counter()
+        build()
+        fast = min(fast, time.perf_counter() - start)
+        with add_at_baseline():
+            start = time.perf_counter()
+            build()
+            slow = min(slow, time.perf_counter() - start)
+    assert slow / fast >= BUILD_FLOORS[cls], f"{slow / fast:.2f}x"

@@ -119,6 +119,25 @@ class TestMatrixEngines:
         for key, value in scalar.items():
             assert fused[key] == pytest.approx(value, rel=1e-12)
 
+    def test_fused_runs_no_per_pair_combines(self, datasets, monkeypatch):
+        """The fused matrix answers every pair from one GEMM pass; the
+        pairwise engine combines each pair once."""
+        from repro.histograms import GHHistogram
+
+        calls = []
+        original = GHHistogram.estimate_selectivity
+
+        def counting(self, other):
+            calls.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(GHHistogram, "estimate_selectivity", counting)
+        est = GHEstimator(level=4)
+        pairwise_selectivities(datasets, est, engine="fused")
+        assert calls == []
+        pairwise_selectivities(datasets, est, engine="pairwise")
+        assert len(calls) == len(datasets) * (len(datasets) - 1) // 2
+
     def test_auto_picks_fused_for_gh(self, datasets):
         est = GHEstimator(level=4)
         auto = pairwise_selectivities(datasets, est)

@@ -1,9 +1,9 @@
 """Warm-path latency budget: a memo hit must stay in the tens of µs.
 
-Gated on machine size the same way the benchmark floors are: latency
-assertions on a starved shared CI runner measure the scheduler, not the
-code, so the budget only arms on >= 4 CPUs.  The *semantic* parts
-(memo consulted, zero builds) always run.
+Gated on machine size: latency assertions on a starved shared CI
+runner measure the scheduler, not the code, so the budget only arms on
+>= 4 CPUs.  The *mechanism* behind it (memo consulted, zero builds,
+zero fingerprint folds, zero combines) is checked everywhere.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import time
 
 import pytest
 
+import repro.perf.fingerprint as fingerprint_mod
 from repro.core import GHEstimator
 from repro.datasets import SpatialDataset
+from repro.histograms import GHHistogram
 from repro.perf import EstimateCache
 from tests.conftest import random_rects
 
@@ -39,6 +41,29 @@ def test_warm_hit_is_memo_only(warm):
         assert est.estimate(*pair) == cold
     assert est.memo.stats.hits == 3
     assert est.memo.stats.misses == 1
+
+
+def test_memo_replay_folds_and_combines_nothing(warm, monkeypatch):
+    """What makes a repeat O(1): no coordinate fold (the periodic audit
+    is switched off to isolate it) and no Equation 5 combine."""
+    est, pair, cold = warm
+    monkeypatch.setattr(fingerprint_mod, "_AUDIT_INTERVAL", 1 << 62)
+    work = []
+    fold = fingerprint_mod.dataset_fingerprint_uncached
+    combine = GHHistogram.estimate_selectivity
+    monkeypatch.setattr(
+        fingerprint_mod,
+        "dataset_fingerprint_uncached",
+        lambda dataset: work.append("fold") or fold(dataset),
+    )
+    monkeypatch.setattr(
+        GHHistogram,
+        "estimate_selectivity",
+        lambda self, other: work.append("combine") or combine(self, other),
+    )
+    for _ in range(3):
+        assert est.estimate(*pair) == cold
+    assert work == []
 
 
 @pytest.mark.skipif(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import SpatialDataset
-from repro.geometry import Rect
+from repro.geometry import Rect, RectArray
 from tests.conftest import random_rects
 
 
@@ -20,6 +20,19 @@ def catalog():
         name: SpatialDataset(name, random_rects(rng, 300), Rect.unit())
         for name in ("roads", "rivers", "parks")
     }
+
+
+def unit_catalog(n, seed=20260808):
+    """Four named datasets of ``n`` small rectangles on the unit extent."""
+    rng = np.random.default_rng(seed)
+    catalog = {}
+    for name in ("roads", "rivers", "parks", "rail"):
+        w = rng.uniform(0, 0.03, n)
+        h = rng.uniform(0, 0.03, n)
+        x0 = rng.uniform(0, 1, n) * (1 - w)
+        y0 = rng.uniform(0, 1, n) * (1 - h)
+        catalog[name] = SpatialDataset(name, RectArray(x0, y0, x0 + w, y0 + h), Rect.unit())
+    return catalog
 
 
 class FakeClock:

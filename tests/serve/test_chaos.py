@@ -13,10 +13,11 @@ through timing races, so every run reproduces.
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.core.estimator import GHEstimator
-from repro.errors import ServiceOverloadError
+from repro.errors import EstimationTimeout, ServiceOverloadError
 from repro.histograms import GHHistogram
 from repro.serve import (
     DegradePolicy,
@@ -24,6 +25,7 @@ from repro.serve import (
     ServeRequest,
     ServerConfig,
 )
+from tests.serve.conftest import unit_catalog
 
 pytestmark = pytest.mark.chaos
 
@@ -94,6 +96,55 @@ class TestBatchFailureStorm:
         expected = GHEstimator(level).estimate(catalog["roads"], catalog["rivers"])
         assert recovered.selectivity == expected
         assert server.admission.depth == 0
+        assert server.stats()["batcher"]["batch_failures"] >= 1
+
+
+async def open_loop(server, requests, *, rate_qps, duration_s):
+    """Fire ``requests`` round-robin on a fixed arrival schedule, whether
+    or not earlier ones have answered, then gather every outcome."""
+    loop = asyncio.get_running_loop()
+    started = loop.time()
+    tasks = []
+    for i in range(int(rate_qps * duration_s)):
+        delay = started + i / rate_qps - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        tasks.append(loop.create_task(server.submit(requests[i % len(requests)])))
+    return await asyncio.gather(*tasks, return_exceptions=True)
+
+
+class TestOverload:
+    #: Answered-tail cap: the claim is "no latency collapse", not an SLO.
+    P99_CAP_S = 2.0
+
+    def test_open_loop_overload_sheds_typed_and_bounds_the_queue(self):
+        """500 q/s for 1 s of level-9 requests against an 8-deep queue with
+        no memo and a 1-byte cache, so every request is a fresh build:
+        the server must refuse explicitly rather than queue or collapse."""
+        server = EstimationServer(
+            unit_catalog(300),
+            ServerConfig(max_depth=8, cache_bytes=1, max_delay_s=0.002, memo_entries=0),
+        )
+        requests = [
+            ServeRequest(a, b, level=9)
+            for a, b in (("roads", "rivers"), ("roads", "parks"), ("rivers", "rail"), ("parks", "rail"))
+        ]
+
+        async def scenario():
+            async with server:
+                return await open_loop(server, requests, rate_qps=500.0, duration_s=1.0)
+
+        outcomes = run_bounded(scenario())
+        assert len(outcomes) == 500
+        errors = [o for o in outcomes if isinstance(o, BaseException)]
+        assert all(isinstance(e, (ServiceOverloadError, EstimationTimeout)) for e in errors)
+        sheds = [e for e in errors if isinstance(e, ServiceOverloadError)]
+        assert sheds
+        assert {e.reason for e in sheds} <= {"queue-full", "shed", "quota"}
+        assert server.admission.stats.high_water <= server.admission.max_depth == 8
+        answered = [o.latency_s for o in outcomes if not isinstance(o, BaseException)]
+        if answered:
+            assert np.quantile(answered, 0.99) <= self.P99_CAP_S
 
 
 class TestDeadlineStorm:

@@ -10,7 +10,7 @@ from repro.errors import ServiceOverloadError
 from repro.geometry import Rect
 from repro.serve import EstimationServer, ServeRequest, ServerConfig
 from tests.conftest import random_rects
-from tests.serve.conftest import FakeClock
+from tests.serve.conftest import FakeClock, unit_catalog
 
 
 def serve_many(server, requests):
@@ -43,6 +43,17 @@ class TestFastLane:
         assert not warm.degraded
         assert warm.selectivity == cold.selectivity  # bit-identical replay
         assert server.stats()["memo"]["fast_hits"] == 1
+
+    def test_warm_repeats_answer_in_under_a_millisecond_median(self):
+        """500 requests cycling over four level-7 pairs of 2 000-rect
+        datasets: after the four cold builds every answer is a memo hit,
+        and the median in-server latency stays at or under 1 ms."""
+        server = EstimationServer(unit_catalog(2000), ServerConfig(max_depth=64))
+        pairs = (("roads", "rivers"), ("roads", "parks"), ("rivers", "rail"), ("parks", "rail"))
+        requests = [ServeRequest(*pairs[i % 4], level=7) for i in range(500)]
+        responses = serve_many(server, requests)
+        assert [r.provenance.via for r in responses[4:]] == ["memo"] * 496
+        assert np.median([r.latency_s for r in responses]) <= 1e-3
 
     def test_memo_hits_counted_in_ladder_and_stats(self, catalog):
         server = EstimationServer(catalog)

@@ -7,9 +7,9 @@ import pytest
 from repro.core.estimator import GHEstimator, JoinSelectivityEstimator
 from repro.datasets import make_clustered, make_uniform
 from repro.errors import DegradedResultWarning, TransientEstimationError
-from repro.histograms import GHHistogram
 from repro.perf import CachedEstimator, HistogramCache
 from repro.service import FaultPlan, FaultSpec, ResilientEstimator, inject_faults
+from tests.conftest import count_gh_builds
 
 
 @pytest.fixture
@@ -25,18 +25,6 @@ class _AlwaysFails(JoinSelectivityEstimator):
     def estimate(self, ds1, ds2) -> float:
         """Unconditionally transient-fail."""
         raise TransientEstimationError("rigged primary")
-
-
-def _count_gh_builds(monkeypatch):
-    calls = []
-    original = GHHistogram.build.__func__
-
-    def counting(cls, dataset, level, *, extent=None):
-        calls.append((dataset.name, level))
-        return original(cls, dataset, level, extent=extent)
-
-    monkeypatch.setattr(GHHistogram, "build", classmethod(counting))
-    return calls
 
 
 class TestCoarserRungDerivation:
@@ -61,7 +49,7 @@ class TestCoarserRungDerivation:
         assert result.provenance.rung == "gh(level=3)"
         assert result.selectivity == GHEstimator(level=3).estimate(ds1, ds2)
 
-        calls = _count_gh_builds(monkeypatch)
+        calls = count_gh_builds(monkeypatch)
         hits = cache.stats.hits
         with pytest.warns(DegradedResultWarning):
             again = est.estimate_detailed(ds1, ds2)
@@ -88,7 +76,7 @@ class TestRepeatCalls:
         cache = HistogramCache()
         est = ResilientEstimator("gh", level=5, cache=cache)
         first = est.estimate(ds1, ds2)
-        calls = _count_gh_builds(monkeypatch)
+        calls = count_gh_builds(monkeypatch)
         second = est.estimate(ds1, ds2)
         assert calls == []
         assert second == first

@@ -8,6 +8,8 @@ tempted to pool it down), each of these answers equals the cold
 
 * a fresh build, an L1 hit and a memo replay through
   :class:`~repro.perf.CachedEstimator`;
+* every answer of one :func:`~repro.perf.estimate_many` batch that asks
+  for the pair at every level, in both operand orders, twice;
 * a store load from a temporary :class:`~repro.store.ArtifactCatalog`;
 * every serve rung (``full``, ``cached-coarse``, ``parametric``) of
   :class:`~repro.serve.EstimationServer`, and its memo fast lane;
@@ -28,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.estimator import JoinSelectivityEstimator, create_estimator
 from repro.datasets import SpatialDataset
 from repro.errors import DegradedResultWarning, TransientEstimationError
-from repro.perf import CachedEstimator, EstimateCache, HistogramCache
+from repro.perf import BatchQuery, CachedEstimator, EstimateCache, HistogramCache, estimate_many
 from repro.serve import EstimationServer, ServeRequest, ServerConfig
 from repro.service import ResilientEstimator, default_fallback_chain
 from repro.store import ArtifactCatalog
@@ -70,6 +72,18 @@ def _check_cache_tiers(scheme, levels, ds1, ds2):
         assert cached.estimate(ds1, ds2) == cold
         assert memo.stats.hits == 1
     assert cache.stats.derivations == 0
+
+
+def _check_batch(scheme, levels, ds1, ds2):
+    queries = [
+        BatchQuery(a, b, scheme, level)
+        for level in levels
+        for a, b in ((ds1, ds2), (ds2, ds1))
+    ] * 2
+    answers = estimate_many(queries, cache=HistogramCache(), memo=EstimateCache())
+    assert answers == [
+        create_estimator(q.scheme, level=q.level).estimate(q.ds1, q.ds2) for q in queries
+    ]
 
 
 def _check_store_tier(scheme, levels, ds1, ds2):
@@ -155,6 +169,7 @@ def test_every_tier_answers_equal_to_a_cold_estimate(scheme, levels, seed, sizes
     levels = sorted(levels, reverse=True)  # finer first, then coarser
     ds1, ds2 = _pair(seed, *sizes)
     _check_cache_tiers(scheme, levels, ds1, ds2)
+    _check_batch(scheme, levels, ds1, ds2)
     _check_store_tier(scheme, levels, ds1, ds2)
     _check_serve_rungs(scheme, levels, ds1, ds2)
     _check_resilient_rungs(scheme, levels, ds1, ds2)
