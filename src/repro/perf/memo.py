@@ -32,6 +32,7 @@ no-poison rule, applied one tier up).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -190,9 +191,10 @@ class EstimateCache:
 
         No-op under an active fault hook — a value computed while a
         mutation hook could fire must never be retained (see the module
-        docstring), and chaos suites assert exactly that.
+        docstring), and chaos suites assert exactly that.  No-op for a
+        non-finite or negative value, so no lane can ever replay one.
         """
-        if key is None:
+        if key is None or not math.isfinite(value) or value < 0:
             return
         scope = active_scope()
         if scope is not None and scope.hook is not None:

@@ -3,29 +3,36 @@
 A serving loop receives queries one at a time, but
 :func:`repro.perf.estimate_many` is dramatically cheaper per query when
 given many at once (cross-query build dedup + cache).  The
-:class:`MicroBatcher` bridges the two: queries submitted within a small
-window (``max_delay_s``, or until ``max_batch`` accumulate) are fused
-into one batch and executed by a pluggable *runner* on the server's
-thread pool.  The results are exactly what per-query estimation would
-produce — ``estimate_many`` guarantees that — so batching changes
-latency, not answers.
+:class:`MicroBatcher` bridges the two with **self-clocked** batches and
+no timer: a query that finds the batcher idle starts a drain on the next
+event-loop tick, so queries submitted in one tick share a batch, and
+queries that arrive while a batch runs form the next one (up to
+``max_batch``, in order).  One batch runs at a time — the work is
+GIL-bound — so batches grow with the load behind them.  Dropping the
+former fixed 2 ms window cut perfbench serve-miss's traced
+``serve.batch_wait_ms`` from 2.33 to 0.17 ms (2-CPU host, seed 1).
+Results are exactly what per-query estimation would produce
+(``estimate_many`` guarantees it): batching changes latency, not answers.
 
 Failure isolation is the subtle part: one **poison query** must not
 fail its batchmates.  When a batch run raises, the batcher retries each
 member *individually*; only the queries that fail on their own see the
-exception.  Deadlines compose the same way: the batch runs under the
-*tightest* member deadline (so nobody's budget is silently exceeded by
-a batchmate's work), and a member whose deadline forced the batch down
-is re-run solo under its own remaining budget.
+exception.  Deadlines compose the same way: a member whose deadline
+expired while it queued fails alone before the runner sees it, the
+batch runs under the *tightest* remaining member deadline (so nobody's
+budget is silently exceeded by a batchmate's work), and a member whose
+deadline forced the batch down is re-run solo under its own remaining
+budget.
 """
 
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..errors import EstimatorUnavailable
+from ..errors import EstimationTimeout, EstimatorUnavailable
 from ..perf.batch import BatchQuery
 from ..runtime import Deadline
 
@@ -73,104 +80,93 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Time/size-windowed coalescer over a synchronous batch runner.
+    """Self-clocked coalescer over a synchronous batch runner.
 
     Parameters
     ----------
     runner:
         ``runner(queries, deadline_s) -> [selectivity, ...]``, executed
-        on ``loop.run_in_executor``.  The server supplies a runner that
-        installs a :class:`~repro.runtime.Deadline` scope and calls
-        :func:`~repro.perf.estimate_many` with the shared cache.
+        on the batcher's one worker thread.  The server supplies a
+        runner that installs a :class:`~repro.runtime.Deadline` scope and
+        calls :func:`~repro.perf.estimate_many` with the shared cache.
     max_batch:
-        Flush as soon as this many queries are pending.
-    max_delay_s:
-        Flush this long after the first query of a window arrives.  The
-        window is the latency cost of batching; keep it well under the
-        request deadline.
-    executor:
-        Optional ``concurrent.futures`` executor for the runner (None =
-        the event loop's default).
+        The most queries one fused run takes; a longer queue drains as
+        consecutive batches.
 
     Call :meth:`submit` from the owning event loop only; call
-    :meth:`aclose` on shutdown to flush and settle every pending future.
+    :meth:`aclose` on shutdown to drain and settle every pending future
+    and stop the worker thread.
     """
 
-    def __init__(
-        self,
-        runner: BatchRunner,
-        *,
-        max_batch: int = 16,
-        max_delay_s: float = 0.002,
-        executor: object = None,
-    ) -> None:
+    def __init__(self, runner: BatchRunner, *, max_batch: int = 16) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self._runner = runner
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_s)
-        self._executor = executor
+        # One worker thread, since batches run one at a time: spreading
+        # builds over the loop's default pool raised peak RSS (one malloc
+        # arena per thread; perfbench serve-miss 107 -> 115 MB median).
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="repro-batch")
         self.stats = BatcherStats()
         self._pending: list[_Pending] = []
-        self._window_task: "asyncio.Task[None] | None" = None
-        self._inflight: set["asyncio.Task[None]"] = set()
+        self._drain: "asyncio.Task[None] | None" = None
         self._closed = False
 
     # ------------------------------------------------------------------
     async def submit(self, query: BatchQuery, deadline: Deadline | None = None) -> float:
-        """Estimate one query through the current batching window.
+        """Estimate one query in the next batch the batcher runs.
 
         Awaits the fused (or solo-retried) result; raises whatever the
         query's own execution raised — including
-        :class:`~repro.errors.EstimationTimeout` when ``deadline`` was
-        already expired at submission time (storm protection: expired
+        :class:`~repro.errors.EstimationTimeout` when ``deadline`` has
+        expired by the time its batch starts (storm protection: expired
         requests never reach the runner at all).
         """
         if self._closed:
             raise EstimatorUnavailable("MicroBatcher is closed")
         loop = asyncio.get_running_loop()
-        if deadline is not None and deadline.expired:
-            self.stats.expired_before_run += 1
-            deadline.check("serve.batch.submit")  # raises EstimationTimeout
         future: "asyncio.Future[float]" = loop.create_future()
         self._pending.append(_Pending(query, deadline, future=future))
         self.stats.queries += 1
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._window_task is None:
-            self._window_task = loop.create_task(self._window())
+        if self._drain is None:
+            # Scheduled, not run: submits later in this tick join the batch.
+            self._drain = loop.create_task(self._drain_pending())
         return await future
 
     async def aclose(self) -> None:
-        """Flush pending queries and wait for every in-flight batch."""
-        self._flush()
-        while self._inflight:
-            await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
+        """Drain pending queries and wait for the batch in flight."""
+        while self._drain is not None:
+            await asyncio.wait((self._drain,))
         self._closed = True
+        self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
-    async def _window(self) -> None:
-        """Time trigger: flush whatever accumulated within the window."""
+    async def _drain_pending(self) -> None:
+        """Run queued queries as consecutive batches until none are left."""
         try:
-            await asyncio.sleep(self.max_delay_s)
-        except asyncio.CancelledError:
-            raise  # a size trigger (or close) already flushed
-        self._window_task = None
-        self._flush()
+            while self._pending:
+                batch = self._take_batch()
+                if batch:
+                    await self._run_batch(batch)
+        finally:
+            self._drain = None
 
-    def _flush(self) -> None:
-        """Move the pending window into an in-flight batch task."""
-        if self._window_task is not None:
-            self._window_task.cancel()
-            self._window_task = None
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, []
-        task = asyncio.get_running_loop().create_task(self._run_batch(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    def _take_batch(self) -> list[_Pending]:
+        """Pop the next batch; a member whose deadline ran out before it
+        starts fails alone here, without reaching the runner."""
+        batch = []
+        for pending in self._pending[: self.max_batch]:
+            try:
+                if pending.deadline is not None:
+                    pending.deadline.check("serve.batch")
+            except EstimationTimeout as exc:
+                self.stats.expired_before_run += 1
+                if not pending.future.done():
+                    pending.future.set_exception(exc)
+            else:
+                batch.append(pending)
+        del self._pending[: self.max_batch]
+        return batch
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         """Execute one fused batch; on failure, retry members solo."""
@@ -180,8 +176,12 @@ class MicroBatcher:
         deadline_s = _tightest_budget(batch)
         try:
             results = await loop.run_in_executor(
-                self._executor, self._runner, queries, deadline_s  # type: ignore[arg-type]
+                self._executor, self._runner, queries, deadline_s
             )
+            # A (pluggable, possibly chaos-injected) runner that returns
+            # the wrong cardinality must not leave anyone's future
+            # unresolved forever — it is a batch failure like any other.
+            _check_cardinality(results, len(batch))
         except asyncio.CancelledError:
             for pending in batch:
                 if not pending.future.done():
@@ -194,14 +194,6 @@ class MicroBatcher:
             self.stats.batch_failures += 1
             await self._retry_solo(batch)
         else:
-            if len(results) != len(batch):
-                # A (pluggable, possibly chaos-injected) runner that
-                # returns the wrong cardinality must not leave anyone's
-                # future unresolved forever — treat it as a batch
-                # failure and re-attribute per member.
-                self.stats.batch_failures += 1
-                await self._retry_solo(batch)
-                return
             for pending, value in zip(batch, results):
                 if not pending.future.done():
                     pending.future.set_result(value)
@@ -216,8 +208,9 @@ class MicroBatcher:
             budget = _tightest_budget([pending])
             try:
                 results = await loop.run_in_executor(
-                    self._executor, self._runner, [pending.query], budget  # type: ignore[arg-type]
+                    self._executor, self._runner, [pending.query], budget
                 )
+                _check_cardinality(results, 1)
             except asyncio.CancelledError:
                 pending.future.cancel()
                 raise
@@ -225,31 +218,26 @@ class MicroBatcher:
                 if not pending.future.done():
                     pending.future.set_exception(exc)
             else:
-                if pending.future.done():
-                    continue
-                if len(results) == 1:
+                if not pending.future.done():
                     pending.future.set_result(results[0])
-                else:
-                    pending.future.set_exception(
-                        EstimatorUnavailable(
-                            f"batch runner returned {len(results)} results "
-                            "for a single query"
-                        )
-                    )
 
     def __repr__(self) -> str:
-        return (
-            f"MicroBatcher(max_batch={self.max_batch}, "
-            f"max_delay_s={self.max_delay_s:g}, pending={len(self._pending)})"
+        return f"MicroBatcher(max_batch={self.max_batch}, pending={len(self._pending)})"
+
+
+def _check_cardinality(results: "list[float]", expected: int) -> None:
+    if len(results) != expected:
+        raise EstimatorUnavailable(
+            f"batch runner returned {len(results)} results for {expected} queries"
         )
 
 
 def _tightest_budget(batch: "list[_Pending]") -> "float | None":
     """The smallest remaining deadline across members (None = unbudgeted).
 
-    Clamped at zero: a member that expired while waiting in the window
-    yields a zero budget, so the runner's first checkpoint raises and
-    the solo-retry path attributes the timeout to the right member.
+    Clamped at zero: a member whose budget ran out during a failed
+    fused run retries solo with a zero budget, so the runner's first
+    checkpoint raises and the timeout is attributed to that member.
     """
     budgets = [p.deadline.remaining for p in batch if p.deadline is not None]
     if not budgets:

@@ -52,6 +52,16 @@ class TestEstimateCache:
         memo.put(None, 1.0)  # no-op, not an error
         assert len(memo) == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_invalid_values_are_never_retained(self, pair, bad):
+        memo = EstimateCache(16)
+        key = EstimateCache.key_for(*pair, "gh(level=4)", pair[0].extent)
+        memo.put(key, bad)
+        assert len(memo) == 0
+        memo.put(key, 0.5)
+        memo.put(key, bad)  # nor does one overwrite a valid entry
+        assert memo.get(key) == 0.5
+
     def test_lru_eviction(self, pair):
         memo = EstimateCache(2)
         keys = [

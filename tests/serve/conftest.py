@@ -4,6 +4,8 @@ A small deterministic catalog keeps every test fast; anything that
 needs scale builds its own datasets.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,19 @@ def catalog():
         name: SpatialDataset(name, random_rects(rng, 300), Rect.unit())
         for name in ("roads", "rivers", "parks")
     }
+
+
+#: Every async scenario must finish well inside this bound (no-hang bar).
+SCENARIO_TIMEOUT_S = 60.0
+
+
+def run_bounded(coro):
+    """Run a scenario with a hard timeout: a hang fails, never blocks CI."""
+
+    async def bounded():
+        return await asyncio.wait_for(coro, timeout=SCENARIO_TIMEOUT_S)
+
+    return asyncio.run(bounded())
 
 
 def unit_catalog(n, seed=20260808):

@@ -21,7 +21,7 @@ from repro.service import default_fallback_chain
 def pressure_server(catalog, policy, **kwargs):
     """A two-slot server: a request admitted behind one peer sees 0.5."""
     return EstimationServer(
-        catalog, ServerConfig(max_depth=2, policy=policy, max_delay_s=0.001), **kwargs
+        catalog, ServerConfig(max_depth=2, policy=policy), **kwargs
     )
 
 

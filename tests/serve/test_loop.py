@@ -38,7 +38,7 @@ class TestHealthyPath:
         assert response.latency_s >= 0.0
 
     def test_concurrent_requests_coalesce(self, catalog):
-        server = EstimationServer(catalog, ServerConfig(max_delay_s=0.01))
+        server = EstimationServer(catalog)
 
         async def go():
             async with server:
@@ -62,7 +62,6 @@ class TestPressureDegradation:
         config = ServerConfig(
             max_depth=4,
             policy=DegradePolicy(cached_at=0.2, parametric_at=0.5, shed_at=0.75),
-            max_delay_s=0.005,
         )
         server = EstimationServer(catalog, config)
 
@@ -92,7 +91,6 @@ class TestPressureDegradation:
         config = ServerConfig(
             max_depth=2,
             policy=DegradePolicy(cached_at=0.4),
-            max_delay_s=0.005,
         )
         server = EstimationServer(catalog, config)
 
