@@ -24,8 +24,8 @@ Run directly::
 configuration, meaningful on any machine.  The full run additionally
 asserts the speedup regression floor — flat build+join >= 3x the object
 tree at n = 50k per side — but only when the machine has >= 4 CPUs
-(``os.cpu_count()``), mirroring ``bench_parallel.py``; on smaller boxes
-the measured numbers are still recorded, annotated as ungated.
+(``os.cpu_count()``); on smaller boxes the measured numbers are still
+recorded, annotated as ungated.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.sampling import SamplingJoinEstimator
 
 #: Regression floor: at n >= 50k per side the flat engine's build+join
 #: must be at least this much faster than the object tree.  Gated on the
-#: machine actually having >= 4 CPUs (same policy as bench_parallel.py).
+#: machine actually having >= 4 CPUs.
 SPEEDUP_FLOOR = 3.0
 FLOOR_SIZE = 50_000
 FLOOR_CPUS = 4

@@ -6,7 +6,7 @@ weights, different dataset generators, ...) and review the diff: every
 changed ``exact_count`` or widened ``max_error_pct`` needs a
 justification in the PR.  Usage::
 
-    PYTHONPATH=src python benchmarks/make_golden_corpus.py [--workers N]
+    PYTHONPATH=src python benchmarks/make_golden_corpus.py [--out PATH]
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ CORPUS_PATH = Path(__file__).resolve().parent.parent / "tests" / "accuracy" / "g
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="workers for the exact-count oracle (default: 2)",
-    )
-    parser.add_argument(
         "--out", type=Path, default=CORPUS_PATH,
         help=f"output path (default: {CORPUS_PATH})",
     )
     args = parser.parse_args()
-    corpus = build_corpus(workers=args.workers)
+    corpus = build_corpus()
     args.out.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     for name, entry in corpus["pairs"].items():

@@ -61,13 +61,6 @@ from .errors import (
     TransientEstimationError,
 )
 from .join import actual_selectivity, join_count, join_pairs
-from .parallel import (
-    ParallelJoinResult,
-    parallel_partition_join_count,
-    parallel_partition_join_detailed,
-    parallel_partition_join_pairs,
-    parallel_sampling_estimates,
-)
 from .perf import (
     BatchQuery,
     CachedEstimator,
@@ -108,12 +101,6 @@ __all__ = [
     "join_count",
     "join_pairs",
     "actual_selectivity",
-    # parallel oracle
-    "ParallelJoinResult",
-    "parallel_partition_join_count",
-    "parallel_partition_join_pairs",
-    "parallel_partition_join_detailed",
-    "parallel_sampling_estimates",
     # estimators
     "JoinSelectivityEstimator",
     "PreparedEstimator",

@@ -29,7 +29,7 @@ from .harness import (
 )
 from .inventory import DatasetRow, PairRow, render_inventory, run_inventory
 from .report import write_csv
-from .timing import ShardTiming, measure_best, measure_seconds, shard_balance
+from .timing import measure_best, measure_seconds
 
 __all__ = [
     "PairContext",
@@ -45,8 +45,6 @@ __all__ = [
     "format_pct",
     "measure_seconds",
     "measure_best",
-    "ShardTiming",
-    "shard_balance",
     "GOLDEN_PAIRS",
     "GOLDEN_ESTIMATORS",
     "GoldenMismatch",

@@ -2,7 +2,7 @@
 
 The corpus is a small set of *seeded* synthetic join pairs for which we
 commit (a) the exact intersecting-pair count — verified at test time
-against the parallel PBSM oracle — and (b) per-estimator relative-error
+against the PBSM oracle — and (b) per-estimator relative-error
 baselines with a regression margin.  The committed file
 ``tests/accuracy/golden_corpus.json`` is the contract; the ``pytest -m
 accuracy`` CI job replays it through :func:`check_corpus`.
@@ -38,6 +38,7 @@ from ..datasets import (
     make_grid_aligned,
     make_uniform,
 )
+from ..join import partition_join_count
 from ..predicates import (
     STANDARD_PREDICATES,
     EndpointInequalityEstimator,
@@ -170,14 +171,6 @@ def build_pair(name: str) -> tuple[SpatialDataset, SpatialDataset]:
     return GOLDEN_PAIRS[name]()
 
 
-def _exact_count(ds1: SpatialDataset, ds2: SpatialDataset, *, workers: int) -> int:
-    from ..parallel import parallel_partition_join_count
-
-    return parallel_partition_join_count(
-        ds1.rects, ds2.rects, workers=workers, min_parallel=0
-    )
-
-
 def _grade_estimators(
     factories: Mapping[str, Callable[[], object]],
     ds1: SpatialDataset,
@@ -214,7 +207,7 @@ def _predicate_sections(ds1: SpatialDataset, ds2: SpatialDataset) -> dict:
     return sections
 
 
-def build_corpus(*, workers: int = 1) -> dict:
+def build_corpus() -> dict:
     """Measure the corpus from scratch (what the regeneration script runs).
 
     Returns the JSON-ready document: exact counts plus per-estimator
@@ -225,7 +218,7 @@ def build_corpus(*, workers: int = 1) -> dict:
     for name in GOLDEN_PAIRS:
         ds1, ds2 = build_pair(name)
         n1, n2 = len(ds1), len(ds2)
-        count = _exact_count(ds1, ds2, workers=workers)
+        count = partition_join_count(ds1.rects, ds2.rects)
         actual = count / (n1 * n2)
         pairs[name] = {
             "n1": n1,
@@ -311,11 +304,11 @@ def _check_predicates(
         )
 
 
-def check_corpus(corpus: dict, *, workers: int = 1) -> list[GoldenMismatch]:
+def check_corpus(corpus: dict) -> list[GoldenMismatch]:
     """Replay a committed corpus; return every violated expectation.
 
     Checks, per pair: dataset sizes, the exact count (recomputed through
-    the oracle with ``workers``), that each estimator's current relative
+    the PBSM oracle), that each estimator's current relative
     error stays within its committed ``max_error_pct``, and every
     per-predicate section (counts via the predicate engines, grades via
     the predicate estimators, the intersects count cross-gate).
@@ -332,7 +325,7 @@ def check_corpus(corpus: dict, *, workers: int = 1) -> list[GoldenMismatch]:
                 GoldenMismatch(name, "size", entry["n1"], float(len(ds1)))
             )
             continue
-        count = _exact_count(ds1, ds2, workers=workers)
+        count = partition_join_count(ds1.rects, ds2.rects)
         if count != entry["exact_count"]:
             mismatches.append(
                 GoldenMismatch(name, "count", entry["exact_count"], count)

@@ -9,10 +9,9 @@ total runtime is accumulated and reports the per-call mean.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-__all__ = ["measure_seconds", "measure_best", "ShardTiming", "shard_balance"]
+__all__ = ["measure_seconds", "measure_best"]
 
 
 def measure_seconds(
@@ -55,40 +54,3 @@ def measure_best(fn: Callable[[], Any], *, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-@dataclass(frozen=True, slots=True)
-class ShardTiming:
-    """Wall-clock record of one shard of a parallelized operation.
-
-    Emitted by the multiprocess join engine
-    (:mod:`repro.parallel.partition`): one record per grid-row band,
-    measured inside the worker so queueing/transit time is excluded.
-    """
-
-    shard: int  #: shard index in submission order
-    rows: int  #: grid rows covered by this shard's band
-    count: int  #: result items this shard produced
-    seconds: float  #: worker-side wall-clock for the band join
-
-
-def shard_balance(timings: Sequence[ShardTiming]) -> dict[str, float]:
-    """Load-balance summary of a sharded run.
-
-    ``imbalance`` is ``max/mean`` shard seconds — 1.0 is a perfectly
-    even split; the achievable speedup over serial is roughly
-    ``workers / imbalance`` when shards outnumber workers.
-    """
-    if not timings:
-        return {"shards": 0, "total_seconds": 0.0, "max_seconds": 0.0,
-                "mean_seconds": 0.0, "imbalance": 1.0}
-    seconds = [t.seconds for t in timings]
-    total = sum(seconds)
-    mean = total / len(seconds)
-    return {
-        "shards": float(len(seconds)),
-        "total_seconds": total,
-        "max_seconds": max(seconds),
-        "mean_seconds": mean,
-        "imbalance": max(seconds) / mean if mean > 0 else 1.0,
-    }

@@ -7,19 +7,11 @@ scored against:
 
     selectivity(A, B) = |{(a, b) : a intersects b}| / (|A| * |B|)
 
-**Parallel oracle.**  Passing ``workers=N`` (N > 1) runs the partition
-engine on a process pool (:mod:`repro.parallel`) — same counts, same
-pairs, bit for bit — with automatic serial fallback for small inputs,
-active fault-injection scopes, and platforms without ``fork``.
-``workers`` applies to the ``"partition"`` engine (the ``"auto"``
-choice at scale); the other engines ignore it.
-
 **Ordering contract.**  Every ``*_pairs`` engine returns a unique
 ``(k, 2)`` ``int64`` array sorted lexicographically by
-``(a_id, b_id)`` — ids index the original inputs.  Engines (and the
-serial vs parallel path) are therefore directly comparable with
-``np.array_equal``; the contract is pinned by
-``tests/join/test_ordering_contract.py``.
+``(a_id, b_id)`` — ids index the original inputs.  Engines are
+therefore directly comparable with ``np.array_equal``; the contract is
+pinned by ``tests/join/test_ordering_contract.py``.
 
 **Predicates.**  ``predicate=`` joins under a non-default
 :class:`~repro.predicates.JoinPredicate` (ε-distance, interval overlap,
@@ -58,10 +50,6 @@ _SMALL_INPUT = 512
 _PREDICATE_METHODS = {"auto": "auto", "nested": "naive", "sweep": "sweep"}
 
 
-def _parallel_requested(workers: int | None) -> bool:
-    return workers is not None and workers != 1
-
-
 def _predicate_requested(predicate: "JoinPredicate | None") -> bool:
     return predicate is not None and predicate.key != "intersects"
 
@@ -84,7 +72,6 @@ def join_count(
     b: RectArray,
     *,
     method: JoinMethod = "auto",
-    workers: int | None = None,
     predicate: "JoinPredicate | None" = None,
 ) -> int:
     """Exact number of pairs between ``a`` and ``b`` (intersecting by
@@ -101,10 +88,6 @@ def join_count(
     if method == "sweep":
         return plane_sweep_count(a, b)
     if method == "partition":
-        if _parallel_requested(workers):
-            from ..parallel import parallel_partition_join_count
-
-            return parallel_partition_join_count(a, b, workers=workers)
         return partition_join_count(a, b)
     return rtree_join_count(bulk_load_str(a), bulk_load_str(b))
 
@@ -114,7 +97,6 @@ def join_pairs(
     b: RectArray,
     *,
     method: JoinMethod = "auto",
-    workers: int | None = None,
     predicate: "JoinPredicate | None" = None,
 ) -> np.ndarray:
     """All qualifying pairs, lexicographically sorted ``(k, 2)`` id array."""
@@ -130,10 +112,6 @@ def join_pairs(
     if method == "sweep":
         return plane_sweep_pairs(a, b)
     if method == "partition":
-        if _parallel_requested(workers):
-            from ..parallel import parallel_partition_join_pairs
-
-            return parallel_partition_join_pairs(a, b, workers=workers)
         return partition_join_pairs(a, b)
     return rtree_join_pairs(bulk_load_str(a), bulk_load_str(b))
 
@@ -143,15 +121,12 @@ def actual_selectivity(
     b: RectArray,
     *,
     method: JoinMethod = "auto",
-    workers: int | None = None,
     predicate: "JoinPredicate | None" = None,
 ) -> float:
     """Ground-truth join selectivity (0 for empty inputs)."""
     if len(a) == 0 or len(b) == 0:
         return 0.0
-    return join_count(
-        a, b, method=method, workers=workers, predicate=predicate
-    ) / (len(a) * len(b))
+    return join_count(a, b, method=method, predicate=predicate) / (len(a) * len(b))
 
 
 def _resolve(a: RectArray, b: RectArray, method: JoinMethod) -> JoinMethod:

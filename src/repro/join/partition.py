@@ -13,22 +13,10 @@ This is the default exact-join engine for dataset-scale ground truth: it
 is typically the fastest of the exact algorithms here and its output is
 bit-identical to the nested-loop oracle (tested).
 
-**Band decomposition.**  The cell walk is exposed in *band-limited* form
-(:func:`join_band`): a band is a contiguous range ``[j_lo, j_hi)`` of
-grid rows, and joining a band touches exactly the cells in those rows.
-Because the reference-point dedup is decided cell-locally, the results
-of disjoint bands partition the full result — summing band counts and
-concatenating band pairs over a cover of ``[0, grid)`` reproduces the
-serial join exactly.  The multiprocess engine in
-:mod:`repro.parallel.partition` ships one band per task through this
-very function, which is why its output is bit-identical to the serial
-path (see DESIGN.md §9 for the proof sketch).
-
 **Ordering contract.**  ``partition_join_pairs`` — like every
 ``*_pairs`` function in :mod:`repro.join` — returns a unique ``(k, 2)``
 ``int64`` array sorted lexicographically by ``(a_id, b_id)``, so outputs
-of different engines (and of the serial vs parallel path) can be
-compared with ``np.array_equal``.
+of different engines can be compared with ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -44,12 +32,11 @@ __all__ = [
     "partition_join_count",
     "partition_join_pairs",
     "choose_grid_size",
-    "join_band",
     "canonical_pair_order",
 ]
 
 #: Call :func:`repro.runtime.checkpoint` every this many populated cells
-#: inside the band walk, so deadlines/fault hooks get a cooperative
+#: inside the cell walk, so deadlines/fault hooks get a cooperative
 #: control point without paying a contextvar read per cell.
 _CHECKPOINT_EVERY = 256
 
@@ -89,48 +76,22 @@ def _cell_ranges(
 
 
 def _replicate(
-    rects: RectArray,
-    extent: Rect,
-    grid: int,
-    j_lo: int = 0,
-    j_hi: int | None = None,
+    rects: RectArray, extent: Rect, grid: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand rectangles into (cell_id, rect_id) replica pairs.
-
-    With a band ``[j_lo, j_hi)`` given, only replicas landing in grid
-    rows of that band are produced (ids still index the full input
-    arrays).  The default band is the whole grid, which reproduces the
-    historical full replication exactly.
-    """
-    if j_hi is None:
-        j_hi = grid
-    n = len(rects)
-    if n == 0 or j_lo >= j_hi:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    """Expand rectangles into (cell_id, rect_id) replica pairs."""
     i0, i1, j0, j1 = _cell_ranges(rects, extent, grid)
-    # Clip each rectangle's row range to the band and drop the misses.
-    j0 = np.maximum(j0, j_lo)
-    j1 = np.minimum(j1, j_hi - 1)
-    inside = j0 <= j1
-    if not inside.all():
-        keep_ids = np.nonzero(inside)[0]
-        if not len(keep_ids):  # nothing overlaps this band
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        i0, i1, j0, j1 = i0[inside], i1[inside], j0[inside], j1[inside]
-    else:
-        keep_ids = np.arange(n, dtype=np.int64)
     wx = i1 - i0 + 1
     wy = j1 - j0 + 1
     spans = wx * wy
     total = int(spans.sum())
-    rect_rep = np.repeat(np.arange(len(keep_ids), dtype=np.int64), spans)
+    rect_rep = np.repeat(np.arange(len(rects), dtype=np.int64), spans)
     starts = np.concatenate([[0], np.cumsum(spans)[:-1]])
     local = np.arange(total, dtype=np.int64) - np.repeat(starts, spans)
     w_rep = wx[rect_rep]
     ci = i0[rect_rep] + local % w_rep
     cj = j0[rect_rep] + local // w_rep
     cells = cj * grid + ci
-    return cells, keep_ids[rect_rep]
+    return cells, rect_rep
 
 
 def _grouped(cells: np.ndarray, rect_ids: np.ndarray):
@@ -142,27 +103,29 @@ def _grouped(cells: np.ndarray, rect_ids: np.ndarray):
     return unique_cells, starts, sorted_ids
 
 
-def join_band(
+def _run(
     a: RectArray,
     b: RectArray,
-    extent: Rect,
-    grid: int,
-    j_lo: int,
-    j_hi: int,
     *,
+    grid: int | None,
+    extent: Rect | None,
     collect_pairs: bool,
 ) -> tuple[int, list[np.ndarray]]:
-    """Join every grid cell whose row index lies in ``[j_lo, j_hi)``.
+    """Join every grid cell populated on both sides.
 
-    Returns ``(count, pair_chunks)`` for exactly the pairs whose
-    reference point falls inside the band.  The serial join is
-    ``join_band(..., 0, grid, ...)``; a parallel shard is any sub-band.
-    Pair chunks are in cell order, *not* canonical order — callers
-    concatenate and apply :func:`canonical_pair_order`.
+    Returns ``(count, pair_chunks)``.  Pair chunks are in cell order,
+    *not* canonical order — callers concatenate and apply
+    :func:`canonical_pair_order`.
     """
+    if len(a) == 0 or len(b) == 0:
+        return 0, []
+    if extent is None:
+        extent = common_extent(a, b)
+    if grid is None:
+        grid = choose_grid_size(len(a) + len(b))
     checkpoint("join.partition.replicate")
-    cells_a, ids_a = _replicate(a, extent, grid, j_lo, j_hi)
-    cells_b, ids_b = _replicate(b, extent, grid, j_lo, j_hi)
+    cells_a, ids_a = _replicate(a, extent, grid)
+    cells_b, ids_b = _replicate(b, extent, grid)
     ucells_a, starts_a, sids_a = _grouped(cells_a, ids_a)
     ucells_b, starts_b, sids_b = _grouped(cells_b, ids_b)
     ends_a = np.append(starts_a[1:], len(sids_a))
@@ -206,23 +169,6 @@ def join_band(
         if collect_pairs:
             chunks.append(np.stack([ra[keep], rb[keep]], axis=1))
     return count, chunks
-
-
-def _run(
-    a: RectArray,
-    b: RectArray,
-    *,
-    grid: int | None,
-    extent: Rect | None,
-    collect_pairs: bool,
-):
-    if len(a) == 0 or len(b) == 0:
-        return 0, []
-    if extent is None:
-        extent = common_extent(a, b)
-    if grid is None:
-        grid = choose_grid_size(len(a) + len(b))
-    return join_band(a, b, extent, grid, 0, grid, collect_pairs=collect_pairs)
 
 
 def partition_join_count(

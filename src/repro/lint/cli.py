@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-flow",
         action="store_true",
-        help="skip the interprocedural layer (rules R010–R014); this "
+        help="skip the interprocedural layer (rules R010–R012, R014); this "
         "runs no checkpoint-coverage rule at all",
     )
     parser.add_argument(

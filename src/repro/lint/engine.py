@@ -4,7 +4,7 @@ Two layers compose here:
 
 * **per-file rules** (R001, R003–R009, :mod:`repro.lint.rules`) — each file is
   parsed and checked independently;
-* **flow rules** (R010–R014, :mod:`repro.lint.flow`) — every project
+* **flow rules** (R010–R012, R014, :mod:`repro.lint.flow`) — every project
   module's summary is linked into one call graph and the interprocedural
   rules run over the whole program.
 
@@ -325,7 +325,7 @@ def run_lint(
 ) -> LintReport:
     """Lint every python file under ``paths``.
 
-    ``flow=False`` disables the interprocedural layer (R010–R014).
+    ``flow=False`` disables the interprocedural layer (R010–R012, R014).
     ``cache`` (a path or a :class:`LintCache`) makes the run incremental.
     ``changed`` restricts *reporting and per-file analysis* to the given
     files plus everything that imports them through the module graph —

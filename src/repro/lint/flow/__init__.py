@@ -2,7 +2,7 @@
 
 Everything project-wide lives here: per-file :class:`ModuleSummary`
 extraction, the :class:`CallGraph` linker, the fixpoint dataflow driver,
-the five whole-program rules (R010–R014), and the incremental on-disk
+the four whole-program rules (R010–R012, R014), and the incremental on-disk
 cache.  The per-file rules (R001, R003–R009) stay in :mod:`repro.lint.rules`;
 the engine composes both layers.
 """

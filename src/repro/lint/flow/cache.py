@@ -33,7 +33,7 @@ from .graph import ModuleSummary
 
 __all__ = ["CACHE_SCHEMA_VERSION", "LintCache"]
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 def _diag_to_json(diag: Diagnostic) -> dict[str, Any]:

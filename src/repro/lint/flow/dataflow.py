@@ -1,9 +1,10 @@
 """Fixpoint dataflow driver over the call graph.
 
-Four small, monotone analyses cover everything R010–R014 need.  Each is
-a worklist iteration to a fixpoint; all lattices are finite (booleans,
-saturating integers, or subsets of a finite token universe), so every
-loop terminates regardless of recursion or call-graph cycles.
+Four small, monotone analyses cover everything R010–R012 and R014
+need.  Each is a worklist iteration to a fixpoint; all lattices are
+finite (booleans, saturating integers, or subsets of a finite token
+universe), so every loop terminates regardless of recursion or
+call-graph cycles.
 
 The driver works on function *ids* (``"module:qual"``).  Target ids that
 have no :class:`~repro.lint.flow.graph.FunctionInfo` (calls into code the

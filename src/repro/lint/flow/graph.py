@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
-    "ArgInfo",
     "AttrAccess",
     "CallGraph",
     "CallSite",
@@ -77,21 +76,6 @@ def digest_source(source: bytes) -> str:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class ArgInfo:
-    """What flows into one call argument, at written-name resolution."""
-
-    types: tuple[str, ...]  #: class/type names appearing in the payload expr
-    params: tuple[str, ...]  #: enclosing-function params appearing in it
-
-    def to_json(self) -> list[Any]:
-        return [list(self.types), list(self.params)]
-
-    @staticmethod
-    def from_json(data: Sequence[Any]) -> "ArgInfo":
-        return ArgInfo(tuple(data[0]), tuple(data[1]))
-
-
-@dataclass(frozen=True, slots=True)
 class CallSite:
     """One call expression inside a function body."""
 
@@ -102,8 +86,6 @@ class CallSite:
     col: int
     locks: tuple[tuple[str, str], ...]  #: (receiver-class|"self", attr) held
     loop: int | None  #: index of the innermost enclosing loop, if any
-    args: tuple[ArgInfo, ...]
-    kwargs: tuple[tuple[str, ArgInfo], ...]
     deadline_derived: bool  #: for Deadline(...) calls: arg is budget-derived
 
     def to_json(self) -> dict[str, Any]:
@@ -115,8 +97,6 @@ class CallSite:
             "c": self.col,
             "k": [list(tok) for tok in self.locks],
             "o": self.loop,
-            "a": [a.to_json() for a in self.args],
-            "w": [[name, a.to_json()] for name, a in self.kwargs],
             "d": self.deadline_derived,
         }
 
@@ -130,8 +110,6 @@ class CallSite:
             col=data["c"],
             locks=tuple((tok[0], tok[1]) for tok in data["k"]),
             loop=data["o"],
-            args=tuple(ArgInfo.from_json(a) for a in data["a"]),
-            kwargs=tuple((name, ArgInfo.from_json(a)) for name, a in data["w"]),
             deadline_derived=data["d"],
         )
 
@@ -241,7 +219,6 @@ class ClassInfo:
     methods: tuple[str, ...]
     attrs: tuple[tuple[str, str | None, str | None], ...]  #: (attr, cls, elem)
     guarded: tuple[tuple[str, str], ...]  #: (attr, lock-attr) declarations
-    lockish: bool  #: holds a thread/process synchronization primitive
 
     def attr_type(self, attr: str) -> tuple[str | None, str | None]:
         for name, cls, elem in self.attrs:
@@ -257,7 +234,6 @@ class ClassInfo:
             "m": list(self.methods),
             "a": [list(a) for a in self.attrs],
             "g": [list(g) for g in self.guarded],
-            "k": self.lockish,
         }
 
     @staticmethod
@@ -269,7 +245,6 @@ class ClassInfo:
             methods=tuple(data["m"]),
             attrs=tuple((a[0], a[1], a[2]) for a in data["a"]),
             guarded=tuple((g[0], g[1]) for g in data["g"]),
-            lockish=data["k"],
         )
 
 
@@ -387,13 +362,6 @@ def _statement_weight(stmts: Sequence[ast.stmt]) -> int:
     )
 
 
-_LOCKISH_CTORS = frozenset(
-    {"Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore",
-     "Barrier"}
-)
-_UNPICKLABLE_ANNS = frozenset(_LOCKISH_CTORS | {"AbstractEventLoop", "Future", "Task"})
-
-
 # ----------------------------------------------------------------------
 # extraction
 # ----------------------------------------------------------------------
@@ -412,7 +380,6 @@ class _FunctionExtractor:
         self.cls = cls
         self.env: dict[str, TypeRef] = {}
         self.taint: set[str] = set(DEADLINE_PARAM_NAMES)
-        self.param_names: set[str] = set()
         self.calls: list[CallSite] = []
         self.loops: list[LoopInfo] = []
         self.accesses: list[AttrAccess] = []
@@ -431,7 +398,6 @@ class _FunctionExtractor:
         for a in every:
             ref = _ann_ref(a.annotation)
             self.env[a.arg] = ref
-            self.param_names.add(a.arg)
             out.append((a.arg, ref[0]))
         return tuple(out)
 
@@ -471,46 +437,6 @@ class _FunctionExtractor:
             if isinstance(sub, ast.Name) and sub.id in self.taint:
                 return True
         return False
-
-    # -- payload scanning (R013) ----------------------------------------
-
-    def _arg_info(self, node: ast.expr) -> ArgInfo:
-        types: list[str] = []
-        params: list[str] = []
-
-        def note_type(name: str | None) -> None:
-            if name and name != "self" and name not in types:
-                types.append(name)
-
-        def scan(sub: ast.expr) -> None:
-            # Payload semantics: ``job.rects`` ships the *attribute's*
-            # value, not the receiver — so receivers of attribute chains
-            # and subscripts are deliberately not scanned.
-            if isinstance(sub, ast.Name):
-                if sub.id in self.param_names and sub.id not in params:
-                    params.append(sub.id)
-                note_type(self._type_of(sub)[0])
-                return
-            if isinstance(sub, (ast.Attribute, ast.Subscript)):
-                note_type(self._type_of(sub)[0])
-                return
-            if isinstance(sub, ast.Call):
-                parts = _dotted(sub.func)
-                if parts is not None:
-                    note_type(parts[-1])
-                for arg in sub.args:
-                    scan(arg)
-                for kw in sub.keywords:
-                    scan(kw.value)
-                return
-            if isinstance(sub, ast.Lambda):
-                return
-            for child in ast.iter_child_nodes(sub):
-                if isinstance(child, ast.expr):
-                    scan(child)
-
-        scan(node)
-        return ArgInfo(tuple(types), tuple(params))
 
     # -- the walk --------------------------------------------------------
 
@@ -708,12 +634,6 @@ class _FunctionExtractor:
                 col=node.col_offset + 1,
                 locks=tuple(self._lock_stack),
                 loop=self._loop_stack[-1] if self._loop_stack else None,
-                args=tuple(self._arg_info(a) for a in node.args),
-                kwargs=tuple(
-                    (kw.arg, self._arg_info(kw.value))
-                    for kw in node.keywords
-                    if kw.arg is not None
-                ),
                 deadline_derived=derived,
             )
         )
@@ -726,14 +646,11 @@ class _ClassAccumulator:
         self.name = name
         self.attr_refs: dict[str, TypeRef] = {}
         self.assign_lines: dict[int, str] = {}  #: source line -> attr name
-        self.lockish = False
 
     def attr_ref(self, attr: str) -> TypeRef:
         return self.attr_refs.get(attr, (None, None))
 
     def note_attr(self, attr: str, ref: TypeRef, line: int) -> None:
-        if ref[0] in _LOCKISH_CTORS or ref[0] in _UNPICKLABLE_ANNS:
-            self.lockish = True
         if attr not in self.attr_refs or self.attr_refs[attr][0] is None:
             self.attr_refs[attr] = ref
         self.assign_lines.setdefault(line, attr)
@@ -934,7 +851,6 @@ def extract_summary(
                         for attr, ref in sorted(acc.attr_refs.items())
                     ),
                     guarded=guarded,
-                    lockish=acc.lockish,
                 )
             )
 
@@ -1159,7 +1075,3 @@ class CallGraph:
                     work.append(importer)
         return out
 
-
-#: Written-name set shared with the rules (lock-ish constructors and
-#: annotations that mark a class as holding a synchronization primitive).
-LOCKISH_TYPE_NAMES = frozenset(_LOCKISH_CTORS)

@@ -1,4 +1,4 @@
-"""Interprocedural rules R010–R014 over the linked call graph.
+"""Interprocedural rules R010–R012 and R014 over the linked call graph.
 
 Each rule is a whole-program check: it sees every module summary plus
 the resolved :class:`~repro.lint.flow.graph.CallGraph` and reports
@@ -20,14 +20,7 @@ from typing import Callable, Mapping
 
 from ..diagnostics import Diagnostic
 from .dataflow import entry_locks, reaches_with_witness, transitive_weights
-from .graph import (
-    ArgInfo,
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-    LOCKISH_TYPE_NAMES,
-    ModuleSummary,
-)
+from .graph import CallGraph, CallSite, FunctionInfo, ModuleSummary
 
 __all__ = ["FLOW_RULES", "FlowProject", "FlowRule", "KERNEL_SUBPACKAGES"]
 
@@ -35,7 +28,7 @@ __all__ = ["FLOW_RULES", "FlowProject", "FlowRule", "KERNEL_SUBPACKAGES"]
 #: Subpackages whose loops are long-running kernels (the predicate-join
 #: and R-tree block loops are as unbounded as the histogram builds).
 KERNEL_SUBPACKAGES = frozenset(
-    {"histograms", "join", "parallel", "sampling", "predicates", "rtree"}
+    {"histograms", "join", "sampling", "predicates", "rtree"}
 )
 
 #: A loop whose per-iteration weight (statements, callees included)
@@ -347,183 +340,6 @@ def _check_r012(project: FlowProject) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# R013 — process-boundary pickle safety
-# ----------------------------------------------------------------------
-
-#: Executor receivers whose ``submit``/``map`` pickle their arguments.
-_PICKLING_EXECUTORS = frozenset({"ProcessPoolExecutor"})
-
-
-def _unpicklable_classes(graph: CallGraph) -> set[tuple[str, str]]:
-    """Project classes that cannot cross a process boundary: those that
-    hold a synchronization primitive, plus (transitively) classes with an
-    attribute *typed* as such a class."""
-    bad = {key for key, cls in graph.classes.items() if cls.lockish}
-    changed = True
-    while changed:
-        changed = False
-        for key, cls in graph.classes.items():
-            if key in bad:
-                continue
-            for _attr, type_name, elem in cls.attrs:
-                for written in (type_name, elem):
-                    if written is None:
-                        continue
-                    resolved = graph.resolve_class(key[0], written)
-                    if resolved in bad:
-                        bad.add(key)
-                        changed = True
-                        break
-                if key in bad:
-                    break
-    return bad
-
-
-def _sink_payloads(
-    site: CallSite,
-) -> list[tuple[ArgInfo, bool]] | None:
-    """Payload args of an IPC sink call, with a per-payload flag telling
-    whether a ``Connection`` is legitimate there (Process/initargs hand
-    pipe ends to the child via multiprocessing's own reduction; a
-    ``.send()`` payload must not contain one)."""
-    if site.terminal == "send" and site.recv == "Connection":
-        return [(a, False) for a in site.args]
-    if site.terminal in ("submit", "map") and site.recv in _PICKLING_EXECUTORS:
-        return [(a, True) for a in site.args[1:]]
-    payloads: list[tuple[ArgInfo, bool]] = []
-    if site.terminal == "Process":
-        payloads.extend(
-            (value, True) for name, value in site.kwargs if name in ("args", "kwargs")
-        )
-    if site.terminal == "ProcessPoolExecutor" or site.terminal == "Process":
-        payloads.extend(
-            (value, True) for name, value in site.kwargs if name == "initargs"
-        )
-    return payloads or None
-
-
-def _check_r013(project: FlowProject) -> list[Diagnostic]:
-    """Values crossing the fork/pipe boundary must be picklable: no lock
-    holders, no pool/cache/catalog objects, no raw synchronization
-    primitives.  The unpicklable set is *derived* (any project class
-    holding a lock-ish attribute, transitively), so the FlatTreeCache-in-
-    replica-config class of bug is caught without a hand-kept denylist.
-    Interprocedural: a parameter that flows into a sink inside a helper
-    taints every call site passing an unpicklable value for it."""
-    graph = project.graph
-    bad_classes = _unpicklable_classes(graph)
-
-    def bad_name(module: str, written: str, conn_ok: bool) -> str | None:
-        if written in LOCKISH_TYPE_NAMES:
-            return written
-        if written == "Connection" and not conn_ok:
-            return "Connection"
-        resolved = graph.resolve_class(module, written)
-        if resolved is not None and resolved in bad_classes:
-            return resolved[1]
-        return None
-
-    # interprocedural: which params of which functions flow into a sink
-    sink_params: dict[str, set[str]] = {}
-    for fid, fn in graph.functions.items():
-        for site in fn.calls:
-            payloads = _sink_payloads(site)
-            if payloads is None:
-                continue
-            for info, _conn_ok in payloads:
-                for param in info.params:
-                    sink_params.setdefault(fid, set()).add(param)
-    changed = True
-    while changed:
-        changed = False
-        for fid, fn in graph.functions.items():
-            for edge in graph.edges[fid]:
-                for target in edge.targets:
-                    target_fn = graph.functions.get(target)
-                    tainted = sink_params.get(target)
-                    if target_fn is None or not tainted:
-                        continue
-                    names = [name for name, _ann in target_fn.params]
-                    offset = 1 if target_fn.cls is not None else 0
-                    bound: list[ArgInfo] = []
-                    for i, info in enumerate(edge.site.args):
-                        pos = i + offset
-                        if pos < len(names) and names[pos] in tainted:
-                            bound.append(info)
-                    for name, info in edge.site.kwargs:
-                        if name in tainted:
-                            bound.append(info)
-                    for info in bound:
-                        for param in info.params:
-                            have = sink_params.setdefault(fid, set())
-                            if param not in have:
-                                have.add(param)
-                                changed = True
-
-    out: list[Diagnostic] = []
-    for fid, fn in graph.functions.items():
-        module = graph.module_of(fid)
-        if not _in_project(module):
-            continue
-        # direct sinks
-        for site in fn.calls:
-            payloads = _sink_payloads(site)
-            if payloads is None:
-                continue
-            for info, conn_ok in payloads:
-                for written in info.types:
-                    offender = bad_name(module, written, conn_ok)
-                    if offender is not None:
-                        out.append(
-                            _diag(
-                                project, module, "R013", "unpicklable-ipc",
-                                site.line, site.col,
-                                f"value of type '{offender}' flows into the "
-                                f"process-boundary sink '{site.terminal}' — "
-                                "locks, pools, caches and pipe ends cannot "
-                                "cross the fork/pipe boundary; ship plain "
-                                "data (arrays, tuples, dataclasses of "
-                                "primitives) instead",
-                            )
-                        )
-                        break
-        # calls into helpers whose params reach a sink
-        for edge in graph.edges[fid]:
-            for target in edge.targets:
-                target_fn = graph.functions.get(target)
-                tainted = sink_params.get(target)
-                if target_fn is None or not tainted:
-                    continue
-                names = [name for name, _ann in target_fn.params]
-                offset = 1 if target_fn.cls is not None else 0
-                candidates: list[ArgInfo] = []
-                for i, info in enumerate(edge.site.args):
-                    pos = i + offset
-                    if pos < len(names) and names[pos] in tainted:
-                        candidates.append(info)
-                for name, info in edge.site.kwargs:
-                    if name in tainted:
-                        candidates.append(info)
-                for info in candidates:
-                    for written in info.types:
-                        offender = bad_name(module, written, True)
-                        if offender is not None:
-                            out.append(
-                                _diag(
-                                    project, module, "R013", "unpicklable-ipc",
-                                    edge.site.line, edge.site.col,
-                                    f"'{target.split(':', 1)[1]}' forwards "
-                                    "this argument to a process-boundary "
-                                    f"sink, but '{offender}' is not "
-                                    "picklable — strip it before the call "
-                                    "(ship plain data across the boundary)",
-                                )
-                            )
-                            break
-    return out
-
-
-# ----------------------------------------------------------------------
 # R014 — deadline single-spend
 # ----------------------------------------------------------------------
 
@@ -630,13 +446,6 @@ FLOW_RULES: dict[str, FlowRule] = {
             "attributes declared '# guarded-by: <lock>' are only touched "
             "with the lock held on every access path",
             _check_r012,
-        ),
-        FlowRule(
-            "R013",
-            "unpicklable-ipc",
-            "values crossing Pipe.send / process-pool submission must be "
-            "picklable (no locks, pools, caches, pipe ends)",
-            _check_r013,
         ),
         FlowRule(
             "R014",

@@ -193,7 +193,7 @@ _DTYPE_SENSITIVE = {
 }
 
 #: Subpackages bound by the float64/C-contiguous rect-array contract.
-_DTYPE_SUBPACKAGES = frozenset({"geometry", "histograms", "parallel", "sampling"})
+_DTYPE_SUBPACKAGES = frozenset({"geometry", "histograms", "sampling"})
 
 
 def _check_explicit_dtype(ctx: FileContext) -> list[Diagnostic]:

@@ -21,7 +21,7 @@ how rarely you rebuild.  This package supplies that amortization layer:
   extent): warm repeats skip builds *and* combines, bit-identically;
 * :mod:`~repro.perf.batch` — :func:`estimate_many`, which deduplicates
   histogram builds across a whole workload of queries, runs the
-  distinct builds on a shared process pool (falling back to serial
+  distinct builds on a shared thread pool (falling back to serial
   whenever a runtime deadline/fault scope is active, preserving
   checkpoint semantics), and combines each query pair at a time.
 

@@ -200,7 +200,7 @@ def estimate_many(
 
     # Phase 2 — run the distinct builds: serial when a runtime scope
     # (deadline / fault hook) demands in-context execution, on the
-    # shared process pool otherwise.
+    # shared thread pool otherwise.
     def run(task: tuple[SpatialDataset, str, int, Rect]) -> Histogram:
         dataset, scheme, level, extent = task
         if cache is not None:

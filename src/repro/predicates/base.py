@@ -87,8 +87,7 @@ _SWAPPED_ENDPOINT = {"xmin": "ymin", "ymin": "xmin", "xmax": "ymax", "ymax": "xm
 class JoinPredicate(ABC):
     """A join condition over two rectangle collections.
 
-    Implementations are frozen dataclasses: hashable, picklable (they
-    travel inside sampling-estimator configs to pool workers), and
+    Implementations are frozen dataclasses: hashable, picklable, and
     usable as registry keys via :attr:`key`.
     """
 

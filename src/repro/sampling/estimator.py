@@ -267,7 +267,6 @@ class SamplingJoinEstimator:
         *,
         repeats: int = 10,
         z: float = 1.96,
-        workers: int | None = None,
     ) -> "ConfidenceEstimate":
         """Mean estimate with a normal-approximation confidence interval.
 
@@ -279,11 +278,9 @@ class SamplingJoinEstimator:
         and are rejected (their single estimate has no sampling
         distribution to summarize).
 
-        ``workers > 1`` fans the replicas out over the multiprocess
-        driver (:func:`repro.parallel.parallel_sampling_estimates`).
-        Replica seeds are derived deterministically from ``seed``, so
-        the parallel interval is *identical* to the serial one — not
-        just equal in distribution.
+        Replica ``run`` draws with seed ``seed + 15485863 * (run + 1)``
+        (``seed=None`` counts as 0), so the interval is a pure function
+        of the estimator's parameters.  Replicas share ``tree_cache``.
         """
         if self.method != "rswr":
             raise ValueError(
@@ -293,33 +290,20 @@ class SamplingJoinEstimator:
         if repeats < 2:
             raise ValueError("repeats must be at least 2")
         base_seed = 0 if self.seed is None else self.seed
-        configs: list[dict] = [
-            dict(
-                method=self.method,
-                fraction1=self.fraction1,
-                fraction2=self.fraction2,
-                seed=base_seed + 15485863 * (run + 1),
-                max_entries=self.max_entries,
-                join_method=self.join_method,
-            )
-            for run in range(repeats)
-        ]
-        if self.predicate is not None:
-            # Predicates are frozen dataclasses — they pickle into the
-            # pool-worker configs like any other scalar parameter.
-            for config in configs:
-                config["predicate"] = self.predicate
-        if self.tree_cache is not None:
-            # Serial replicas share the cache (identical re-picked rects —
-            # e.g. a repeated seed, or the key content-matching an existing
-            # full-dataset tree — hit); the pool driver strips this key
-            # before pickling, since the cache cannot cross processes.
-            for config in configs:
-                config["tree_cache"] = self.tree_cache
-        from ..parallel import parallel_sampling_estimates
-
         values = np.asarray(
-            parallel_sampling_estimates(configs, ds1, ds2, workers=workers or 1),
+            [
+                SamplingJoinEstimator(
+                    self.method,
+                    self.fraction1,
+                    self.fraction2,
+                    seed=base_seed + 15485863 * (run + 1),
+                    max_entries=self.max_entries,
+                    join_method=self.join_method,
+                    tree_cache=self.tree_cache,
+                    predicate=self.predicate,
+                ).estimate(ds1, ds2)
+                for run in range(repeats)
+            ],
             dtype=np.float64,
         )
         mean = float(values.mean())

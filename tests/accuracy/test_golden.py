@@ -1,14 +1,16 @@
 """Golden accuracy gate: the committed corpus must replay exactly.
 
 ``golden_corpus.json`` freezes, for four seeded synthetic join pairs:
-the exact intersecting-pair count (re-verified here through the
-*parallel* PBSM oracle, workers=2), a per-estimator relative-error
+the exact intersecting-pair count (re-verified here through the PBSM
+oracle), a per-estimator relative-error
 ceiling (measured error x1.5 + 1pp at freeze time), and — since corpus
 version 2 — a per-predicate section per pair: the exact count under
 every standard predicate plus the error ceilings of that predicate's
 estimator family.  A failure means an estimator or a generator changed
 behavior; regenerate deliberately with
 ``python benchmarks/make_golden_corpus.py`` and justify the diff.
+``test_corpus_regenerates_exactly`` keeps that script honest: the
+committed file is exactly what a fresh :func:`build_corpus` produces.
 """
 
 import json
@@ -21,6 +23,7 @@ from repro.eval.golden import (
     GOLDEN_ESTIMATORS,
     GOLDEN_PAIRS,
     GOLDEN_PREDICATE_ESTIMATORS,
+    build_corpus,
     build_pair,
     check_corpus,
 )
@@ -61,16 +64,22 @@ def test_intersects_sections_cross_gate_the_oracle(corpus):
 
 
 def test_corpus_replays_clean(corpus):
-    """The one gate: exact counts + every error ceiling, via the
-    parallel oracle."""
-    mismatches = check_corpus(corpus, workers=2)
+    """The one gate: exact counts + every error ceiling."""
+    mismatches = check_corpus(corpus)
     assert not mismatches, "\n".join(str(m) for m in mismatches)
+
+
+def test_corpus_regenerates_exactly(corpus):
+    """Regenerating from scratch reproduces the committed file value for
+    value — counts, selectivities and every grade — so
+    ``make_golden_corpus.py`` cannot drift from the replay gate."""
+    assert build_corpus() == corpus
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PAIRS))
 def test_exact_counts_match_serial_engine(corpus, name):
-    """Counts were frozen through the parallel oracle; the serial PBSM
-    engine must agree (differential cross-check of the corpus itself)."""
+    """The serial PBSM engine must reproduce each pair's frozen count
+    (one test per pair, so a drift names its pair)."""
     ds1, ds2 = build_pair(name)
     assert partition_join_count(ds1.rects, ds2.rects) == corpus["pairs"][name]["exact_count"]
 

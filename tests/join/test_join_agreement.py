@@ -1,7 +1,7 @@
-"""Cross-engine agreement: all six exact joins (including the
-multiprocess partition engine and the flat SoA R-tree engine) must
-produce identical results on every input shape, including adversarial
-ones (touching edges, duplicates, points, heavy skew)."""
+"""Cross-engine agreement: all five exact joins (including the flat SoA
+R-tree engine) must produce identical results on every input shape,
+including adversarial ones (touching edges, duplicates, points, heavy
+skew)."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from repro.join import (
     plane_sweep_count,
     plane_sweep_pairs,
 )
-from repro.parallel import parallel_partition_join_count, parallel_partition_join_pairs
 from repro.rtree import (
     bulk_load_str,
     flat_join_count,
@@ -33,14 +32,6 @@ from repro.rtree import (
     rtree_join_pairs,
 )
 from tests.conftest import random_rects
-
-
-def _parallel_count(a, b):
-    return parallel_partition_join_count(a, b, workers=2, min_parallel=0)
-
-
-def _parallel_pairs(a, b):
-    return parallel_partition_join_pairs(a, b, workers=2, min_parallel=0)
 
 
 COUNTERS = {
@@ -57,28 +48,22 @@ PAIRERS = {
     "rtree": lambda a, b: rtree_join_pairs(bulk_load_str(a), bulk_load_str(b)),
     "flat": lambda a, b: flat_join_pairs(flat_load_str(a), flat_load_str(b)),
 }
-# The full differential matrix adds the multiprocess engine.  The
-# hypothesis property tests below keep the serial dicts: spinning one
-# worker pool per generated example would dominate their runtime without
-# adding coverage beyond the seeded matrix.
-ALL_COUNTERS = {**COUNTERS, "parallel": _parallel_count}
-ALL_PAIRERS = {**PAIRERS, "parallel": _parallel_pairs}
 
 
-def all_counts(a, b, counters=COUNTERS):
-    return {name: fn(a, b) for name, fn in counters.items()}
+def all_counts(a, b):
+    return {name: fn(a, b) for name, fn in COUNTERS.items()}
 
 
 class TestRandomInputs:
     def test_uniform(self, two_rect_sets):
         a, b = two_rect_sets
-        counts = all_counts(a, b, ALL_COUNTERS)
+        counts = all_counts(a, b)
         assert len(set(counts.values())) == 1, counts
 
     def test_pairs_identical(self, two_rect_sets):
         a, b = two_rect_sets
         reference = nested_loop_pairs(a, b)
-        for name, fn in ALL_PAIRERS.items():
+        for name, fn in PAIRERS.items():
             assert np.array_equal(fn(a, b), reference), name
 
     def test_skewed_vs_uniform(self, rng):
@@ -86,13 +71,13 @@ class TestRandomInputs:
         cy = 0.7 + 0.02 * rng.standard_normal(800)
         a = RectArray.from_centers(np.clip(cx, 0, 1), np.clip(cy, 0, 1), 0.01, 0.01)
         b = random_rects(rng, 800)
-        counts = all_counts(a, b, ALL_COUNTERS)
+        counts = all_counts(a, b)
         assert len(set(counts.values())) == 1, counts
 
     def test_points_vs_rects(self, rng):
         a = RectArray.from_points(rng.random(500), rng.random(500))
         b = random_rects(rng, 500)
-        counts = all_counts(a, b, ALL_COUNTERS)
+        counts = all_counts(a, b)
         assert len(set(counts.values())) == 1, counts
 
     def test_large_rects(self, rng):
@@ -100,7 +85,7 @@ class TestRandomInputs:
         # replication (PBSM) and active-list size (sweep).
         a = random_rects(rng, 150, max_side=0.9)
         b = random_rects(rng, 150, max_side=0.9)
-        counts = all_counts(a, b, ALL_COUNTERS)
+        counts = all_counts(a, b)
         assert len(set(counts.values())) == 1, counts
 
 
@@ -128,10 +113,9 @@ _MATRIX_PAIRS = {
 
 @pytest.mark.accuracy
 class TestDifferentialMatrix:
-    """Random datasets × all six engines: counts AND pair sets must
-    agree exactly.  This is the differential gate the parallel oracle
-    and the flat SoA engine are held to — one seeded matrix row per
-    spatial pathology."""
+    """Random datasets × all five engines: counts AND pair sets must
+    agree exactly.  This is the differential gate the flat SoA engine is
+    held to — one seeded matrix row per spatial pathology."""
 
     @pytest.mark.parametrize("pair_name", sorted(_MATRIX_PAIRS))
     def test_counts_and_pairs_agree(self, pair_name):
@@ -139,17 +123,10 @@ class TestDifferentialMatrix:
         reference_pairs = nested_loop_pairs(a, b)
         reference_count = nested_loop_count(a, b)
         assert reference_count == len(reference_pairs)
-        for name, fn in ALL_COUNTERS.items():
+        for name, fn in COUNTERS.items():
             assert fn(a, b) == reference_count, f"{pair_name}: {name} count"
-        for name, fn in ALL_PAIRERS.items():
+        for name, fn in PAIRERS.items():
             assert np.array_equal(fn(a, b), reference_pairs), f"{pair_name}: {name} pairs"
-
-    def test_parallel_matches_serial_across_worker_counts(self):
-        a, b = _MATRIX_PAIRS["clustered_x_uniform"]()
-        serial = partition_join_pairs(a, b)
-        for workers in (2, 3):
-            got = parallel_partition_join_pairs(a, b, workers=workers, min_parallel=0)
-            assert np.array_equal(got, serial), workers
 
 
 class TestEdgeCases:

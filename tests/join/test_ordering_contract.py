@@ -1,16 +1,15 @@
 """The pair-output ordering contract shared by every exact engine.
 
 Contract (documented in :mod:`repro.join.api`): every ``*_pairs``
-function — nested loop, plane sweep, PBSM, R-tree join, and the
-multiprocess PBSM — returns
+function — nested loop, plane sweep, PBSM and R-tree join — returns
 
 * a ``(k, 2)`` array of dtype ``int64`` (ids into the original inputs),
 * with **unique** rows (each intersecting pair reported exactly once),
 * sorted **lexicographically by (a_id, b_id)**.
 
-The sort makes engine outputs (and serial-vs-parallel outputs) directly
-comparable with ``np.array_equal``, which is what the differential
-matrix in ``test_join_agreement.py`` relies on.  This module pins the
+The sort makes engine outputs directly comparable with
+``np.array_equal``, which is what the differential matrix in
+``test_join_agreement.py`` relies on.  This module pins the
 contract itself, so a future engine that forgets to canonicalize fails
 here with a named reason instead of as an opaque matrix mismatch.
 """
@@ -25,7 +24,6 @@ from repro.join import (
     plane_sweep_pairs,
 )
 from repro.join.partition import canonical_pair_order
-from repro.parallel import parallel_partition_join_pairs
 from repro.rtree import bulk_load_str, rtree_join_pairs
 from tests.conftest import random_rects
 
@@ -36,9 +34,6 @@ PAIRERS = {
     "sweep": plane_sweep_pairs,
     "partition": partition_join_pairs,
     "rtree": lambda a, b: rtree_join_pairs(bulk_load_str(a), bulk_load_str(b)),
-    "parallel": lambda a, b: parallel_partition_join_pairs(
-        a, b, workers=2, min_parallel=0
-    ),
     "api_auto": join_pairs,
 }
 

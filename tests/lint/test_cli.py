@@ -60,9 +60,10 @@ class TestTextOutput:
         assert code == 0
         for rule_id in (
             "R001", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R010", "R011", "R012", "R013", "R014",
+            "R010", "R011", "R012", "R014",
         ):
             assert rule_id in out
+        assert "R013" not in out
 
 
 class TestJsonOutput:

@@ -1,4 +1,4 @@
-"""Interprocedural rules (R010–R014) against the flow fixture corpus.
+"""Interprocedural rules (R010–R012, R014) against the flow fixture corpus.
 
 The corpus under ``fixtures/flow`` is its own miniature ``repro``
 package tree (module identity comes from the ``__init__.py`` chain), so
@@ -31,7 +31,7 @@ def hits(report, rule_id):
 
 class TestRegistry:
     def test_flow_rule_ids(self):
-        assert sorted(FLOW_RULES) == ["R010", "R011", "R012", "R013", "R014"]
+        assert sorted(FLOW_RULES) == ["R010", "R011", "R012", "R014"]
 
     def test_ids_do_not_collide_with_perfile_rules(self):
         from repro.lint import RULES
@@ -152,27 +152,6 @@ class TestR012GuardedBy:
         msgs = [d.message for d in flow_report.diagnostics if d.rule == "R012"]
         assert all("Disciplined" not in m for m in msgs)
         assert names == {"r012_cases.py"}
-
-
-class TestR013PickleSafety:
-    def test_direct_transitive_and_helper_sinks_flagged(self, flow_report):
-        assert hits(flow_report, "R013") == [
-            ("r013_cases.py", 39),  # conn.send(cache)
-            ("r013_cases.py", 44),  # pool.submit(_work, config)
-            ("r013_cases.py", 53),  # _relay(conn, cache)
-        ]
-
-    def test_plain_payloads_and_process_pipe_args_are_silent(self, flow_report):
-        lines = [line for name, line in hits(flow_report, "R013")]
-        assert 58 not in lines  # conn.send(payload) — plain tuple
-        assert 63 not in lines  # Process(args=(child,)) — mp reduction
-
-    def test_transitive_class_is_named(self, flow_report):
-        at_44 = [
-            d for d in flow_report.diagnostics
-            if d.rule == "R013" and d.line == 44
-        ]
-        assert "ReplicaConfig" in at_44[0].message
 
 
 class TestR014DeadlineSingleSpend:

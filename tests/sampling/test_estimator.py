@@ -1,11 +1,13 @@
 """Unit tests for the sampling join estimator."""
 
+import numpy as np
 import pytest
 
 from repro.datasets import SpatialDataset, make_clustered, make_uniform
 from repro.geometry import RectArray
 from repro.join import actual_selectivity
-from repro.sampling import SamplingJoinEstimator
+from repro.perf import FlatTreeCache
+from repro.sampling import ConfidenceEstimate, SamplingJoinEstimator
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,43 @@ class TestConfidenceIntervals:
         a, b, _ = pair
         with pytest.raises(ValueError, match="repeats"):
             SamplingJoinEstimator("rswr").estimate_with_confidence(a, b, repeats=1)
+
+    def test_replicas_follow_the_seed_schedule(self, pair):
+        """Replica ``run`` is a plain RSWR estimate seeded
+        ``seed + 15485863 * (run + 1)``; the interval is their mean and
+        standard error, and a shared tree cache sees every replica."""
+        a, b, _ = pair
+        base, repeats = 3, 4
+        cache = FlatTreeCache()
+        ci = SamplingJoinEstimator(
+            "rswr", 0.15, 0.15, seed=base, tree_cache=cache
+        ).estimate_with_confidence(a, b, repeats=repeats)
+        values = np.array(
+            [
+                SamplingJoinEstimator(
+                    "rswr", 0.15, 0.15, seed=base + 15485863 * (run + 1)
+                ).estimate(a, b)
+                for run in range(repeats)
+            ]
+        )
+        assert ci.mean == float(values.mean())
+        assert ci.std_error == float(values.std(ddof=1) / np.sqrt(repeats))
+        assert cache.stats.builds == 2 * repeats
+
+    def test_interval_is_pinned(self, pair):
+        """A recorded interval: any change to the replica seeds, the draw
+        or the interval arithmetic breaks ``==``."""
+        a, b, _ = pair
+        ci = SamplingJoinEstimator("rswr", 0.15, 0.15, seed=3).estimate_with_confidence(
+            a, b, repeats=4
+        )
+        assert ci == ConfidenceEstimate(
+            mean=0.00042569444444444447,
+            std_error=1.9784558502631108e-05,
+            lower=0.0003869167097792875,
+            upper=0.00046447217910960145,
+            repeats=4,
+        )
 
     def test_lower_bound_nonnegative(self, pair):
         a, b, _ = pair

@@ -30,7 +30,6 @@ class TestExports:
             "repro.eval",
             "repro.service",
             "repro.perf",
-            "repro.parallel",
             "repro.serve",
         ],
     )
