@@ -164,11 +164,11 @@ def estimate_many(
             raise ValueError(
                 f"unknown scheme {query.scheme!r}; choose from {sorted(HISTOGRAM_SCHEMES)}"
             )
+        extent = query.resolved_extent()
         if len(query.ds1) == 0 or len(query.ds2) == 0:
             plans.append(None)
             memo_keys.append(None)
             continue
-        extent = query.resolved_extent()
         datasets = (query.ds1, query.ds2)
         sides: list[CacheKey] = []
         for dataset in datasets:

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict
 
+from ..service.resilient import AttemptRecord
+
 __all__ = ["ServiceRung", "DegradePolicy", "ServeProvenance", "DegradationLadder"]
 
 
@@ -88,9 +90,11 @@ class ServeProvenance:
     Attached to every :class:`~repro.serve.loop.ServeResponse` the same
     way :class:`~repro.service.resilient.Provenance` annotates resilient
     estimates: ``degraded`` is True whenever the answer did not come
-    from the ``full`` rung at the requested quality, and ``reason``
+    from the ``full`` rung at the requested quality, ``reason``
     carries the first failure that forced a descent (empty when the
-    rung was selected purely by pressure).
+    rung was selected purely by pressure), and ``attempts`` lists every
+    rung run on the way, in the resilient wrapper's format (empty on a
+    memo fast-lane hit, which runs no rung).
     """
 
     rung: str  #: ServiceRung value that produced the answer
@@ -104,6 +108,7 @@ class ServeProvenance:
     #: "local" to "store" (answered off the artifact catalog) or
     #: "build" (a side had to scan the data) when a store is attached.
     via: str = "local"
+    attempts: tuple[AttemptRecord, ...] = ()  #: one record per rung attempt
 
 
 class DegradationLadder:

@@ -9,7 +9,8 @@ batch-oriented estimation stack into a long-running service.  One
    typed :class:`~repro.errors.ServiceOverloadError`, never unbounded
    buffering;
 2. **validation and rung selection** — an unknown scheme, level or
-   dataset fails the request outright; otherwise measured queue
+   dataset, or a pair without a common extent, fails the request
+   outright; otherwise measured queue
    pressure picks the starting rung on the requested estimator's
    :func:`~repro.service.resilient.default_fallback_chain`
    (:mod:`repro.serve.degrade`);
@@ -18,8 +19,10 @@ batch-oriented estimation stack into a long-running service.  One
    :func:`~repro.perf.batch.estimate_many` over the shared
    :class:`~repro.perf.cache.HistogramCache`; the histogram rungs below
    it answer from the same cache; the floor is the Aref–Samet closed
-   form.  A rung that *fails* (batch error, deadline expiry) moves one
-   rung down the chain instead of failing the request;
+   form.  A rung that *fails* (batch error, deadline expiry, invalid
+   value) moves one rung down the chain instead of failing the request,
+   through the same :class:`~repro.service.resilient.Descent` walker
+   :class:`~repro.service.resilient.ResilientEstimator` uses;
 4. **provenance** — every response carries a
    :class:`~repro.serve.degrade.ServeProvenance` naming the rung that
    actually answered, so a degraded answer can never masquerade as a
@@ -53,7 +56,7 @@ from ..perf.batch import BatchQuery, estimate_many
 from ..perf.cache import HistogramCache
 from ..perf.memo import EstimateCache, scheme_formula
 from ..runtime import Deadline, runtime_scope
-from ..service.resilient import _invalid_reason, _rung_name, default_fallback_chain
+from ..service.resilient import Descent, default_fallback_chain
 from .admission import AdmissionController
 from .batcher import BatchRunner, MicroBatcher
 from .degrade import DegradationLadder, DegradePolicy, ServeProvenance, ServiceRung
@@ -199,12 +202,12 @@ class EstimationServer:
 
         Raises :class:`ServiceOverloadError` when admission rejects the
         request or pressure selects the ``shed`` rung, and
-        :class:`ValueError` for an unknown scheme, level or dataset; any
-        other failure moves one rung down the requested estimator's
-        fallback chain and only propagates if even the closed-form floor
-        cannot answer —
-        a degraded *honest* answer always beats a confident wrong one,
-        and an error always beats a silent zero.
+        :class:`ValueError` for an unknown scheme, level or dataset or
+        for a pair without a common extent; any other failure moves one
+        rung down the requested estimator's fallback chain and only
+        propagates if even the closed-form floor cannot answer — a
+        degraded *honest* answer always beats a confident wrong one, and
+        an error always beats a silent zero.
         """
         if self._closed:
             raise EstimatorUnavailable("EstimationServer is closed")
@@ -266,45 +269,46 @@ class EstimationServer:
                 create_estimator(request.scheme, level=request.level)
             )
             floor = len(chain) - 1
-            index = {ServiceRung.FULL: 0, ServiceRung.CACHED: 1}.get(selected, floor)
-            reason = ""
-            while True:
-                try:
-                    value, via = await self._execute(
-                        chain, index, request, ds1, ds2, deadline
-                    )
-                # Failure descent: any rung error — batch failure,
-                # deadline expiry, poison build — drops us one rung
-                # rather than failing an admitted request outright.
-                except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
-                    if not reason:
-                        reason = f"{type(exc).__name__}: {exc}"
-                    if index == floor:
-                        raise  # even the closed-form floor failed
-                    index += 1
-                    continue
-                answered = (
-                    ServiceRung.FULL if index == 0
-                    else ServiceRung.PARAMETRIC if index == floor
-                    else ServiceRung.CACHED
-                )
-                self.ladder.record(answered)
-                provenance = ServeProvenance(
-                    rung=answered.value,
-                    requested=request.requested,
-                    degraded=index > 0 or bool(reason),
-                    pressure=pressure,
-                    reason=reason if reason else (
-                        "" if selected is ServiceRung.FULL else
-                        f"pressure {pressure:.2f}"
-                    ),
-                    via=via,
-                )
-                return ServeResponse(
-                    selectivity=value,
-                    provenance=provenance,
-                    latency_s=time.monotonic() - started,
-                )
+            start = {ServiceRung.FULL: 0, ServiceRung.CACHED: 1}.get(selected, floor)
+            # Failure descent: any rung error — batch failure, deadline
+            # expiry, poison build, invalid value — drops the walk one
+            # rung rather than failing an admitted request outright.
+            walk = Descent(chain, start)
+            via = "batch"
+            for rung in walk:
+                with walk.attempt():
+                    if walk.index == 0:
+                        query = BatchQuery(ds1, ds2, request.scheme, request.level)
+                        walk.value = await self.batcher.submit(query, deadline)
+                    else:
+                        walk.value, via = await asyncio.get_running_loop().run_in_executor(
+                            None, lambda: self._fallback(rung, ds1, ds2, deadline)
+                        )
+            if walk.error is not None:
+                raise walk.error  # even the closed-form floor failed
+            answered = (
+                ServiceRung.FULL if walk.index == 0
+                else ServiceRung.PARAMETRIC if walk.index == floor
+                else ServiceRung.CACHED
+            )
+            self.ladder.record(answered)
+            reason = walk.reason
+            provenance = ServeProvenance(
+                rung=answered.value,
+                requested=request.requested,
+                degraded=walk.index > 0,
+                pressure=pressure,
+                reason=reason if reason else (
+                    "" if selected is ServiceRung.FULL else f"pressure {pressure:.2f}"
+                ),
+                via=via,
+                attempts=tuple(walk.attempts),
+            )
+            return ServeResponse(
+                selectivity=walk.value,
+                provenance=provenance,
+                latency_s=time.monotonic() - started,
+            )
         finally:
             self.admission.release(ticket)
 
@@ -330,34 +334,6 @@ class EstimationServer:
             return None
         key = EstimateCache.peek_key_for(ds1, ds2, request.requested, ds1.extent)
         return self.memo.get(key)
-
-    async def _execute(
-        self,
-        chain: "tuple[JoinSelectivityEstimator, ...]",
-        index: int,
-        request: ServeRequest,
-        ds1: SpatialDataset,
-        ds2: SpatialDataset,
-        deadline: Deadline | None,
-    ) -> "tuple[float, str]":
-        """Run rung ``chain[index]``; returns ``(selectivity, via)``.
-
-        Index 0 — the requested estimator — runs through the
-        micro-batcher; every lower rung runs :meth:`_fallback` on an
-        executor thread.  A non-finite or negative value raises, so the
-        request descends instead of serving it.
-        """
-        rung = chain[index]
-        if index == 0:
-            query = BatchQuery(ds1, ds2, request.scheme, request.level)
-            value, via = await self.batcher.submit(query, deadline), "batch"
-        else:
-            value, via = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self._fallback(rung, ds1, ds2, deadline)
-            )
-        if (bad := _invalid_reason(value)) is not None:
-            raise EstimatorUnavailable(f"rung {_rung_name(rung)} produced {bad}")
-        return value, via
 
     def _fallback(
         self,
@@ -393,10 +369,6 @@ class EstimationServer:
         remaining = (
             Deadline(max(0.0, deadline.remaining)) if deadline is not None else None
         )
-        if ds1.extent != ds2.extent:
-            raise ValueError(
-                f"datasets {ds1.name!r} and {ds2.name!r} must share a common extent"
-            )
         with runtime_scope(deadline=remaining):
             hist1, src1 = self.cache.resolve(ds1, rung.name, rung.level, extent=ds1.extent)
             hist2, src2 = self.cache.resolve(ds2, rung.name, rung.level, extent=ds1.extent)
@@ -424,8 +396,9 @@ class EstimationServer:
 
     def _resolve(self, request: ServeRequest) -> "tuple[SpatialDataset, SpatialDataset]":
         """Validate the request and look both datasets up; an unknown
-        scheme, level or dataset fails the request itself (a client
-        error is not an overload and must not degrade)."""
+        scheme, level or dataset, or a pair without a common extent,
+        fails the request itself (a client error is not an overload and
+        must not degrade)."""
         if request.scheme not in HISTOGRAM_SCHEMES:
             raise ValueError(
                 f"unknown scheme {request.scheme!r}; choose from {sorted(HISTOGRAM_SCHEMES)}"
@@ -433,12 +406,17 @@ class EstimationServer:
         if not 0 <= request.level <= MAX_LEVEL:
             raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {request.level}")
         try:
-            return self.catalog[request.ds1], self.catalog[request.ds2]
+            ds1, ds2 = self.catalog[request.ds1], self.catalog[request.ds2]
         except KeyError as exc:
             raise ValueError(
                 f"unknown dataset {exc.args[0]!r}; the catalog serves "
                 f"{sorted(self.catalog)}"
             ) from None
+        if ds1.extent != ds2.extent:
+            raise ValueError(
+                f"datasets {ds1.name!r} and {ds2.name!r} must share a common extent"
+            )
+        return ds1, ds2
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:

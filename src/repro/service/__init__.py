@@ -9,7 +9,8 @@ This package is the production front door over the estimator registry
 * :mod:`~repro.service.resilient` — :class:`ResilientEstimator` with
   per-call deadlines, bounded retry-with-backoff, and a graceful
   degradation chain ending at the parametric closed form, every answer
-  carrying a :class:`Provenance` record;
+  carrying a :class:`Provenance` record; :class:`Descent`, the one
+  walker down a fallback chain, which the serving front door shares;
 * :mod:`~repro.service.faults` — a deterministic fault-injection
   harness (exceptions, latency, corrupted per-cell statistics at named
   stages) for chaos-testing the above.
@@ -32,6 +33,7 @@ from ..runtime import Deadline, active_deadline, checkpoint, mutate, runtime_sco
 from .faults import FaultPlan, FaultSpec, inject_faults, nan_corruption
 from .resilient import (
     AttemptRecord,
+    Descent,
     Provenance,
     ResilientEstimator,
     ResilientResult,
@@ -77,6 +79,7 @@ __all__ = [
     "ResilientResult",
     "Provenance",
     "AttemptRecord",
+    "Descent",
     "default_fallback_chain",
     # fault injection
     "FaultPlan",

@@ -18,6 +18,9 @@ budgeted, always-answers service call:
    cannot time out and cannot be fault-injected: the chain always
    terminates with *some* answer.
 
+Steps 3 and 4 are one :class:`Descent`, the walker the serving front
+door (:mod:`repro.serve.loop`) descends through too.
+
 Every call yields a :class:`Provenance` record naming the rung that
 answered, every attempt made along the way, and what validation did.
 When no fault fires and no repair is needed, the answer is bit-identical
@@ -30,8 +33,9 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..core.estimator import (
     BasicGHEstimator,
@@ -65,6 +69,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AttemptRecord",
+    "Descent",
     "Provenance",
     "ResilientResult",
     "ResilientEstimator",
@@ -198,6 +203,116 @@ def _invalid_reason(value: object) -> str | None:
     return None
 
 
+class Descent:
+    """One walk down a fallback chain — the only loop over a ladder.
+
+    Iterating yields the rung to run next; the caller runs it inside
+    ``with walk.attempt(): walk.value = ...``.  The ``with`` body may
+    ``await``, so the sync front door (:class:`ResilientEstimator`) and
+    the async one (:class:`~repro.serve.loop.EstimationServer`) share
+    this object.  When the block exits, the walker records one
+    :class:`AttemptRecord`, demotes a non-finite or negative value,
+    retries a :class:`TransientEstimationError` up to ``retries`` times,
+    and otherwise moves one rung down.  Only ``Exception`` is caught:
+    cancellation and every other ``BaseException`` propagates.
+
+    The walker never sleeps, so the async door cannot reach a blocking
+    pause through it.  ``pause_s`` is the backoff owed before the next
+    attempt (``backoff_s`` doubling per retry); a pause that would use up
+    the remaining ``deadline`` is not owed, because the retry is dropped
+    and the walk moves down instead.
+
+    After the walk, ``index`` is the rung that answered (``len(chain)``
+    when none did), ``value`` its answer, and ``error`` None — or, when
+    every rung failed, the last failure.
+    """
+
+    def __init__(
+        self,
+        chain: Sequence[JoinSelectivityEstimator],
+        start: int = 0,
+        *,
+        retries: int = 0,
+        backoff_s: float = 0.0,
+        deadline: Deadline | None = None,
+    ) -> None:
+        self.chain = tuple(chain)
+        self.index = start
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self.deadline = deadline
+        self.attempts: list[AttemptRecord] = []
+        self.value = math.nan
+        self.error: Exception | None = None
+        self.pause_s = 0.0
+        self._tries = 0
+        self._answered = False
+
+    def __iter__(self) -> Iterator[JoinSelectivityEstimator]:
+        while not self._answered and self.index < len(self.chain):
+            yield self.chain[self.index]
+
+    @contextmanager
+    def attempt(self) -> Iterator[None]:
+        """Run one attempt at the current rung (see the class docstring)."""
+        name = _rung_name(self.chain[self.index])
+        self.value = math.nan
+        self.pause_s = 0.0
+        started = time.perf_counter()
+        try:
+            yield
+            bad = _invalid_reason(self.value)
+            if bad is not None:
+                raise EstimatorUnavailable(f"rung {name} produced {bad}")
+        # The fallback chain IS the handler of last resort: any rung
+        # failure is recorded in the attempts and the next rung answers,
+        # so catching everything here is the contract.
+        except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
+            outcome = (
+                "timeout" if isinstance(exc, EstimationTimeout)
+                else "invalid-result" if isinstance(exc, EstimatorUnavailable)
+                else "error"
+            )
+            self._record(name, outcome, f"{type(exc).__name__}: {exc}", started)
+            self.error = exc
+            if isinstance(exc, TransientEstimationError) and self._tries < self.retries:
+                pause = self.backoff_s * 2**self._tries
+                if pause <= 0 or self.deadline is None or pause < self.deadline.remaining:
+                    self._tries += 1
+                    self.pause_s = pause
+                    return
+            self._tries = 0
+            self.index += 1
+        else:
+            self._record(name, "ok", "", started)
+            self.value = float(self.value)
+            self.error = None
+            self._answered = True
+
+    def _record(self, name: str, outcome: str, detail: str, started: float) -> None:
+        self.attempts.append(
+            AttemptRecord(
+                name, self.index, self._tries + 1, outcome, detail,
+                time.perf_counter() - started,
+            )
+        )
+
+    @property
+    def reason(self) -> str:
+        """The first failure above the current rung — after the walk, why
+        the rung that answered (or the zero floor) had to."""
+        for a in self.attempts:
+            if a.rung_index < self.index and a.outcome != "ok":
+                return f"{a.rung} {a.outcome}: {a.detail}"
+        return ""
+
+
+def _backoff(pause_s: float) -> None:
+    """Pay the retry pause a :class:`Descent` owes (sync callers only)."""
+    if pause_s > 0:
+        time.sleep(pause_s)
+
+
 class ResilientEstimator(JoinSelectivityEstimator):
     """Budgeted, validated, always-answers wrapper over any estimator.
 
@@ -301,7 +416,7 @@ class ResilientEstimator(JoinSelectivityEstimator):
     # ------------------------------------------------------------------
     def estimate(self, ds1: SpatialDataset, ds2: SpatialDataset) -> float:
         """The resilient estimate (see :meth:`estimate_detailed`)."""
-        return self.estimate_detailed(ds1, ds2).selectivity
+        return _warned(self._walk(ds1, ds2)).selectivity
 
     def estimate_detailed(
         self, ds1: SpatialDataset, ds2: SpatialDataset
@@ -313,149 +428,43 @@ class ResilientEstimator(JoinSelectivityEstimator):
         policy; ``"strict"`` lets validation errors surface).  The
         returned selectivity is always finite and ``>= 0``.
         """
+        return _warned(self._walk(ds1, ds2))
+
+    def _walk(self, ds1: SpatialDataset, ds2: SpatialDataset) -> ResilientResult:
         ds1, ds2, report1, report2 = validate_pair(ds1, ds2, policy=self.validation)
         deadline = Deadline(self.deadline_s) if self.deadline_s is not None else None
-        attempts: list[AttemptRecord] = []
-
-        for index, rung in enumerate(self.chain):
-            value = self._run_rung(rung, index, ds1, ds2, deadline, attempts)
-            if value is not None:
-                return self._finish(value, rung, index, attempts, (report1, report2))
+        walk = Descent(
+            self.chain, retries=self.retries, backoff_s=self.backoff_s, deadline=deadline
+        )
+        for rung in walk:
+            _backoff(walk.pause_s)
+            with walk.attempt(), runtime_scope(deadline=deadline):
+                walk.value = rung.estimate(ds1, ds2)
         # Every rung failed (only reachable when even the closed-form
         # floor was rigged to fail): answer the defined-empty semantics
         # rather than surfacing an exception.
+        answered = walk.error is None
         provenance = Provenance(
-            rung="zero-floor",
-            rung_index=len(self.chain),
-            degraded=True,
-            attempts=tuple(attempts),
+            rung=_rung_name(self.chain[walk.index]) if answered else "zero-floor",
+            rung_index=walk.index,
+            degraded=walk.index > 0 or report1.repaired or report2.repaired,
+            attempts=tuple(walk.attempts),
             validation=(report1, report2),
-            reason=self._failure_reason(attempts, len(self.chain)),
+            reason=walk.reason,
         )
-        self._warn(provenance)
-        return ResilientResult(0.0, provenance)
+        return ResilientResult(walk.value if answered else 0.0, provenance)
 
-    # ------------------------------------------------------------------
-    def _run_rung(
-        self,
-        rung: JoinSelectivityEstimator,
-        index: int,
-        ds1: SpatialDataset,
-        ds2: SpatialDataset,
-        deadline: Deadline | None,
-        attempts: list[AttemptRecord],
-    ) -> float | None:
-        """Run one rung with retry-on-transient; None means move on."""
-        name = _rung_name(rung)
-        for attempt in range(1 + self.retries):
-            started = time.perf_counter()
-            try:
-                with runtime_scope(deadline=deadline):
-                    value = rung.estimate(ds1, ds2)
-                bad = _invalid_reason(value)
-                if bad is not None:
-                    raise EstimatorUnavailable(f"rung {name} produced {bad}")
-            except EstimationTimeout as exc:
-                attempts.append(
-                    AttemptRecord(
-                        name, index, attempt + 1, "timeout", str(exc),
-                        time.perf_counter() - started,
-                    )
-                )
-                return None  # budget is gone; retrying cannot help
-            except TransientEstimationError as exc:
-                attempts.append(
-                    AttemptRecord(
-                        name, index, attempt + 1, "error", str(exc),
-                        time.perf_counter() - started,
-                    )
-                )
-                if attempt < self.retries and self._backoff(attempt, deadline):
-                    continue
-                return None
-            except EstimatorUnavailable as exc:
-                attempts.append(
-                    AttemptRecord(
-                        name, index, attempt + 1, "invalid-result", str(exc),
-                        time.perf_counter() - started,
-                    )
-                )
-                return None
-            # The fallback chain IS the handler of last resort: any rung
-            # failure is recorded in the provenance and the next rung
-            # answers, so catching everything here is the contract.
-            except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
-                attempts.append(
-                    AttemptRecord(
-                        name, index, attempt + 1, "error",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - started,
-                    )
-                )
-                return None
-            else:
-                attempts.append(
-                    AttemptRecord(
-                        name, index, attempt + 1, "ok", "",
-                        time.perf_counter() - started,
-                    )
-                )
-                return float(value)
-        return None
 
-    def _backoff(self, attempt: int, deadline: Deadline | None) -> bool:
-        """Sleep before a retry; False when the retry is not worth making.
-
-        The exponential pause is clamped by the *remaining* deadline
-        budget: a pause that would consume it entirely is skipped — the
-        retry would start with nothing left and time out at its first
-        checkpoint, so sleeping through the budget only delays the
-        fallback rung.  Returns True when the caller should retry.
-        """
-        if self.backoff_s <= 0:
-            return True
-        pause = self.backoff_s * (2**attempt)
-        if deadline is not None and pause >= deadline.remaining:
-            return False  # sleeping would burn the whole budget
-        time.sleep(pause)
-        return True
-
-    @staticmethod
-    def _failure_reason(attempts: list[AttemptRecord], before_index: int) -> str:
-        """The *first* failure before ``before_index`` — why the primary
-        did not answer (the serving front door reports the same)."""
-        for a in attempts:
-            if a.rung_index < before_index and a.outcome != "ok":
-                return f"{a.rung} {a.outcome}: {a.detail}" if a.detail else f"{a.rung} {a.outcome}"
-        return ""
-
-    def _finish(
-        self,
-        value: float,
-        rung: JoinSelectivityEstimator,
-        index: int,
-        attempts: list[AttemptRecord],
-        reports: tuple[ValidationReport, ValidationReport],
-    ) -> ResilientResult:
-        repaired = reports[0].repaired or reports[1].repaired
-        provenance = Provenance(
-            rung=_rung_name(rung),
-            rung_index=index,
-            degraded=index > 0 or repaired,
-            attempts=tuple(attempts),
-            validation=reports,
-            reason=self._failure_reason(attempts, index),
-        )
-        if provenance.degraded:
-            self._warn(provenance)
-        return ResilientResult(value, provenance)
-
-    @staticmethod
-    def _warn(provenance: Provenance) -> None:
+def _warned(result: ResilientResult) -> ResilientResult:
+    """Warn when ``result`` is degraded, attributed to whoever called the
+    public method (``estimate`` or ``estimate_detailed``) that calls this."""
+    provenance = result.provenance
+    if provenance.degraded:
         detail = f" ({provenance.reason})" if provenance.reason else ""
         warnings.warn(
             f"estimation degraded: answered by {provenance.rung}"
             f" at rung {provenance.rung_index}{detail}",
             DegradedResultWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
+    return result

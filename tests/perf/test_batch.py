@@ -58,11 +58,14 @@ class TestEquivalence:
         assert calls == []
 
     def test_extent_mismatch_raises(self, trio):
-        shifted = SpatialDataset(
-            "shifted", trio[1].rects, Rect(-0.5, -0.5, 1.5, 1.5)
-        )
-        with pytest.raises(ValueError, match="common extent"):
-            estimate_many([(trio[0], shifted)])
+        """Like ``GHEstimator.estimate``, for a non-empty and an empty
+        shifted side alike."""
+        for rects in (trio[1].rects, RectArray.empty()):
+            shifted = SpatialDataset("shifted", rects, Rect(-0.5, -0.5, 1.5, 1.5))
+            with pytest.raises(ValueError, match="common extent"):
+                GHEstimator(level=5).estimate(trio[0], shifted)
+            with pytest.raises(ValueError, match="common extent"):
+                estimate_many([BatchQuery(trio[0], shifted, "gh", 5)])
 
     def test_unknown_scheme_raises(self, trio):
         with pytest.raises(ValueError, match="unknown scheme"):

@@ -12,6 +12,7 @@ through timing races, so every run reproduces.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.serve import (
     ServerConfig,
 )
 from repro.service import default_fallback_chain
-from tests.serve.conftest import run_bounded, unit_catalog
+from tests.serve.conftest import SCENARIO_TIMEOUT_S, run_bounded, unit_catalog
 
 pytestmark = pytest.mark.chaos
 
@@ -234,32 +235,76 @@ class TestPoisonQueries:
 
     def test_mismatched_extent_pair_fails_itself_only(self, rng, catalog):
         """A structurally invalid pair (different extents) is a client
-        error: it raises for that request and leaves the server healthy."""
+        error: it raises for that request at the front door — no batch
+        failure, no rung, even when one side is empty — and leaves the
+        server healthy."""
         from repro.datasets import SpatialDataset
-        from repro.geometry import Rect
+        from repro.geometry import Rect, RectArray
         from tests.conftest import random_rects
 
         bad_extent = Rect(0.0, 0.0, 2.0, 2.0)
-        weird = SpatialDataset(
+        full_catalog = dict(catalog)
+        full_catalog["weird"] = SpatialDataset(
             "weird", random_rects(rng, 50, extent=bad_extent), bad_extent
         )
-        full_catalog = dict(catalog)
-        full_catalog["weird"] = weird
+        full_catalog["void"] = SpatialDataset("void", RectArray.empty(), bad_extent)
         server = EstimationServer(full_catalog)
 
         async def scenario():
             async with server:
                 return await asyncio.gather(
                     server.submit(ServeRequest("roads", "weird")),
+                    server.submit(ServeRequest("roads", "void")),
                     server.submit(ServeRequest("roads", "rivers", level=5)),
                     return_exceptions=True,
                 )
 
-        bad, good = run_bounded(scenario())
-        assert isinstance(bad, ValueError)  # extent mismatch surfaces typed
+        bad, void, good = run_bounded(scenario())
+        for error in (bad, void):
+            assert isinstance(error, ValueError)  # extent mismatch surfaces typed
+            assert "common extent" in str(error)
         assert not isinstance(good, BaseException)
         assert good.selectivity >= 0.0
+        assert server.batcher.stats.batch_failures == 0
+        assert server.ladder.snapshot() == {
+            "full": 1, "cached-coarse": 0, "parametric": 0, "shed": 0,
+        }
         assert server.admission.depth == 0  # no leaked queue slots
+
+
+class TestCancellation:
+    def test_cancelled_submit_runs_no_lower_rung(self, catalog):
+        """Cancelling a request that waits on the batcher cancels it: no
+        rung below the batcher runs, nothing is recorded as answered, and
+        the admission slot comes back."""
+        started, release = threading.Event(), threading.Event()
+
+        def stalled_runner(queries, budget_s):
+            started.set()
+            release.wait(SCENARIO_TIMEOUT_S)
+            return [0.5] * len(queries)
+
+        server = EstimationServer(catalog, batch_runner=stalled_runner)
+
+        async def scenario():
+            async with server:
+                task = asyncio.ensure_future(
+                    server.submit(ServeRequest("roads", "rivers", level=5))
+                )
+                while not started.is_set():
+                    await asyncio.sleep(0.001)
+                task.cancel()
+                try:
+                    with pytest.raises(asyncio.CancelledError):
+                        await task
+                finally:
+                    release.set()
+
+        run_bounded(scenario())
+        assert server.ladder.snapshot() == {
+            "full": 0, "cached-coarse": 0, "parametric": 0, "shed": 0,
+        }
+        assert server.admission.depth == 0
 
 
 class TestNoWrongButConfident:

@@ -5,7 +5,13 @@ import asyncio
 
 import pytest
 
-from repro.core.estimator import ParametricEstimator, PHEstimator, create_estimator
+from repro.core.estimator import (
+    GHEstimator,
+    ParametricEstimator,
+    PHEstimator,
+    create_estimator,
+)
+from repro.errors import DegradedResultWarning
 from repro.serve import (
     DegradationLadder,
     DegradePolicy,
@@ -15,7 +21,7 @@ from repro.serve import (
     ServerConfig,
     ServiceRung,
 )
-from repro.service import default_fallback_chain
+from repro.service import ResilientEstimator, default_fallback_chain
 
 
 def pressure_server(catalog, policy, **kwargs):
@@ -140,7 +146,9 @@ class TestDescent:
             assert response.selectivity == rung.estimate(ds1, ds2)
             assert response.degraded
             # The reason is the first failure, not the last.
-            assert response.provenance.reason == "OSError: estimator tier is down"
+            assert response.provenance.reason == (
+                "gh(level=7) error: OSError: estimator tier is down"
+            )
             expected = "parametric" if rung is chain[-1] else "cached-coarse"
             assert server.ladder.snapshot() == {
                 "full": 0, "cached-coarse": 0, "parametric": 0, "shed": 0,
@@ -164,6 +172,49 @@ class TestDescent:
             counts = server.ladder.snapshot()
             assert counts["shed"] == 0
             assert counts["parametric"] == 2  # the peer walked down too
+
+
+class TestOneWalker:
+    """Both front doors descend through one :class:`Descent`, so one
+    failure reads the same whichever door it came through."""
+
+    def test_same_failure_same_reason_on_both_doors(self, catalog):
+        ds1, ds2 = catalog["roads"], catalog["rivers"]
+        chain = default_fallback_chain(create_estimator("gh", level=7))
+
+        class DownGH(GHEstimator):
+            def estimate(self, a, b):
+                raise OSError("estimator tier is down")
+
+        resilient = ResilientEstimator(
+            chain[0], chain=(DownGH(level=7),) + chain[1:], retries=0
+        )
+        with pytest.warns(DegradedResultWarning):
+            direct = resilient.estimate_detailed(ds1, ds2).provenance
+        server = EstimationServer(catalog, batch_runner=broken_runner)
+        served = serve_one(server, ServeRequest("roads", "rivers", level=7)).provenance
+
+        assert served.reason == direct.reason == (
+            "gh(level=7) error: OSError: estimator tier is down"
+        )
+        steps = [(a.rung, a.outcome) for a in served.attempts]
+        assert steps == [(a.rung, a.outcome) for a in direct.attempts]
+        assert steps == [("gh(level=7)", "error"), ("gh(level=4)", "ok")]
+
+    def test_memo_hit_runs_no_rung(self, catalog):
+        server = EstimationServer(catalog)
+        request = ServeRequest("roads", "rivers", level=5)
+
+        async def twice():
+            async with server:
+                return await server.submit(request), await server.submit(request)
+
+        first, repeat = asyncio.run(twice())
+        assert [(a.rung, a.outcome) for a in first.provenance.attempts] == [
+            ("gh(level=5)", "ok")
+        ]
+        assert repeat.provenance.via == "memo"
+        assert repeat.provenance.attempts == ()
 
 
 class TestAccounting:

@@ -185,15 +185,6 @@ class TestChaos:
     def test_reason_names_the_first_failure(self, pair):
         """Two rungs fail before the floor answers: the provenance reason
         is why the *primary* did not answer, not the last failure."""
-
-        class Down(JoinSelectivityEstimator):
-            def __init__(self, name, exc):
-                self.name = name
-                self.exc = exc
-
-            def estimate(self, ds1, ds2):
-                raise self.exc
-
         chain = [
             Down("primary", OSError("primary down")),
             Down("coarse", RuntimeError("coarse down")),
@@ -216,6 +207,44 @@ class TestChaos:
             with inject_faults(FaultPlan(specs)):
                 value = est.estimate(*pair)
         assert math.isfinite(value) and value >= 0.0
+
+
+class Down(JoinSelectivityEstimator):
+    """A rung that always raises ``exc``."""
+
+    def __init__(self, name, exc):
+        self.name = name
+        self.exc = exc
+
+    def estimate(self, ds1, ds2):
+        raise self.exc
+
+
+class TestWarningLocation:
+    """``DegradedResultWarning`` points at the caller of the public
+    method, whichever method it is and however the walk ended."""
+
+    @staticmethod
+    def degraded():
+        return ResilientEstimator(
+            "gh", level=4, chain=[Down("gh", OSError("down")), ParametricEstimator()]
+        )
+
+    @staticmethod
+    def zero_floor():
+        return ResilientEstimator(
+            "gh", level=4, chain=[Down("gh", OSError("down")), Down("p", OSError("down"))]
+        )
+
+    @pytest.mark.parametrize("path", ["degraded", "zero_floor"])
+    @pytest.mark.parametrize("method", ["estimate", "estimate_detailed"])
+    def test_warning_names_the_callers_file(self, pair, method, path):
+        est = getattr(self, path)()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            getattr(est, method)(*pair)
+        [w] = [w for w in caught if issubclass(w.category, DegradedResultWarning)]
+        assert w.filename == __file__
 
 
 class TestRetry:
