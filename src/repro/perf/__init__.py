@@ -8,7 +8,8 @@ how rarely you rebuild.  This package supplies that amortization layer:
   identity follows the data, not the dataset name;
 * :mod:`~repro.perf.cache` — :class:`HistogramCache`, a byte-budgeted
   cache over built histogram files that evicts by rebuild cost per
-  byte (GreedyDual-Size), with hit/miss/eviction counters, whose every
+  byte (GreedyDual-Size), with hit/miss/eviction
+  :class:`~repro.obs.Counters`, whose every
   source (L1, store, build) answers with the arrays of a cold build;
   plus :class:`CachedEstimator` to thread the cache under any prepared
   estimator (the :class:`~repro.service.resilient.ResilientEstimator`
@@ -18,12 +19,13 @@ how rarely you rebuild.  This package supplies that amortization layer:
   engine's "trees already exist" scenario;
 * :mod:`~repro.perf.memo` — :class:`EstimateCache`, the tier-0 memo of
   final selectivity floats keyed by (fingerprint pair, formula,
-  extent): warm repeats skip builds *and* combines, bit-identically;
+  extent): warm repeats skip builds *and* combines, bit-identically.
+  It is the same retention tier as the caches, with unit-size entries
+  (so exact LRU);
 * :mod:`~repro.perf.batch` — :func:`estimate_many`, which deduplicates
-  histogram builds across a whole workload of queries, runs the
-  distinct builds on a shared thread pool (falling back to serial
-  whenever a runtime deadline/fault scope is active, preserving
-  checkpoint semantics), and combines each query pair at a time.
+  histogram builds across a whole workload of queries, runs each
+  distinct build once, in the calling context (so deadlines and fault
+  hooks apply), and combines each query pair at a time.
 
 ``perfbench/run.py`` measures this layer under serving traffic
 (``--workload serve-miss --trace 1`` breaks a request down into memo,
@@ -35,7 +37,6 @@ from .batch import BatchQuery, estimate_many
 from .cache import (
     CachedEstimator,
     CacheKey,
-    CacheStats,
     FlatTreeCache,
     HistogramCache,
     TreeCacheKey,
@@ -47,20 +48,18 @@ from .fingerprint import (
     peek_fingerprint,
     rects_fingerprint,
 )
-from .memo import EstimateCache, EstimateKey, MemoStats, scheme_formula
+from .memo import EstimateCache, EstimateKey, scheme_formula
 
 __all__ = [
     "BatchQuery",
     "estimate_many",
     "CacheKey",
-    "CacheStats",
     "CachedEstimator",
     "HistogramCache",
     "FlatTreeCache",
     "TreeCacheKey",
     "EstimateCache",
     "EstimateKey",
-    "MemoStats",
     "scheme_formula",
     "dataset_fingerprint",
     "dataset_fingerprint_uncached",

@@ -11,13 +11,14 @@ over; :func:`estimate_many` instead
    the rest to histogram *build tasks* keyed by (dataset fingerprint,
    scheme, level, extent) so duplicate builds collapse across the whole
    workload;
-2. executes the distinct builds — through a
+2. executes each distinct build once, in the calling context (so an
+   active deadline or fault hook applies to it) — through a
    :class:`~repro.perf.cache.HistogramCache` when one is supplied (so a
-   warm cache skips building entirely), on a shared process-wide thread
-   pool otherwise eligible;
+   warm cache skips building entirely);
 3. combines each query through its histogram's own
    ``estimate_selectivity`` (the Equation 5 combine for GH); fresh
-   results are then published to the memo.
+   results are then published to the memo, which refuses both lookups
+   and inserts while a fault hook is active.
 
 The same-grid GH stack-and-fuse kernel
 (:func:`~repro.histograms.fused.fused_pair_estimates`) is not used
@@ -25,19 +26,6 @@ here: copying the operands into a stack costs more than the combines
 it saves (on a 2-CPU x86_64 host, numpy 2.4.6, the per-pair combine
 won at levels 7 and 9 for 2 to 50 pairs).  The all-pairs matrix
 (:mod:`repro.core.matrix`) keeps its fused GEMM kernel.
-
-**Runtime-scope fallback.**  Deadlines and fault hooks live in
-context-local state that does not propagate into worker threads
-(:func:`~repro.runtime.active_scope`); running builds on a pool would
-silently disable an active deadline or fault plan.  When any runtime
-scope is active the engine therefore degrades to serial, in-context
-execution — same results, checkpoint semantics preserved — and the
-memo refuses both lookups and inserts while a fault hook is active.
-
-**Build pool.**  Builds release the GIL inside numpy kernels, so they
-overlap on threads; the pool is created once per process (first
-eligible call), shared by every ``estimate_many`` call, and shut down
-``atexit``.
 
 Results are exactly what per-query estimation would produce: the same
 builders, the same combine formulas, the same empty-side and
@@ -47,10 +35,6 @@ extent-mismatch semantics as
 
 from __future__ import annotations
 
-import atexit
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,40 +43,11 @@ from ..geometry import Rect
 from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 # Looked up by name here by perfbench's span tracer; no call remains.
 from ..histograms.fused import fused_pair_estimates  # noqa: F401
-from ..runtime import active_scope
 from .cache import CacheKey, HistogramCache
 from .fingerprint import dataset_fingerprint
 from .memo import EstimateCache, EstimateKey, scheme_formula
 
 __all__ = ["BatchQuery", "estimate_many"]
-
-#: Builds release the GIL inside numpy kernels but keep Python overhead,
-#: so a small pool captures most of the available overlap.
-_DEFAULT_WORKERS = min(8, os.cpu_count() or 1)
-
-_pool_lock = threading.Lock()
-_shared_pool: "ThreadPoolExecutor | None" = None
-
-
-def _shared_build_pool() -> ThreadPoolExecutor:
-    """The process-wide build pool (created once, shut down atexit)."""
-    global _shared_pool
-    with _pool_lock:
-        if _shared_pool is None:
-            _shared_pool = ThreadPoolExecutor(
-                max_workers=_DEFAULT_WORKERS, thread_name_prefix="repro-build"
-            )
-            atexit.register(_shutdown_shared_pool)
-        return _shared_pool
-
-
-def _shutdown_shared_pool() -> None:
-    """Tear down the shared pool (atexit, and tests that need a reset)."""
-    global _shared_pool
-    with _pool_lock:
-        pool, _shared_pool = _shared_pool, None
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,21 +153,14 @@ def estimate_many(
         plans.append((sides[0], sides[1]))
         memo_keys.append(estimate_key)
 
-    # Phase 2 — run the distinct builds: serial when a runtime scope
-    # (deadline / fault hook) demands in-context execution, on the
-    # shared thread pool otherwise.
+    # Phase 2 — run each distinct build once, in the calling context.
     def run(task: tuple[SpatialDataset, str, int, Rect]) -> Histogram:
         dataset, scheme, level, extent = task
         if cache is not None:
             return cache.get_or_build(dataset, scheme, level, extent=extent)
         return HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=extent)
 
-    keys = list(tasks)
-    if active_scope() is not None or len(keys) <= 1:
-        built = {key: run(tasks[key]) for key in keys}
-    else:
-        pool = _shared_build_pool()
-        built = dict(zip(keys, pool.map(lambda k: run(tasks[k]), keys)))
+    built = {key: run(task) for key, task in tasks.items()}
 
     # Phase 3 — combines, pair at a time through each histogram's own
     # formula (the same call per-query estimation makes).

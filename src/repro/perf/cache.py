@@ -42,10 +42,13 @@ bulk-loaded :class:`~repro.rtree.flat.FlatRTree` structures, keyed by
 estimator's confidence replicas re-join the *same* full dataset when a
 fraction is 1.0, and the paper's "Est. Time 2" scenario assumes the
 input trees already exist — both reduce to warm hits here instead of
-rebuilds.  Both caches share one retention tier (:class:`_ByteCache`:
-the cost-aware eviction within its byte budget, the counters, the
-no-poison insert and the best-effort store publish) and differ only in
-their keys, resolve steps and rebuild-cost proxy.
+rebuilds.  Both caches, and the estimate memo
+(:class:`~repro.perf.memo.EstimateCache`) one tier up, share one
+retention tier (:class:`_ByteCache`: the cost-aware eviction within its
+byte budget, the counters, the no-poison insert and the best-effort
+store publish) and differ only in their keys, resolve steps, sizes and
+rebuild-cost proxy.  A memo entry has size 1 and cost 1, so its budget
+counts entries and its order is exact LRU.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generic, Protocol, TypeVar
+from typing import TYPE_CHECKING, Generic, Hashable, TypeVar
 
 from ..core.estimator import (
     BasicGHEstimator,
@@ -66,6 +69,7 @@ from ..geometry import Rect, RectArray
 from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 from ..rtree import DEFAULT_MAX_ENTRIES, FlatRTree, flat_load_hilbert, flat_load_str
 from ..errors import EstimationTimeout
+from ..obs import Counters, hit_rate
 from ..runtime import active_scope
 from .fingerprint import dataset_fingerprint, rects_fingerprint
 
@@ -75,7 +79,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CacheKey",
-    "CacheStats",
     "HistogramCache",
     "CachedEstimator",
     "TreeCacheKey",
@@ -91,10 +94,6 @@ _TREE_LOADERS = {
 
 #: Default byte budget: 64 MiB ≈ a level-9 GH plus plenty of headroom.
 DEFAULT_MAX_BYTES = 64 << 20
-
-#: Stale heap records tolerated beyond one per live entry before the
-#: retention heap is rebuilt from the live ranks.
-_HEAP_SLACK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,68 +115,43 @@ class TreeCacheKey:
     max_entries: int
 
 
-@dataclass
-class CacheStats:
-    """Monotonic counters describing cache behaviour since creation."""
-
-    hits: int = 0
-    misses: int = 0
-    builds: int = 0  #: misses answered by building from the data
-    derivations: int = 0  #: always 0; kept for perfbench's counter schema
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits / lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "derivations": self.derivations,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class _Sized(Protocol):
-    @property
-    def size_bytes(self) -> int: ...
-
-
-_K = TypeVar("_K", CacheKey, TreeCacheKey)
-_V = TypeVar("_V", bound=_Sized)
+_K = TypeVar("_K", bound=Hashable)
+_V = TypeVar("_V")
 
 
 class _ByteCache(Generic[_K, _V]):
-    """The retention tier shared by :class:`HistogramCache` and
-    :class:`FlatTreeCache`: GreedyDual-Size within a byte budget.
+    """The retention tier shared by :class:`HistogramCache`,
+    :class:`FlatTreeCache` and the estimate memo
+    (:class:`~repro.perf.memo.EstimateCache`): GreedyDual-Size within a
+    byte budget.
 
-    Each retained entry carries a priority ``H = L + cost / size_bytes``
-    where ``cost`` is :meth:`_cost`, a deterministic proxy for the work
-    a rebuild would redo, and ``L`` is the inflation floor.  A hit (or
-    a racing re-insert) refreshes ``H`` against the current ``L``; when
-    the budget overflows, the entry with the smallest ``(H, touch
-    sequence)`` is evicted and ``L`` rises to its ``H`` (Cao & Irani,
+    Each retained entry carries a priority ``H = L + cost / size``
+    where ``size`` is :meth:`_size`, ``cost`` is :meth:`_cost`, a
+    deterministic proxy for the work a rebuild would redo, and ``L`` is
+    the inflation floor.  A hit (or a racing re-insert) refreshes ``H``
+    against the current ``L``; when the budget overflows, the entry
+    with the smallest ``(H, touch sequence)`` is evicted and ``L``
+    rises to its ``H`` (Cao & Irani,
     "Cost-Aware WWW Proxy Caching Algorithms", USENIX 1997).  So at
     equal bytes a cheap rebuild goes before an expensive one, entries
     nobody touches age out as ``L`` climbs past them, and at equal cost
     per byte the order is exactly LRU.
 
     Owns the entries, their byte count, the lock and the
-    :class:`CacheStats`; the L1 probe; the insert (nothing is retained
-    under a fault hook, an entry larger than the whole budget is never
-    retained, a racing insert keeps the first entry); and the
-    best-effort publish to the optional ``store`` L2 tier.  Subclasses
-    add their key type, ``key_for``, ``resolve`` and ``_cost``.
+    :class:`~repro.obs.Counters` named by ``_COUNTERS``; the L1 probe;
+    the insert (nothing is retained under a fault hook, an entry larger
+    than the whole budget is never retained, a racing insert keeps the
+    first entry); and the best-effort publish to the optional ``store``
+    L2 tier.  Subclasses add their key type, ``key_for``, ``resolve``,
+    ``_size`` and ``_cost``.
 
     Thread-safe: lookups and insertions are lock-protected; builds run
     outside the lock so concurrent misses on different keys overlap.
     """
+
+    #: The counter set; ``derivations`` is always 0, kept for
+    #: perfbench's counter schema.
+    _COUNTERS: tuple[str, ...] = ("hits", "misses", "builds", "derivations", "evictions")
 
     def __init__(
         self,
@@ -189,22 +163,23 @@ class _ByteCache(Generic[_K, _V]):
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
         self.store = store
-        self.stats = CacheStats()
+        self.stats = Counters(*self._COUNTERS, derived={"hit_rate": hit_rate})
         self._entries: dict[_K, _V] = {}  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
         #: Live ``(H, touch sequence)`` per retained key.
         self._rank: dict[_K, tuple[float, int]] = {}  # guarded-by: _lock
-        #: ``(H, sequence, key)`` records, lazily invalidated: a record
-        #: whose pair no longer matches ``_rank`` is skipped on pop.
+        #: One ``(H, sequence, key)`` record per retained key, at most its
+        #: live rank: a hit raises only ``_rank``, and eviction re-files
+        #: a record that has fallen behind before trusting the minimum.
         self._heap: list[tuple[float, int, _K]] = []  # guarded-by: _lock
         self._floor = 0.0  # guarded-by: _lock
         self._touches = 0  # guarded-by: _lock
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
     def current_bytes(self) -> int:
-        """Total ``size_bytes`` of retained entries (always ≤ budget)."""
+        """Total :meth:`_size` of retained entries (always ≤ budget)."""
         with self._lock:
             return self._bytes
 
@@ -231,6 +206,10 @@ class _ByteCache(Generic[_K, _V]):
             self._floor = 0.0
 
     # ------------------------------------------------------------------
+    def _size(self, value: _V) -> int:
+        """Bytes ``value`` counts against the budget."""
+        raise NotImplementedError
+
     def _cost(self, value: _V) -> int:
         """Deterministic work proxy for rebuilding ``value`` (never a
         timing: eviction must repeat run to run)."""
@@ -240,25 +219,28 @@ class _ByteCache(Generic[_K, _V]):
         """Set ``key``'s priority against the current floor.  Caller
         holds ``_lock``."""
         self._touches += 1
-        credit = self._cost(value) / max(value.size_bytes, 1)  # an empty tree has 0 bytes
-        rank = (self._floor + credit, self._touches)
-        self._rank[key] = rank
-        heapq.heappush(self._heap, (*rank, key))
-        if len(self._heap) > 2 * len(self._rank) + _HEAP_SLACK:
-            self._heap = [(*live, k) for k, live in self._rank.items()]
-            heapq.heapify(self._heap)
+        credit = self._cost(value) / (self._size(value) or 1)  # an empty tree has 0 bytes
+        self._rank[key] = (self._floor + credit, self._touches)
 
     def _evict_one(self) -> None:
         """Drop the lowest-priority entry and raise the floor to its
-        ``H``.  Caller holds ``_lock`` and ``_entries`` is non-empty."""
+        ``H``.  Caller holds ``_lock`` and ``_entries`` is non-empty.
+
+        Ranks only rise, so a record matching its key's live rank is
+        the true minimum; a record that fell behind is re-filed first.
+        """
+        heap = self._heap
         while True:
-            priority, touch, key = heapq.heappop(self._heap)
-            if self._rank.get(key) == (priority, touch):
+            priority, touch, key = heap[0]
+            live = self._rank[key]
+            if live == (priority, touch):
+                heapq.heappop(heap)
                 break
+            heapq.heapreplace(heap, (*live, key))
         del self._rank[key]
-        self._bytes -= self._entries.pop(key).size_bytes
+        self._bytes -= self._size(self._entries.pop(key))
         self._floor = priority
-        self.stats.evictions += 1
+        self.stats.add("evictions")
 
     def _probe(self, key: _K) -> "_V | None":
         """Count one lookup: the retained entry, or ``None`` on a miss."""
@@ -266,15 +248,14 @@ class _ByteCache(Generic[_K, _V]):
             hit = self._entries.get(key)
             if hit is not None:
                 self._touch(key, hit)
-                self.stats.hits += 1
+                self.stats.add("hits")
                 return hit
-            self.stats.misses += 1
+            self.stats.add("misses")
             return None
 
     def _admit_build(self, key: _K, value: _V) -> _V:
         """Count a fresh build, publish it to the store, retain it."""
-        with self._lock:
-            self.stats.builds += 1
+        self.stats.add("builds")
         self._publish(key, value)
         self._insert(key, value)
         return value
@@ -301,23 +282,26 @@ class _ByteCache(Generic[_K, _V]):
     def _put(self, store: "ArtifactCatalog", key: _K, value: _V) -> None:
         raise NotImplementedError
 
-    def _insert(self, key: _K, value: _V) -> None:
+    def _insert(self, key: _K, value: _V) -> bool:
+        """Retain ``value``; True when it is a new entry."""
         scope = active_scope()
         if scope is not None and scope.hook is not None:
-            return  # a mutation hook may have corrupted this build
-        size = value.size_bytes
+            return False  # a mutation hook may have corrupted this build
+        size = self._size(value)
         if size > self.max_bytes:
-            return  # would evict everything and still not fit
+            return False  # would evict everything and still not fit
         with self._lock:
             kept = self._entries.get(key)
             if kept is not None:  # another thread raced us; keep theirs
                 self._touch(key, kept)
-                return
+                return False
             self._entries[key] = value
             self._bytes += size
             self._touch(key, value)
+            heapq.heappush(self._heap, (*self._rank[key], key))
             while self._bytes > self.max_bytes:
                 self._evict_one()
+            return True
 
 
 class HistogramCache(_ByteCache[CacheKey, Histogram]):
@@ -406,6 +390,9 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
 
     def _put(self, store: "ArtifactCatalog", key: CacheKey, value: Histogram) -> None:
         store.put_histogram(key, value)
+
+    def _size(self, value: Histogram) -> int:
+        return value.size_bytes
 
     def _cost(self, value: Histogram) -> int:
         return value.count + value.grid.cell_count
@@ -534,6 +521,9 @@ class FlatTreeCache(_ByteCache[TreeCacheKey, FlatRTree]):
 
     def _put(self, store: "ArtifactCatalog", key: TreeCacheKey, value: FlatRTree) -> None:
         store.put_tree(key, value)
+
+    def _size(self, value: FlatRTree) -> int:
+        return value.size_bytes
 
     def _cost(self, value: FlatRTree) -> int:
         return len(value)

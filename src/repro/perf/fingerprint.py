@@ -144,19 +144,24 @@ def audit_fingerprint(dataset: SpatialDataset) -> str:
     return digest
 
 
-def dataset_fingerprint_uncached(dataset: SpatialDataset) -> str:
-    """The O(n) multiply-mix fold — the memo's ground truth."""
-    rects = dataset.rects
+def _fold(rects: RectArray, prefix: bytes, suffix: bytes) -> str:
+    """BLAKE2b over ``prefix``, the length, ``suffix`` and the four
+    per-array multiply-mix accumulators, in that order."""
     n = len(rects)
     weights = _mix_weights(n)
-    digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)
+    digest = hashlib.blake2b(prefix, digest_size=_DIGEST_BYTES)
     digest.update(struct.pack("<q", n))
-    digest.update(struct.pack("<4d", *dataset.extent.as_tuple()))
+    digest.update(suffix)
     for coords in (rects.xmin, rects.ymin, rects.xmax, rects.ymax):
         bits = np.ascontiguousarray(coords, dtype=np.float64).view(np.uint64)
         acc = int((bits * weights).sum(dtype=np.uint64))
         digest.update(struct.pack("<Q", acc))
     return digest.hexdigest()
+
+
+def dataset_fingerprint_uncached(dataset: SpatialDataset) -> str:
+    """The O(n) multiply-mix fold — the memo's ground truth."""
+    return _fold(dataset.rects, b"", struct.pack("<4d", *dataset.extent.as_tuple()))
 
 
 def rects_fingerprint(rects: RectArray) -> str:
@@ -169,13 +174,4 @@ def rects_fingerprint(rects: RectArray) -> str:
     rect arrays, not datasets.  Not memoized — rect arrays carry no
     token, and the sampling paths that use this redraw per call anyway.
     """
-    n = len(rects)
-    weights = _mix_weights(n)
-    digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)
-    digest.update(b"rects")
-    digest.update(struct.pack("<q", n))
-    for coords in (rects.xmin, rects.ymin, rects.xmax, rects.ymax):
-        bits = np.ascontiguousarray(coords, dtype=np.float64).view(np.uint64)
-        acc = int((bits * weights).sum(dtype=np.uint64))
-        digest.update(struct.pack("<Q", acc))
-    return digest.hexdigest()
+    return _fold(rects, b"rects", b"")

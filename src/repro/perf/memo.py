@@ -33,16 +33,15 @@ no-poison rule, applied one tier up).
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..datasets import SpatialDataset
 from ..geometry import Rect
 from ..runtime import active_scope
+from .cache import _ByteCache
 from .fingerprint import dataset_fingerprint, peek_fingerprint
 
-__all__ = ["EstimateKey", "EstimateCache", "MemoStats", "scheme_formula"]
+__all__ = ["EstimateKey", "EstimateCache", "scheme_formula"]
 
 #: Default entry budget: a key is ~100 bytes and a value is one float,
 #: so 64 Ki entries is a few MiB — tiny next to one level-7 histogram.
@@ -69,36 +68,12 @@ class EstimateKey:
     extent: tuple[float, float, float, float]
 
 
-@dataclass
-class MemoStats:
-    """Monotonic counters describing memo behaviour since creation."""
-
-    hits: int = 0
-    misses: int = 0
-    inserts: int = 0
-    evictions: int = 0
-    skips: int = 0  #: get/put bypassed under an active fault hook
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits / lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "inserts": self.inserts,
-            "evictions": self.evictions,
-            "skips": self.skips,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class EstimateCache:
+class EstimateCache(_ByteCache[EstimateKey, float]):
     """Thread-safe LRU of final selectivity floats.
+
+    The shared retention tier with every entry of size 1 and cost 1:
+    the byte budget counts entries (``max_entries``) and GreedyDual-Size
+    degenerates to exact LRU.
 
     Invalidation is free: a sanctioned mutation bumps the dataset's
     token, the next fingerprint differs, and every key minted for the
@@ -106,27 +81,20 @@ class EstimateCache:
     the LRU).  There is nothing to purge eagerly.
     """
 
+    #: ``skips`` counts gets and puts bypassed under an active fault hook.
+    _COUNTERS = ("hits", "misses", "inserts", "evictions", "skips")
+
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
+        super().__init__(max_entries)
         self.max_entries = int(max_entries)
-        self.stats = MemoStats()
-        self._entries: "OrderedDict[EstimateKey, float]" = OrderedDict()  # guarded-by: _lock
-        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def _size(self, value: float) -> int:
+        return 1
 
-    def __contains__(self, key: EstimateKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
+    def _cost(self, value: float) -> int:
+        return 1
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -174,17 +142,9 @@ class EstimateCache:
             return None
         scope = active_scope()
         if scope is not None and scope.hook is not None:
-            self.stats.skips += 1
+            self.stats.add("skips")
             return None
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return value
+        return self._probe(key)
 
     def put(self, key: "EstimateKey | None", value: float) -> None:
         """Retain one estimate (LRU within the entry budget).
@@ -198,18 +158,10 @@ class EstimateCache:
             return
         scope = active_scope()
         if scope is not None and scope.hook is not None:
-            self.stats.skips += 1
+            self.stats.add("skips")
             return
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                return
-            self._entries[key] = value
-            self.stats.inserts += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        if self._insert(key, value):
+            self.stats.add("inserts")
 
     def __repr__(self) -> str:
         return (

@@ -26,17 +26,15 @@ closed-loop clients; the overload and fault regimes are chaos tests
 (``pytest -m chaos``).
 """
 
-from .admission import AdmissionController, AdmissionStats, AdmissionTicket, TokenBucket
-from .batcher import BatcherStats, MicroBatcher
+from .admission import AdmissionController, AdmissionTicket, TokenBucket
+from .batcher import MicroBatcher
 from .degrade import DegradationLadder, DegradePolicy, ServeProvenance, ServiceRung
 from .loop import EstimationServer, ServeRequest, ServeResponse, ServerConfig
 
 __all__ = [
     "AdmissionController",
-    "AdmissionStats",
     "AdmissionTicket",
     "TokenBucket",
-    "BatcherStats",
     "MicroBatcher",
     "DegradationLadder",
     "DegradePolicy",

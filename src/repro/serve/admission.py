@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from ..errors import ServiceOverloadError
+from ..obs import Counters
 
 __all__ = [
     "TokenBucket",
     "AdmissionTicket",
-    "AdmissionStats",
     "AdmissionController",
 ]
 
@@ -90,33 +90,6 @@ class AdmissionTicket:
     released: bool = False
 
 
-@dataclass
-class AdmissionStats:
-    """Monotonic counters describing admission decisions since creation."""
-
-    admitted: int = 0
-    released: int = 0
-    rejected_queue: int = 0  #: rejections because the bounded queue was full
-    rejected_quota: int = 0  #: rejections because the tenant bucket was dry
-    high_water: int = 0  #: deepest simultaneous occupancy observed
-
-    @property
-    def rejected(self) -> int:
-        """Total rejections, regardless of cause."""
-        return self.rejected_queue + self.rejected_quota
-
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "admitted": self.admitted,
-            "released": self.released,
-            "rejected_queue": self.rejected_queue,
-            "rejected_quota": self.rejected_quota,
-            "rejected": self.rejected,
-            "high_water": self.high_water,
-        }
-
-
 class AdmissionController:
     """Bounded admission queue with optional per-tenant quotas.
 
@@ -142,7 +115,7 @@ class AdmissionController:
         fake; production uses ``time.monotonic``).
 
     Single-loop discipline: the controller is designed to be called from
-    one asyncio event loop (the server's); it keeps no locks.
+    one asyncio event loop (the server's); only its ``stats`` counters lock.
     """
 
     def __init__(
@@ -162,7 +135,14 @@ class AdmissionController:
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self.max_tenants = int(max_tenants)
-        self.stats = AdmissionStats()
+        self.stats = Counters(
+            "admitted",
+            "released",
+            "rejected_queue",  # the bounded queue was full
+            "rejected_quota",  # the tenant bucket was dry
+            "high_water",  # deepest simultaneous occupancy observed
+            derived={"rejected": lambda c: c["rejected_queue"] + c["rejected_quota"]},
+        )
         self._clock = clock
         self._depth = 0
         self._buckets: Dict[str, TokenBucket] = {}
@@ -230,18 +210,9 @@ class AdmissionController:
         capacity).  On success returns a ticket the caller must
         :meth:`release` when the request leaves the system.
         """
-        bucket = self.bucket_for(tenant)
-        if bucket is not None and not bucket.try_acquire():
-            self.stats.rejected_quota += 1
-            raise ServiceOverloadError(
-                f"tenant {tenant!r} exceeded its quota "
-                f"({self.tenant_rate:g} q/s, burst {self.tenant_burst:g})",
-                reason="quota",
-                tenant=tenant,
-                queue_depth=self._depth,
-            )
+        self.charge(tenant)
         if self._depth >= self.max_depth:
-            self.stats.rejected_queue += 1
+            self.stats.add("rejected_queue")
             raise ServiceOverloadError(
                 f"admission queue full ({self._depth}/{self.max_depth})",
                 reason="queue-full",
@@ -249,9 +220,8 @@ class AdmissionController:
                 tenant=tenant,
             )
         self._depth += 1
-        self.stats.admitted += 1
-        if self._depth > self.stats.high_water:
-            self.stats.high_water = self._depth
+        self.stats.add("admitted")
+        self.stats.raise_to("high_water", self._depth)
         return AdmissionTicket(tenant=tenant)
 
     def charge(self, tenant: str = "default") -> None:
@@ -266,7 +236,7 @@ class AdmissionController:
         """
         bucket = self.bucket_for(tenant)
         if bucket is not None and not bucket.try_acquire():
-            self.stats.rejected_quota += 1
+            self.stats.add("rejected_quota")
             raise ServiceOverloadError(
                 f"tenant {tenant!r} exceeded its quota "
                 f"({self.tenant_rate:g} q/s, burst {self.tenant_burst:g})",
@@ -281,7 +251,7 @@ class AdmissionController:
             return
         ticket.released = True
         self._depth -= 1
-        self.stats.released += 1
+        self.stats.add("released")
 
     def __repr__(self) -> str:
         return (

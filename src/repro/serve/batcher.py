@@ -33,41 +33,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import EstimationTimeout, EstimatorUnavailable
+from ..obs import Counters
 from ..perf.batch import BatchQuery
 from ..runtime import Deadline
 
-__all__ = ["BatchRunner", "BatcherStats", "MicroBatcher"]
+__all__ = ["BatchRunner", "MicroBatcher"]
 
 #: Executes a fused batch synchronously (on an executor thread) under an
 #: optional deadline budget in seconds; returns one selectivity per query.
 BatchRunner = Callable[[Sequence[BatchQuery], "float | None"], "list[float]"]
-
-
-@dataclass
-class BatcherStats:
-    """Monotonic counters describing batching behaviour since creation."""
-
-    queries: int = 0
-    batches: int = 0  #: fused runs dispatched (each covers >= 1 query)
-    batch_failures: int = 0  #: fused runs that raised and fell to solo retries
-    solo_retries: int = 0  #: individual re-runs after a fused failure
-    expired_before_run: int = 0  #: members rejected with an expired deadline
-
-    @property
-    def coalesced(self) -> int:
-        """Queries that shared a fused run with at least one other."""
-        return self.queries - self.batches
-
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "queries": self.queries,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "batch_failures": self.batch_failures,
-            "solo_retries": self.solo_retries,
-            "expired_before_run": self.expired_before_run,
-        }
 
 
 @dataclass
@@ -107,7 +81,15 @@ class MicroBatcher:
         # builds over the loop's default pool raised peak RSS (one malloc
         # arena per thread; perfbench serve-miss 107 -> 115 MB median).
         self._executor = ThreadPoolExecutor(1, thread_name_prefix="repro-batch")
-        self.stats = BatcherStats()
+        self.stats = Counters(
+            "queries",
+            "batches",  # fused runs dispatched (each covers >= 1 query)
+            "batch_failures",  # fused runs that raised and fell to solo retries
+            "solo_retries",  # individual re-runs after a fused failure
+            "expired_before_run",  # members rejected with an expired deadline
+            # Queries that shared a fused run with at least one other.
+            derived={"coalesced": lambda c: c["queries"] - c["batches"]},
+        )
         self._pending: list[_Pending] = []
         self._drain: "asyncio.Task[None] | None" = None
         self._closed = False
@@ -127,7 +109,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[float]" = loop.create_future()
         self._pending.append(_Pending(query, deadline, future=future))
-        self.stats.queries += 1
+        self.stats.add("queries")
         if self._drain is None:
             # Scheduled, not run: submits later in this tick join the batch.
             self._drain = loop.create_task(self._drain_pending())
@@ -160,7 +142,7 @@ class MicroBatcher:
                 if pending.deadline is not None:
                     pending.deadline.check("serve.batch")
             except EstimationTimeout as exc:
-                self.stats.expired_before_run += 1
+                self.stats.add("expired_before_run")
                 if not pending.future.done():
                     pending.future.set_exception(exc)
             else:
@@ -170,7 +152,7 @@ class MicroBatcher:
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         """Execute one fused batch; on failure, retry members solo."""
-        self.stats.batches += 1
+        self.stats.add("batches")
         loop = asyncio.get_running_loop()
         queries = [p.query for p in batch]
         deadline_s = _tightest_budget(batch)
@@ -191,7 +173,7 @@ class MicroBatcher:
         # poison query, tightest-deadline expiry, transient fault — must
         # be re-attributed to the member(s) that actually cause it.
         except Exception:  # repro-lint: disable=R005  # noqa: BLE001
-            self.stats.batch_failures += 1
+            self.stats.add("batch_failures")
             await self._retry_solo(batch)
         else:
             for pending, value in zip(batch, results):
@@ -204,7 +186,7 @@ class MicroBatcher:
         for pending in batch:
             if pending.future.done():
                 continue
-            self.stats.solo_retries += 1
+            self.stats.add("solo_retries")
             budget = _tightest_budget([pending])
             try:
                 results = await loop.run_in_executor(

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
 
+from ..obs import Counters
 from ..service.resilient import AttemptRecord
 
 __all__ = ["ServiceRung", "DegradePolicy", "ServeProvenance", "DegradationLadder"]
@@ -115,14 +115,14 @@ class DegradationLadder:
     """Stateful rung selector with per-rung counters.
 
     :meth:`select` maps measured pressure to a rung per
-    :class:`DegradePolicy`; :meth:`record` tallies which rung
-    ultimately answered (failure descent walks the estimator's fallback
-    chain and never sheds a request it already admitted).
+    :class:`DegradePolicy`; :meth:`record` tallies in ``stats`` which
+    rung ultimately answered (failure descent walks the estimator's
+    fallback chain and never sheds a request it already admitted).
     """
 
     def __init__(self, policy: DegradePolicy | None = None) -> None:
         self.policy = policy if policy is not None else DegradePolicy()
-        self.counts: Dict[str, int] = {rung.value: 0 for rung in _ORDER}
+        self.stats = Counters(*(rung.value for rung in _ORDER))
 
     def select(self, pressure: float) -> ServiceRung:
         """The cheapest acceptable rung for this much queue pressure."""
@@ -137,11 +137,7 @@ class DegradationLadder:
 
     def record(self, rung: ServiceRung) -> None:
         """Tally that ``rung`` answered (or shed) one request."""
-        self.counts[rung.value] += 1
-
-    def snapshot(self) -> dict[str, int]:
-        """Per-rung answer counts for reports and benchmark JSON."""
-        return dict(self.counts)
+        self.stats.add(rung.value)
 
     def __repr__(self) -> str:
-        return f"DegradationLadder({self.policy!r}, counts={self.counts})"
+        return f"DegradationLadder({self.policy!r}, {self.stats!r})"

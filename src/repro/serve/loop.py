@@ -52,6 +52,7 @@ from ..datasets import SpatialDataset
 from ..errors import EstimatorUnavailable, ServiceOverloadError
 from ..histograms import MAX_LEVEL
 from ..histograms.file import HISTOGRAM_SCHEMES
+from ..obs import Counters
 from ..perf.batch import BatchQuery, estimate_many
 from ..perf.cache import HistogramCache
 from ..perf.memo import EstimateCache, scheme_formula
@@ -175,7 +176,7 @@ class EstimationServer:
             if self.config.memo_entries > 0
             else None
         )
-        self._memo_fast_hits = 0
+        self._counters = Counters("fast_hits")  # memo answers on the fast lane
         self.batcher = MicroBatcher(
             batch_runner if batch_runner is not None else self._default_runner,
             max_batch=self.config.max_batch,
@@ -225,7 +226,7 @@ class EstimationServer:
             except ServiceOverloadError:
                 self.ladder.record(ServiceRung.SHED)
                 raise
-            self._memo_fast_hits += 1
+            self._counters.add("fast_hits")
             self.ladder.record(ServiceRung.FULL)
             provenance = ServeProvenance(
                 rung=ServiceRung.FULL.value,
@@ -425,13 +426,13 @@ class EstimationServer:
             "admission": self.admission.stats.snapshot(),
             "depth": self.admission.depth,
             "pressure": self.admission.pressure,
-            "rungs": self.ladder.snapshot(),
+            "rungs": self.ladder.stats.snapshot(),
             "batcher": self.batcher.stats.snapshot(),
             "cache": self.cache.stats.snapshot(),
             "memo": {
                 **(self.memo.stats.snapshot() if self.memo is not None else {}),
                 "entries": len(self.memo) if self.memo is not None else 0,
-                "fast_hits": self._memo_fast_hits,
+                **self._counters.snapshot(),
             },
         }
         if self.store is not None:

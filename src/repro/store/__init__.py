@@ -31,7 +31,6 @@ from .catalog import (
     MANIFEST_NAME,
     ArtifactCatalog,
     StoreEntry,
-    StoreStats,
     hist_entry_name,
     tree_entry_name,
 )
@@ -39,7 +38,6 @@ from .catalog import (
 __all__ = [
     "ArtifactCatalog",
     "StoreEntry",
-    "StoreStats",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "hist_entry_name",

@@ -33,10 +33,10 @@ header; full checksums are verified by ``python -m repro.store verify``.
 Any mismatch counts ``corrupt_detected``, discards the entry, and
 degrades to a miss — the caller rebuilds and republishes.
 
-Counters live in :class:`StoreStats` (same shape as
-:class:`~repro.perf.cache.CacheStats`) and are thread-safe; the
-filesystem is the source of truth for the entry set, so many processes
-may read while one publishes.
+Counters live in one :class:`~repro.obs.Counters` (the stats shape of
+every serving layer) and are thread-safe; the filesystem is the source
+of truth for the entry set, so many processes may read while one
+publishes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import itertools
 import json
 import os
 import shutil
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Mapping
@@ -55,6 +54,7 @@ import numpy as np
 
 from ..errors import ArtifactIntegrityError
 from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
+from ..obs import Counters, hit_rate
 from ..perf.cache import _TREE_LOADERS, CacheKey, TreeCacheKey
 from ..runtime import checkpoint
 from .codec import (
@@ -71,7 +71,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ArtifactCatalog",
     "StoreEntry",
-    "StoreStats",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "hist_entry_name",
@@ -138,36 +137,6 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-@dataclass
-class StoreStats:
-    """Monotonic counters describing catalog behaviour since creation."""
-
-    hits: int = 0
-    misses: int = 0
-    publishes: int = 0
-    corrupt_detected: int = 0  #: loads rejected by an integrity check
-    evictions: int = 0
-    invalidations: int = 0  #: explicit removals (maintenance, CLI)
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits / lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "publishes": self.publishes,
-            "corrupt_detected": self.corrupt_detected,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
-
-
 @dataclass(frozen=True, slots=True)
 class StoreEntry:
     """One published artifact as listed from disk."""
@@ -207,10 +176,17 @@ class ArtifactCatalog:
     def __init__(self, root: str | os.PathLike[str], *, read_only: bool = False) -> None:
         self.root = Path(root)
         self.read_only = bool(read_only)
-        self.stats = StoreStats()
+        self.stats = Counters(
+            "hits",
+            "misses",
+            "publishes",
+            "corrupt_detected",  # loads rejected by an integrity check
+            "evictions",
+            "invalidations",  # explicit removals (maintenance, CLI)
+            derived={"hit_rate": hit_rate},
+        )
         self._objects = self.root / "objects"
         self._tmp = self.root / "tmp"
-        self._lock = threading.Lock()
         self._seq = itertools.count()
         if not self.read_only:
             self._objects.mkdir(parents=True, exist_ok=True)
@@ -233,7 +209,7 @@ class ArtifactCatalog:
         try:
             found = self._read_entry(name, HISTOGRAM_SCHEMES, _hist_key_json(key))
             if found is None:
-                self._note_miss()
+                self.stats.add("misses")
                 return None
             manifest, arrays = found
             hist = decode_histogram(_params_of(manifest), arrays)
@@ -249,7 +225,7 @@ class ArtifactCatalog:
         try:
             found = self._read_entry(name, (TREE_KIND,), _tree_key_json(key))
             if found is None:
-                self._note_miss()
+                self.stats.add("misses")
                 return None
             manifest, arrays = found
             tree = decode_tree(_params_of(manifest), arrays)
@@ -321,8 +297,7 @@ class ArtifactCatalog:
         )
         removed = self._discard(name)
         if removed:
-            with self._lock:
-                self.stats.invalidations += 1
+            self.stats.add("invalidations")
         return removed
 
     def evict(self, max_bytes: int) -> list[str]:
@@ -344,8 +319,7 @@ class ArtifactCatalog:
             if self._discard(entry.name):
                 total -= entry.nbytes
                 removed.append(entry.name)
-                with self._lock:
-                    self.stats.evictions += 1
+                self.stats.add("evictions")
         return removed
 
     # -- introspection --------------------------------------------------
@@ -435,20 +409,13 @@ class ArtifactCatalog:
         return problems
 
     # -- internals ------------------------------------------------------
-    def _note_miss(self) -> None:
-        with self._lock:
-            self.stats.misses += 1
-
     def _note_corrupt(self, name: str) -> None:
-        with self._lock:
-            self.stats.corrupt_detected += 1
-            self.stats.misses += 1
+        self.stats.add("corrupt_detected", "misses")
         if not self.read_only:
             self._discard(name)
 
     def _note_hit(self, name: str) -> None:
-        with self._lock:
-            self.stats.hits += 1
+        self.stats.add("hits")
         if not self.read_only:
             try:
                 os.utime(self._objects / name / MANIFEST_NAME)
@@ -571,8 +538,7 @@ class ArtifactCatalog:
             # error): drop the staging dir so nothing readable remains.
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        with self._lock:
-            self.stats.publishes += 1
+        self.stats.add("publishes")
         return True
 
     def _discard(self, name: str) -> bool:

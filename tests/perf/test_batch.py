@@ -1,8 +1,9 @@
-"""Batched estimation: equivalence, dedup, and runtime-scope fallback."""
+"""Batched estimation: equivalence, dedup, and in-context builds."""
 
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 
@@ -116,39 +117,29 @@ class TestDeduplication:
 
 class TestRuntimeScopeFallback:
     def test_serial_under_active_scope(self, trio, monkeypatch):
-        """With a deadline or hook installed, builds must stay on the
-        calling context (thread pools cannot see context-local scopes)."""
-        import repro.perf.batch as batch_mod
-
+        """With a deadline or hook installed, every build runs on the
+        calling thread, where the context-local scope is visible."""
         queries = [
             (a, b, "gh", 4) for a, b in itertools.product(trio, trio) if a is not b
         ]
         expected = estimate_many(queries)
+        threads: list[int] = []
+        build = GHHistogram.build
 
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("thread pool used under an active runtime scope")
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(batch_mod, "ThreadPoolExecutor", boom)
+        monkeypatch.setattr(GHHistogram, "build", recording)
         with runtime_scope(deadline=Deadline(None)):
             results = estimate_many(queries)
         assert results == expected
+        assert threads == [threading.get_ident()] * len(trio)
 
     def test_deadline_still_enforced(self, trio):
         with runtime_scope(deadline=Deadline(0.0)):
             with pytest.raises(EstimationTimeout):
                 estimate_many([(trio[0], trio[1], "gh", 6)])
-
-    def test_parallel_path_matches_serial(self, trio):
-        queries = [
-            (a, b, scheme, level)
-            for (a, b), scheme, level in itertools.product(
-                itertools.combinations(trio, 2), ("gh", "ph"), (3, 5)
-            )
-        ]
-        pooled = estimate_many(queries)
-        with runtime_scope():  # any active scope runs the builds serially
-            serial = estimate_many(queries)
-        assert pooled == serial
 
 
 class TestFingerprintDedup:
@@ -175,28 +166,6 @@ class TestFingerprintDedup:
         assert len(queries) == 24
         estimate_many(queries)
         assert sorted(calls) == sorted(ds.name for ds in trio)
-
-
-class TestSharedPool:
-    def test_pool_is_created_once_and_reused(self, trio):
-        import repro.perf.batch as batch_mod
-
-        batch_mod._shutdown_shared_pool()
-        queries = [(a, b, "gh", 4) for a, b in itertools.combinations(trio, 2)]
-        estimate_many(queries)
-        first = batch_mod._shared_pool
-        assert first is not None
-        estimate_many(queries)
-        assert batch_mod._shared_pool is first
-
-    def test_shutdown_then_rebuild(self, trio):
-        import repro.perf.batch as batch_mod
-
-        queries = [(a, b, "gh", 4) for a, b in itertools.combinations(trio, 2)]
-        expected = estimate_many(queries)
-        batch_mod._shutdown_shared_pool()
-        assert batch_mod._shared_pool is None
-        assert estimate_many(queries) == expected
 
 
 class TestTier0Memo:

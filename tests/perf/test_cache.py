@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 import repro.perf.cache as cache_module
-from repro.datasets import SpatialDataset
+from repro.datasets import SpatialDataset, make_uniform
 from repro.geometry import Rect
 from repro.histograms import GHHistogram, PHHistogram
 from repro.histograms.file import histogram_parts
-from repro.perf import CacheKey, FlatTreeCache, HistogramCache, dataset_fingerprint
+from repro.perf import (
+    CacheKey,
+    FlatTreeCache,
+    HistogramCache,
+    dataset_fingerprint,
+    dataset_fingerprint_uncached,
+    rects_fingerprint,
+)
 from repro.rtree import flat_load_str
 from repro.runtime import runtime_scope
 from tests.conftest import random_rects
@@ -31,6 +38,13 @@ def _make(rng, n=300, name="d") -> SpatialDataset:
 class TestFingerprint:
     def test_deterministic(self, dataset):
         assert dataset_fingerprint(dataset) == dataset_fingerprint(dataset)
+
+    def test_digests_are_pinned(self):
+        """Store entries on disk are named by these digests: a changed
+        fold would orphan every stored artifact, so both are pinned."""
+        ds = make_uniform(1000, seed=7, name="pin")
+        assert dataset_fingerprint_uncached(ds) == "533e32f635b64da46a102474d5ca436b"
+        assert rects_fingerprint(ds.rects) == "291cd9514e23e5705964d0965b52de01"
 
     def test_name_does_not_matter(self, dataset):
         renamed = SpatialDataset("other-name", dataset.rects, dataset.extent)
@@ -200,7 +214,7 @@ class TestCostAwareRetention:
             cache.get_or_build(ds, "gh", 3)
         for i in range(10_000):
             cache.get_or_build(datasets[i % 4], "gh", 3)
-            assert len(cache._heap) <= 2 * len(cache) + cache_module._HEAP_SLACK
+            assert len(cache._heap) == len(cache)  # one record per entry
         assert cache.stats.hits == 10_000
 
 

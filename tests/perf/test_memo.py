@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -63,18 +64,46 @@ class TestEstimateCache:
         assert memo.get(key) == 0.5
 
     def test_lru_eviction(self, pair):
-        memo = EstimateCache(2)
-        keys = [
-            EstimateKey("f1", "f2", f"gh(level={lvl})", (0.0, 0.0, 1.0, 1.0))
-            for lvl in (3, 4, 5)
+        """The memo is the shared retention tier with unit size and cost,
+        so its order is exact LRU: every trace below ends with the keys
+        (next victim first) and counters of an ``OrderedDict`` LRU."""
+        rng = np.random.default_rng(7)
+        traces = [
+            (2, "p0 p1 g0 p2 g0 g1"),  # a get refreshes: 1 goes, not 0
+            (2, "p0 p1 p0 p2"),  # so does a repeated put
+            (3, "p0 p1 p2 p3 p4 p5 g3 g4 g5"),  # a cold scan evicts in order
+            (1, "p0 g0 p1 g0 g1 p1"),
+            (4, " ".join(f"{'pg'[rng.integers(2)]}{rng.integers(7)}" for _ in range(300))),
         ]
-        memo.put(keys[0], 0.1)
-        memo.put(keys[1], 0.2)
-        memo.get(keys[0])  # touch: keys[1] is now LRU
-        memo.put(keys[2], 0.3)
-        assert memo.get(keys[0]) == 0.1
-        assert memo.get(keys[1]) is None  # evicted
-        assert memo.stats.evictions == 1
+        for budget, trace in traces:
+            memo = EstimateCache(budget)
+            model: "OrderedDict[int, float]" = OrderedDict()
+            expected = dict.fromkeys(("hits", "misses", "inserts", "evictions"), 0)
+            keys = [
+                EstimateKey("f1", "f2", f"gh(level={i})", (0.0, 0.0, 1.0, 1.0))
+                for i in range(7)
+            ]
+            for op in trace.split():
+                i = int(op[1:])
+                if op[0] == "g":
+                    expected["hits" if i in model else "misses"] += 1
+                    if i in model:
+                        model.move_to_end(i)
+                    assert memo.get(keys[i]) == model.get(i)
+                    continue
+                if i in model:
+                    model.move_to_end(i)
+                else:
+                    model[i] = i / 10
+                    expected["inserts"] += 1
+                    if len(model) > budget:
+                        model.popitem(last=False)
+                        expected["evictions"] += 1
+                memo.put(keys[i], i / 10)
+            assert memo.keys() == [keys[i] for i in model], trace
+            snapshot = memo.stats.snapshot()
+            assert {name: snapshot[name] for name in expected} == expected, trace
+            assert len(memo) == len(model) <= budget
 
     def test_keys_are_ordered(self, pair):
         """Swapping the operands swaps the key: the combine's float

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import make_clustered, make_uniform
 from repro.errors import EstimationTimeout
 from repro.geometry import Rect, RectArray
 from repro.join.naive import nested_loop_count, nested_loop_pairs
@@ -112,8 +113,16 @@ class TestBitIdentity:
     """The differential contract: flat counts == object-tree counts."""
 
     def test_matches_object_engine(self, rng):
-        for n1, n2 in [(1, 1), (40, 31), (500, 700), (2000, 900)]:
-            a, b = random_rects(rng, n1), random_rects(rng, n2)
+        pairs = [
+            (random_rects(rng, n1), random_rects(rng, n2))
+            for n1, n2 in [(1, 1), (40, 31), (500, 700), (2000, 900)]
+        ]
+        # The kernel inputs of benchmarks/bench_sampling.py.
+        pairs += [
+            (make_uniform(n, seed=401).rects, make_clustered(n, seed=402).rects)
+            for n in (8_000, 20_000, 50_000)
+        ]
+        for a, b in pairs:
             want = rtree_join_count(bulk_load_str(a), bulk_load_str(b))
             assert flat_join_count(flat_load_str(a), flat_load_str(b)) == want
 

@@ -266,7 +266,7 @@ class TestPoisonQueries:
         assert not isinstance(good, BaseException)
         assert good.selectivity >= 0.0
         assert server.batcher.stats.batch_failures == 0
-        assert server.ladder.snapshot() == {
+        assert server.ladder.stats.snapshot() == {
             "full": 1, "cached-coarse": 0, "parametric": 0, "shed": 0,
         }
         assert server.admission.depth == 0  # no leaked queue slots
@@ -301,7 +301,7 @@ class TestCancellation:
                     release.set()
 
         run_bounded(scenario())
-        assert server.ladder.snapshot() == {
+        assert server.ladder.stats.snapshot() == {
             "full": 0, "cached-coarse": 0, "parametric": 0, "shed": 0,
         }
         assert server.admission.depth == 0

@@ -150,7 +150,7 @@ class TestDescent:
                 "gh(level=7) error: OSError: estimator tier is down"
             )
             expected = "parametric" if rung is chain[-1] else "cached-coarse"
-            assert server.ladder.snapshot() == {
+            assert server.ladder.stats.snapshot() == {
                 "full": 0, "cached-coarse": 0, "parametric": 0, "shed": 0,
                 expected: 1,
             }
@@ -169,7 +169,7 @@ class TestDescent:
             )
             assert response.provenance.rung == "parametric"
             assert response.selectivity == ParametricEstimator().estimate(ds1, ds2)
-            counts = server.ladder.snapshot()
+            counts = server.ladder.stats.snapshot()
             assert counts["shed"] == 0
             assert counts["parametric"] == 2  # the peer walked down too
 
@@ -223,7 +223,7 @@ class TestAccounting:
         ladder.record(ServiceRung.FULL)
         ladder.record(ServiceRung.FULL)
         ladder.record(ServiceRung.SHED)
-        assert ladder.snapshot() == {
+        assert ladder.stats.snapshot() == {
             "full": 2, "cached-coarse": 0, "parametric": 0, "shed": 1,
         }
 

@@ -83,7 +83,7 @@ class TestPressureDegradation:
         assert outcomes[2].provenance.rung == "parametric"
         assert isinstance(outcomes[3], ServiceOverloadError)
         assert outcomes[3].reason == "shed"
-        assert server.ladder.snapshot()["shed"] == 1
+        assert server.ladder.stats.snapshot()["shed"] == 1
 
     def test_cached_rung_coarsens_by_policy(self, catalog):
         # max_depth=2: the second concurrent request sees one peer ahead
@@ -135,7 +135,7 @@ class TestPressureDegradation:
         outcomes = asyncio.run(go())
         sheds = [o for o in outcomes if isinstance(o, ServiceOverloadError)]
         assert sheds and all(o.reason in ("queue-full", "shed") for o in sheds)
-        assert server.admission.stats.rejected + server.ladder.snapshot()[
+        assert server.admission.stats.rejected + server.ladder.stats.snapshot()[
             "shed"
         ] >= len(sheds)
 
@@ -172,7 +172,7 @@ class TestFailureDescent:
         with pytest.raises(ValueError, match="unknown dataset"):
             serve_one(server, ServeRequest("roads", "oceans"))
         # Nothing was recorded as answered: the ladder never ran.
-        assert sum(server.ladder.snapshot().values()) == 0
+        assert sum(server.ladder.stats.snapshot().values()) == 0
         assert server.admission.depth == 0  # the ticket was released
 
     @pytest.mark.parametrize(
@@ -189,7 +189,7 @@ class TestFailureDescent:
         with pytest.raises(ValueError, match="scheme|level"):
             serve_one(server, request_)
         # A client error is not degraded: no rung answered or shed.
-        assert sum(server.ladder.snapshot().values()) == 0
+        assert sum(server.ladder.stats.snapshot().values()) == 0
         assert server.admission.depth == 0
 
     def test_descent_failure_does_not_leak_queue_slots(self, catalog):
