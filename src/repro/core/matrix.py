@@ -8,12 +8,13 @@ the intended production flow, and the natural input to
 :func:`repro.core.optimizer.optimize_join_order`.
 
 For GH estimators the combine loop itself is fused: the k prepared
-histogram files are stacked into ``(k, cells)`` stat planes and the
-whole matrix falls out of two GEMMs
-(:func:`~repro.histograms.fused.fused_selectivity_matrix` — Equation 5
-is a sum of elementwise products, so ``Σ C_a·O_b`` over all pairs *is*
-``C @ O.T``).  BLAS reorders the cell reduction, so fused entries agree
-with per-pair combines to ~1e-15 relative rather than bit-exactly;
+histogram files go to
+:func:`~repro.histograms.fused.fused_selectivity_matrix`, which answers
+each pair with four BLAS dot products on the histograms' own stat
+planes (Equation 5 is a sum of elementwise products, so each of its
+four terms is one dot product).  Nothing is stacked or copied.
+BLAS reorders the cell reduction, so fused entries agree with per-pair
+combines to ~1e-15 relative rather than bit-exactly;
 ``engine="pairwise"`` keeps the scalar loop for callers that need the
 legacy floats.
 """
@@ -25,7 +26,7 @@ from typing import Dict, Sequence, Tuple
 
 from ..datasets import SpatialDataset
 from ..geometry import Rect
-from ..histograms.fused import fused_selectivity_matrix, stack_gh
+from ..histograms.fused import fused_selectivity_matrix
 from .estimator import GHEstimator, PreparedEstimator
 
 __all__ = ["pairwise_selectivities"]
@@ -34,7 +35,7 @@ _ENGINES = ("auto", "fused", "pairwise")
 
 
 def _gh_fusable(estimator: PreparedEstimator) -> bool:
-    """Whether the estimator's summaries are stackable GH files.
+    """Whether the estimator's summaries are plain GH files.
 
     True for a plain :class:`GHEstimator` and for wrappers (e.g.
     :class:`~repro.perf.cache.CachedEstimator`) whose ``inner`` is one —
@@ -96,14 +97,9 @@ def pairwise_selectivities(
         for ds in datasets
     }
     ordered = sorted(names)
-    result: Dict[Tuple[str, str], float] = {}
+    pairs = list(combinations(ordered, 2))
     if fusable and engine != "pairwise":
-        stack = stack_gh([summaries[name] for name in ordered])
-        matrix = fused_selectivity_matrix(stack)
-        for i, a in enumerate(ordered):
-            for j in range(i + 1, len(ordered)):
-                result[(a, ordered[j])] = float(matrix[i, j])
-        return result
-    for a, b in combinations(ordered, 2):
-        result[(a, b)] = estimator.combine(summaries[a], summaries[b])
-    return result
+        values = fused_selectivity_matrix([summaries[name] for name in ordered])
+    else:
+        values = [estimator.combine(summaries[a], summaries[b]) for a, b in pairs]
+    return dict(zip(pairs, values))

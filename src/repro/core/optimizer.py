@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["JoinPlan", "optimize_join_order", "plan_cardinality"]
 
@@ -47,19 +47,40 @@ def _selectivity(selectivities: Mapping[Edge, float], a: str, b: str) -> Optiona
     return sel
 
 
-def _independence_product(sizes: Iterable[float], sels: Iterable[float]) -> float:
-    """``prod sizes * prod sels``, multiplied left to right.
+def _join_graph(
+    names: Sequence[str], sizes: Mapping[str, int], selectivities: Mapping[Edge, float]
+) -> Tuple[List[int], List[Tuple[int, float]]]:
+    """Adjacency masks and cardinality factors of the join graph over ``names``.
+
+    Bit ``j`` of ``adjacent[i]`` is set when an edge joins ``names[i]``
+    and ``names[j]``.  ``factors`` lists ``(mask, factor)``: each
+    relation's size under its own bit, in name order, then each present
+    edge's selectivity under its pair's two bits, in index-pair order.
+    """
+    adjacent = [0] * len(names)
+    factors: List[Tuple[int, float]] = [(1 << i, sizes[name]) for i, name in enumerate(names)]
+    for i, j in combinations(range(len(names)), 2):
+        sel = _selectivity(selectivities, names[i], names[j])
+        if sel is not None:
+            adjacent[i] |= 1 << j
+            adjacent[j] |= 1 << i
+            factors.append(((1 << i) | (1 << j), sel))
+    return adjacent, factors
+
+
+def _cardinality(subset: int, factors: Sequence[Tuple[int, float]]) -> float:
+    """The product of the factors whose mask lies inside ``subset``.
 
     The one cardinality formula: :func:`plan_cardinality` and the DP in
-    :func:`optimize_join_order` both feed it sizes in sorted-name order
-    and the present edges in sorted-pair order, so both produce the
-    same float for the same set of relations.
+    :func:`optimize_join_order` both build ``factors`` over the sorted
+    names, so sizes are multiplied in sorted-name order and then the
+    present edges in sorted-pair order, left to right, and both produce
+    the same float for the same set of relations.
     """
     card = 1.0
-    for size in sizes:
-        card *= size
-    for sel in sels:
-        card *= sel
+    for mask, factor in factors:
+        if subset & mask == mask:
+            card *= factor
     return card
 
 
@@ -88,10 +109,8 @@ def plan_cardinality(
     selectivity keys; absent pairs are Cartesian (selectivity 1).
     """
     ordered = sorted(names)
-    pair_sels = (_selectivity(selectivities, a, b) for a, b in combinations(ordered, 2))
-    return _independence_product(
-        (sizes[name] for name in ordered), (sel for sel in pair_sels if sel is not None)
-    )
+    _, factors = _join_graph(ordered, sizes, selectivities)
+    return _cardinality((1 << len(ordered)) - 1, factors)
 
 
 def optimize_join_order(
@@ -113,21 +132,7 @@ def optimize_join_order(
         return JoinPlan((only,), 0.0, float(sizes[only]))
 
     k = len(names)
-    size = [sizes[name] for name in names]
-    adjacent = [0] * k  # bit j of adjacent[i]: an edge joins names[i] and names[j]
-    edges: List[Tuple[int, float]] = []  # (pair mask, selectivity), sorted-pair order
-    for i, j in combinations(range(k), 2):
-        sel = _selectivity(selectivities, names[i], names[j])
-        if sel is not None:
-            adjacent[i] |= 1 << j
-            adjacent[j] |= 1 << i
-            edges.append(((1 << i) | (1 << j), sel))
-
-    def cardinality(subset: int) -> float:
-        return _independence_product(
-            (size[i] for i in range(k) if subset >> i & 1),
-            (sel for pair, sel in edges if subset & pair == pair),
-        )
+    adjacent, factors = _join_graph(names, sizes, selectivities)
 
     # DP over subsets: best (cost, order) to produce each subset, where
     # cost = sum of cardinalities of all intermediate results produced
@@ -137,6 +142,7 @@ def optimize_join_order(
     best: Dict[int, Tuple[float, Tuple[int, ...]]] = {1 << i: (0.0, (i,)) for i in range(k)}
     neighbours = {1 << i: adjacent[i] for i in range(k)}  # relations adjacent to a member
     card: Dict[int, float] = {}
+    full = (1 << k) - 1
     layer = [1 << i for i in range(k)]
     for _ in range(k - 1):
         next_layer: List[int] = []
@@ -144,22 +150,22 @@ def optimize_join_order(
             base_cost, base_order = best[subset]
             # Prefer connected extensions; allow a Cartesian step only
             # when no relation connects (keeps disconnected graphs legal).
-            frontier = neighbours[subset] & ~subset
-            for i in range(k):
-                bit = 1 << i
-                if subset & bit or (frontier and not frontier & bit):
-                    continue
+            candidates = (neighbours[subset] & ~subset) or (full & ~subset)
+            while candidates:
+                bit = candidates & -candidates  # lowest index first
+                candidates ^= bit
+                i = bit.bit_length() - 1
                 grown = subset | bit
-                if grown not in card:
-                    card[grown] = cardinality(grown)
+                grown_card = card.get(grown)
+                if grown_card is None:
+                    grown_card = card[grown] = _cardinality(grown, factors)
                     neighbours[grown] = neighbours[subset] | adjacent[i]
                     next_layer.append(grown)
-                cost = base_cost + card[grown]
+                cost = base_cost + grown_card
                 entry = best.get(grown)
                 if entry is None or cost < entry[0]:
                     best[grown] = (cost, base_order + (i,))
         layer = next_layer
 
-    full = (1 << k) - 1
     cost, order = best[full]
     return JoinPlan(tuple(names[i] for i in order), cost, card[full])

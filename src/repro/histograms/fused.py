@@ -4,15 +4,19 @@ Equation 5 is a sum of elementwise products over cells,
 
     IP(a, b) = Σ_ij  Ca·Ob + Cb·Oa + Ha·Vb + Hb·Va,
 
-so combining one histogram against many — or all k against all k — does
-not need a Python loop over pairs.  Stacking the four stat planes of k
-histograms into ``(k, cells)`` blocks turns
+so each of its four terms is a product of two whole planes and no
+kernel loops over cells in Python.  Two kernels use that:
 
-* a *list of pairs* into a few broadcasted elementwise products plus a
-  row-wise sum (:func:`fused_pair_estimates`), and
-* the *full k×k matrix* into two GEMMs (:func:`fused_selectivity_matrix`):
-  ``C @ O.T`` and ``H @ V.T`` give every ``Σ Ca·Ob`` / ``Σ Ha·Vb`` at
-  once, and ``IP = CO + COᵀ + HV + HVᵀ``.
+* :func:`fused_pair_estimates` stacks the four stat planes of k
+  histograms into ``(k, cells)`` blocks (:func:`stack_gh`) and turns a
+  *list of pairs* into a few broadcasted elementwise products plus a
+  row-wise sum;
+* :func:`fused_selectivity_matrix` answers *every pair i < j* of k
+  same-grid histograms with four BLAS dot products per pair on the
+  histograms' own planes (``a.c·b.o + b.c·a.o + a.h·b.v + b.h·a.v``).
+  Nothing is stacked and no self-join diagonal is computed: at level 7
+  a stack of five files copies 2.5 MiB per call before any arithmetic,
+  which costs more than the dots themselves.
 
 **Numerics contract.**  The two kernels make *different* promises:
 
@@ -34,6 +38,7 @@ histograms into ``(k, cells)`` blocks turns
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -131,27 +136,28 @@ def fused_pair_estimates(
     return out
 
 
-def fused_selectivity_matrix(stack: GHStack) -> np.ndarray:
-    """The full k×k selectivity matrix via two GEMMs (approximate).
+def fused_selectivity_matrix(histograms: Sequence[GHHistogram]) -> list[float]:
+    """Selectivity of every pair ``i < j`` of k same-grid GH files.
 
-    ``result[i, j]`` matches ``estimate_selectivity`` to ~1e-15
-    relative (BLAS reorders the cell reduction); the diagonal holds
-    each dataset's self-join selectivity.  Rows/columns of empty
-    datasets are 0.0.
+    Pairs come in :func:`itertools.combinations` order.  Each entry
+    matches ``histograms[i].estimate_selectivity(histograms[j])`` to
+    ~1e-15 relative (BLAS reorders the cell reduction) and does not
+    depend on the pair's operand order; a pair with an empty side is 0.0.
     """
+    for hist in histograms[1:]:
+        if hist.grid != histograms[0].grid:
+            raise ValueError(
+                "GH histograms must share the same grid (extent and level)"
+            )
     checkpoint("gh.combine.fused")
-    co = stack.c @ stack.o.T  # co[i, j] = Σ_cells C_i · O_j
-    hv = stack.h @ stack.v.T
-    # half + half.T is exactly symmetric (float + is commutative), so
-    # result[i, j] == result[j, i] bit-for-bit — the optimizer's upper
-    # triangle is the whole story.
-    half = co + hv
-    ip = half + half.T
-    counts = stack.counts.astype(np.float64)
-    denominator = 4.0 * np.outer(counts, counts)
-    return np.divide(
-        ip,
-        denominator,
-        out=np.zeros_like(ip),
-        where=denominator > 0.0,
-    )
+    out: list[float] = []
+    for a, b in combinations(histograms, 2):
+        if a.count == 0 or b.count == 0:
+            out.append(0.0)
+            continue
+        # Each term pair is summed first, so swapping a and b gives the
+        # same float (float + is commutative).
+        ip = (np.dot(a.c, b.o) + np.dot(b.c, a.o)) + (np.dot(a.h, b.v) + np.dot(b.h, a.v))
+        # (ip / 4) / (n1 * n2): estimate_selectivity's division order.
+        out.append(float(ip) / 4.0 / (a.count * b.count))
+    return out

@@ -25,7 +25,8 @@ The same-grid GH stack-and-fuse kernel
 here: copying the operands into a stack costs more than the combines
 it saves (on a 2-CPU x86_64 host, numpy 2.4.6, the per-pair combine
 won at levels 7 and 9 for 2 to 50 pairs).  The all-pairs matrix
-(:mod:`repro.core.matrix`) keeps its fused GEMM kernel.
+(:mod:`repro.core.matrix`) stacks nothing either: its kernel runs BLAS
+dot products on the histograms' own planes.
 
 Results are exactly what per-query estimation would produce: the same
 builders, the same combine formulas, the same empty-side and

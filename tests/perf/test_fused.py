@@ -1,6 +1,8 @@
-"""Fused Equation 5 kernels: bit-identity, GEMM agreement, validation."""
+"""Fused Equation 5 kernels: bit-identity, BLAS-dot agreement, validation."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -96,18 +98,37 @@ class TestFusedPairs:
 
 class TestFusedMatrix:
     def test_close_to_scalar(self, histograms):
-        stack = stack_gh(histograms)
-        matrix = fused_selectivity_matrix(stack)
-        k = len(histograms)
-        assert matrix.shape == (k, k)
-        for i in range(k):
-            for j in range(k):
-                scalar = histograms[i].estimate_selectivity(histograms[j])
-                assert matrix[i, j] == pytest.approx(scalar, rel=1e-12)
+        values = fused_selectivity_matrix(histograms)
+        pairs = list(combinations(range(len(histograms)), 2))
+        assert len(values) == len(pairs)
+        for value, (i, j) in zip(values, pairs):
+            scalar = histograms[i].estimate_selectivity(histograms[j])
+            assert value == pytest.approx(scalar, rel=1e-12)
 
     def test_symmetric(self, histograms):
-        matrix = fused_selectivity_matrix(stack_gh(histograms))
-        assert np.array_equal(matrix, matrix.T)
+        """Swapping every pair's operands gives the same floats bit for bit."""
+        k = len(histograms)
+        forward = dict(zip(combinations(range(k), 2), fused_selectivity_matrix(histograms)))
+        backward = fused_selectivity_matrix(histograms[::-1])
+        for value, (i, j) in zip(backward, combinations(reversed(range(k)), 2)):
+            assert value == forward[(j, i)]
+
+    def test_grid_mismatch_rejected(self, datasets):
+        coarse = GHHistogram.build(datasets[0], 3)
+        fine = GHHistogram.build(datasets[1], 4)
+        with pytest.raises(ValueError, match="grid"):
+            fused_selectivity_matrix([coarse, fine])
+
+    def test_empty_side_yields_zero(self, rng):
+        full = GHHistogram.build(SpatialDataset("f", random_rects(rng, 100)), 4)
+        empty = GHHistogram.build(
+            SpatialDataset("e", random_rects(rng, 0), full.grid.extent), 4
+        )
+        assert fused_selectivity_matrix([full, empty, full]) == [
+            0.0,
+            pytest.approx(full.estimate_selectivity(full), rel=1e-12),
+            0.0,
+        ]
 
 
 class TestMatrixEngines:
@@ -120,8 +141,8 @@ class TestMatrixEngines:
             assert fused[key] == pytest.approx(value, rel=1e-12)
 
     def test_fused_runs_no_per_pair_combines(self, datasets, monkeypatch):
-        """The fused matrix answers every pair from one GEMM pass; the
-        pairwise engine combines each pair once."""
+        """The fused matrix answers every pair from its own dot products;
+        the pairwise engine combines each pair once."""
         from repro.histograms import GHHistogram
 
         calls = []
