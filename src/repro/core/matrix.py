@@ -10,9 +10,11 @@ the intended production flow, and the natural input to
 For GH estimators the combine loop itself is fused: the k prepared
 histogram files go to
 :func:`~repro.histograms.fused.fused_selectivity_matrix`, which answers
-each pair with four BLAS dot products on the histograms' own stat
-planes (Equation 5 is a sum of elementwise products, so each of its
-four terms is one dot product).  Nothing is stacked or copied.
+each pair with two BLAS dot products on [C|H]·[O|V] views of the
+histograms' own plane blocks (Equation 5 is a sum of elementwise
+products, and each file keeps ``C, H, O, V`` as the rows of one block,
+so ``C·O + H·V`` is one dot over ``2·cells`` floats).  Nothing is
+stacked or copied.
 BLAS reorders the cell reduction, so fused entries agree with per-pair
 combines to ~1e-15 relative rather than bit-exactly;
 ``engine="pairwise"`` keeps the scalar loop for callers that need the
@@ -84,7 +86,8 @@ def pairwise_selectivities(
     if extent is None:
         extent = datasets[0].extent
         for ds in datasets[1:]:
-            extent = extent.union(ds.extent)
+            if ds.extent != extent:  # the common case, equal extents, needs no union
+                extent = extent.union(ds.extent)
     fusable = _gh_fusable(estimator)
     if engine == "fused" and not fusable:
         raise ValueError(

@@ -12,22 +12,25 @@ Selinger-style dynamic program over join orders:
 * joins without a connecting predicate (Cartesian products) are avoided
   unless unavoidable.
 
-The DP runs over integer bitmask subsets of the (sorted) relations:
-adjacency masks are precomputed once, so the connectivity rule is a
-mask test, and each subset's cardinality is computed once, with the
-same formula :func:`plan_cardinality` uses, so every path into a subset
-sees the same float.  A call costs O(2^k · k) for ``k`` relations —
-fine for the handfuls of relations spatial queries join.  The point of
-the example (examples/query_optimizer.py) is that plugging in GH
-estimates yields the same plan as plugging in the true selectivities,
-while the naive parametric estimator can be fooled by skew.
+The DP runs over integer bitmask subsets of the (sorted) relations and
+keeps its state in lists indexed by bitmask: adjacency masks are
+precomputed once, so the connectivity rule is a mask test, and every
+subset's cardinality comes from one table filled factor by factor (each
+factor multiplies into every superset of its mask), which multiplies
+the same factors in the same order as :func:`plan_cardinality`, so
+every path into a subset sees the same float.  A call costs O(2^k · k)
+for ``k`` relations — fine for the handfuls of relations spatial
+queries join.  The point of the example (examples/query_optimizer.py)
+is that plugging in GH estimates yields the same plan as plugging in
+the true selectivities, while the naive parametric estimator can be
+fooled by skew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["JoinPlan", "optimize_join_order", "plan_cardinality"]
 
@@ -81,6 +84,24 @@ def _cardinality(subset: int, factors: Sequence[Tuple[int, float]]) -> float:
     for mask, factor in factors:
         if subset & mask == mask:
             card *= factor
+    return card
+
+
+def _cardinalities(k: int, factors: Sequence[Tuple[int, float]]) -> List[float]:
+    """:func:`_cardinality` of every subset of ``k`` relations, by bitmask.
+
+    Factor by factor, in list order, each factor multiplies into every
+    superset of its mask.  Each subset therefore sees exactly its own
+    factors, in list order, starting from 1.0, so every entry is the
+    float :func:`_cardinality` computes for that subset.
+    """
+    full = (1 << k) - 1
+    card = [1.0] * (full + 1)
+    for mask, factor in factors:
+        subset = mask
+        while subset <= full:  # supersets of mask in increasing order
+            card[subset] *= factor
+            subset = (subset + 1) | mask
     return card
 
 
@@ -139,15 +160,20 @@ def optimize_join_order(
     # (the final result is also counted once, uniformly across plans).
     # Subsets are extended one relation at a time, layer by layer, in
     # first-reached order; a strict < keeps the first of equal costs.
-    best: Dict[int, Tuple[float, Tuple[int, ...]]] = {1 << i: (0.0, (i,)) for i in range(k)}
-    neighbours = {1 << i: adjacent[i] for i in range(k)}  # relations adjacent to a member
-    card: Dict[int, float] = {}
     full = (1 << k) - 1
+    card = _cardinalities(k, factors)
+    best_cost = [0.0] * (full + 1)
+    best_order: List[Tuple[int, ...]] = [()] * (full + 1)  # () = not reached yet
+    neighbours = [0] * (full + 1)  # relations adjacent to a member
     layer = [1 << i for i in range(k)]
+    for i, single in enumerate(layer):
+        best_order[single] = (i,)
+        neighbours[single] = adjacent[i]
     for _ in range(k - 1):
         next_layer: List[int] = []
         for subset in layer:
-            base_cost, base_order = best[subset]
+            base_cost = best_cost[subset]
+            base_order = best_order[subset]
             # Prefer connected extensions; allow a Cartesian step only
             # when no relation connects (keeps disconnected graphs legal).
             candidates = (neighbours[subset] & ~subset) or (full & ~subset)
@@ -156,16 +182,14 @@ def optimize_join_order(
                 candidates ^= bit
                 i = bit.bit_length() - 1
                 grown = subset | bit
-                grown_card = card.get(grown)
-                if grown_card is None:
-                    grown_card = card[grown] = _cardinality(grown, factors)
+                cost = base_cost + card[grown]
+                if not best_order[grown]:
                     neighbours[grown] = neighbours[subset] | adjacent[i]
                     next_layer.append(grown)
-                cost = base_cost + grown_card
-                entry = best.get(grown)
-                if entry is None or cost < entry[0]:
-                    best[grown] = (cost, base_order + (i,))
+                elif not cost < best_cost[grown]:
+                    continue
+                best_cost[grown] = cost
+                best_order[grown] = base_order + (i,)
         layer = next_layer
 
-    cost, order = best[full]
-    return JoinPlan(tuple(names[i] for i in order), cost, card[full])
+    return JoinPlan(tuple(names[i] for i in best_order[full]), best_cost[full], card[full])

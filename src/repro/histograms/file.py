@@ -3,7 +3,10 @@
 The paper's workflow builds histogram *files* per dataset offline and
 consults them at estimation time; the *building time* and *space cost*
 metrics of Figure 7 measure exactly this artifact.  Histograms round-trip
-through ``.npz`` files (or in-memory bytes) keyed by scheme kind.
+through ``.npz`` files (or in-memory bytes) keyed by scheme kind.  Files
+carry a ``version``: version 2 stacks GH planes in ``c, h, o, v`` order,
+and unversioned files (which stacked them ``c, o, h, v``) are rejected
+rather than decoded with ``O`` and ``H`` swapped.
 """
 
 from __future__ import annotations
@@ -44,11 +47,18 @@ HISTOGRAM_SCHEMES: Mapping[str, "type[Histogram]"] = {
 
 _KINDS = {cls: kind for kind, cls in HISTOGRAM_SCHEMES.items()}
 
+#: ``.npz`` histogram-file version; bump whenever :data:`STAT_PLANES`
+#: (or any other part of the payload layout) changes.
+_FORMAT_VERSION = 2
+
 #: Stat-plane order per kind — the row order of the stacked ``stats``
-#: array produced by :func:`histogram_parts` (and stored in files).
+#: array produced by :func:`histogram_parts` (and stored in files).  GH's
+#: order is its own block's (:attr:`GHHistogram.planes`), so ``[C|H]``
+#: and ``[O|V]`` are contiguous halves and the optimizer matrix needs
+#: two dots on [C|H]·[O|V] per pair.
 STAT_PLANES: dict[str, tuple[str, ...]] = {
     "ph": ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i"),
-    "gh": ("c", "o", "h", "v"),
+    "gh": ("c", "h", "o", "v"),
     "gh_basic": ("c", "i", "h", "v"),
 }
 
@@ -59,8 +69,10 @@ def histogram_parts(hist: Histogram) -> tuple[dict[str, object], np.ndarray]:
     Returns ``(scalars, stats)`` where ``scalars`` holds ``kind`` /
     ``level`` / ``extent`` / ``count`` (plus ``avg_span`` for PH) as
     plain Python values, and ``stats`` stacks the per-cell planes in
-    :data:`STAT_PLANES` order.  :func:`histogram_from_parts` is the
-    exact inverse; ``repro.store`` persists precisely these two pieces.
+    :data:`STAT_PLANES` order.  For GH that is the histogram's own
+    :attr:`~GHHistogram.planes` block, returned without a copy.
+    :func:`histogram_from_parts` is the exact inverse; ``repro.store``
+    persists precisely these two pieces.
     """
     kind = _KINDS.get(type(hist))
     if kind is None:
@@ -73,6 +85,8 @@ def histogram_parts(hist: Histogram) -> tuple[dict[str, object], np.ndarray]:
     }
     if isinstance(hist, PHHistogram):
         scalars["avg_span"] = float(hist.avg_span)
+    if isinstance(hist, GHHistogram):
+        return scalars, hist.planes
     stats = np.stack([getattr(hist, plane) for plane in STAT_PLANES[kind]])
     return scalars, stats
 
@@ -82,7 +96,8 @@ def histogram_from_parts(scalars: dict[str, object], stats: np.ndarray) -> Histo
 
     ``stats`` may be any array-like with the right leading dimension —
     in particular a read-only ``np.load(..., mmap_mode="r")`` view, in
-    which case every plane is a zero-copy slice of that view.
+    which case every plane is a zero-copy slice of that view (and a
+    C-contiguous GH ``stats`` becomes the histogram's block as is).
     """
     kind = str(scalars["kind"])
     planes = STAT_PLANES.get(kind)
@@ -101,19 +116,20 @@ def histogram_from_parts(scalars: dict[str, object], stats: np.ndarray) -> Histo
             f"level-{grid.level} stats need {grid.cell_count} cells, got {stats.shape[1]}"
         )
     count = int(scalars["count"])  # type: ignore[call-overload]
+    if kind == "gh":
+        return GHHistogram._from_planes(grid, count, stats)
     fields = {plane: stats[i] for i, plane in enumerate(planes)}
     if kind == "ph":
         return PHHistogram(
             grid=grid, count=count, avg_span=float(scalars["avg_span"]), **fields  # type: ignore[arg-type]
         )
-    if kind == "gh":
-        return GHHistogram(grid=grid, count=count, **fields)
     return BasicGHHistogram(grid=grid, count=count, **fields)
 
 
 def _payload(hist: Histogram) -> dict[str, np.ndarray]:
     scalars, stats = histogram_parts(hist)
     payload: dict[str, np.ndarray] = {
+        "version": np.int64(_FORMAT_VERSION),
         "kind": np.str_(str(scalars["kind"])),
         "level": np.int64(scalars["level"]),  # type: ignore[arg-type]
         "extent": np.array(scalars["extent"], dtype=np.float64),
@@ -126,13 +142,20 @@ def _payload(hist: Histogram) -> dict[str, np.ndarray]:
 
 
 def _restore(data) -> Histogram:
+    files = getattr(data, "files", data)
+    version = int(data["version"]) if "version" in files else None
+    if version != _FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported histogram file version {version!r}; "
+            f"this build reads version {_FORMAT_VERSION}"
+        )
     scalars: dict[str, object] = {
         "kind": str(data["kind"]),
         "level": int(data["level"]),
         "extent": [float(x) for x in data["extent"]],
         "count": int(data["count"]),
     }
-    if "avg_span" in getattr(data, "files", data):
+    if "avg_span" in files:
         scalars["avg_span"] = float(data["avg_span"])
     return histogram_from_parts(scalars, data["stats"])
 

@@ -12,8 +12,14 @@ kernel loops over cells in Python.  Two kernels use that:
   *list of pairs* into a few broadcasted elementwise products plus a
   row-wise sum;
 * :func:`fused_selectivity_matrix` answers *every pair i < j* of k
-  same-grid histograms with four BLAS dot products per pair on the
-  histograms' own planes (``a.c·b.o + b.c·a.o + a.h·b.v + b.h·a.v``).
+  same-grid histograms with two BLAS dot products per pair on views of
+  the histograms' own plane blocks.  A GH file keeps its planes as the
+  rows of one ``(4, cells)`` block in ``c, h, o, v`` order
+  (:attr:`~repro.histograms.gh.GHHistogram.planes`), so ``[C|H]`` and
+  ``[O|V]`` are contiguous runs of ``2·cells`` floats and
+
+      IP(a, b) = [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va].
+
   Nothing is stacked and no self-join diagonal is computed: at level 7
   a stack of five files copies 2.5 MiB per call before any arithmetic,
   which costs more than the dots themselves.
@@ -150,14 +156,17 @@ def fused_selectivity_matrix(histograms: Sequence[GHHistogram]) -> list[float]:
                 "GH histograms must share the same grid (extent and level)"
             )
     checkpoint("gh.combine.fused")
+    # ([C|H], [O|V]) per file: rows 0-1 and 2-3 of its C-contiguous
+    # block, so both reshapes are views.
+    halves = [(hist.planes[:2].reshape(-1), hist.planes[2:].reshape(-1)) for hist in histograms]
     out: list[float] = []
-    for a, b in combinations(histograms, 2):
+    for (a, (xa, ya)), (b, (xb, yb)) in combinations(zip(histograms, halves), 2):
         if a.count == 0 or b.count == 0:
             out.append(0.0)
             continue
-        # Each term pair is summed first, so swapping a and b gives the
-        # same float (float + is commutative).
-        ip = (np.dot(a.c, b.o) + np.dot(b.c, a.o)) + (np.dot(a.h, b.v) + np.dot(b.h, a.v))
+        # [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va]: swapping a and b swaps the
+        # two addends, which gives the same float (float + is commutative).
+        ip = np.dot(xa, yb) + np.dot(xb, ya)
         # (ip / 4) / (n1 * n2): estimate_selectivity's division order.
         out.append(float(ip) / 4.0 / (a.count * b.count))
     return out

@@ -34,11 +34,19 @@ and the selectivity estimate is ``IP / 4 / (N1 * N2)``.  Unlike PH, GH's
 statistics are *additive across cell boundaries* (a split edge's pieces
 sum to the whole), so refining the grid only reduces error — the paper's
 key stability argument (Figure 7).
+
+The four planes live as the rows of one C-contiguous ``(4, cells)``
+block, :attr:`GHHistogram.planes`, in ``c, h, o, v`` order.  Equation 5
+pairs ``C`` with ``O`` and ``H`` with ``V``, so ``[C|H]`` (rows 0-1) and
+``[O|V]`` (rows 2-3) are each one contiguous run of ``2·cells`` floats
+and ``IP(a, b) = [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va]`` is two dot
+products on views of the blocks (see
+:func:`~repro.histograms.fused.fused_selectivity_matrix`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +72,39 @@ class GHHistogram:
     o: np.ndarray  #: O(i, j): sum of clipped-area ratios
     h: np.ndarray  #: H(i, j): sum of horizontal-edge length ratios
     v: np.ndarray  #: V(i, j): sum of vertical-edge length ratios
+    #: The four planes as one C-contiguous ``(4, cells)`` block in
+    #: ``c, h, o, v`` order; ``c``, ``h``, ``o`` and ``v`` are its rows.
+    planes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Planes passed one by one (a fault hook's fresh arrays, a
+        # hand-built histogram) are packed once into a fresh block; the
+        # package's own paths hand over a block through _from_planes.
+        self._attach(np.stack((self.c, self.h, self.o, self.v)))
+
+    @classmethod
+    def _from_planes(cls, grid: Grid, count: int, planes: np.ndarray) -> "GHHistogram":
+        """The histogram over ``planes``, a ``(4, cells)`` block in ``c, h, o, v`` order.
+
+        A C-contiguous block (a store memmap included) becomes the
+        histogram's own without a copy; any other is copied once.
+        """
+        if not planes.flags.c_contiguous:
+            planes = np.ascontiguousarray(planes, dtype=np.float64)
+        hist = object.__new__(cls)
+        object.__setattr__(hist, "grid", grid)
+        object.__setattr__(hist, "count", count)
+        hist._attach(planes)
+        return hist
+
+    def _attach(self, planes: np.ndarray) -> None:
+        c, h, o, v = planes
+        for name, value in (("planes", planes), ("c", c), ("h", h), ("o", o), ("v", v)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Pickle the block alone: pickling the row views would copy each.
+        return (type(self)._from_planes, (self.grid, self.count, self.planes))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -73,11 +114,9 @@ class GHHistogram:
         """Construct the histogram file at gridding level ``level``."""
         grid = Grid(extent or dataset.extent, level)
         rects = dataset.rects
-        cells = grid.cell_count
-        c = np.zeros(cells, dtype=np.float64)
-        o = np.zeros(cells, dtype=np.float64)
-        h = np.zeros(cells, dtype=np.float64)
-        v = np.zeros(cells, dtype=np.float64)
+        # The stages accumulate straight into the rows of the block.
+        planes = np.zeros((_PER_CELL_VALUES, grid.cell_count), dtype=np.float64)
+        c, h, o, v = planes
         if len(rects):
             # Cooperative checkpoints between the vectorized stages let a
             # per-call deadline (and the fault harness) preempt the build.
@@ -93,7 +132,11 @@ class GHHistogram:
                 scatter_add(o, ov.flat, ov.clipped.areas() / grid.cell_area)
                 checkpoint("gh.build.edges")
                 cls._accumulate_edges(grid, rects, h, v)
-        c, o, h, v = mutate("gh.build.cells", (c, o, h, v))
+        stats = (c, o, h, v)
+        mutated = mutate("gh.build.cells", stats)
+        if mutated is stats:  # no hook replaced them: still the block's rows
+            return cls._from_planes(grid, len(rects), planes)
+        c, o, h, v = mutated
         return cls(grid=grid, count=len(rects), c=c, o=o, h=h, v=v)
 
     @staticmethod

@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING, TypeVar, Union
 import numpy as np
 
 from ..geometry import RectArray
+from ..runtime import checkpoint
+from .file import histogram_parts
 from .gh import GHHistogram
 from .gh_basic import BasicGHHistogram
 
@@ -45,20 +47,21 @@ __all__ = ["apply_updates", "merge_histograms"]
 AdditiveHistogram = Union[GHHistogram, BasicGHHistogram]
 H = TypeVar("H", GHHistogram, BasicGHHistogram)
 
-_FIELDS = {
-    GHHistogram: ("c", "o", "h", "v"),
-    BasicGHHistogram: ("c", "i", "h", "v"),
-}
 
-
-def _check_supported(hist) -> tuple:
-    fields = _FIELDS.get(type(hist))
-    if fields is None:
+def _check_supported(hist) -> None:
+    if type(hist) not in (GHHistogram, BasicGHHistogram):
         raise TypeError(
             f"{type(hist).__name__} does not support incremental maintenance "
             "(PH statistics are averages, not sums — rebuild instead)"
         )
-    return fields
+
+
+def _from_stats(like: AdditiveHistogram, count: int, stats: np.ndarray) -> AdditiveHistogram:
+    """A histogram of ``like``'s scheme and grid over its stacked ``stats``."""
+    if isinstance(like, GHHistogram):
+        return GHHistogram._from_planes(like.grid, count, stats)
+    c, i, h, v = stats
+    return BasicGHHistogram(grid=like.grid, count=count, c=c, i=i, h=h, v=v)
 
 
 def _sync_store(
@@ -109,28 +112,29 @@ def apply_updates(
     estimate cached under the old identity are invalidated in the same
     operation that maintains the statistics.
     """
-    fields = _check_supported(hist)
+    _check_supported(hist)
     hist_cls = type(hist)
     from ..datasets import SpatialDataset
 
-    new_values = {name: getattr(hist, name).copy() for name in fields}
+    # One copy of the stacked planes (GH: its block), updated in place:
+    # x + d and x - d round exactly as x + (±1.0 * d), with no temporary.
+    stats = np.array(histogram_parts(hist)[1], dtype=np.float64)
     count = hist.count
 
-    for rects, sign in ((added, +1.0), (removed, -1.0)):
+    for rects, sign, combine in ((added, 1, np.add), (removed, -1, np.subtract)):
         if rects is None or len(rects) == 0:
             continue
+        checkpoint("maintenance.delta")
         delta_ds = SpatialDataset("delta", rects, hist.grid.extent)
         delta = hist_cls.build(delta_ds, hist.grid.level, extent=hist.grid.extent)
-        for name in fields:
-            new_values[name] += sign * getattr(delta, name)
+        combine(stats, histogram_parts(delta)[1], out=stats)
         count += sign * len(rects)
 
     if count < 0:
         raise ValueError("more rectangles removed than the histogram contains")
-    for name in fields:
-        # Float round-off can leave tiny negatives after removals.
-        np.maximum(new_values[name], 0.0, out=new_values[name])
-    result = hist_cls(grid=hist.grid, count=int(count), **new_values)
+    # Float round-off can leave tiny negatives after removals.
+    np.maximum(stats, 0.0, out=stats)
+    result = _from_stats(hist, count, stats)
     _sync_store(store, (stale_key,) if stale_key is not None else (), republish_key, result)
     if dataset is not None:
         dataset.mark_mutated()
@@ -157,16 +161,13 @@ def merge_histograms(
     publishes the merged result — same contract as
     :func:`apply_updates`.
     """
-    fields = _check_supported(first)
+    _check_supported(first)
     if type(first) is not type(second):
         raise TypeError("cannot merge histograms of different schemes")
     if first.grid != second.grid:
         raise ValueError("cannot merge histograms on different grids")
-    merged = {
-        name: getattr(first, name) + getattr(second, name) for name in fields
-    }
-    result = type(first)(
-        grid=first.grid, count=first.count + second.count, **merged
-    )
+    # One allocation: the sum of the two stacked plane sets.
+    merged = histogram_parts(first)[1] + histogram_parts(second)[1]
+    result = _from_stats(first, first.count + second.count, merged)
     _sync_store(store, tuple(stale_keys), republish_key, result)
     return result

@@ -27,6 +27,8 @@ scheme beyond the paper's accuracy argument.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..datasets import SpatialDataset
 from ..geometry import Rect
 from ..runtime import checkpoint
@@ -43,19 +45,12 @@ def downsample_gh(hist: GHHistogram) -> GHHistogram:
         raise ValueError("cannot downsample a level-0 histogram")
     side = hist.grid.side
     parent_side = side // 2
-
-    def fold(values, scale: float):
+    # Each plane (c, h, o, v) folds into its own row of the parent's block.
+    planes = np.empty((4, parent_side * parent_side), dtype=np.float64)
+    for values, scale, out in zip(hist.planes, (1.0, 0.5, 0.25, 0.5), planes):
         blocks = values.reshape(parent_side, 2, parent_side, 2)
-        return blocks.sum(axis=(1, 3)).reshape(-1) * scale
-
-    return GHHistogram(
-        grid=Grid(hist.grid.extent, level - 1),
-        count=hist.count,
-        c=fold(hist.c.reshape(side, side), 1.0),
-        o=fold(hist.o.reshape(side, side), 0.25),
-        h=fold(hist.h.reshape(side, side), 0.5),
-        v=fold(hist.v.reshape(side, side), 0.5),
-    )
+        np.multiply(blocks.sum(axis=(1, 3)).reshape(-1), scale, out=out)
+    return GHHistogram._from_planes(Grid(hist.grid.extent, level - 1), hist.count, planes)
 
 
 class GHPyramid:

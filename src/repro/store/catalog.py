@@ -78,7 +78,9 @@ __all__ = [
 ]
 
 #: Manifest schema version; bump on any incompatible layout change.
-FORMAT_VERSION = 1
+#: Version 2 stacks GH planes in ``c, h, o, v`` order (version 1 stacked
+#: ``c, o, h, v``), so a version-1 entry reads as a miss and is rebuilt.
+FORMAT_VERSION = 2
 
 #: The per-entry manifest file, written last inside the staging dir.
 MANIFEST_NAME = "manifest.json"

@@ -177,6 +177,23 @@ class TestPassThroughExtents:
         assert all(seen is ds for (seen, _), ds in zip(spy.calls, datasets))
         assert matrix == pairwise_selectivities(datasets, GHEstimator(3), extent=Rect.unit())
 
+    def test_equal_extents_take_no_union(self, three_datasets, monkeypatch):
+        """Only an extent that differs from the running one is unioned."""
+        unions = []
+        union = Rect.union
+
+        def counting(self, other):
+            unions.append(other)
+            return union(self, other)
+
+        monkeypatch.setattr(Rect, "union", counting)
+        expected = pairwise_selectivities(three_datasets, GHEstimator(3), extent=Rect.unit())
+        assert pairwise_selectivities(three_datasets, GHEstimator(3)) == expected
+        assert unions == []
+        wide = make_uniform(100, seed=146, extent=Rect(0, 0, 2, 2), name="W")
+        pairwise_selectivities([*three_datasets, wide], GHEstimator(3))
+        assert unions == [wide.extent]
+
     def test_all_empty_datasets(self):
         """No rectangle to scan no longer means no extent: the declared
         ones are enough."""

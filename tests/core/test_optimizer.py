@@ -253,3 +253,19 @@ def test_orders_identical_to_the_replaced_dp():
         plan = optimize_join_order(sizes, sels)
         assert plan.order == order, (sizes, sels)
         assert math.isclose(plan.cost, cost, rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_join_graphs())
+def test_cardinality_table_is_the_one_formula(graph):
+    """The DP's table, filled factor by factor over supersets, holds for
+    every subset the float the per-subset product computes."""
+    from repro.core.optimizer import _cardinalities, _cardinality, _join_graph
+
+    sizes, sels = graph
+    names = sorted(sizes)
+    _, factors = _join_graph(names, sizes, sels)
+    table = _cardinalities(len(names), factors)
+    assert len(table) == 1 << len(names)
+    for subset, value in enumerate(table):
+        assert value == _cardinality(subset, factors), subset

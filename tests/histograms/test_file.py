@@ -1,5 +1,7 @@
 """Unit tests for histogram-file persistence."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,26 @@ class TestErrors:
         np.savez(path, **blob)
         with pytest.raises(ValueError, match="unknown histogram kind"):
             load_histogram(path)
+
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_unversioned_or_older_file_rejected(self, dataset, tmp_path, version):
+        """Unversioned files stacked GH planes c, o, h, v; decoding one
+        under the c, h, o, v order would swap O and H, so it is refused."""
+        hist = GHHistogram.build(dataset, 2)
+        path = save_histogram(hist, tmp_path / "old.npz")
+        blob = dict(np.load(path, allow_pickle=False))
+        assert int(blob["version"]) == 2
+        if version is None:
+            del blob["version"]
+        else:
+            blob["version"] = np.int64(version)
+        np.savez(path, **blob)
+        with pytest.raises(ValueError, match="version"):
+            load_histogram(path)
+        buf = io.BytesIO()
+        np.savez(buf, **blob)
+        with pytest.raises(ValueError, match="version"):
+            histogram_from_bytes(buf.getvalue())
 
     def test_suffix_added(self, dataset, tmp_path):
         hist = GHHistogram.build(dataset, 1)

@@ -19,6 +19,7 @@ from repro.histograms.file import histogram_parts
 from repro.perf import FlatTreeCache, HistogramCache
 from repro.rtree import flat_join_count, flat_load_str
 from repro.store import (
+    FORMAT_VERSION,
     ArtifactCatalog,
     MANIFEST_NAME,
     hist_entry_name,
@@ -84,6 +85,28 @@ class TestHistogramRoundTrip:
         wrong_level = GHHistogram.build(dataset, 4)
         with pytest.raises(ValueError, match="does not match key"):
             catalog.put_histogram(key, wrong_level)
+
+
+class TestFormatVersion:
+    def test_version_one_gh_entry_is_rebuilt(self, catalog, dataset):
+        """A version-1 entry stacked GH planes c, o, h, v: it must read as
+        a miss, and the cache's rebuild must equal a cold build."""
+        key, _ = publish_gh(catalog, dataset)
+        manifest_path = catalog.root / "objects" / hist_entry_name(key) / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == FORMAT_VERSION == 2
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert catalog.load_histogram(key) is None
+        assert catalog.stats.hits == 0
+        cache = HistogramCache(store=catalog)
+        hist, source = cache.resolve(dataset, "gh", 5)
+        assert source == "build"
+        cold = GHHistogram.build(dataset, 5)
+        assert np.array_equal(hist.planes, cold.planes)
+        assert hist.estimate_selectivity(cold) == cold.estimate_selectivity(cold)
+        republished = catalog.load_histogram(key)
+        assert np.array_equal(republished.planes, cold.planes)
 
 
 class TestTreeRoundTrip:
