@@ -55,7 +55,9 @@ _FORMAT_VERSION = 2
 #: array produced by :func:`histogram_parts` (and stored in files).  GH's
 #: order is its own block's (:attr:`GHHistogram.planes`), so ``[C|H]``
 #: and ``[O|V]`` are contiguous halves and the optimizer matrix needs
-#: two dots on [C|H]·[O|V] per pair.
+#: two dots on [C|H]·[O|V] per pair.  PH's is its block's
+#: (:attr:`PHHistogram.planes`) too, and is the version-2 layout that
+#: persisted files and store entries already hold.
 STAT_PLANES: dict[str, tuple[str, ...]] = {
     "ph": ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i"),
     "gh": ("c", "h", "o", "v"),
@@ -69,8 +71,8 @@ def histogram_parts(hist: Histogram) -> tuple[dict[str, object], np.ndarray]:
     Returns ``(scalars, stats)`` where ``scalars`` holds ``kind`` /
     ``level`` / ``extent`` / ``count`` (plus ``avg_span`` for PH) as
     plain Python values, and ``stats`` stacks the per-cell planes in
-    :data:`STAT_PLANES` order.  For GH that is the histogram's own
-    :attr:`~GHHistogram.planes` block, returned without a copy.
+    :data:`STAT_PLANES` order.  For GH and PH that is the histogram's
+    own ``planes`` block, returned without a copy.
     :func:`histogram_from_parts` is the exact inverse; ``repro.store``
     persists precisely these two pieces.
     """
@@ -85,7 +87,7 @@ def histogram_parts(hist: Histogram) -> tuple[dict[str, object], np.ndarray]:
     }
     if isinstance(hist, PHHistogram):
         scalars["avg_span"] = float(hist.avg_span)
-    if isinstance(hist, GHHistogram):
+    if isinstance(hist, (GHHistogram, PHHistogram)):
         return scalars, hist.planes
     stats = np.stack([getattr(hist, plane) for plane in STAT_PLANES[kind]])
     return scalars, stats
@@ -97,7 +99,7 @@ def histogram_from_parts(scalars: dict[str, object], stats: np.ndarray) -> Histo
     ``stats`` may be any array-like with the right leading dimension —
     in particular a read-only ``np.load(..., mmap_mode="r")`` view, in
     which case every plane is a zero-copy slice of that view (and a
-    C-contiguous GH ``stats`` becomes the histogram's block as is).
+    C-contiguous GH or PH ``stats`` becomes the histogram's block as is).
     """
     kind = str(scalars["kind"])
     planes = STAT_PLANES.get(kind)
@@ -118,11 +120,10 @@ def histogram_from_parts(scalars: dict[str, object], stats: np.ndarray) -> Histo
     count = int(scalars["count"])  # type: ignore[call-overload]
     if kind == "gh":
         return GHHistogram._from_planes(grid, count, stats)
-    fields = {plane: stats[i] for i, plane in enumerate(planes)}
     if kind == "ph":
-        return PHHistogram(
-            grid=grid, count=count, avg_span=float(scalars["avg_span"]), **fields  # type: ignore[arg-type]
-        )
+        avg_span = float(scalars["avg_span"])  # type: ignore[arg-type]
+        return PHHistogram._from_planes(grid, count, avg_span, stats)
+    fields = {plane: stats[i] for i, plane in enumerate(planes)}
     return BasicGHHistogram(grid=grid, count=count, **fields)
 
 

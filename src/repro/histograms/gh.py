@@ -255,9 +255,18 @@ class GHHistogram:
         """Equation 5: estimated number of intersection points."""
         if self.grid != other.grid:
             raise ValueError("GH histograms must share the same grid (extent and level)")
-        return float(
-            (self.c * other.o + other.c * self.o + self.h * other.v + other.h * self.v).sum()
-        )
+        # c1*o2 + c2*o1 + h1*v2 + h2*v1, left to right, so each cell
+        # rounds as that expression does; two scratch planes hold the
+        # running sum and the next term, one allocation per combine.
+        total, term = np.empty((2, self.grid.cell_count), dtype=np.float64)
+        np.multiply(self.c, other.o, out=total)
+        np.multiply(other.c, self.o, out=term)
+        total += term
+        np.multiply(self.h, other.v, out=term)
+        total += term
+        np.multiply(other.h, self.v, out=term)
+        total += term
+        return float(total.sum())
 
     def estimate_pairs(self, other: "GHHistogram") -> float:
         """Estimated number of intersecting pairs (points / 4)."""

@@ -21,11 +21,22 @@ applied cell-locally.  Only Sd can count one real intersection in
 several cells (both participants cross boundaries), so its sum is
 divided by the mean of the two AvgSpan values — an approximate
 multiple-counting correction (Equation 3).
+
+The eight planes live as the rows of one C-contiguous ``(8, cells)``
+block, :attr:`PHHistogram.planes`, in Table 1 order (``num, cov, xavg,
+yavg`` then the primed ``Isect`` four; the persisted
+:data:`~repro.histograms.file.STAT_PLANES` order).  ``build``
+accumulates the per-cell sums straight into the rows and turns them
+into coverages and averages in place; an empty cell holds zero sums, so
+dividing by ``max(Num, 1)`` leaves it at exactly 0 with no mask.  A
+combine evaluates each Equation 1 case into three scratch planes that
+all four cases reuse, so it allocates one block, not a level-sized
+temporary per operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +52,8 @@ __all__ = ["PHHistogram", "ph_selectivity"]
 _PER_CELL_VALUES = 8
 #: ...plus the per-dataset scalars (AvgSpan; cell area is grid metadata).
 _SCALAR_VALUES = 2
+#: The per-cell fields in block-row order.
+_PLANES = ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i")
 
 
 @dataclass(frozen=True)
@@ -60,6 +73,42 @@ class PHHistogram:
     cov_i: np.ndarray  #: Cov'_k
     xavg_i: np.ndarray  #: Xavg'_k
     yavg_i: np.ndarray  #: Yavg'_k
+    #: The eight planes as one C-contiguous ``(8, cells)`` block in the
+    #: field order above; ``num`` ... ``yavg_i`` are its rows.
+    planes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Planes passed one by one (a fault hook's fresh arrays, a
+        # hand-built histogram) are packed once into a fresh block; the
+        # package's own paths hand over a block through _from_planes.
+        self._attach(np.stack([getattr(self, name) for name in _PLANES]))
+
+    @classmethod
+    def _from_planes(
+        cls, grid: Grid, count: int, avg_span: float, planes: np.ndarray
+    ) -> "PHHistogram":
+        """The histogram over ``planes``, an ``(8, cells)`` block in field order.
+
+        A C-contiguous block (a store memmap included) becomes the
+        histogram's own without a copy; any other is copied once.
+        """
+        if not planes.flags.c_contiguous:
+            planes = np.ascontiguousarray(planes, dtype=np.float64)
+        hist = object.__new__(cls)
+        object.__setattr__(hist, "grid", grid)
+        object.__setattr__(hist, "count", count)
+        object.__setattr__(hist, "avg_span", avg_span)
+        hist._attach(planes)
+        return hist
+
+    def _attach(self, planes: np.ndarray) -> None:
+        object.__setattr__(self, "planes", planes)
+        for name, row in zip(_PLANES, planes):
+            object.__setattr__(self, name, row)
+
+    def __reduce__(self):
+        # Pickle the block alone: pickling the row views would copy each.
+        return (type(self)._from_planes, (self.grid, self.count, self.avg_span, self.planes))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -73,20 +122,14 @@ class PHHistogram:
         """
         grid = Grid(extent or dataset.extent, level)
         rects = dataset.rects
-        cells = grid.cell_count
-        num = np.zeros(cells, dtype=np.float64)
-        area_sum = np.zeros(cells, dtype=np.float64)
-        w_sum = np.zeros(cells, dtype=np.float64)
-        h_sum = np.zeros(cells, dtype=np.float64)
-        num_i = np.zeros(cells, dtype=np.float64)
-        area_sum_i = np.zeros(cells, dtype=np.float64)
-        w_sum_i = np.zeros(cells, dtype=np.float64)
-        h_sum_i = np.zeros(cells, dtype=np.float64)
-
+        # The stages accumulate the per-cell sums straight into the rows
+        # of the block: rows 1-3 (and 5-7) hold area, width and height
+        # sums until they are normalized in place below.
+        planes = np.zeros((_PER_CELL_VALUES, grid.cell_count), dtype=np.float64)
+        stats = tuple(planes)
         if len(rects):
             # Cooperative checkpoints between the vectorized stages let a
             # per-call deadline (and the fault harness) preempt the build.
-            stats = (num, area_sum, w_sum, h_sum, num_i, area_sum_i, w_sum_i, h_sum_i)
             if fast_build_enabled():
                 avg_span = cls._build_fast(grid, rects, stats)
             else:
@@ -97,33 +140,15 @@ class PHHistogram:
             avg_span = 1.0
 
         cell_area = grid.cell_area
-        with np.errstate(invalid="ignore"):
-            occupied = num > 0
-            denom = np.maximum(num, 1.0)
-            xavg = np.where(occupied, w_sum / denom, 0.0)
-            yavg = np.where(occupied, h_sum / denom, 0.0)
-            occupied = num_i > 0
-            denom = np.maximum(num_i, 1.0)
-            xavg_i = np.where(occupied, w_sum_i / denom, 0.0)
-            yavg_i = np.where(occupied, h_sum_i / denom, 0.0)
-        cov = area_sum / cell_area
-        cov_i = area_sum_i / cell_area
-        num, cov, xavg, yavg, num_i, cov_i, xavg_i, yavg_i = mutate(
-            "ph.build.cells", (num, cov, xavg, yavg, num_i, cov_i, xavg_i, yavg_i)
-        )
-        return cls(
-            grid=grid,
-            count=len(rects),
-            avg_span=avg_span,
-            num=num,
-            cov=cov,
-            xavg=xavg,
-            yavg=yavg,
-            num_i=num_i,
-            cov_i=cov_i,
-            xavg_i=xavg_i,
-            yavg_i=yavg_i,
-        )
+        for group in (planes[0:4], planes[4:8]):
+            # Cov = area sum / cell area; [Xavg|Yavg] = [w|h] sums / Num.
+            # An empty cell has zero sums, and 0 / max(0, 1) is exactly 0.
+            group[1] /= cell_area
+            group[2:4] /= np.maximum(group[0], 1.0)
+        mutated = mutate("ph.build.cells", stats)
+        if mutated is stats:  # no hook replaced them: still the block's rows
+            return cls._from_planes(grid, len(rects), avg_span, planes)
+        return cls(grid, len(rects), avg_span, *mutated)
 
     @staticmethod
     def _build_legacy(grid: Grid, rects, stats: tuple[np.ndarray, ...]) -> float:
@@ -210,21 +235,15 @@ class PHHistogram:
         if self.grid != other.grid:
             raise ValueError("PH histograms must share the same grid (extent and level)")
         cell_area = self.grid.cell_area
-
-        def case(n1, c1, x1, y1, n2, c2, x2, y2) -> np.ndarray:
-            # Equation 1 applied per cell to one (group1, group2) case.
-            return n1 * c2 + c1 * n2 + n1 * n2 * (x1 * y2 + y1 * x2) / cell_area
-
-        sa = case(self.num, self.cov, self.xavg, self.yavg,
-                  other.num, other.cov, other.xavg, other.yavg)
-        sb = case(self.num, self.cov, self.xavg, self.yavg,
-                  other.num_i, other.cov_i, other.xavg_i, other.yavg_i)
-        sc = case(self.num_i, self.cov_i, self.xavg_i, self.yavg_i,
-                  other.num, other.cov, other.xavg, other.yavg)
-        sd = case(self.num_i, self.cov_i, self.xavg_i, self.yavg_i,
-                  other.num_i, other.cov_i, other.xavg_i, other.yavg_i)
+        cont, isect = self._groups()
+        other_cont, other_isect = other._groups()
+        scratch = tuple(np.empty((3, self.grid.cell_count), dtype=np.float64))
+        sa = _case_sum(cont, other_cont, cell_area, scratch)
+        sb = _case_sum(cont, other_isect, cell_area, scratch)
+        sc = _case_sum(isect, other_cont, cell_area, scratch)
+        sd = _case_sum(isect, other_isect, cell_area, scratch)
         span_correction = (self.avg_span + other.avg_span) / 2.0
-        return float(sa.sum() + sb.sum() + sc.sum() + sd.sum() / span_correction)
+        return float(sa + sb + sc + sd / span_correction)
 
     def estimate_pairs_uncorrected(self, other: "PHHistogram") -> float:
         """Equation 3 without the AvgSpan division (ablation knob)."""
@@ -235,16 +254,21 @@ class PHHistogram:
         return corrected - sd_sum / span_correction + sd_sum
 
     def _sd_sum(self, other: "PHHistogram") -> float:
-        cell_area = self.grid.cell_area
-        sd = (
-            self.num_i * other.cov_i
-            + self.cov_i * other.num_i
-            + self.num_i
-            * other.num_i
-            * (self.xavg_i * other.yavg_i + self.yavg_i * other.xavg_i)
-            / cell_area
+        scratch = tuple(np.empty((3, self.grid.cell_count), dtype=np.float64))
+        return float(
+            _case_sum(self._groups()[1], other._groups()[1], self.grid.cell_area, scratch)
         )
-        return float(sd.sum())
+
+    def _groups(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The ``Cont`` and ``Isect`` row views, each ``(num, cov, xavg, yavg)``.
+
+        The fields are already views of the block's rows; reading them
+        is cheaper than slicing and unpacking the block on every combine.
+        """
+        return (
+            (self.num, self.cov, self.xavg, self.yavg),
+            (self.num_i, self.cov_i, self.xavg_i, self.yavg_i),
+        )
 
     def estimate_selectivity(
         self, other: "PHHistogram", *, span_correction: bool = True
@@ -279,6 +303,38 @@ class PHHistogram:
             "Xavg'": self.xavg_i,
             "Yavg'": self.yavg_i,
         }
+
+
+def _case_sum(
+    first: tuple[np.ndarray, ...],
+    second: tuple[np.ndarray, ...],
+    cell_area: float,
+    scratch: tuple[np.ndarray, ...],
+) -> np.float64:
+    """Equation 1 applied per cell to one (group, group) case, summed.
+
+    ``first`` and ``second`` are row groups ``(num, cov, xavg, yavg)``
+    (see :meth:`PHHistogram._groups`); ``scratch`` is three planes of
+    working space, the rows of one block.
+    Each step is one ufunc written into scratch, and the steps build the
+    expression tree ``n1*c2 + c1*n2 + n1*n2*(x1*y2 + y1*x2) / cell_area``
+    in Python's evaluation order, so every cell rounds as that expression
+    would with fresh temporaries.
+    """
+    n1, c1, x1, y1 = first
+    n2, c2, x2, y2 = second
+    terms, cross, weight = scratch
+    np.multiply(n1, c2, out=terms)
+    np.multiply(c1, n2, out=cross)
+    terms += cross  # n1*c2 + c1*n2
+    np.multiply(x1, y2, out=cross)
+    np.multiply(y1, x2, out=weight)
+    cross += weight  # x1*y2 + y1*x2
+    np.multiply(n1, n2, out=weight)
+    weight *= cross
+    weight /= cell_area
+    terms += weight
+    return terms.sum()
 
 
 def ph_selectivity(

@@ -22,7 +22,11 @@ rectangles, so two files of one size can differ a hundredfold in what
 losing them costs.  Eviction is therefore GreedyDual-Size over rebuild
 cost per byte, not recency alone: at equal bytes a small-N histogram
 goes before a large-N one, and at equal cost per byte the order is
-plain LRU.
+plain LRU.  The cost is N alone.  A per-cell term would add
+``cell_count / size_bytes`` — 1/32 for GH and 1/64 for PH at every
+level — to every priority, a per-scheme constant that for the
+thousands-of-rectangles files of a serving working set outweighs the
+N term and ranks them by scheme instead of by rebuild work.
 
 **One answer per key.**  A lookup resolves from exactly three sources
 — the in-memory L1, the optional artifact store, or a fresh build — and
@@ -320,9 +324,10 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
         scope is active, mirroring the no-poison insertion rule).
         Catalog loads are zero-copy mmap views.
 
-    Eviction weighs each file's rebuild cost (``count + cell_count``:
-    the O(N + 4^h) scan and allocation) per byte, so large datasets
-    outlive small ones of the same level.
+    Eviction weighs each file's rebuild cost (``count``, the N
+    rectangles its build scans) per byte, so large datasets outlive
+    small ones of the same level, and a file outlives a larger one of
+    any scheme or level that is cheaper per byte to rebuild.
     """
 
     @staticmethod
@@ -395,7 +400,10 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
         return value.size_bytes
 
     def _cost(self, value: Histogram) -> int:
-        return value.count + value.grid.cell_count
+        """The rectangle scan a rebuild redoes.  No per-cell term: the
+        cells are proportional to ``size_bytes``, so they would add one
+        constant per scheme to every ``cost / size`` credit."""
+        return value.count
 
 
 class CachedEstimator(PreparedEstimator):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -189,13 +191,44 @@ class TestCostAwareRetention:
         cache = HistogramCache(max_bytes=2 * self.size)
         large = _make(rng, n=2000, name="large")
         large_key = HistogramCache.key_for(large, "gh", self.level)
+        smalls = (_make(rng, n=40, name=f"s{i}") for i in itertools.count())
+        first_small = next(smalls)
+        large_credit, small_credit = (
+            cache._cost(hist) / cache._size(hist)
+            for hist in (
+                GHHistogram.build(large, self.level),
+                GHHistogram.build(first_small, self.level),
+            )
+        )
+        # Each insert evicts the older small entry, so the floor rises
+        # by at least one small credit every two inserts: this stream
+        # carries it past the untouched large entry's credit.
+        stream = 2 * math.ceil(large_credit / small_credit) + 2
         cache.get_or_build(large, "gh", self.level)
-        for i in range(16):
+        for small in itertools.islice(itertools.chain([first_small], smalls), stream):
             if touched:
                 cache.get_or_build(large, "gh", self.level)
-            cache.get_or_build(_make(rng, n=40, name=f"s{i}"), "gh", self.level)
+            cache.get_or_build(small, "gh", self.level)
         assert (large_key in cache) is touched
-        assert cache.stats.hits == (16 if touched else 0)
+        assert cache.stats.hits == (stream if touched else 0)
+
+    def test_credit_is_rebuild_work_across_schemes_and_levels(self, rng):
+        """Under pressure a PH level-5 file over 300 rectangles outlives
+        a GH level-6 file over 40: it is larger, but far dearer per byte
+        to rebuild.  A per-cell cost term (1/32 of a GH byte, 1/64 of a
+        PH byte) would invert that order."""
+        ph_ds = _make(rng, n=300, name="ph")
+        gh_ds = _make(rng, n=40, name="gh")
+        ph_size = PHHistogram.build(ph_ds, 5).size_bytes
+        gh_size = GHHistogram.build(gh_ds, 6).size_bytes
+        assert ph_size < gh_size
+        cache = HistogramCache(max_bytes=ph_size + gh_size)
+        cache.get_or_build(ph_ds, "ph", 5)  # older: plain LRU would drop it first
+        cache.get_or_build(gh_ds, "gh", 6)
+        cache.get_or_build(_make(rng, n=300, name="pressure"), "gh", 3)
+        assert cache.stats.evictions == 1
+        assert HistogramCache.key_for(ph_ds, "ph", 5) in cache
+        assert HistogramCache.key_for(gh_ds, "gh", 6) not in cache
 
     def test_clear_resets_the_floor(self, rng):
         cache = HistogramCache(max_bytes=self.size)
