@@ -7,12 +7,19 @@ through ``.npz`` files (or in-memory bytes) keyed by scheme kind.  Files
 carry a ``version``: version 2 stacks GH planes in ``c, h, o, v`` order,
 and unversioned files (which stacked them ``c, o, h, v``) are rejected
 rather than decoded with ``O`` and ``H`` swapped.
+
+A file can also be held *packed* (:func:`pack_histogram`): its occupied
+cell ids plus every plane's values at those cells.  At fine levels most
+cells of a skewed dataset are empty, so the packed copy is a fraction of
+the file; :func:`unpack_histogram` restores planes that are
+``tobytes()``-identical to the original, sign of zero included.
 """
 
 from __future__ import annotations
 
 import io
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -31,6 +38,9 @@ __all__ = [
     "histogram_from_bytes",
     "histogram_parts",
     "histogram_from_parts",
+    "PackedHistogram",
+    "pack_histogram",
+    "unpack_histogram",
     "STAT_PLANES",
     "HISTOGRAM_SCHEMES",
 ]
@@ -125,6 +135,46 @@ def histogram_from_parts(scalars: dict[str, object], stats: np.ndarray) -> Histo
         return PHHistogram._from_planes(grid, count, avg_span, stats)
     fields = {plane: stats[i] for i, plane in enumerate(planes)}
     return BasicGHHistogram(grid=grid, count=count, **fields)
+
+
+@dataclass(frozen=True, slots=True)
+class PackedHistogram:
+    """A histogram file held as its occupied cells only.
+
+    A cell is occupied when any plane holds a value whose bits are not
+    all zero (so a ``-0.0`` is kept); every other cell is ``+0.0`` in
+    every plane and is restored by zero-fill.
+    """
+
+    scalars: dict[str, object]  #: :func:`histogram_parts` scalars
+    cells: np.ndarray  #: ascending occupied cell ids (int32)
+    values: np.ndarray  #: ``(planes, len(cells))`` in :data:`STAT_PLANES` order
+
+    @property
+    def count(self) -> int:
+        """N, the rectangles the file summarizes."""
+        return int(self.scalars["count"])  # type: ignore[call-overload]
+
+    @property
+    def size_bytes(self) -> int:
+        """Bytes held: the cell ids plus the occupied values."""
+        return self.cells.nbytes + self.values.nbytes
+
+
+def pack_histogram(hist: Histogram) -> PackedHistogram:
+    """``hist`` as its occupied cells; :func:`unpack_histogram` inverts it."""
+    scalars, stats = histogram_parts(hist)
+    stats = np.asarray(stats, dtype=np.float64)  # a store memmap gathers into plain memory
+    occupied = np.flatnonzero(stats.view(np.uint64).any(axis=0))
+    return PackedHistogram(scalars, occupied.astype(np.int32), np.take(stats, occupied, axis=1))
+
+
+def unpack_histogram(packed: PackedHistogram) -> Histogram:
+    """The dense histogram: zero-fill, then one scatter of the values."""
+    level = int(packed.scalars["level"])  # type: ignore[call-overload]
+    stats = np.zeros((len(packed.values), 1 << (2 * level)), dtype=np.float64)
+    stats[:, packed.cells] = packed.values
+    return histogram_from_parts(packed.scalars, stats)
 
 
 def _payload(hist: Histogram) -> dict[str, np.ndarray]:

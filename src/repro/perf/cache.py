@@ -12,9 +12,9 @@ where the fingerprint hashes the actual geometry
 (:func:`~repro.perf.fingerprint.dataset_fingerprint`), so renamed
 datasets share entries and mutated datasets never collide with their
 former selves.  Entries are retained within a configurable byte budget
-(sized by each histogram's ``size_bytes``, the paper's file-size
-accounting), with hit/miss/build/eviction counters exposed for
-observability.
+over the bytes each entry holds (a dense file's ``size_bytes``, the
+paper's file-size accounting, or a packed file's occupied cells), with
+hit/miss/build/pack/eviction counters exposed for observability.
 
 **Cost-aware retention.**  A histogram's size depends only on its level
 (32·4^h bytes for GH, 64·4^h for PH), but its build scans all N
@@ -27,6 +27,17 @@ plain LRU.  The cost is N alone.  A per-cell term would add
 level — to every priority, a per-scheme constant that for the
 thousands-of-rectangles files of a serving working set outweighs the
 N term and ranks them by scheme instead of by rebuild work.
+
+**Packed victims.**  At fine levels most cells of a skewed dataset are
+empty, so when the budget overflows the victim is first replaced by its
+occupied cells (:func:`~repro.histograms.file.pack_histogram`) rather
+than dropped, and re-ranked like a fresh insert at its packed size:
+its credit becomes ``count / packed bytes``, plain GreedyDual-Size with
+no extra knob.  A packed entry is dropped when it is the victim again.
+A hit on one expands it outside the lock, by zero-fill plus one
+scatter, to planes ``tobytes()``-identical to a cold build.  A cache
+that never exceeds its budget never packs, so its hits return the
+retained object itself.
 
 **One answer per key.**  A lookup resolves from exactly three sources
 — the in-memory L1, the optional artifact store, or a fresh build — and
@@ -70,7 +81,13 @@ from ..core.estimator import (
 )
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
-from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
+from ..histograms.file import (
+    HISTOGRAM_SCHEMES,
+    Histogram,
+    PackedHistogram,
+    pack_histogram,
+    unpack_histogram,
+)
 from ..rtree import DEFAULT_MAX_ENTRIES, FlatRTree, flat_load_hilbert, flat_load_str
 from ..errors import EstimationTimeout
 from ..obs import Counters, hit_rate
@@ -147,7 +164,8 @@ class _ByteCache(Generic[_K, _V]):
     than the whole budget is never retained, a racing insert keeps the
     first entry); and the best-effort publish to the optional ``store``
     L2 tier.  Subclasses add their key type, ``key_for``, ``resolve``,
-    ``_size`` and ``_cost``.
+    ``_size`` and ``_cost``, and may add ``_pack`` to keep a smaller
+    stand-in for an eviction victim.
 
     Thread-safe: lookups and insertions are lock-protected; builds run
     outside the lock so concurrent misses on different keys overlap.
@@ -226,9 +244,17 @@ class _ByteCache(Generic[_K, _V]):
         credit = self._cost(value) / (self._size(value) or 1)  # an empty tree has 0 bytes
         self._rank[key] = (self._floor + credit, self._touches)
 
+    def _pack(self, value: _V) -> "_V | None":
+        """A smaller stand-in for an eviction victim, or ``None`` to
+        drop it.  Caller holds ``_lock``.  The default never packs; a
+        subclass that packs declares a ``packs`` counter."""
+        return None
+
     def _evict_one(self) -> None:
-        """Drop the lowest-priority entry and raise the floor to its
-        ``H``.  Caller holds ``_lock`` and ``_entries`` is non-empty.
+        """Evict the lowest-priority entry and raise the floor to its
+        ``H``: replace the entry by :meth:`_pack`'s stand-in when there
+        is one, else drop it.  Caller holds ``_lock`` and ``_entries``
+        is non-empty.
 
         Ranks only rise, so a record matching its key's live rank is
         the true minimum; a record that fell behind is re-filed first.
@@ -241,10 +267,20 @@ class _ByteCache(Generic[_K, _V]):
                 heapq.heappop(heap)
                 break
             heapq.heapreplace(heap, (*live, key))
-        del self._rank[key]
-        self._bytes -= self._size(self._entries.pop(key))
         self._floor = priority
-        self.stats.add("evictions")
+        value = self._entries[key]
+        packed = self._pack(value)
+        if packed is None:
+            del self._rank[key], self._entries[key]
+            self._bytes -= self._size(value)
+            self.stats.add("evictions")
+            return
+        # The packed copy is re-ranked as a fresh insert at its own size.
+        self._entries[key] = packed
+        self._bytes += self._size(packed) - self._size(value)
+        self._touch(key, packed)
+        heapq.heappush(heap, (*self._rank[key], key))
+        self.stats.add("packs")
 
     def _probe(self, key: _K) -> "_V | None":
         """Count one lookup: the retained entry, or ``None`` on a miss."""
@@ -308,15 +344,16 @@ class _ByteCache(Generic[_K, _V]):
             return True
 
 
-class HistogramCache(_ByteCache[CacheKey, Histogram]):
+class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
     """Histogram-file cache with a byte budget.
 
     Parameters
     ----------
     max_bytes:
-        Retention budget over the sum of cached ``size_bytes``.  An
-        entry larger than the whole budget is still built and returned,
-        just never retained.
+        Retention budget over the bytes the entries hold: a dense
+        file's ``size_bytes``, a packed one's occupied cells.  An entry
+        larger than the whole budget is still built and returned, just
+        never retained.
     store:
         Optional :class:`~repro.store.ArtifactCatalog` L2 tier.  An L1
         miss then consults the catalog before building, and fresh builds
@@ -327,8 +364,16 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
     Eviction weighs each file's rebuild cost (``count``, the N
     rectangles its build scans) per byte, so large datasets outlive
     small ones of the same level, and a file outlives a larger one of
-    any scheme or level that is cheaper per byte to rebuild.
+    any scheme or level that is cheaper per byte to rebuild.  A dense
+    victim that has empty cells is first packed
+    (:func:`~repro.histograms.file.pack_histogram`, counted as
+    ``packs``) and re-ranked at its packed size; only a packed victim,
+    or one with no empty cell, is dropped (``evictions``).  A hit on a
+    packed entry expands it, outside the lock, to a fresh dense file
+    equal to a cold build.
     """
+
+    _COUNTERS = _ByteCache._COUNTERS + ("packs",)
 
     @staticmethod
     def key_for(
@@ -383,6 +428,8 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
         extent = extent or dataset.extent
         key = self.key_for(dataset, scheme, level, extent)
         hit = self._probe(key)
+        if isinstance(hit, PackedHistogram):
+            return unpack_histogram(hit), "l1"
         if hit is not None:
             return hit, "l1"
         if self.store is not None:
@@ -391,19 +438,27 @@ class HistogramCache(_ByteCache[CacheKey, Histogram]):
                 self._insert(key, stored)
                 return stored, "store"
         hist = HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=extent)
-        return self._admit_build(key, hist), "build"
+        self._admit_build(key, hist)
+        return hist, "build"
 
     def _put(self, store: "ArtifactCatalog", key: CacheKey, value: Histogram) -> None:
         store.put_histogram(key, value)
 
-    def _size(self, value: Histogram) -> int:
+    def _size(self, value: "Histogram | PackedHistogram") -> int:
         return value.size_bytes
 
-    def _cost(self, value: Histogram) -> int:
+    def _cost(self, value: "Histogram | PackedHistogram") -> int:
         """The rectangle scan a rebuild redoes.  No per-cell term: the
         cells are proportional to ``size_bytes``, so they would add one
         constant per scheme to every ``cost / size`` credit."""
         return value.count
+
+    def _pack(self, value: "Histogram | PackedHistogram") -> "PackedHistogram | None":
+        """The occupied cells of a dense victim, when they are smaller."""
+        if isinstance(value, PackedHistogram):
+            return None
+        packed = pack_histogram(value)
+        return packed if packed.size_bytes < value.size_bytes else None
 
 
 class CachedEstimator(PreparedEstimator):

@@ -12,9 +12,9 @@ import pytest
 
 import repro.perf.cache as cache_module
 from repro.datasets import SpatialDataset, make_uniform
-from repro.geometry import Rect
+from repro.geometry import Rect, RectArray
 from repro.histograms import GHHistogram, PHHistogram
-from repro.histograms.file import histogram_parts
+from repro.histograms.file import histogram_parts, pack_histogram
 from repro.perf import (
     CacheKey,
     FlatTreeCache,
@@ -35,6 +35,14 @@ def dataset(rng) -> SpatialDataset:
 
 def _make(rng, n=300, name="d") -> SpatialDataset:
     return SpatialDataset(name, random_rects(rng, n))
+
+
+def _full(rng, n=300, name="d") -> SpatialDataset:
+    """``n`` rectangles, one of them the whole extent: every cell of
+    every file is occupied, so an eviction drops the file instead of
+    packing it."""
+    cover = RectArray.from_rects([Rect.unit()])
+    return SpatialDataset(name, RectArray.concatenate([random_rects(rng, n - 1), cover]))
 
 
 class TestFingerprint:
@@ -127,12 +135,13 @@ class TestLRUAndBudget:
         level = 5
         size = 8 * 4 * (1 << level) ** 2  # GH size_bytes at this level
         cache = HistogramCache(max_bytes=2 * size)
-        d1, d2, d3 = (_make(rng, name=f"d{i}") for i in range(3))
+        d1, d2, d3 = (_full(rng, name=f"d{i}") for i in range(3))
         cache.get_or_build(d1, "gh", level)
         cache.get_or_build(d2, "gh", level)
         cache.get_or_build(d1, "gh", level)  # touch d1: d2 is now LRU
         cache.get_or_build(d3, "gh", level)  # evicts d2, not d1
         assert cache.stats.evictions == 1
+        assert cache.stats.packs == 0
         retained = {key.fingerprint for key in cache.keys()}
         assert dataset_fingerprint(d1) in retained
         assert dataset_fingerprint(d3) in retained
@@ -171,8 +180,8 @@ class TestCostAwareRetention:
         misses on every access under LRU; cost-aware eviction builds
         the large-N one once and keeps it resident."""
         cache = HistogramCache(max_bytes=2 * self.size)
-        large = _make(rng, n=4000, name="large")
-        small = [_make(rng, n=40, name=f"small{i}") for i in range(2)]
+        large = _full(rng, n=4000, name="large")
+        small = [_full(rng, n=40, name=f"small{i}") for i in range(2)]
         large_key = HistogramCache.key_for(large, "gh", self.level)
         rounds = 6
         for _ in range(rounds):
@@ -181,6 +190,7 @@ class TestCostAwareRetention:
                 assert large_key in cache
         assert cache.stats.hits == rounds - 1  # every large lookup after the first
         assert cache.stats.builds == 1 + 2 * rounds
+        assert cache.stats.packs == 0
         assert cache.keys()[-1] == large_key  # last in eviction order
 
     @pytest.mark.parametrize("touched", [True, False])
@@ -217,18 +227,40 @@ class TestCostAwareRetention:
         a GH level-6 file over 40: it is larger, but far dearer per byte
         to rebuild.  A per-cell cost term (1/32 of a GH byte, 1/64 of a
         PH byte) would invert that order."""
-        ph_ds = _make(rng, n=300, name="ph")
-        gh_ds = _make(rng, n=40, name="gh")
+        ph_ds = _full(rng, n=300, name="ph")
+        gh_ds = _full(rng, n=40, name="gh")
         ph_size = PHHistogram.build(ph_ds, 5).size_bytes
         gh_size = GHHistogram.build(gh_ds, 6).size_bytes
         assert ph_size < gh_size
         cache = HistogramCache(max_bytes=ph_size + gh_size)
         cache.get_or_build(ph_ds, "ph", 5)  # older: plain LRU would drop it first
         cache.get_or_build(gh_ds, "gh", 6)
-        cache.get_or_build(_make(rng, n=300, name="pressure"), "gh", 3)
+        cache.get_or_build(_full(rng, n=300, name="pressure"), "gh", 3)
         assert cache.stats.evictions == 1
+        assert cache.stats.packs == 0
         assert HistogramCache.key_for(ph_ds, "ph", 5) in cache
         assert HistogramCache.key_for(gh_ds, "gh", 6) not in cache
+
+    def test_packed_victim_is_credited_at_its_packed_size(self, rng):
+        """A victim with empty cells is packed, not dropped, and ranks
+        as a fresh insert of ``count / packed bytes`` over the floor its
+        own eviction raised: small enough, it outlives a dense file that
+        is dearer per *dense* byte."""
+        sparse = _make(rng, n=40, name="sparse")
+        dense = [_full(rng, n=300, name=f"dense{i}") for i in range(2)]
+        cache = HistogramCache(max_bytes=2 * self.size)
+        cache.get_or_build(sparse, "gh", self.level)
+        for ds in dense:
+            cache.get_or_build(ds, "gh", self.level)
+        sparse_key = HistogramCache.key_for(sparse, "gh", self.level)
+        packed = pack_histogram(GHHistogram.build(sparse, self.level))
+        assert 40 / packed.size_bytes > 300 / self.size  # the premise
+        assert cache.stats.packs == 1
+        assert cache.stats.evictions == 1
+        assert sparse_key in cache
+        assert HistogramCache.key_for(dense[0], "gh", self.level) not in cache
+        assert cache._rank[sparse_key][0] == 40 / self.size + 40 / packed.size_bytes
+        assert cache.current_bytes == self.size + packed.size_bytes
 
     def test_clear_resets_the_floor(self, rng):
         cache = HistogramCache(max_bytes=self.size)

@@ -18,7 +18,7 @@ from repro.serve import EstimationServer, ServeRequest, ServerConfig
 from repro.store import ArtifactCatalog
 from tests.conftest import random_rects
 
-CACHE_KEYS = {"hits", "misses", "builds", "derivations", "evictions", "hit_rate"}
+CACHE_KEYS = {"hits", "misses", "builds", "derivations", "evictions", "packs", "hit_rate"}
 STORE_KEYS = {
     "hits", "misses", "publishes", "corrupt_detected", "evictions",
     "invalidations", "hit_rate",
@@ -96,7 +96,7 @@ def test_session_values(catalog, tmp_path):
     }
     assert stats["cache"] == {
         "hits": 0, "misses": 2, "builds": 2, "derivations": 0, "evictions": 0,
-        "hit_rate": 0.0,
+        "packs": 0, "hit_rate": 0.0,
     }
     assert stats["memo"] == {
         "hits": 1, "misses": 1, "inserts": 1, "evictions": 0, "skips": 0,

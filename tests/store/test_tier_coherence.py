@@ -8,6 +8,8 @@ tempted to pool it down), each of these answers equals the cold
 
 * a fresh build, an L1 hit and a memo replay through
   :class:`~repro.perf.CachedEstimator`;
+* an L1 hit on a packed entry (a file the cache kept as its occupied
+  cells when it had to make room);
 * every answer of one :func:`~repro.perf.estimate_many` batch that asks
   for the pair at every level, in both operand orders, twice;
 * a store load from a temporary :class:`~repro.store.ArtifactCatalog`;
@@ -30,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.estimator import JoinSelectivityEstimator, create_estimator
 from repro.datasets import SpatialDataset
 from repro.errors import DegradedResultWarning, TransientEstimationError
+from repro.histograms.file import HISTOGRAM_SCHEMES, PackedHistogram
 from repro.perf import BatchQuery, CachedEstimator, EstimateCache, HistogramCache, estimate_many
 from repro.serve import EstimationServer, ServeRequest, ServerConfig
 from repro.service import ResilientEstimator, default_fallback_chain
@@ -72,6 +75,25 @@ def _check_cache_tiers(scheme, levels, ds1, ds2):
         assert cached.estimate(ds1, ds2) == cold
         assert memo.stats.hits == 1
     assert cache.stats.derivations == 0
+
+
+def _check_packed_tier(scheme, levels, ds1, ds2):
+    for level in levels:
+        estimator = create_estimator(scheme, level=level)
+        cold = estimator.estimate(ds1, ds2)
+        size = HISTOGRAM_SCHEMES[scheme].build(ds1, level).size_bytes
+        # One byte short of both dense files: the second insert packs
+        # the cheaper one (or drops it, when it has no empty cell).
+        cache = HistogramCache(max_bytes=2 * size - 1)
+        for _ in range(3):
+            packed = {k for k in cache.keys() if isinstance(cache._entries[k], PackedHistogram)}
+            hist1, src1 = cache.resolve(ds1, scheme, level)
+            hist2, src2 = cache.resolve(ds2, scheme, level)
+            assert estimator.combine(hist1, hist2) == cold
+            for ds, src in ((ds1, src1), (ds2, src2)):
+                if HistogramCache.key_for(ds, scheme, level) in packed:
+                    assert src == "l1"
+        assert cache.stats.derivations == 0
 
 
 def _check_batch(scheme, levels, ds1, ds2):
@@ -169,6 +191,7 @@ def test_every_tier_answers_equal_to_a_cold_estimate(scheme, levels, seed, sizes
     levels = sorted(levels, reverse=True)  # finer first, then coarser
     ds1, ds2 = _pair(seed, *sizes)
     _check_cache_tiers(scheme, levels, ds1, ds2)
+    _check_packed_tier(scheme, levels, ds1, ds2)
     _check_batch(scheme, levels, ds1, ds2)
     _check_store_tier(scheme, levels, ds1, ds2)
     _check_serve_rungs(scheme, levels, ds1, ds2)
