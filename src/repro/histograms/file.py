@@ -40,6 +40,7 @@ __all__ = [
     "histogram_from_parts",
     "PackedHistogram",
     "pack_histogram",
+    "pack_if_smaller",
     "unpack_histogram",
     "STAT_PLANES",
     "HISTOGRAM_SCHEMES",
@@ -161,12 +162,30 @@ class PackedHistogram:
         return self.cells.nbytes + self.values.nbytes
 
 
+def _occupied(stats: np.ndarray) -> np.ndarray:
+    """Ascending ids (int32) of the cells where any plane's bits are not
+    all zero; reads the planes without copying them."""
+    return np.flatnonzero(stats.view(np.uint64).any(axis=0)).astype(np.int32)
+
+
 def pack_histogram(hist: Histogram) -> PackedHistogram:
     """``hist`` as its occupied cells; :func:`unpack_histogram` inverts it."""
     scalars, stats = histogram_parts(hist)
     stats = np.asarray(stats, dtype=np.float64)  # a store memmap gathers into plain memory
-    occupied = np.flatnonzero(stats.view(np.uint64).any(axis=0))
-    return PackedHistogram(scalars, occupied.astype(np.int32), np.take(stats, occupied, axis=1))
+    occupied = _occupied(stats)
+    return PackedHistogram(scalars, occupied, np.take(stats, occupied, axis=1))
+
+
+def pack_if_smaller(hist: Histogram) -> PackedHistogram | None:
+    """:func:`pack_histogram`, or ``None`` when the packed copy would not
+    be smaller than ``hist``; sized from the occupied ids before any
+    value is gathered."""
+    scalars, stats = histogram_parts(hist)
+    stats = np.asarray(stats, dtype=np.float64)
+    occupied = _occupied(stats)
+    if occupied.nbytes + occupied.size * len(stats) * stats.itemsize >= hist.size_bytes:
+        return None
+    return PackedHistogram(scalars, occupied, np.take(stats, occupied, axis=1))
 
 
 def unpack_histogram(packed: PackedHistogram) -> Histogram:

@@ -13,12 +13,16 @@ instead of at differential-test time:
 * the float64 dtype contract of the rect-array / scatter kernels;
 * no silent broad exception handlers outside the resilient fallback
   chain;
-* sound public exports (``__all__`` entries and relative imports that
-  actually resolve).
+* monotonic timing, no blocking sleeps, and a single writer of binary
+  artifacts;
+* interprocedural contracts: checkpoint reachability from kernel loops,
+  no blocking call reachable from ``async def``, ``# guarded-by:`` lock
+  discipline, and one deadline per call chain.
 
 The checker is pure stdlib (``ast`` + ``tokenize``) — it imports neither
 numpy nor the rest of :mod:`repro`, so ``python -m repro.lint`` runs
-anywhere the sources are checked out.
+anywhere the sources are checked out.  Each run is one pass: every file
+is parsed once and every rule runs on every file.
 
 Usage::
 

@@ -37,73 +37,20 @@ def module_name_for(path: Path) -> str:
     return ".".join(reversed(parts))
 
 
-#: Sentinel bindings result: the module uses ``import *`` (or could not
-#: be parsed), so its top-level namespace cannot be enumerated statically.
-UNKNOWN_BINDINGS = None
-
-
 class ModuleIndex:
-    """Cached static view of other modules' top-level namespaces.
+    """Per-run cache of other modules' top-level class names.
 
-    Used by the export-soundness rule (R006) to answer "does
-    ``repro.geometry.rect`` bind the name ``Rect``?" without importing
-    anything.  Results are cached per resolved path for the lifetime of
-    one lint run.
+    Lets the error-taxonomy rule (R003) read ``repro/errors.py`` once per
+    lint run without importing anything; an edit to that file is picked
+    up by the next run even in a long-lived process.
     """
 
     def __init__(self) -> None:
-        self._bindings: dict[Path, frozenset[str] | None] = {}
         self._class_names: dict[Path, frozenset[str] | None] = {}
-
-    def resolve_relative(
-        self, importer: Path, level: int, module: str | None
-    ) -> Path | None:
-        """The file implementing a relative import target, or ``None``.
-
-        ``importer`` is the importing file; ``level``/``module`` come
-        from the :class:`ast.ImportFrom` node.  Packages resolve to
-        their ``__init__.py``.
-        """
-        # Level 1 resolves against the directory containing the importer
-        # (for an ``__init__.py`` that directory *is* the package); each
-        # further level climbs one package.
-        base = importer.resolve().parent
-        for _ in range(level - 1):
-            base = base.parent
-        if module:
-            for part in module.split("."):
-                base = base / part
-        if base.is_dir():
-            init = base / "__init__.py"
-            return init if init.is_file() else None
-        as_file = base.with_suffix(".py")
-        return as_file if as_file.is_file() else None
-
-    def top_level_bindings(self, path: Path) -> frozenset[str] | None:
-        """Names bound at module top level (incl. inside top-level
-        ``if``/``try``/``with``/``for`` blocks), or :data:`UNKNOWN_BINDINGS`
-        when the namespace cannot be determined statically."""
-        path = path.resolve()
-        if path in self._bindings:
-            return self._bindings[path]
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError):
-            self._bindings[path] = UNKNOWN_BINDINGS
-            return UNKNOWN_BINDINGS
-        names: set[str] = set()
-        unknown = self._collect(tree.body, names)
-        result = UNKNOWN_BINDINGS if unknown else frozenset(names)
-        self._bindings[path] = result
-        return result
 
     def class_names(self, path: Path) -> frozenset[str] | None:
         """Top-level class names defined in ``path``, or ``None`` when the
-        file is missing or does not parse.  Used by the error-taxonomy
-        rule (R003); cached here — i.e. for one lint run — so an edit to
-        ``errors.py`` is always picked up by the next run even in a
-        long-lived process.
-        """
+        file is missing or does not parse."""
         path = path.resolve()
         if path in self._class_names:
             return self._class_names[path]
@@ -117,63 +64,6 @@ class ModuleIndex:
             result = None
         self._class_names[path] = result
         return result
-
-    def has_submodule(self, package_init: Path, name: str) -> bool:
-        """True if the package owning ``package_init`` contains submodule ``name``."""
-        pkg_dir = package_init.resolve().parent
-        return (pkg_dir / f"{name}.py").is_file() or (
-            pkg_dir / name / "__init__.py"
-        ).is_file()
-
-    def _collect(self, stmts: list[ast.stmt], names: set[str]) -> bool:
-        """Accumulate bound names; returns True on a star import."""
-        unknown = False
-        for stmt in stmts:
-            if isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    names.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(stmt, ast.ImportFrom):
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        unknown = True
-                    else:
-                        names.add(alias.asname or alias.name)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self._collect_target(target, names)
-            elif isinstance(stmt, ast.AnnAssign):
-                self._collect_target(stmt.target, names)
-            elif isinstance(stmt, ast.AugAssign):
-                self._collect_target(stmt.target, names)
-            elif isinstance(stmt, ast.If):
-                unknown |= self._collect(stmt.body, names)
-                unknown |= self._collect(stmt.orelse, names)
-            elif isinstance(stmt, ast.Try):
-                unknown |= self._collect(stmt.body, names)
-                unknown |= self._collect(stmt.orelse, names)
-                unknown |= self._collect(stmt.finalbody, names)
-                for handler in stmt.handlers:
-                    unknown |= self._collect(handler.body, names)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                unknown |= self._collect(stmt.body, names)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    self._collect_target(stmt.target, names)
-                unknown |= self._collect(stmt.body, names)
-                unknown |= self._collect(stmt.orelse, names)
-        return unknown
-
-    @staticmethod
-    def _collect_target(target: ast.expr, names: set[str]) -> None:
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                ModuleIndex._collect_target(elt, names)
-        elif isinstance(target, ast.Starred):
-            ModuleIndex._collect_target(target.value, names)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Fixpoint dataflow driver over the call graph.
 
-Four small, monotone analyses cover everything R010–R012 and R014
+Three small, monotone analyses cover everything R010–R012 and R014
 need.  Each is a worklist iteration to a fixpoint; all lattices are
 finite (booleans, saturating integers, or subsets of a finite token
 universe), so every loop terminates regardless of recursion or
@@ -21,7 +21,6 @@ from .graph import CallGraph, Edge
 __all__ = [
     "WEIGHT_CAP",
     "entry_locks",
-    "reaches",
     "reaches_with_witness",
     "transitive_weights",
 ]
@@ -30,31 +29,6 @@ __all__ = [
 #: meaningful checkpoint threshold; exists only to keep the weight
 #: lattice finite in the presence of recursion.
 WEIGHT_CAP = 10_000
-
-
-def reaches(graph: CallGraph, is_seed: Callable[[str], bool]) -> set[str]:
-    """Function ids from which a seed id is reachable via call edges.
-
-    ``is_seed`` classifies *target* ids (a seed need not be a function
-    the graph has a body for — ``repro.runtime:checkpoint`` counts even
-    when ``repro.runtime`` itself is outside the linted set).
-    """
-    marked: set[str] = set()
-    work: list[str] = []
-    for fid, edges in graph.edges.items():
-        for edge in edges:
-            if any(is_seed(t) for t in edge.targets):
-                if fid not in marked:
-                    marked.add(fid)
-                    work.append(fid)
-                break
-    while work:
-        current = work.pop()
-        for edge in graph.callers.get(current, ()):
-            if edge.caller not in marked:
-                marked.add(edge.caller)
-                work.append(edge.caller)
-    return marked
 
 
 def reaches_with_witness(

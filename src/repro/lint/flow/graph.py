@@ -1,15 +1,13 @@
 """Module/call-graph extraction for the interprocedural rules.
 
-Two layers, split so the expensive one is cacheable:
+Two layers:
 
 * **Extraction** (:func:`extract_summary`) walks one file's AST and
   produces a :class:`ModuleSummary` — a plain-data digest of everything
   the flow rules need: the import table, per-function call sites with
   lexically-held locks, loop weights, attribute accesses with inferred
   receiver classes, ``Deadline`` constructions with derivation taint,
-  guarded-by declarations, and the suppression table.  Summaries are
-  JSON-serializable (:meth:`ModuleSummary.to_json`) so the incremental
-  cache can skip re-parsing unchanged files entirely.
+  and guarded-by declarations.
 
 * **Linking** (:class:`CallGraph`) stitches the summaries of all project
   modules together: imported names resolve through each module's import
@@ -28,12 +26,11 @@ rules encode without attempting real type analysis.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "AttrAccess",
@@ -43,7 +40,6 @@ __all__ = [
     "FunctionInfo",
     "LoopInfo",
     "ModuleSummary",
-    "digest_source",
     "extract_summary",
 ]
 
@@ -66,13 +62,8 @@ _ELEMENT_CONTAINERS = frozenset(
 )
 
 
-def digest_source(source: bytes) -> str:
-    """BLAKE2b content key used by the incremental cache."""
-    return hashlib.blake2b(source, digest_size=16).hexdigest()
-
-
 # ----------------------------------------------------------------------
-# summary data model (plain data, JSON-round-trippable)
+# summary data model (plain data)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -86,32 +77,6 @@ class CallSite:
     col: int
     locks: tuple[tuple[str, str], ...]  #: (receiver-class|"self", attr) held
     loop: int | None  #: index of the innermost enclosing loop, if any
-    deadline_derived: bool  #: for Deadline(...) calls: arg is budget-derived
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "p": list(self.parts) if self.parts is not None else None,
-            "t": self.terminal,
-            "r": self.recv,
-            "l": self.line,
-            "c": self.col,
-            "k": [list(tok) for tok in self.locks],
-            "o": self.loop,
-            "d": self.deadline_derived,
-        }
-
-    @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "CallSite":
-        return CallSite(
-            parts=tuple(data["p"]) if data["p"] is not None else None,
-            terminal=data["t"],
-            recv=data["r"],
-            line=data["l"],
-            col=data["c"],
-            locks=tuple((tok[0], tok[1]) for tok in data["k"]),
-            loop=data["o"],
-            deadline_derived=data["d"],
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,13 +87,6 @@ class LoopInfo:
     col: int
     weight: int  #: recursive statement count of body + orelse
     parent: int | None  #: index of the enclosing loop, if nested
-
-    def to_json(self) -> list[Any]:
-        return [self.line, self.col, self.weight, self.parent]
-
-    @staticmethod
-    def from_json(data: Sequence[Any]) -> "LoopInfo":
-        return LoopInfo(data[0], data[1], data[2], data[3])
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,17 +99,6 @@ class AttrAccess:
     col: int
     locks: tuple[tuple[str, str], ...]
 
-    def to_json(self) -> list[Any]:
-        return [self.recv, self.attr, self.line, self.col,
-                [list(tok) for tok in self.locks]]
-
-    @staticmethod
-    def from_json(data: Sequence[Any]) -> "AttrAccess":
-        return AttrAccess(
-            data[0], data[1], data[2], data[3],
-            tuple((tok[0], tok[1]) for tok in data[4]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class FunctionInfo:
@@ -159,9 +106,7 @@ class FunctionInfo:
 
     qual: str  #: "f", "Cls.m", or "outer.<locals>.inner"
     cls: str | None  #: enclosing class name for methods
-    line: int
     is_async: bool
-    params: tuple[tuple[str, str | None], ...]  #: (name, written class)
     has_deadline_param: bool
     weight: int  #: recursive statement count of the body
     nested: tuple[str, ...]  #: names of directly nested function defs
@@ -175,77 +120,15 @@ class FunctionInfo:
         name = self.qual.rsplit(".", 1)[-1]
         return name in ("__init__", "__post_init__", "__del__")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "q": self.qual,
-            "cls": self.cls,
-            "l": self.line,
-            "async": self.is_async,
-            "params": [list(p) for p in self.params],
-            "ddl": self.has_deadline_param,
-            "wt": self.weight,
-            "nested": list(self.nested),
-            "calls": [c.to_json() for c in self.calls],
-            "loops": [lp.to_json() for lp in self.loops],
-            "acc": [a.to_json() for a in self.accesses],
-            "spends": [list(s) for s in self.spends],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "FunctionInfo":
-        return FunctionInfo(
-            qual=data["q"],
-            cls=data["cls"],
-            line=data["l"],
-            is_async=data["async"],
-            params=tuple((p[0], p[1]) for p in data["params"]),
-            has_deadline_param=data["ddl"],
-            weight=data["wt"],
-            nested=tuple(data["nested"]),
-            calls=tuple(CallSite.from_json(c) for c in data["calls"]),
-            loops=tuple(LoopInfo.from_json(lp) for lp in data["loops"]),
-            accesses=tuple(AttrAccess.from_json(a) for a in data["acc"]),
-            spends=tuple((s[0], s[1], s[2]) for s in data["spends"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ClassInfo:
     """Flow-relevant digest of one top-level class."""
 
     name: str
-    line: int
     bases: tuple[str, ...]  #: written base-class names
     methods: tuple[str, ...]
-    attrs: tuple[tuple[str, str | None, str | None], ...]  #: (attr, cls, elem)
     guarded: tuple[tuple[str, str], ...]  #: (attr, lock-attr) declarations
-
-    def attr_type(self, attr: str) -> tuple[str | None, str | None]:
-        for name, cls, elem in self.attrs:
-            if name == attr:
-                return (cls, elem)
-        return (None, None)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "n": self.name,
-            "l": self.line,
-            "b": list(self.bases),
-            "m": list(self.methods),
-            "a": [list(a) for a in self.attrs],
-            "g": [list(g) for g in self.guarded],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "ClassInfo":
-        return ClassInfo(
-            name=data["n"],
-            line=data["l"],
-            bases=tuple(data["b"]),
-            methods=tuple(data["m"]),
-            attrs=tuple((a[0], a[1], a[2]) for a in data["a"]),
-            guarded=tuple((g[0], g[1]) for g in data["g"]),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,54 +137,9 @@ class ModuleSummary:
 
     module: str
     path: str  #: display path (as reported in diagnostics)
-    digest: str
-    is_pkg: bool
-    imports: tuple[tuple[str, tuple[str, ...]], ...]  #: local name -> dotted target
-    deps: tuple[str, ...]  #: imported module names (absolute, unfiltered)
+    imports: Mapping[str, tuple[str, ...]]  #: local name -> dotted target
     functions: tuple[FunctionInfo, ...]
     classes: tuple[ClassInfo, ...]
-    suppress_file: tuple[str, ...]  #: file-wide suppressed rule ids
-    suppress_line: tuple[tuple[int, tuple[str, ...]], ...]
-
-    def import_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.imports)
-
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if rule_id in self.suppress_file or "all" in self.suppress_file:
-            return True
-        for ln, rules in self.suppress_line:
-            if ln == line and (rule_id in rules or "all" in rules):
-                return True
-        return False
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "digest": self.digest,
-            "pkg": self.is_pkg,
-            "imports": [[name, list(parts)] for name, parts in self.imports],
-            "deps": list(self.deps),
-            "functions": [f.to_json() for f in self.functions],
-            "classes": [c.to_json() for c in self.classes],
-            "sf": list(self.suppress_file),
-            "sl": [[ln, list(rules)] for ln, rules in self.suppress_line],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "ModuleSummary":
-        return ModuleSummary(
-            module=data["module"],
-            path=data["path"],
-            digest=data["digest"],
-            is_pkg=data["pkg"],
-            imports=tuple((i[0], tuple(i[1])) for i in data["imports"]),
-            deps=tuple(data["deps"]),
-            functions=tuple(FunctionInfo.from_json(f) for f in data["functions"]),
-            classes=tuple(ClassInfo.from_json(c) for c in data["classes"]),
-            suppress_file=tuple(data["sf"]),
-            suppress_line=tuple((s[0], tuple(s[1])) for s in data["sl"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -391,15 +229,10 @@ class _FunctionExtractor:
 
     # -- local type environment -----------------------------------------
 
-    def _params(self) -> tuple[tuple[str, str | None], ...]:
+    def _bind_params(self) -> None:
         args = self.node.args
-        every = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        out: list[tuple[str, str | None]] = []
-        for a in every:
-            ref = _ann_ref(a.annotation)
-            self.env[a.arg] = ref
-            out.append((a.arg, ref[0]))
-        return tuple(out)
+        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            self.env[a.arg] = _ann_ref(a.annotation)
 
     def _type_of(self, node: ast.expr) -> TypeRef:
         if isinstance(node, ast.Name):
@@ -441,7 +274,7 @@ class _FunctionExtractor:
     # -- the walk --------------------------------------------------------
 
     def run(self) -> None:
-        self._params()
+        self._bind_params()
         self._walk_body(self.node.body)
 
     def _walk_body(self, stmts: Sequence[ast.stmt]) -> None:
@@ -502,11 +335,6 @@ class _FunctionExtractor:
             self._walk_body(stmt.body)
             del self._lock_stack[len(self._lock_stack) - len(acquired):]
             return
-        if isinstance(stmt, ast.If):
-            self._walk_expr(stmt.test)
-            self._walk_body(stmt.body)
-            self._walk_body(stmt.orelse)
-            return
         if isinstance(stmt, ast.Try):
             self._walk_body(stmt.body)
             for handler in stmt.handlers:
@@ -514,22 +342,18 @@ class _FunctionExtractor:
             self._walk_body(stmt.orelse)
             self._walk_body(stmt.finalbody)
             return
-        if isinstance(stmt, (ast.Return, ast.Expr)):
-            if stmt.value is not None:
-                self._walk_expr(stmt.value)
-            return
-        if isinstance(stmt, (ast.Raise,)):
+        if isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self._walk_expr(stmt.exc)
             return
-        if isinstance(stmt, (ast.Assert,)):
+        if isinstance(stmt, ast.Assert):
             self._walk_expr(stmt.test)
             return
         if isinstance(stmt, ast.Delete):
             return
-        # everything else (pass/break/continue/global/import/match):
-        # imports were collected module-wide; match statements are not
-        # used in this codebase and would only lose type precision.
+        # everything else (if/return/expression statements, pass, import,
+        # match, ...): walk the children in order.  Imports were collected
+        # module-wide; match statements would only lose type precision.
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
                 self._walk_expr(child)
@@ -620,7 +444,6 @@ class _FunctionExtractor:
                 recv = base[0]
         elif isinstance(node.func, ast.Name):
             terminal = node.func.id
-        derived = False
         if terminal == "Deadline":
             payload = list(node.args) + [kw.value for kw in node.keywords]
             derived = any(self._is_deadline_derived(a) for a in payload)
@@ -634,7 +457,6 @@ class _FunctionExtractor:
                 col=node.col_offset + 1,
                 locks=tuple(self._lock_stack),
                 loop=self._loop_stack[-1] if self._loop_stack else None,
-                deadline_derived=derived,
             )
         )
 
@@ -706,20 +528,13 @@ def _extract_class(
 
 def _collect_imports(
     tree: ast.Module, module: str, is_pkg: bool
-) -> tuple[dict[str, tuple[str, ...]], list[str]]:
+) -> dict[str, tuple[str, ...]]:
     imports: dict[str, tuple[str, ...]] = {}
-    deps: list[str] = []
-
-    def dep(target: str) -> None:
-        if target and target not in deps:
-            deps.append(target)
-
     own_parts = module.split(".") if module else []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = tuple(alias.name.split("."))
-                dep(alias.name)
                 if alias.asname:
                     imports[alias.asname] = parts
                 else:
@@ -735,16 +550,13 @@ def _collect_imports(
                 if not node.module:
                     continue
                 target_parts = node.module.split(".")
-            target = ".".join(target_parts)
-            dep(target)
             for alias in node.names:
                 if alias.name == "*":
                     continue
-                dep(target + "." + alias.name)
                 imports[alias.asname or alias.name] = tuple(
                     target_parts + [alias.name]
                 )
-    return imports, deps
+    return imports
 
 
 def _guarded_comments(source: str) -> dict[int, str]:
@@ -764,27 +576,16 @@ def _guarded_comments(source: str) -> dict[int, str]:
     return out
 
 
-def _suppression_table(
-    source: str,
-) -> tuple[tuple[str, ...], tuple[tuple[int, tuple[str, ...]], ...]]:
-    """Serializable view of the suppression directives (same semantics as
-    :class:`repro.lint.suppressions.SuppressionIndex`)."""
-    from ..suppressions import SuppressionIndex
-
-    return SuppressionIndex.from_source(source).to_table()
-
-
 def extract_summary(
     *,
     module: str,
     path: str,
     source: str,
     tree: ast.Module,
-    digest: str,
     is_pkg: bool,
 ) -> ModuleSummary:
     """Digest one parsed file into its flow summary."""
-    imports, deps = _collect_imports(tree, module, is_pkg)
+    imports = _collect_imports(tree, module, is_pkg)
     guarded_lines = _guarded_comments(source)
     functions: list[FunctionInfo] = []
     classes: list[ClassInfo] = []
@@ -796,20 +597,15 @@ def extract_summary(
     ) -> None:
         ex = _FunctionExtractor(node, qual, cls)
         ex.run()
-        arg_nodes = [
-            *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
-        ]
-        params = tuple((a.arg, _ann_ref(a.annotation)[0]) for a in arg_nodes)
+        args = node.args
         functions.append(
             FunctionInfo(
                 qual=qual,
                 cls=cls.name if cls is not None else None,
-                line=node.lineno,
                 is_async=isinstance(node, ast.AsyncFunctionDef),
-                params=params,
                 has_deadline_param=any(
-                    name in DEADLINE_PARAM_NAMES or ann == "Deadline"
-                    for name, ann in params
+                    a.arg in DEADLINE_PARAM_NAMES or _ann_ref(a.annotation)[0] == "Deadline"
+                    for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
                 ),
                 weight=_statement_weight(node.body),
                 nested=tuple(ex.nested),
@@ -841,31 +637,20 @@ def extract_summary(
             classes.append(
                 ClassInfo(
                     name=acc.name,
-                    line=stmt.lineno,
                     bases=tuple(
                         b for b in (_ann_ref(base)[0] for base in stmt.bases) if b
                     ),
                     methods=tuple(name for name, _ in methods),
-                    attrs=tuple(
-                        (attr, ref[0], ref[1])
-                        for attr, ref in sorted(acc.attr_refs.items())
-                    ),
                     guarded=guarded,
                 )
             )
 
-    suppress_file, suppress_line = _suppression_table(source)
     return ModuleSummary(
         module=module,
         path=path,
-        digest=digest,
-        is_pkg=is_pkg,
-        imports=tuple(sorted(imports.items())),
-        deps=tuple(deps),
+        imports=imports,
         functions=tuple(functions),
         classes=tuple(classes),
-        suppress_file=suppress_file,
-        suppress_line=suppress_line,
     )
 
 
@@ -880,7 +665,6 @@ class Edge:
     caller: str  #: function id "module:qual"
     site: CallSite
     targets: tuple[str, ...]  #: resolved function ids (may be empty)
-    constructs: str | None  #: "module:Class" when the call builds a project class
 
 
 class CallGraph:
@@ -898,7 +682,6 @@ class CallGraph:
         self.functions: dict[str, FunctionInfo] = {}
         self.function_module: dict[str, str] = {}
         self.classes: dict[tuple[str, str], ClassInfo] = {}
-        self._class_by_name: dict[str, list[tuple[str, ClassInfo]]] = {}
         for mod, summary in self.modules.items():
             for fn in summary.functions:
                 fid = f"{mod}:{fn.qual}"
@@ -906,7 +689,6 @@ class CallGraph:
                 self.function_module[fid] = mod
             for cls in summary.classes:
                 self.classes[(mod, cls.name)] = cls
-                self._class_by_name.setdefault(cls.name, []).append((mod, cls))
         self._subclasses: dict[tuple[str, str], list[tuple[str, ClassInfo]]] = {}
         for (mod, _name), cls in list(self.classes.items()):
             for base in cls.bases:
@@ -916,7 +698,10 @@ class CallGraph:
         self.edges: dict[str, list[Edge]] = {}
         self.callers: dict[str, list[Edge]] = {}
         for fid in self.functions:
-            self.edges[fid] = [self._resolve(fid, s) for s in self.functions[fid].calls]
+            self.edges[fid] = [
+                Edge(fid, site, self._resolve(fid, site))
+                for site in self.functions[fid].calls
+            ]
             for edge in self.edges[fid]:
                 for target in edge.targets:
                     self.callers.setdefault(target, []).append(edge)
@@ -930,7 +715,7 @@ class CallGraph:
         summary = self.modules.get(module)
         if summary is None:
             return None
-        target = summary.import_map().get(written)
+        target = summary.imports.get(written)
         if target is None:
             return None
         owner, symbol = ".".join(target[:-1]), target[-1]
@@ -969,9 +754,9 @@ class CallGraph:
                         out.append(fid)
         return tuple(out)
 
-    def _resolve(self, caller: str, site: CallSite) -> Edge:
+    def _resolve(self, caller: str, site: CallSite) -> tuple[str, ...]:
+        """The function ids ``site`` may call (empty when unresolved)."""
         module = self.function_module[caller]
-        summary = self.modules[module]
         fn = self.functions[caller]
         parts = site.parts
 
@@ -979,7 +764,7 @@ class CallGraph:
         if parts is not None and len(parts) == 1 and parts[0] in fn.nested:
             fid = f"{module}:{fn.qual}.<locals>.{parts[0]}"
             if fid in self.functions:
-                return Edge(caller, site, (fid,), None)
+                return (fid,)
 
         # self.method(...)
         if (
@@ -988,90 +773,50 @@ class CallGraph:
             and parts[0] == "self"
             and fn.cls is not None
         ):
-            targets = self._method_id((module, fn.cls), parts[1])
-            if targets:
-                return Edge(caller, site, targets, None)
-            return Edge(caller, site, (), None)
+            return self._method_id((module, fn.cls), parts[1])
 
         # receiver-annotation dispatch: job.run() with job: _Job
         if site.recv is not None:
             owner = self.resolve_class(module, site.recv)
             if owner is not None:
-                targets = self._method_id(owner, site.terminal)
-                return Edge(caller, site, targets, None)
+                return self._method_id(owner, site.terminal)
 
         if parts is None:
-            return Edge(caller, site, (), None)
+            return ()
 
-        imports = summary.import_map()
+        imports = self.modules[module].imports
 
-        # bare name: module-local function / imported symbol / local class
+        # bare name: module-local function / local class / imported symbol
         if len(parts) == 1:
-            name = parts[0]
-            fid = f"{module}:{name}"
-            if fid in self.functions:
-                return Edge(caller, site, (fid,), None)
-            if (module, name) in self.classes:
-                return self._constructor_edge(caller, site, (module, name))
-            target = imports.get(name)
+            candidates = [(module, parts[0])]
+            target = imports.get(parts[0])
             if target is not None:
-                owner_mod, symbol = ".".join(target[:-1]), target[-1]
-                fid = f"{owner_mod}:{symbol}"
-                if fid in self.functions:
-                    return Edge(caller, site, (fid,), None)
-                if (owner_mod, symbol) in self.classes:
-                    return self._constructor_edge(caller, site, (owner_mod, symbol))
-            return Edge(caller, site, (), None)
+                candidates.append((".".join(target[:-1]), target[-1]))
+            for owner_mod, symbol in candidates:
+                resolved = self._symbol(owner_mod, symbol)
+                if resolved is not None:
+                    return resolved
+            return ()
 
         # dotted: alias.func / alias.Class / package.module.func
         head = imports.get(parts[0])
         if head is not None:
-            for split in range(len(parts) - 1, 0, -1):
-                owner_mod = ".".join(head + parts[1:split])
-                symbol = parts[split]
-                rest = parts[split + 1:]
-                if owner_mod in self.modules and not rest:
-                    fid = f"{owner_mod}:{symbol}"
-                    if fid in self.functions:
-                        return Edge(caller, site, (fid,), None)
-                    if (owner_mod, symbol) in self.classes:
-                        return self._constructor_edge(
-                            caller, site, (owner_mod, symbol)
-                        )
-        return Edge(caller, site, (), None)
+            owner_mod = ".".join(head + parts[1:-1])
+            if owner_mod in self.modules:
+                return self._symbol(owner_mod, parts[-1]) or ()
+        return ()
 
-    def _constructor_edge(
-        self, caller: str, site: CallSite, owner: tuple[str, str]
-    ) -> Edge:
-        init = self._method_id(owner, "__init__", with_overrides=False)
-        return Edge(caller, site, init, f"{owner[0]}:{owner[1]}")
+    def _symbol(self, module: str, name: str) -> tuple[str, ...] | None:
+        """A call of ``module.name``: the function, or a project class's
+        ``__init__`` (a constructor call); ``None`` if neither."""
+        fid = f"{module}:{name}"
+        if fid in self.functions:
+            return (fid,)
+        if (module, name) in self.classes:
+            return self._method_id((module, name), "__init__", with_overrides=False)
+        return None
 
     # -- convenience -----------------------------------------------------
 
     def module_of(self, fid: str) -> str:
         return self.function_module[fid]
-
-    def summary_of(self, fid: str) -> ModuleSummary:
-        return self.modules[self.function_module[fid]]
-
-    def iter_edges(self) -> Iterator[Edge]:
-        for edges in self.edges.values():
-            yield from edges
-
-    def reverse_deps(self, changed_modules: set[str]) -> set[str]:
-        """Modules importing any of ``changed_modules``, transitively."""
-        importers: dict[str, set[str]] = {}
-        for mod, summary in self.modules.items():
-            for dep in summary.deps:
-                if dep in self.modules:
-                    importers.setdefault(dep, set()).add(mod)
-        out = set(changed_modules) & set(self.modules)
-        work = list(out)
-        while work:
-            current = work.pop()
-            for importer in importers.get(current, ()):
-                if importer not in out:
-                    out.add(importer)
-                    work.append(importer)
-        return out
-

@@ -1,7 +1,8 @@
 """Interprocedural rules R010–R012 and R014 over the linked call graph.
 
-Each rule is a whole-program check: it sees every module summary plus
-the resolved :class:`~repro.lint.flow.graph.CallGraph` and reports
+Each rule is a whole-program check: it sees the resolved
+:class:`~repro.lint.flow.graph.CallGraph` of the ``repro`` modules (the
+engine summarizes no other file) and reports
 diagnostics at the *defect site* (the loop, the access, the call), never
 at some caller that merely participates in the offending path — which is
 also what makes suppression comments compose sanely (a ``disable`` on a
@@ -15,14 +16,12 @@ types, and lock tokens are class-level (instance identity is ignored).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
-
 from ..diagnostics import Diagnostic
+from ..rules import Rule
 from .dataflow import entry_locks, reaches_with_witness, transitive_weights
-from .graph import CallGraph, CallSite, FunctionInfo, ModuleSummary
+from .graph import CallGraph, CallSite, FunctionInfo
 
-__all__ = ["FLOW_RULES", "FlowProject", "FlowRule", "KERNEL_SUBPACKAGES"]
+__all__ = ["FLOW_RULES", "FlowRule", "KERNEL_SUBPACKAGES"]
 
 
 #: Subpackages whose loops are long-running kernels (the predicate-join
@@ -36,35 +35,12 @@ KERNEL_SUBPACKAGES = frozenset(
 CHECKPOINT_STATEMENT_THRESHOLD = 8
 
 
-@dataclass(frozen=True, slots=True)
-class FlowProject:
-    """Input to every flow rule: summaries keyed by module, linked graph."""
-
-    modules: Mapping[str, ModuleSummary]
-    graph: CallGraph
-
-    @classmethod
-    def from_summaries(
-        cls, summaries: Mapping[str, ModuleSummary]
-    ) -> "FlowProject":
-        return cls(modules=dict(summaries), graph=CallGraph(summaries))
-
-
-@dataclass(frozen=True, slots=True)
-class FlowRule:
-    """An interprocedural rule: id, slug, summary, whole-program check."""
-
-    id: str
-    name: str
-    summary: str
-    check: Callable[[FlowProject], list[Diagnostic]]
-
-    def run(self, project: FlowProject) -> list[Diagnostic]:
-        return self.check(project)
+#: An interprocedural rule: id, slug, summary, whole-program check.
+FlowRule = Rule[CallGraph]
 
 
 def _diag(
-    project: FlowProject,
+    graph: CallGraph,
     module: str,
     rule_id: str,
     rule_name: str,
@@ -75,15 +51,11 @@ def _diag(
     return Diagnostic(
         rule=rule_id,
         name=rule_name,
-        path=project.modules[module].path,
+        path=graph.modules[module].path,
         line=line,
         col=col,
         message=message,
     )
-
-
-def _in_project(module: str) -> bool:
-    return module == "repro" or module.startswith("repro.")
 
 
 def _subpackage(module: str) -> str:
@@ -109,14 +81,13 @@ def _loop_descendants(fn: FunctionInfo) -> dict[int, set[int]]:
     return out
 
 
-def _check_r010(project: FlowProject) -> list[Diagnostic]:
+def _check_r010(graph: CallGraph) -> list[Diagnostic]:
     """A kernel loop is preemptible iff ``repro.runtime.checkpoint`` is
     reachable from its body — lexically or through any chain of callees.
     The callee chain is resolved through imports, so only the real
     runtime checkpoint counts (not any function named ``checkpoint``),
     and a checkpoint elsewhere in the function — before or after the
     loop — does not cover it."""
-    graph = project.graph
     weights = transitive_weights(graph)
     # functions from which the runtime checkpoint is reachable
     reach_cp = reaches_with_witness(
@@ -130,7 +101,7 @@ def _check_r010(project: FlowProject) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for fid, fn in graph.functions.items():
         module = graph.module_of(fid)
-        if not _in_project(module) or _subpackage(module) not in KERNEL_SUBPACKAGES:
+        if _subpackage(module) not in KERNEL_SUBPACKAGES:
             continue
         if not fn.loops:
             continue
@@ -155,7 +126,7 @@ def _check_r010(project: FlowProject) -> list[Diagnostic]:
                 continue
             out.append(
                 _diag(
-                    project, module, "R010", "missing-checkpoint-path",
+                    graph, module, "R010", "missing-checkpoint-path",
                     loop.line, loop.col,
                     f"kernel loop runs ~{effective} statements per iteration "
                     "(callees included) and no path from its body reaches "
@@ -205,14 +176,13 @@ def _blocking_primitive(site: CallSite) -> str | None:
     return None
 
 
-def _check_r011(project: FlowProject) -> list[Diagnostic]:
+def _check_r011(graph: CallGraph) -> list[Diagnostic]:
     """An ``async def`` must not transitively reach a blocking primitive
     (pipe recv/poll, ``np.load``, file I/O, subprocess waits) on the
     event-loop thread.  The executor hop is the sanctioned escape: a
     callable *passed into* ``run_in_executor`` (or a lambda body) is not
     a call edge, so work dispatched to an executor never taints the
     coroutine — which is exactly the discipline the rule enforces."""
-    graph = project.graph
     local: dict[str, str] = {}
     local_sites: dict[str, list[tuple[CallSite, str]]] = {}
     for fid, fn in graph.functions.items():
@@ -225,7 +195,7 @@ def _check_r011(project: FlowProject) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for fid, fn in graph.functions.items():
         module = graph.module_of(fid)
-        if not fn.is_async or not _in_project(module):
+        if not fn.is_async:
             continue
         reported: set[tuple[int, int]] = set()
         for site, prim in local_sites.get(fid, []):
@@ -234,7 +204,7 @@ def _check_r011(project: FlowProject) -> list[Diagnostic]:
                 reported.add(key)
                 out.append(
                     _diag(
-                        project, module, "R011", "async-blocking-call",
+                        graph, module, "R011", "async-blocking-call",
                         site.line, site.col,
                         f"blocking {prim} directly inside 'async def "
                         f"{fn.qual}' stalls the event loop — dispatch it "
@@ -253,7 +223,7 @@ def _check_r011(project: FlowProject) -> list[Diagnostic]:
                     reported.add(key)
                     out.append(
                         _diag(
-                            project, module, "R011", "async-blocking-call",
+                            graph, module, "R011", "async-blocking-call",
                             edge.site.line, edge.site.col,
                             f"'async def {fn.qual}' calls "
                             f"'{target.split(':', 1)[1]}', which reaches "
@@ -269,7 +239,7 @@ def _check_r011(project: FlowProject) -> list[Diagnostic]:
 # R012 — guarded-by lock discipline
 # ----------------------------------------------------------------------
 
-def _check_r012(project: FlowProject) -> list[Diagnostic]:
+def _check_r012(graph: CallGraph) -> list[Diagnostic]:
     """Attributes declared ``# guarded-by: <lock>`` may only be touched
     while their class's lock is held — lexically (a ``with x.lock:``
     around the access) or interprocedurally (every call path into the
@@ -277,10 +247,9 @@ def _check_r012(project: FlowProject) -> list[Diagnostic]:
     ``(Class, lock-attr)``: instances are not distinguished, which is
     sound for the pools/caches this guards (each access uses the same
     instance's lock) and keeps the lattice finite."""
-    graph = project.graph
     guarded: dict[tuple[str, str], dict[str, str]] = {}
     for key, cls in graph.classes.items():
-        if cls.guarded and _in_project(key[0]):
+        if cls.guarded:
             guarded[key] = dict(cls.guarded)
     if not guarded:
         return []
@@ -311,7 +280,7 @@ def _check_r012(project: FlowProject) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for fid, fn in graph.functions.items():
         module = graph.module_of(fid)
-        if not _in_project(module) or fn.is_ctor:
+        if fn.is_ctor:
             continue
         for access in fn.accesses:
             if access.recv == "self" and fn.cls is not None:
@@ -328,7 +297,7 @@ def _check_r012(project: FlowProject) -> list[Diagnostic]:
             if need not in have:
                 out.append(
                     _diag(
-                        project, module, "R012", "guarded-by",
+                        graph, module, "R012", "guarded-by",
                         access.line, access.col,
                         f"access to '{owner[1]}.{access.attr}' (guarded-by: "
                         f"{lock}) in '{fn.qual}' without '{owner[1]}.{lock}' "
@@ -343,7 +312,7 @@ def _check_r012(project: FlowProject) -> list[Diagnostic]:
 # R014 — deadline single-spend
 # ----------------------------------------------------------------------
 
-def _check_r014(project: FlowProject) -> list[Diagnostic]:
+def _check_r014(graph: CallGraph) -> list[Diagnostic]:
     """A call chain threads at most one wall-clock budget.  Constructing
     ``Deadline(...)`` from anything but the incoming budget (a deadline
     parameter or a ``.remaining`` expression) inside a function that
@@ -355,7 +324,6 @@ def _check_r014(project: FlowProject) -> list[Diagnostic]:
     the spender does not itself reach: a fallback estimator whose own
     helpers thread the deadline it just created (a dispatch cycle back
     into the entry point) is the origin of the chain, not a respend."""
-    graph = project.graph
     carriers = {
         fid
         for fid, fn in graph.functions.items()
@@ -392,15 +360,13 @@ def _check_r014(project: FlowProject) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for fid, fn in graph.functions.items():
         module = graph.module_of(fid)
-        if not _in_project(module):
-            continue
         for line, col, derived in fn.spends:
             if derived:
                 continue
             if fn.has_deadline_param:
                 out.append(
                     _diag(
-                        project, module, "R014", "deadline-respend",
+                        graph, module, "R014", "deadline-respend",
                         line, col,
                         f"'{fn.qual}' already receives a deadline/budget "
                         "parameter but constructs a fresh Deadline from "
@@ -412,7 +378,7 @@ def _check_r014(project: FlowProject) -> list[Diagnostic]:
             elif _carrier_ancestors(fid) - _forward(fid) - {fid}:
                 out.append(
                     _diag(
-                        project, module, "R014", "deadline-respend",
+                        graph, module, "R014", "deadline-respend",
                         line, col,
                         f"'{fn.qual}' is reachable from a deadline-carrying "
                         "call chain but re-spends a fresh wall-clock "

@@ -12,25 +12,27 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generic, TypeVar
 
-from .context import UNKNOWN_BINDINGS, FileContext
+from .context import FileContext
 from .diagnostics import Diagnostic
 
 __all__ = ["Rule", "RULES", "PARSE_ERROR_RULE"]
 
 
+#: What a rule checks: one file's context, or the linked call graph.
+Subject = TypeVar("Subject")
+
+
 @dataclass(frozen=True)
-class Rule:
-    """A registered invariant check."""
+class Rule(Generic[Subject]):
+    """A registered invariant check (per-file here; the flow rules in
+    :mod:`repro.lint.flow.rules` check the whole project)."""
 
     id: str
     name: str
     summary: str  #: one line for --list-rules
-    check: Callable[[FileContext], list[Diagnostic]]
-
-    def run(self, ctx: FileContext) -> list[Diagnostic]:
-        return self.check(ctx)
+    check: Callable[[Subject], list[Diagnostic]]
 
 
 # ----------------------------------------------------------------------
@@ -285,105 +287,6 @@ def _check_broad_except(ctx: FileContext) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# R006 — public-export soundness
-# ----------------------------------------------------------------------
-
-def _literal_all(tree: ast.Module) -> tuple[ast.expr | None, list[tuple[str, ast.expr]]]:
-    """The ``__all__`` assignment value and its (entry, node) pairs."""
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-            )
-            and isinstance(stmt.value, (ast.List, ast.Tuple))
-        ):
-            entries = []
-            for elt in stmt.value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    entries.append((elt.value, elt))
-                else:
-                    entries.append(("", elt))  # non-string entry
-            return stmt.value, entries
-    return None, []
-
-
-def _check_export_soundness(ctx: FileContext) -> list[Diagnostic]:
-    if not (ctx.in_repro and ctx.path.name == "__init__.py"):
-        return []
-    out = []
-    index = ctx.index
-    bindings = index.top_level_bindings(ctx.path)
-
-    # (a) __all__ entries: strings, unique, and actually bound.
-    _, entries = _literal_all(ctx.tree)
-    seen: set[str] = set()
-    for entry, node in entries:
-        if not entry:
-            out.append(
-                ctx.diagnostic(
-                    "R006", "export-soundness", node,
-                    "__all__ entries must be string literals",
-                )
-            )
-            continue
-        if entry in seen:
-            out.append(
-                ctx.diagnostic(
-                    "R006", "export-soundness", node,
-                    f"duplicate __all__ entry {entry!r}",
-                )
-            )
-        seen.add(entry)
-        if entry == "__version__":
-            continue  # dunder assignments are collected as bindings anyway
-        if (
-            bindings is not UNKNOWN_BINDINGS
-            and entry not in bindings
-            and not index.has_submodule(ctx.path, entry)
-        ):
-            out.append(
-                ctx.diagnostic(
-                    "R006", "export-soundness", node,
-                    f"__all__ exports {entry!r} but the module never binds it",
-                )
-            )
-
-    # (b) relative imports resolve, and imported names exist at the target.
-    for stmt in ctx.tree.body:
-        if not isinstance(stmt, ast.ImportFrom) or stmt.level == 0:
-            continue
-        target = index.resolve_relative(ctx.path, stmt.level, stmt.module)
-        if target is None:
-            out.append(
-                ctx.diagnostic(
-                    "R006", "export-soundness", stmt,
-                    f"relative import target '{'.' * stmt.level}{stmt.module or ''}' "
-                    "does not resolve to a module in this tree",
-                )
-            )
-            continue
-        target_bindings = index.top_level_bindings(target)
-        for alias in stmt.names:
-            if alias.name == "*":
-                continue
-            if target_bindings is UNKNOWN_BINDINGS:
-                continue
-            if alias.name in target_bindings:
-                continue
-            if target.name == "__init__.py" and index.has_submodule(target, alias.name):
-                continue
-            out.append(
-                ctx.diagnostic(
-                    "R006", "export-soundness", stmt,
-                    f"'{alias.name}' is imported from "
-                    f"'{'.' * stmt.level}{stmt.module or ''}' but never bound there",
-                )
-            )
-    return out
-
-
-# ----------------------------------------------------------------------
 # R007 — monotonic clocks for timing
 # ----------------------------------------------------------------------
 
@@ -604,11 +507,11 @@ def _check_single_writer(ctx: FileContext) -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 
 #: Pseudo-rule id used by the engine for unparseable files.  Not part of
-#: RULES (it cannot be selected or suppressed away — a file that does not
+#: RULES (it cannot be suppressed away — a file that does not
 #: parse can never be certified clean).
 PARSE_ERROR_RULE = ("E001", "parse-error")
 
-RULES: dict[str, Rule] = {
+RULES: dict[str, Rule[FileContext]] = {
     rule.id: rule
     for rule in (
         Rule(
@@ -635,13 +538,6 @@ RULES: dict[str, Rule] = {
             "broad-except",
             "no bare/broad except outside the resilient fallback chain",
             _check_broad_except,
-        ),
-        Rule(
-            "R006",
-            "export-soundness",
-            "__all__ entries are bound and relative imports resolve in "
-            "package __init__ modules",
-            _check_export_soundness,
         ),
         Rule(
             "R007",

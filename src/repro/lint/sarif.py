@@ -24,32 +24,14 @@ _SCHEMA = (
 
 
 def _rule_catalog() -> list[dict[str, Any]]:
-    rules: list[dict[str, Any]] = []
-    for rule_id, rule in RULES.items():
-        rules.append(
-            {
-                "id": rule_id,
-                "name": rule.name,
-                "shortDescription": {"text": rule.summary},
-            }
-        )
-    for rule_id, flow_rule in FLOW_RULES.items():
-        rules.append(
-            {
-                "id": rule_id,
-                "name": flow_rule.name,
-                "shortDescription": {"text": flow_rule.summary},
-            }
-        )
     parse_id, parse_name = PARSE_ERROR_RULE
-    rules.append(
-        {
-            "id": parse_id,
-            "name": parse_name,
-            "shortDescription": {"text": "file does not parse"},
-        }
-    )
-    return rules
+    entries = [(rule.id, rule.name, rule.summary)
+               for rule in (*RULES.values(), *FLOW_RULES.values())]
+    entries.append((parse_id, parse_name, "file does not parse"))
+    return [
+        {"id": rule_id, "name": name, "shortDescription": {"text": summary}}
+        for rule_id, name, summary in entries
+    ]
 
 
 def to_sarif(report: LintReport) -> dict[str, Any]:

@@ -79,14 +79,3 @@ class SuppressionIndex:
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         active = self._file_wide | self._by_line.get(line, frozenset())
         return rule_id in active or "all" in active
-
-    def to_table(
-        self,
-    ) -> tuple[tuple[str, ...], tuple[tuple[int, tuple[str, ...]], ...]]:
-        """Plain-data view ``(file_wide, ((line, rules), ...))`` used by
-        the flow layer's JSON-serializable module summaries."""
-        file_wide = tuple(sorted(self._file_wide))
-        by_line = tuple(
-            sorted((ln, tuple(sorted(rules))) for ln, rules in self._by_line.items())
-        )
-        return file_wide, by_line

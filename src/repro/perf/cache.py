@@ -85,7 +85,7 @@ from ..histograms.file import (
     HISTOGRAM_SCHEMES,
     Histogram,
     PackedHistogram,
-    pack_histogram,
+    pack_if_smaller,
     unpack_histogram,
 )
 from ..rtree import DEFAULT_MAX_ENTRIES, FlatRTree, flat_load_hilbert, flat_load_str
@@ -457,8 +457,7 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
         """The occupied cells of a dense victim, when they are smaller."""
         if isinstance(value, PackedHistogram):
             return None
-        packed = pack_histogram(value)
-        return packed if packed.size_bytes < value.size_bytes else None
+        return pack_if_smaller(value)
 
 
 class CachedEstimator(PreparedEstimator):

@@ -1,17 +1,6 @@
-"""Fixture package root: R006 export-soundness violations.
+"""Fixture package root.
 
 This tree mirrors the ``repro`` package shape so the lint rules treat
 its files as library modules; it lives under a ``fixtures`` directory,
 which tree-wide lint runs never descend into.
 """
-
-from .histograms import missing_name  # unbound at target -> R006
-from .nosuchmod import anything  # unresolvable module -> R006
-
-exists = 1
-
-__all__ = [
-    "exists",
-    "ghost",  # never bound -> R006
-    "exists",  # duplicate -> R006
-]

@@ -1,8 +1,8 @@
 """Wall-clock budget for the whole-tree lint: the gate has to stay fast
-enough to run on every commit, and the warm path has to make the cache
-worth having.  Budgets are deliberately loose multiples of observed
-times (~2s cold, ~0.1s warm on the CI class of machine) so the test
-catches order-of-magnitude regressions, not scheduler noise."""
+enough to run on every commit.  It times what CI runs — ``src`` and
+``tests``, every rule — and the budget is a deliberately loose multiple
+of observed times (~3 s on a 2-CPU machine), so the test catches
+order-of-magnitude regressions, not scheduler noise."""
 
 import time
 from pathlib import Path
@@ -12,27 +12,11 @@ from repro.lint import run_lint
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 COLD_BUDGET_S = 10.0
-WARM_BUDGET_S = 1.0
 
 
-def test_cold_full_tree_run_fits_the_budget(tmp_path):
-    cache = tmp_path / "cache.json"
+def test_cold_full_tree_run_fits_the_budget():
     started = time.perf_counter()
-    report = run_lint([REPO_ROOT / "src"], cache=cache)
+    report = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests"])
     elapsed = time.perf_counter() - started
-    assert report.files_checked > 100
+    assert report.files_checked > 150
     assert elapsed < COLD_BUDGET_S, f"cold run took {elapsed:.2f}s"
-
-
-def test_warm_full_tree_run_fits_the_budget(tmp_path):
-    cache = tmp_path / "cache.json"
-    run_lint([REPO_ROOT / "src"], cache=cache)
-
-    started = time.perf_counter()
-    report = run_lint([REPO_ROOT / "src"], cache=cache)
-    elapsed = time.perf_counter() - started
-    assert elapsed < WARM_BUDGET_S, f"warm run took {elapsed:.2f}s"
-    # warm means WARM: nothing parsed, everything answered from cache
-    assert report.stats.files_parsed == 0
-    assert report.stats.flow_from_cache
-    assert report.stats.summaries_from_cache == report.files_checked

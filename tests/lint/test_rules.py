@@ -6,19 +6,22 @@ chain), holds known violations at known lines, and is linted by passing
 its path explicitly — tree-wide runs skip ``fixtures`` directories.
 """
 
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from repro.lint import RULES, lint_file
+from repro.lint import RULES, lint_file, run_lint
 from repro.lint.context import module_name_for
+from repro.lint.flow.rules import FLOW_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PKG = FIXTURES / "repro"
 
 
-def rules_hit(path, **kwargs):
-    return [(d.rule, d.line) for d in lint_file(path, **kwargs)]
+def rules_hit(path, rule=None):
+    """``(rule, line)`` of every diagnostic, or of ``rule``'s alone."""
+    return [(d.rule, d.line) for d in lint_file(path) if rule in (None, d.rule)]
 
 
 class TestModuleIdentity:
@@ -57,7 +60,7 @@ class TestR003ErrorTaxonomy:
         # The real tree raises its own taxa freely: repro/runtime.py
         # raises EstimationTimeout, discovered from repro/errors.py.
         src = Path(__file__).parents[2] / "src" / "repro" / "runtime.py"
-        assert rules_hit(src, select=["R003"]) == []
+        assert rules_hit(src, "R003") == []
 
 
 class TestR004ExplicitDtype:
@@ -80,21 +83,6 @@ class TestR005BroadExcept:
         assert all(d.line != 28 for d in diags)
 
 
-class TestR006ExportSoundness:
-    def test_flags_ghost_duplicate_and_unresolved(self):
-        diags = lint_file(PKG / "__init__.py", select=["R006"])
-        messages = [d.message for d in diags]
-        assert len(diags) == 4
-        assert any("'missing_name'" in m and "never bound" in m for m in messages)
-        assert any("nosuchmod" in m and "does not resolve" in m for m in messages)
-        assert any("'ghost'" in m for m in messages)
-        assert any("duplicate" in m and "'exists'" in m for m in messages)
-
-    def test_only_init_modules_are_checked(self):
-        hits = rules_hit(PKG / "histograms" / "clean.py", select=["R006"])
-        assert hits == []
-
-
 class TestR007WallClock:
     def test_flags_wall_clock_call_and_from_import(self):
         hits = rules_hit(PKG / "core" / "r007_wall_clock.py")
@@ -107,7 +95,7 @@ class TestR007WallClock:
     def test_live_tree_timing_code_is_clean(self):
         # The estimator's timing breakdown is perf_counter-based.
         src = Path(__file__).parents[2] / "src" / "repro" / "sampling" / "estimator.py"
-        assert rules_hit(src, select=["R007"]) == []
+        assert rules_hit(src, "R007") == []
 
 
 class TestSuppressions:
@@ -116,8 +104,8 @@ class TestSuppressions:
 
     def test_suppression_is_rule_specific(self):
         # The same directives must not hide a different rule.
-        diags = lint_file(PKG / "histograms" / "r001_global_rng.py", ignore=["R001"])
-        assert diags == []  # sanity: nothing else in that file
+        diags = lint_file(PKG / "histograms" / "r001_global_rng.py")
+        assert [d for d in diags if d.rule != "R001"] == []  # nothing else there
         source = (PKG / "histograms" / "suppressed.py").read_text()
         assert "disable=R001" in source and "disable=R004" in source
 
@@ -140,7 +128,7 @@ class TestSuppressions:
             "    except Exception:\n"
             "        pass\n"
         )
-        assert rules_hit(mod, select=["R005"]) == [("R005", 8)]
+        assert rules_hit(mod, "R005") == [("R005", 8)]
 
 
 class TestR008BlockingSleep:
@@ -161,8 +149,8 @@ class TestR008BlockingSleep:
 
     def test_live_resilient_and_faults_modules_are_clean(self):
         src = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
-        assert rules_hit(src / "resilient.py", select=["R008"]) == []
-        assert rules_hit(src / "faults.py", select=["R008"]) == []
+        assert rules_hit(src / "resilient.py", "R008") == []
+        assert rules_hit(src / "faults.py", "R008") == []
 
 
 class TestR009SingleWriter:
@@ -181,12 +169,12 @@ class TestR009SingleWriter:
         assert "tmp-write/fsync/rename" in diags[4].message
 
     def test_sanctioned_store_module_is_exempt(self):
-        assert rules_hit(PKG / "store" / "writer.py", select=["R009"]) == []
+        assert rules_hit(PKG / "store" / "writer.py", "R009") == []
 
     def test_live_src_tree_is_clean(self):
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         for name in ("eval/report.py", "serve/loop.py", "perf/cache.py"):
-            assert rules_hit(src / name, select=["R009"]) == []
+            assert rules_hit(src / name, "R009") == []
 
 
 class TestCleanFixtureAndParseErrors:
@@ -198,17 +186,30 @@ class TestCleanFixtureAndParseErrors:
         assert [d.rule for d in diags] == ["E001"]
         assert diags[0].line == 1
 
-    def test_unknown_rule_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            lint_file(PKG / "histograms" / "clean.py", select=["R999"])
-
 
 class TestRegistry:
     def test_all_domain_rules_registered(self):
         assert sorted(RULES) == [
-            "R001", "R003", "R004", "R005", "R006", "R007", "R008", "R009",
+            "R001", "R003", "R004", "R005", "R007", "R008", "R009",
         ]
 
     def test_rule_metadata_complete(self):
         for rule in RULES.values():
             assert rule.name and rule.summary
+
+
+@pytest.fixture(scope="module")
+def corpus_rules_by_line():
+    """The rule ids flagged at each ``(path, line)`` of the whole corpus."""
+    by_line = defaultdict(set)
+    for diag in run_lint([FIXTURES]).diagnostics:
+        by_line[(diag.path, diag.line)].add(diag.rule)
+    return by_line
+
+
+@pytest.mark.parametrize("rule_id", sorted({**RULES, **FLOW_RULES}))
+def test_every_rule_has_a_fixture_line_only_it_flags(rule_id, corpus_rules_by_line):
+    """A rule earns its place by catching a defect no other rule sees:
+    each registered rule (a new one too) needs a corpus line that it
+    alone flags."""
+    assert {rule_id} in corpus_rules_by_line.values()

@@ -147,6 +147,27 @@ class TestLRUAndBudget:
         assert dataset_fingerprint(d3) in retained
         assert dataset_fingerprint(d2) not in retained
 
+    def test_full_victim_is_dropped_without_a_gather(self, rng, monkeypatch):
+        """A victim with no empty cell cannot pack smaller, so eviction
+        sizes it from its occupied ids and drops it: no plane value is
+        gathered while the tier lock is held."""
+        level = 5
+        size = 8 * 4 * (1 << level) ** 2
+        cache = HistogramCache(max_bytes=2 * size)
+        gathers = []
+        take = np.take
+
+        def counting_take(*args, **kwargs):
+            gathers.append(args[0].shape)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        for i in range(3):
+            cache.get_or_build(_full(rng, name=f"d{i}"), "gh", level)
+        assert cache.stats.evictions == 1
+        assert cache.stats.packs == 0
+        assert gathers == []
+
     def test_byte_budget_enforced(self, rng):
         level = 4
         size = 8 * 4 * (1 << level) ** 2
