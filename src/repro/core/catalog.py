@@ -15,8 +15,8 @@ from typing import Any, Dict, Optional
 
 from ..datasets import SpatialDataset
 from ..geometry import Rect, common_extent
-from ..perf.cache import HistogramCache
-from .estimator import BasicGHEstimator, GHEstimator, PHEstimator, PreparedEstimator
+from ..perf.cache import CachedEstimator, HistogramCache
+from .estimator import GHEstimator, PreparedEstimator
 
 __all__ = ["StatisticsCatalog"]
 
@@ -54,11 +54,8 @@ class StatisticsCatalog:
         """Add a dataset. All registered datasets must share one universe:
         the catalog extent grows to cover every registration."""
         self._datasets[dataset.name] = dataset
-        self._extent = dataset.extent if self._extent is None else Rect(
-            min(self._extent.xmin, dataset.extent.xmin),
-            min(self._extent.ymin, dataset.extent.ymin),
-            max(self._extent.xmax, dataset.extent.xmax),
-            max(self._extent.ymax, dataset.extent.ymax),
+        self._extent = (
+            dataset.extent if self._extent is None else self._extent.union(dataset.extent)
         )
 
     def dataset(self, name: str) -> SpatialDataset:
@@ -82,12 +79,8 @@ class StatisticsCatalog:
     def summary_for(self, name: str) -> Any:
         """The per-dataset summary: a cached, stored or freshly built
         histogram file, or a freshly prepared non-histogram one."""
-        dataset = self.dataset(name)
-        if isinstance(self.estimator, (GHEstimator, PHEstimator, BasicGHEstimator)):
-            return self.cache.get_or_build(
-                dataset, self.estimator.name, self.estimator.level, extent=self.extent
-            )
-        return self.estimator.prepare(dataset, extent=self.extent)
+        estimator = CachedEstimator.wrap(self.estimator, self.cache)
+        return estimator.prepare(self.dataset(name), extent=self.extent)
 
     def estimate(self, name1: str, name2: str) -> float:
         """Estimated selectivity between two registered datasets."""

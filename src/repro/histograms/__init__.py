@@ -8,6 +8,10 @@
   Equation 5), the paper's main contribution.
 * :class:`BasicGHHistogram` — the count-based precursor (Equation 4),
   kept for the worked examples and ablations.
+
+Each scheme has one ``build``: a single cell-range/run expansion
+(:class:`~repro.histograms.grid.GridRuns`) feeds every per-cell
+statistic, scattered with ``np.add.at``.
 """
 
 from .endpoint import EndpointHistogram, endpoint_inequality_estimate
@@ -32,7 +36,6 @@ from .parametric import aref_samet_selectivity, aref_samet_size, parametric_sele
 from .ph import PHHistogram, ph_selectivity
 from .pyramid import GHPyramid, downsample_gh
 from .range_query import range_count_gh, range_count_parametric, range_count_ph
-from .scatter import add_at_baseline, scatter_add
 
 __all__ = [
     "EndpointHistogram",
@@ -66,6 +69,4 @@ __all__ = [
     "load_histogram",
     "histogram_to_bytes",
     "histogram_from_bytes",
-    "scatter_add",
-    "add_at_baseline",
 ]

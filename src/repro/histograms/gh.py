@@ -54,7 +54,6 @@ from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .grid import Grid, GridRuns
-from .scatter import fast_build_enabled, scatter_add
 
 __all__ = ["GHHistogram", "gh_selectivity"]
 
@@ -120,18 +119,7 @@ class GHHistogram:
         if len(rects):
             # Cooperative checkpoints between the vectorized stages let a
             # per-call deadline (and the fault harness) preempt the build.
-            if fast_build_enabled():
-                cls._build_fast(grid, rects, c, o, h, v)
-            else:
-                # Legacy staging, kept as the benchmark baseline: every
-                # stage re-derives its own cell indices and expansions.
-                checkpoint("gh.build.corners")
-                cls._accumulate_corners(grid, rects, c)
-                checkpoint("gh.build.overlaps")
-                ov = grid.overlaps(rects)
-                scatter_add(o, ov.flat, ov.clipped.areas() / grid.cell_area)
-                checkpoint("gh.build.edges")
-                cls._accumulate_edges(grid, rects, h, v)
+            cls._accumulate(grid, rects, c, o, h, v)
         stats = (c, o, h, v)
         mutated = mutate("gh.build.cells", stats)
         if mutated is stats:  # no hook replaced them: still the block's rows
@@ -140,7 +128,7 @@ class GHHistogram:
         return cls(grid=grid, count=len(rects), c=c, o=o, h=h, v=v)
 
     @staticmethod
-    def _build_fast(
+    def _accumulate(
         grid: Grid,
         rects: RectArray,
         c: np.ndarray,
@@ -150,10 +138,10 @@ class GHHistogram:
     ) -> None:
         """One shared cell-range/run expansion feeding all four statistics.
 
-        Bit-identical to the legacy stages: every clipped length and
-        ratio uses the same float expression tree, and incidences reach
-        each per-cell accumulator in the same order (corner counts are
-        exact small integers, so their grouping is order-free).
+        A function of its own so that the expansion's temporaries are
+        freed before ``build`` returns the block: held until then, they
+        shifted glibc's adaptive allocation thresholds and made
+        build-heavy serving set-ups measurably slower.
         """
         checkpoint("gh.build.corners")
         runs = GridRuns(grid, rects)
@@ -161,94 +149,28 @@ class GHHistogram:
         rows1 = runs.j1 * grid.side
         # Corner counts are exact small integers in float64 — order-free,
         # so the four corner families can scatter independently.
-        scatter_add(c, rows0 + runs.i0)
-        scatter_add(c, rows0 + runs.i1)
-        scatter_add(c, rows1 + runs.i1)
-        scatter_add(c, rows1 + runs.i0)
+        np.add.at(c, rows0 + runs.i0, 1.0)
+        np.add.at(c, rows0 + runs.i1, 1.0)
+        np.add.at(c, rows1 + runs.i1, 1.0)
+        np.add.at(c, rows1 + runs.i0, 1.0)
         checkpoint("gh.build.overlaps")
-        scatter_add(
-            o, runs.cross_flat(), runs.take_x(runs.rawx) * runs.repeat_y(runs.rawy) / grid.cell_area
+        np.add.at(
+            o,
+            runs.cross_flat(),
+            runs.take_x(runs.rawx) * runs.repeat_y(runs.rawy) / grid.cell_area,
         )
         checkpoint("gh.build.edges")
         # Horizontal edges: bottom (row j0) then top (row j1) share one
-        # run expansion and one weights array; scattering the families
-        # sequentially reaches each cell in the same bottoms-then-tops
-        # order as the legacy concatenated pass.
+        # run expansion and one weights array, and each cell receives
+        # its bottoms before its tops.
         weights = np.maximum(runs.rawx, 0.0) / grid.cell_width
-        scatter_add(h, runs.expand_x(rows0) + runs.cx, weights)
-        scatter_add(h, runs.expand_x(rows1) + runs.cx, weights)
+        np.add.at(h, runs.expand_x(rows0) + runs.cx, weights)
+        np.add.at(h, runs.expand_x(rows1) + runs.cx, weights)
         # Vertical edges: left (column i0) then right (column i1).
         weights = np.maximum(runs.rawy, 0.0) / grid.cell_height
         rowterm = runs.cy * grid.side
-        scatter_add(v, rowterm + runs.expand_y(runs.i0), weights)
-        scatter_add(v, rowterm + runs.expand_y(runs.i1), weights)
-
-    @staticmethod
-    def _accumulate_corners(grid: Grid, rects: RectArray, c: np.ndarray) -> None:
-        """Every MBR contributes its four corners (coincident for points)."""
-        for x, y in (
-            (rects.xmin, rects.ymin),
-            (rects.xmax, rects.ymin),
-            (rects.xmax, rects.ymax),
-            (rects.xmin, rects.ymax),
-        ):
-            checkpoint("gh.build.corners")
-            flat = grid.row_of(y) * grid.side + grid.column_of(x)
-            scatter_add(c, flat)
-
-    @staticmethod
-    def _accumulate_edges(
-        grid: Grid, rects: RectArray, h: np.ndarray, v: np.ndarray
-    ) -> None:
-        """Spread each MBR's four edges over the cells they cross.
-
-        A horizontal edge at height ``y`` lives in the cell row containing
-        ``y`` and spans the cell columns of ``[xmin, xmax]``; each touched
-        cell receives the clipped length normalized by the cell width.
-        """
-        i0 = grid.column_of(rects.xmin)
-        i1 = grid.column_of(rects.xmax)
-        j0 = grid.row_of(rects.ymin)
-        j1 = grid.row_of(rects.ymax)
-        # Horizontal edges: bottom (row j0) and top (row j1).  Both edge
-        # families scatter in one pass per axis (indices and weights are
-        # concatenated first), keeping per-cell addition order identical
-        # to sequential accumulation while touching the grid once.
-        _scatter_runs(
-            h,
-            *(
-                _spread_segments(
-                    starts=rects.xmin,
-                    ends=rects.xmax,
-                    lo_cell=i0,
-                    hi_cell=i1,
-                    fixed_cell=row,
-                    axis_origin=grid.extent.xmin,
-                    cell_size=grid.cell_width,
-                    flat_stride_fixed=grid.side,  # flat = row * side + col
-                    flat_stride_moving=1,
-                )
-                for row in (j0, j1)
-            ),
-        )
-        # Vertical edges: left (column i0) and right (column i1).
-        _scatter_runs(
-            v,
-            *(
-                _spread_segments(
-                    starts=rects.ymin,
-                    ends=rects.ymax,
-                    lo_cell=j0,
-                    hi_cell=j1,
-                    fixed_cell=col,
-                    axis_origin=grid.extent.ymin,
-                    cell_size=grid.cell_height,
-                    flat_stride_fixed=1,  # flat = row * side + col
-                    flat_stride_moving=grid.side,
-                )
-                for col in (i0, i1)
-            ),
-        )
+        np.add.at(v, rowterm + runs.expand_y(runs.i0), weights)
+        np.add.at(v, rowterm + runs.expand_y(runs.i1), weights)
 
     # ------------------------------------------------------------------
     def estimate_intersection_points(self, other: "GHHistogram") -> float:
@@ -287,52 +209,6 @@ class GHHistogram:
     def cell_arrays(self) -> dict[str, np.ndarray]:
         """The four per-cell arrays keyed by their Table 2 names."""
         return {"C": self.c, "O": self.o, "H": self.h, "V": self.v}
-
-
-def _spread_segments(
-    *,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    lo_cell: np.ndarray,
-    hi_cell: np.ndarray,
-    fixed_cell: np.ndarray,
-    axis_origin: float,
-    cell_size: float,
-    flat_stride_fixed: int,
-    flat_stride_moving: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand 1-D segments over the run of cells they cross.
-
-    Each segment ``[starts, ends]`` occupies cells ``lo_cell..hi_cell``
-    along its axis at a fixed cross-axis cell; every touched cell gets
-    the clipped segment length divided by ``cell_size``.  Zero-length
-    segments (point MBRs / degenerate edges) contribute nothing.
-    Returns the ``(flat cell ids, weights)`` incidence lists for
-    :func:`_scatter_runs` to accumulate.
-    """
-    n = len(starts)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64)
-    spans = hi_cell - lo_cell + 1
-    total = int(spans.sum())
-    seg_rep = np.repeat(np.arange(n, dtype=np.int64), spans)
-    offsets = np.concatenate([[0], np.cumsum(spans)[:-1]], dtype=np.int64)
-    local = np.arange(total, dtype=np.int64) - np.repeat(offsets, spans)
-    cell_idx = lo_cell[seg_rep] + local
-    cell_lo = axis_origin + cell_idx * cell_size
-    clipped = np.minimum(ends[seg_rep], cell_lo + cell_size) - np.maximum(
-        starts[seg_rep], cell_lo
-    )
-    flat = fixed_cell[seg_rep] * flat_stride_fixed + cell_idx * flat_stride_moving
-    return flat, np.maximum(clipped, 0.0) / cell_size
-
-
-def _scatter_runs(out: np.ndarray, *runs: tuple[np.ndarray, np.ndarray]) -> None:
-    """One scatter pass over the concatenated ``(flat, weights)`` runs."""
-    flat = np.concatenate([r[0] for r in runs])
-    weights = np.concatenate([r[1] for r in runs])
-    scatter_add(out, flat, weights)
 
 
 def gh_selectivity(

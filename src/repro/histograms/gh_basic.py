@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets import SpatialDataset
-from ..geometry import Rect
+from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .grid import Grid, GridRuns
-from .scatter import fast_build_enabled, scatter_add
 
 __all__ = ["BasicGHHistogram", "gh_basic_selectivity"]
 
@@ -60,58 +59,35 @@ class BasicGHHistogram:
         v = np.zeros(cells, dtype=np.float64)
         if len(rects):
             checkpoint("gh_basic.build")
-            if fast_build_enabled():
-                cls._build_fast(grid, rects, c, i_cnt, h, v)
-            else:
-                cls._build_legacy(grid, rects, c, i_cnt, h, v)
+            cls._accumulate(grid, rects, c, i_cnt, h, v)
         c, i_cnt, h, v = mutate("gh_basic.build.cells", (c, i_cnt, h, v))
         return cls(grid=grid, count=len(rects), c=c, i=i_cnt, h=h, v=v)
 
     @staticmethod
-    def _build_legacy(grid: Grid, rects, c, i_cnt, h, v) -> None:
-        """Pre-optimization staging (the benchmark's A/B baseline)."""
-        # Corners (all four per MBR).
-        for x, y in (
-            (rects.xmin, rects.ymin),
-            (rects.xmax, rects.ymin),
-            (rects.xmax, rects.ymax),
-            (rects.xmin, rects.ymax),
-        ):
-            checkpoint("gh_basic.build.corners")
-            flat = grid.row_of(y) * grid.side + grid.column_of(x)
-            scatter_add(c, flat)
-        # MBR / cell incidences.
-        ov = grid.overlaps(rects)
-        scatter_add(i_cnt, ov.flat)
-        # Edge / cell incidences (each of the four edges separately).
-        i0 = grid.column_of(rects.xmin)
-        i1 = grid.column_of(rects.xmax)
-        j0 = grid.row_of(rects.ymin)
-        j1 = grid.row_of(rects.ymax)
-        for row in (j0, j1):
-            checkpoint("gh_basic.build.edges")
-            _count_runs(lo=i0, hi=i1, fixed=row, stride_fixed=grid.side, stride_run=1, out=h)
-        for col in (i0, i1):
-            checkpoint("gh_basic.build.edges")
-            _count_runs(lo=j0, hi=j1, fixed=col, stride_fixed=1, stride_run=grid.side, out=v)
-
-    @staticmethod
-    def _build_fast(grid: Grid, rects, c, i_cnt, h, v) -> None:
-        """Shared-expansion staging; every statistic is an exact integer
-        count, so it equals the legacy result regardless of order."""
+    def _accumulate(
+        grid: Grid,
+        rects: RectArray,
+        c: np.ndarray,
+        i_cnt: np.ndarray,
+        h: np.ndarray,
+        v: np.ndarray,
+    ) -> None:
+        """One shared cell-range/run expansion feeding all four counts
+        (see :meth:`GHHistogram._accumulate`); every one is an exact
+        integer count, so scatter order is free."""
         runs = GridRuns(grid, rects, clips=False)
         rows0 = runs.j0 * grid.side
         rows1 = runs.j1 * grid.side
-        scatter_add(c, rows0 + runs.i0)
-        scatter_add(c, rows0 + runs.i1)
-        scatter_add(c, rows1 + runs.i1)
-        scatter_add(c, rows1 + runs.i0)
-        scatter_add(i_cnt, runs.cross_flat())
-        scatter_add(h, runs.expand_x(rows0) + runs.cx)
-        scatter_add(h, runs.expand_x(rows1) + runs.cx)
+        np.add.at(c, rows0 + runs.i0, 1.0)
+        np.add.at(c, rows0 + runs.i1, 1.0)
+        np.add.at(c, rows1 + runs.i1, 1.0)
+        np.add.at(c, rows1 + runs.i0, 1.0)
+        np.add.at(i_cnt, runs.cross_flat(), 1.0)
+        np.add.at(h, runs.expand_x(rows0) + runs.cx, 1.0)
+        np.add.at(h, runs.expand_x(rows1) + runs.cx, 1.0)
         rowterm = runs.cy * grid.side
-        scatter_add(v, rowterm + runs.expand_y(runs.i0))
-        scatter_add(v, rowterm + runs.expand_y(runs.i1))
+        np.add.at(v, rowterm + runs.expand_y(runs.i0), 1.0)
+        np.add.at(v, rowterm + runs.expand_y(runs.i1), 1.0)
 
     # ------------------------------------------------------------------
     def estimate_intersection_points(self, other: "BasicGHHistogram") -> float:
@@ -135,28 +111,6 @@ class BasicGHHistogram:
     @property
     def size_bytes(self) -> int:
         return 8 * 4 * self.grid.cell_count
-
-
-def _count_runs(
-    *,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    fixed: np.ndarray,
-    stride_fixed: int,
-    stride_run: int,
-    out: np.ndarray,
-) -> None:
-    """Add 1 to every cell in each run ``lo..hi`` at a fixed cross index."""
-    n = len(lo)
-    if n == 0:
-        return
-    spans = hi - lo + 1
-    total = int(spans.sum())
-    seg = np.repeat(np.arange(n, dtype=np.int64), spans)
-    offsets = np.concatenate([[0], np.cumsum(spans)[:-1]])
-    local = np.arange(total, dtype=np.int64) - np.repeat(offsets, spans)
-    run_idx = lo[seg] + local
-    scatter_add(out, fixed[seg] * stride_fixed + run_idx * stride_run)
 
 
 def gh_basic_selectivity(

@@ -92,21 +92,11 @@ class Grid:
 
     def column_of(self, x: np.ndarray) -> np.ndarray:
         """Column indices of x-coordinates (clamped into the grid)."""
-        x = np.asarray(x, dtype=np.float64)
-        return np.clip(
-            np.floor((x - self.extent.xmin) / self.cell_width).astype(np.int64),
-            0,
-            self.side - 1,
-        )
+        return _cell_index(x, self.extent.xmin, self.cell_width, self.side)
 
     def row_of(self, y: np.ndarray) -> np.ndarray:
         """Row indices of y-coordinates (clamped into the grid)."""
-        y = np.asarray(y, dtype=np.float64)
-        return np.clip(
-            np.floor((y - self.extent.ymin) / self.cell_height).astype(np.int64),
-            0,
-            self.side - 1,
-        )
+        return _cell_index(y, self.extent.ymin, self.cell_height, self.side)
 
     def cell_ranges(
         self, rects: RectArray
@@ -117,27 +107,6 @@ class Grid:
             self.column_of(rects.xmax),
             self.row_of(rects.ymin),
             self.row_of(rects.ymax),
-        )
-
-    def _cell_ranges_fast(
-        self, rects: RectArray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`cell_ranges` with the ``np.floor`` pass elided.
-
-        ``astype`` truncates toward zero where ``floor`` rounds down;
-        they differ only for negative non-integer quotients, and those
-        clip to cell 0 either way — the output is identical, one fewer
-        array pass per coordinate.  (The divisions stay divisions: a
-        reciprocal-multiply could shift a boundary coordinate across a
-        cell line by one ulp.)
-        """
-        ext, side = self.extent, self.side
-        cw, ch = self.cell_width, self.cell_height
-        return (
-            np.clip(((rects.xmin - ext.xmin) / cw).astype(np.int64), 0, side - 1),
-            np.clip(((rects.xmax - ext.xmin) / cw).astype(np.int64), 0, side - 1),
-            np.clip(((rects.ymin - ext.ymin) / ch).astype(np.int64), 0, side - 1),
-            np.clip(((rects.ymax - ext.ymin) / ch).astype(np.int64), 0, side - 1),
         )
 
     def span_counts(self, rects: RectArray) -> np.ndarray:
@@ -186,6 +155,22 @@ class Grid:
         return CellOverlap(rect_rep, ci, cj, cj * self.side + ci, clipped)
 
 
+def _cell_index(coords: np.ndarray, origin: float, size: float, side: int) -> np.ndarray:
+    """Cell indices of coordinates along one axis, clamped to ``[0, side)``.
+
+    This is ``floor((coords - origin) / size)`` clamped: ``astype``
+    truncates toward zero where ``floor`` rounds down, and the two differ
+    only for negative non-integer quotients, which clip to cell 0 either
+    way, so the output is identical with one fewer array pass.  (The
+    division stays a division: a reciprocal multiply could move a
+    coordinate on a cell line into the neighbouring cell.)  One
+    expression, so that each temporary is freed as soon as the next one
+    exists.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    return np.clip(((coords - origin) / size).astype(np.int64), 0, side - 1)
+
+
 def _concat_ramp(
     start: np.ndarray, spans: np.ndarray, offsets: np.ndarray, total: int
 ) -> np.ndarray:
@@ -211,11 +196,10 @@ def _run_offsets(spans: np.ndarray) -> np.ndarray:
 
 
 class GridRuns:
-    """Shared rectangle-over-cells expansion for the optimized builds.
+    """The rectangle-over-cells expansion every histogram build shares.
 
-    The legacy build path re-derived cell indices per statistic: corners,
-    overlaps, and each edge family independently recomputed ranges and
-    expanded runs.  ``GridRuns`` computes, once per build,
+    Corners, overlaps and each edge family of a build read their cell
+    indices and runs from one ``GridRuns``, which computes, once per build,
 
     * the inclusive cell ranges ``(i0, i1, j0, j1)`` per rectangle,
     * one *x-run* per (rectangle, column) and one *y-run* per
@@ -229,8 +213,8 @@ class GridRuns:
     here, so it runs exactly once per expansion axis (building the
     segment-index map); every per-rectangle or per-run value is then a
     cheap ``take`` gather through that map.  All float expression trees
-    match :meth:`Grid.overlaps` and the legacy edge spreading exactly,
-    keeping optimized builds bit-identical to the legacy path.
+    match :meth:`Grid.overlaps` exactly, so a clipped length or area is
+    the same float whichever expansion computes it.
 
     Run order is rectangle-major with ascending cell index; the cross
     product lists each rectangle's cells in row-major order (rows outer,
@@ -260,7 +244,7 @@ class GridRuns:
     ) -> None:
         self.grid = grid
         if ranges is None:
-            ranges = grid._cell_ranges_fast(rects)
+            ranges = grid.cell_ranges(rects)
         self.i0, self.i1, self.j0, self.j1 = ranges
         self.wx = self.i1 - self.i0 + 1
         self.wy = self.j1 - self.j0 + 1

@@ -44,7 +44,6 @@ from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .grid import Grid, GridRuns
-from .scatter import fast_build_enabled, scatter_add
 
 __all__ = ["PHHistogram", "ph_selectivity"]
 
@@ -127,17 +126,9 @@ class PHHistogram:
         # sums until they are normalized in place below.
         planes = np.zeros((_PER_CELL_VALUES, grid.cell_count), dtype=np.float64)
         stats = tuple(planes)
-        if len(rects):
-            # Cooperative checkpoints between the vectorized stages let a
-            # per-call deadline (and the fault harness) preempt the build.
-            if fast_build_enabled():
-                avg_span = cls._build_fast(grid, rects, stats)
-            else:
-                # Legacy staging, kept as the benchmark baseline: the
-                # contained/spanning split re-derives cell ranges per use.
-                avg_span = cls._build_legacy(grid, rects, stats)
-        else:
-            avg_span = 1.0
+        # Cooperative checkpoints between the vectorized stages let a
+        # per-call deadline (and the fault harness) preempt the build.
+        avg_span = cls._accumulate(grid, rects, stats) if len(rects) else 1.0
 
         cell_area = grid.cell_area
         for group in (planes[0:4], planes[4:8]):
@@ -151,41 +142,15 @@ class PHHistogram:
         return cls(grid, len(rects), avg_span, *mutated)
 
     @staticmethod
-    def _build_legacy(grid: Grid, rects, stats: tuple[np.ndarray, ...]) -> float:
-        """Pre-optimization staging (the benchmark's A/B baseline)."""
-        num, area_sum, w_sum, h_sum, num_i, area_sum_i, w_sum_i, h_sum_i = stats
-        checkpoint("ph.build.contained")
-        contained = grid.contained_mask(rects)
-        cont = rects[contained]
-        if len(cont):
-            flat = grid.row_of(cont.ymin) * grid.side + grid.column_of(cont.xmin)
-            scatter_add(num, flat)
-            scatter_add(area_sum, flat, cont.areas())
-            scatter_add(w_sum, flat, cont.widths())
-            scatter_add(h_sum, flat, cont.heights())
-        checkpoint("ph.build.spanning")
-        spanning = rects[~contained]
-        if not len(spanning):
-            return 1.0
-        ov = grid.overlaps(spanning)
-        scatter_add(num_i, ov.flat)
-        scatter_add(area_sum_i, ov.flat, ov.clipped.areas())
-        scatter_add(w_sum_i, ov.flat, ov.clipped.widths())
-        scatter_add(h_sum_i, ov.flat, ov.clipped.heights())
-        return float(grid.span_counts(spanning).mean())
+    def _accumulate(grid: Grid, rects: RectArray, stats: tuple[np.ndarray, ...]) -> float:
+        """The per-cell Cont and Isect sums from one cell-range pass; returns AvgSpan.
 
-    @staticmethod
-    def _build_fast(grid: Grid, rects, stats: tuple[np.ndarray, ...]) -> float:
-        """One cell-range pass feeding both the Cont and Isect groups.
-
-        Bit-identical to :meth:`_build_legacy`: identical float
-        expression trees, identical incidence order, and the spanning
-        expansion is shared across the four Isect statistics instead of
-        being re-derived from a fresh ``Grid.overlaps`` scan.
+        The spanning rectangles' run expansion is shared across the four
+        Isect statistics.
         """
         num, area_sum, w_sum, h_sum, num_i, area_sum_i, w_sum_i, h_sum_i = stats
         checkpoint("ph.build.contained")
-        i0, i1, j0, j1 = grid._cell_ranges_fast(rects)
+        i0, i1, j0, j1 = grid.cell_ranges(rects)
         contained = (i0 == i1) & (j0 == j1)
         # Index lists beat boolean masks here: one mask scan, then cheap
         # ``take`` gathers for every per-group array.
@@ -196,10 +161,10 @@ class PHHistogram:
             ymin = rects.ymin.take(idx_c)
             widths = rects.xmax.take(idx_c) - xmin
             heights = rects.ymax.take(idx_c) - ymin
-            scatter_add(num, flat)
-            scatter_add(area_sum, flat, widths * heights)
-            scatter_add(w_sum, flat, widths)
-            scatter_add(h_sum, flat, heights)
+            np.add.at(num, flat, 1.0)
+            np.add.at(area_sum, flat, widths * heights)
+            np.add.at(w_sum, flat, widths)
+            np.add.at(h_sum, flat, heights)
         checkpoint("ph.build.spanning")
         idx_s = np.nonzero(~contained)[0]
         if not idx_s.size:
@@ -222,10 +187,10 @@ class PHHistogram:
         flat = runs.cross_flat()
         widths = runs.take_x(runs.rawx)
         heights = runs.repeat_y(runs.rawy)
-        scatter_add(num_i, flat)
-        scatter_add(area_sum_i, flat, widths * heights)
-        scatter_add(w_sum_i, flat, widths)
-        scatter_add(h_sum_i, flat, heights)
+        np.add.at(num_i, flat, 1.0)
+        np.add.at(area_sum_i, flat, widths * heights)
+        np.add.at(w_sum_i, flat, widths)
+        np.add.at(h_sum_i, flat, heights)
         spans = runs.wx * runs.wy
         return float(spans.mean())
 

@@ -138,6 +138,7 @@ class TreeCacheKey:
 
 _K = TypeVar("_K", bound=Hashable)
 _V = TypeVar("_V")
+_E = TypeVar("_E")
 
 
 class _ByteCache(Generic[_K, _V]):
@@ -486,9 +487,7 @@ class CachedEstimator(PreparedEstimator):
         self.level = inner.level
 
     @classmethod
-    def wrap(
-        cls, estimator: object, cache: HistogramCache
-    ) -> object:
+    def wrap(cls, estimator: _E, cache: HistogramCache) -> "CachedEstimator | _E":
         """Cache-wrap ``estimator`` when its summaries are cacheable."""
         if isinstance(estimator, (GHEstimator, PHEstimator, BasicGHEstimator)):
             return cls(estimator, cache)

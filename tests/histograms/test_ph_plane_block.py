@@ -21,7 +21,6 @@ from repro.geometry import Rect
 from repro.histograms import (
     GHHistogram,
     PHHistogram,
-    add_at_baseline,
     histogram_from_bytes,
     histogram_to_bytes,
     load_histogram,
@@ -82,12 +81,6 @@ def mixed(seed: int) -> tuple[SpatialDataset, ...]:
 class TestConstructionPaths:
     def test_build(self, dataset):
         assert_block(PHHistogram.build(dataset, 4))
-
-    def test_build_at_baseline(self, dataset):
-        with add_at_baseline():
-            legacy = PHHistogram.build(dataset, 4)
-        assert_block(legacy)
-        assert_same_planes(legacy, PHHistogram.build(dataset, 4))
 
     def test_build_empty(self):
         empty = SpatialDataset("e", random_rects(np.random.default_rng(0), 0), Rect.unit())
@@ -211,14 +204,14 @@ def _capture_sums(monkeypatch):
     """Copies of the raw per-cell sums each build accumulates, before
     ``build`` normalizes them in place."""
     captured = []
-    original = PHHistogram._build_fast
+    original = PHHistogram._accumulate
 
     def capturing(grid, rects, stats):
         avg_span = original(grid, rects, stats)
         captured.append(tuple(s.copy() for s in stats))
         return avg_span
 
-    monkeypatch.setattr(PHHistogram, "_build_fast", staticmethod(capturing))
+    monkeypatch.setattr(PHHistogram, "_accumulate", staticmethod(capturing))
     return captured
 
 
