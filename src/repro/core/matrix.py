@@ -10,15 +10,16 @@ the intended production flow, and the natural input to
 For GH estimators the combine loop itself is fused: the k prepared
 histogram files go to
 :func:`~repro.histograms.fused.fused_selectivity_matrix`, which answers
-each pair with two BLAS dot products on [C|H]·[O|V] views of the
-histograms' own plane blocks (Equation 5 is a sum of elementwise
+each pair with two whole-half BLAS dot products on [C|H]·[O|V] views of
+the histograms' own plane blocks (Equation 5 is a sum of elementwise
 products, and each file keeps ``C, H, O, V`` as the rows of one block,
 so ``C·O + H·V`` is one dot over ``2·cells`` floats).  Nothing is
-stacked or copied.
-BLAS reorders the cell reduction, so fused entries agree with per-pair
-combines to ~1e-15 relative rather than bit-exactly;
-``engine="pairwise"`` keeps the scalar loop for callers that need the
-legacy floats.
+stacked or copied.  The per-pair combine runs the same dots in chunks
+of at most 8 192 floats (:func:`~repro.histograms.fused.cross_dot`), so
+fused entries ``==`` per-pair combines at levels 0–6, where a half is
+one chunk, and agree to ~1e-15 relative above, where BLAS may thread
+and reorder a whole-half dot.  ``engine="pairwise"`` runs the per-pair
+combine for callers that need its floats at every level.
 """
 
 from __future__ import annotations

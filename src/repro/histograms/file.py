@@ -4,9 +4,11 @@ The paper's workflow builds histogram *files* per dataset offline and
 consults them at estimation time; the *building time* and *space cost*
 metrics of Figure 7 measure exactly this artifact.  Histograms round-trip
 through ``.npz`` files (or in-memory bytes) keyed by scheme kind.  Files
-carry a ``version``: version 2 stacks GH planes in ``c, h, o, v`` order,
-and unversioned files (which stacked them ``c, o, h, v``) are rejected
-rather than decoded with ``O`` and ``H`` swapped.
+carry a ``version``: version 3 stacks GH planes in ``c, h, o, v`` order
+and PH planes as per-cell sums (``num, xsum, cov, ysum`` per group);
+older files (unversioned ones stacked GH ``c, o, h, v``, version 2 held
+PH's Table 1 averages) are rejected rather than decoded with planes
+swapped or averages read as sums.
 
 A file can also be held *packed* (:func:`pack_histogram`): its occupied
 cell ids plus every plane's values at those cells.  At fine levels most
@@ -60,17 +62,17 @@ _KINDS = {cls: kind for kind, cls in HISTOGRAM_SCHEMES.items()}
 
 #: ``.npz`` histogram-file version; bump whenever :data:`STAT_PLANES`
 #: (or any other part of the payload layout) changes.
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 #: Stat-plane order per kind — the row order of the stacked ``stats``
 #: array produced by :func:`histogram_parts` (and stored in files).  GH's
 #: order is its own block's (:attr:`GHHistogram.planes`), so ``[C|H]``
-#: and ``[O|V]`` are contiguous halves and the optimizer matrix needs
-#: two dots on [C|H]·[O|V] per pair.  PH's is its block's
-#: (:attr:`PHHistogram.planes`) too, and is the version-2 layout that
-#: persisted files and store entries already hold.
+#: and ``[O|V]`` are contiguous halves of the block.  PH's is its
+#: block's (:attr:`PHHistogram.planes`) too: ``[Num|X]`` and
+#: ``[Cov|Y]`` are the contiguous halves of each of its two groups.
+#: Both are combined by :func:`~repro.histograms.fused.cross_dot`.
 STAT_PLANES: dict[str, tuple[str, ...]] = {
-    "ph": ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i"),
+    "ph": ("num", "xsum", "cov", "ysum", "num_i", "xsum_i", "cov_i", "ysum_i"),
     "gh": ("c", "h", "o", "v"),
     "gh_basic": ("c", "i", "h", "v"),
 }

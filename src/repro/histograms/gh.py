@@ -39,9 +39,8 @@ The four planes live as the rows of one C-contiguous ``(4, cells)``
 block, :attr:`GHHistogram.planes`, in ``c, h, o, v`` order.  Equation 5
 pairs ``C`` with ``O`` and ``H`` with ``V``, so ``[C|H]`` (rows 0-1) and
 ``[O|V]`` (rows 2-3) are each one contiguous run of ``2·cells`` floats
-and ``IP(a, b) = [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va]`` is two dot
-products on views of the blocks (see
-:func:`~repro.histograms.fused.fused_selectivity_matrix`).
+and ``IP(a, b) = [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va]`` is one
+:func:`~repro.histograms.fused.cross_dot` on views of the blocks.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ import numpy as np
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
+from .fused import cross_dot
 from .grid import Grid, GridRuns
 
 __all__ = ["GHHistogram", "gh_selectivity"]
@@ -177,18 +177,8 @@ class GHHistogram:
         """Equation 5: estimated number of intersection points."""
         if self.grid != other.grid:
             raise ValueError("GH histograms must share the same grid (extent and level)")
-        # c1*o2 + c2*o1 + h1*v2 + h2*v1, left to right, so each cell
-        # rounds as that expression does; two scratch planes hold the
-        # running sum and the next term, one allocation per combine.
-        total, term = np.empty((2, self.grid.cell_count), dtype=np.float64)
-        np.multiply(self.c, other.o, out=total)
-        np.multiply(other.c, self.o, out=term)
-        total += term
-        np.multiply(self.h, other.v, out=term)
-        total += term
-        np.multiply(other.h, self.v, out=term)
-        total += term
-        return float(total.sum())
+        # [C1|H1]·[O2|V2] + [C2|H2]·[O1|V1]: the block's halves are views.
+        return float(cross_dot(self.planes.reshape(2, -1), other.planes.reshape(2, -1)))
 
     def estimate_pairs(self, other: "GHHistogram") -> float:
         """Estimated number of intersecting pairs (points / 4)."""

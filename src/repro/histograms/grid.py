@@ -161,14 +161,15 @@ def _cell_index(coords: np.ndarray, origin: float, size: float, side: int) -> np
     This is ``floor((coords - origin) / size)`` clamped: ``astype``
     truncates toward zero where ``floor`` rounds down, and the two differ
     only for negative non-integer quotients, which clip to cell 0 either
-    way, so the output is identical with one fewer array pass.  (The
-    division stays a division: a reciprocal multiply could move a
-    coordinate on a cell line into the neighbouring cell.)  One
-    expression, so that each temporary is freed as soon as the next one
-    exists.
+    way, so the output is identical with one fewer array pass.  The
+    quotient is clamped *before* the cast, so one too large for int64
+    lands in the last cell rather than overflowing.  (The division
+    stays a division: a reciprocal multiply could move a coordinate on
+    a cell line into the neighbouring cell.)  One expression, so that
+    each temporary is freed as soon as the next one exists.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    return np.clip(((coords - origin) / size).astype(np.int64), 0, side - 1)
+    return np.clip((coords - origin) / size, 0, side - 1).astype(np.int64)
 
 
 def _concat_ramp(

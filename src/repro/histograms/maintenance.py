@@ -10,11 +10,12 @@ contributions, so the histogram of a modified dataset is
 computed over the same grid.  ``apply_updates`` implements exactly that
 (plus a numerical floor at zero for float round-off).
 
-PH is deliberately *not* supported: its per-cell ``Xavg``/``Yavg`` are
-averages rather than sums, and the dataset-wide ``AvgSpan`` is a mean
-over an unknown membership — neither can be updated without the raw
-data.  This asymmetry is a practical advantage of GH beyond the paper's
-accuracy results, and the ablation suite exercises it.
+PH is deliberately *not* supported.  Its per-cell planes are sums (the
+width and height sums replaced Table 1's averages), but the dataset-wide
+``AvgSpan`` is a mean over the boundary-crossing MBRs, an unknown
+membership that cannot be updated without the raw data.  This asymmetry
+is a practical advantage of GH beyond the paper's accuracy results, and
+the ablation suite exercises it.
 
 **Catalog coherence.**  A mutated dataset has a new fingerprint, so its
 old on-disk artifact in a :class:`~repro.store.ArtifactCatalog` can
@@ -52,7 +53,7 @@ def _check_supported(hist) -> None:
     if type(hist) not in (GHHistogram, BasicGHHistogram):
         raise TypeError(
             f"{type(hist).__name__} does not support incremental maintenance "
-            "(PH statistics are averages, not sums — rebuild instead)"
+            "(PH's AvgSpan is a mean over unknown members — rebuild instead)"
         )
 
 

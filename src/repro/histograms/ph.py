@@ -10,10 +10,13 @@ split into
   cell), i.e. rectangles spanning multiple cells are broken up at cell
   boundaries and each piece handled in its own cell.
 
-Per cell and dataset the histogram stores the eight Table 1 parameters
+Per cell and dataset the histogram keeps the eight Table 1 parameters
 (``Num``, ``Cov``, ``Xavg``, ``Yavg`` for ``Cont`` and the primed
 equivalents for ``Isect``), plus the per-dataset scalar ``AvgSpan`` (the
-average number of cells spanned by boundary-crossing MBRs).
+average number of cells spanned by boundary-crossing MBRs).  The
+averages are held as per-cell sums: ``xsum = ΣW/CW`` and ``ysum =
+ΣH/CH``, the group's widths and heights in cell units, so that
+``Xavg = xsum·CW / Num`` and ``Yavg = ysum·CH / Num`` are derived.
 
 Estimation evaluates the four per-cell cases (Sa: Cont x Cont, Sb:
 Cont x Isect, Sc: Isect x Cont, Sd: Isect x Isect) with Equation 1
@@ -23,15 +26,15 @@ divided by the mean of the two AvgSpan values — an approximate
 multiple-counting correction (Equation 3).
 
 The eight planes live as the rows of one C-contiguous ``(8, cells)``
-block, :attr:`PHHistogram.planes`, in Table 1 order (``num, cov, xavg,
-yavg`` then the primed ``Isect`` four; the persisted
+block, :attr:`PHHistogram.planes`, in ``num, xsum, cov, ysum`` order
+for ``Cont`` and then for ``Isect`` (the persisted
 :data:`~repro.histograms.file.STAT_PLANES` order).  ``build``
-accumulates the per-cell sums straight into the rows and turns them
-into coverages and averages in place; an empty cell holds zero sums, so
-dividing by ``max(Num, 1)`` leaves it at exactly 0 with no mask.  A
-combine evaluates each Equation 1 case into three scratch planes that
-all four cases reuse, so it allocates one block, not a level-sized
-temporary per operation.
+accumulates the per-cell sums straight into the rows and scales them
+to cell units in place.  With sums, Equation 1's ``N1·N2·(x1·y2 +
+y1·x2)/A`` is ``X1·Y2 + Y1·X2``, so each case is
+``[Num|X]1·[Cov|Y]2 + [Cov|Y]1·[Num|X]2`` over contiguous halves of
+the groups, and one :func:`~repro.histograms.fused.cross_dot` call
+returns all four case sums.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
+from .fused import cross_dot
 from .grid import Grid, GridRuns
 
 __all__ = ["PHHistogram", "ph_selectivity"]
@@ -52,7 +56,7 @@ _PER_CELL_VALUES = 8
 #: ...plus the per-dataset scalars (AvgSpan; cell area is grid metadata).
 _SCALAR_VALUES = 2
 #: The per-cell fields in block-row order.
-_PLANES = ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i")
+_PLANES = ("num", "xsum", "cov", "ysum", "num_i", "xsum_i", "cov_i", "ysum_i")
 
 
 @dataclass(frozen=True)
@@ -64,16 +68,16 @@ class PHHistogram:
     avg_span: float  #: AvgSpan_k (1.0 when nothing spans a boundary)
     # Cont(i, j) parameters, flat row-major arrays of length grid.cell_count:
     num: np.ndarray  #: Num_k
+    xsum: np.ndarray  #: sum of widths / CW (Num_k · Xavg_k / CW)
     cov: np.ndarray  #: Cov_k
-    xavg: np.ndarray  #: Xavg_k
-    yavg: np.ndarray  #: Yavg_k
+    ysum: np.ndarray  #: sum of heights / CH (Num_k · Yavg_k / CH)
     # Isect(i, j) parameters (clipped geometry):
     num_i: np.ndarray  #: Num'_k
+    xsum_i: np.ndarray  #: Num'_k · Xavg'_k / CW
     cov_i: np.ndarray  #: Cov'_k
-    xavg_i: np.ndarray  #: Xavg'_k
-    yavg_i: np.ndarray  #: Yavg'_k
+    ysum_i: np.ndarray  #: Num'_k · Yavg'_k / CH
     #: The eight planes as one C-contiguous ``(8, cells)`` block in the
-    #: field order above; ``num`` ... ``yavg_i`` are its rows.
+    #: field order above; ``num`` ... ``ysum_i`` are its rows.
     planes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -122,20 +126,17 @@ class PHHistogram:
         grid = Grid(extent or dataset.extent, level)
         rects = dataset.rects
         # The stages accumulate the per-cell sums straight into the rows
-        # of the block: rows 1-3 (and 5-7) hold area, width and height
-        # sums until they are normalized in place below.
+        # of the block: rows 1-3 (and 5-7) hold width, area and height
+        # sums until they are scaled to cell units in place below.
         planes = np.zeros((_PER_CELL_VALUES, grid.cell_count), dtype=np.float64)
         stats = tuple(planes)
         # Cooperative checkpoints between the vectorized stages let a
         # per-call deadline (and the fault harness) preempt the build.
         avg_span = cls._accumulate(grid, rects, stats) if len(rects) else 1.0
-
-        cell_area = grid.cell_area
         for group in (planes[0:4], planes[4:8]):
-            # Cov = area sum / cell area; [Xavg|Yavg] = [w|h] sums / Num.
-            # An empty cell has zero sums, and 0 / max(0, 1) is exactly 0.
-            group[1] /= cell_area
-            group[2:4] /= np.maximum(group[0], 1.0)
+            group[1] /= grid.cell_width
+            group[2] /= grid.cell_area
+            group[3] /= grid.cell_height
         mutated = mutate("ph.build.cells", stats)
         if mutated is stats:  # no hook replaced them: still the block's rows
             return cls._from_planes(grid, len(rects), avg_span, planes)
@@ -148,7 +149,7 @@ class PHHistogram:
         The spanning rectangles' run expansion is shared across the four
         Isect statistics.
         """
-        num, area_sum, w_sum, h_sum, num_i, area_sum_i, w_sum_i, h_sum_i = stats
+        num, w_sum, area_sum, h_sum, num_i, w_sum_i, area_sum_i, h_sum_i = stats
         checkpoint("ph.build.contained")
         i0, i1, j0, j1 = grid.cell_ranges(rects)
         contained = (i0 == i1) & (j0 == j1)
@@ -197,43 +198,21 @@ class PHHistogram:
     # ------------------------------------------------------------------
     def estimate_pairs(self, other: "PHHistogram") -> float:
         """Equation 3: the estimated join result size against ``other``."""
-        if self.grid != other.grid:
-            raise ValueError("PH histograms must share the same grid (extent and level)")
-        cell_area = self.grid.cell_area
-        cont, isect = self._groups()
-        other_cont, other_isect = other._groups()
-        scratch = tuple(np.empty((3, self.grid.cell_count), dtype=np.float64))
-        sa = _case_sum(cont, other_cont, cell_area, scratch)
-        sb = _case_sum(cont, other_isect, cell_area, scratch)
-        sc = _case_sum(isect, other_cont, cell_area, scratch)
-        sd = _case_sum(isect, other_isect, cell_area, scratch)
-        span_correction = (self.avg_span + other.avg_span) / 2.0
-        return float(sa + sb + sc + sd / span_correction)
+        return self._pairs(other, (self.avg_span + other.avg_span) / 2.0)
 
     def estimate_pairs_uncorrected(self, other: "PHHistogram") -> float:
         """Equation 3 without the AvgSpan division (ablation knob)."""
-        corrected = self.estimate_pairs(other)
-        # Re-add what the correction removed from the Sd term.
-        span_correction = (self.avg_span + other.avg_span) / 2.0
-        sd_sum = self._sd_sum(other)
-        return corrected - sd_sum / span_correction + sd_sum
+        return self._pairs(other, 1.0)
 
-    def _sd_sum(self, other: "PHHistogram") -> float:
-        scratch = tuple(np.empty((3, self.grid.cell_count), dtype=np.float64))
-        return float(
-            _case_sum(self._groups()[1], other._groups()[1], self.grid.cell_area, scratch)
-        )
-
-    def _groups(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """The ``Cont`` and ``Isect`` row views, each ``(num, cov, xavg, yavg)``.
-
-        The fields are already views of the block's rows; reading them
-        is cheaper than slicing and unpacking the block on every combine.
-        """
-        return (
-            (self.num, self.cov, self.xavg, self.yavg),
-            (self.num_i, self.cov_i, self.xavg_i, self.yavg_i),
-        )
+    def _pairs(self, other: "PHHistogram", span_correction: float) -> float:
+        if self.grid != other.grid:
+            raise ValueError("PH histograms must share the same grid (extent and level)")
+        # (Cont|Isect, [Num|X]|[Cov|Y], 2·cells) views; broadcasting this
+        # file's groups against other's gives [[Sa, Sb], [Sc, Sd]].
+        groups = self.planes.reshape(2, 2, -1)
+        other_groups = other.planes.reshape(2, 2, -1)
+        (sa, sb), (sc, sd) = cross_dot(groups[:, None], other_groups[None, :]).tolist()
+        return sa + sb + sc + sd / span_correction
 
     def estimate_selectivity(
         self, other: "PHHistogram", *, span_correction: bool = True
@@ -256,8 +235,29 @@ class PHHistogram:
         not on the data — a property the paper points out."""
         return 8 * (_PER_CELL_VALUES * self.grid.cell_count + _SCALAR_VALUES)
 
+    @property
+    def xavg(self) -> np.ndarray:
+        """Xavg: the mean width of the cell's ``Cont`` MBRs (0 where none)."""
+        return _average(self.xsum, self.num, self.grid.cell_width)
+
+    @property
+    def yavg(self) -> np.ndarray:
+        """Yavg: the mean height of the cell's ``Cont`` MBRs (0 where none)."""
+        return _average(self.ysum, self.num, self.grid.cell_height)
+
+    @property
+    def xavg_i(self) -> np.ndarray:
+        """Xavg': the mean clipped width of the cell's ``Isect`` pieces."""
+        return _average(self.xsum_i, self.num_i, self.grid.cell_width)
+
+    @property
+    def yavg_i(self) -> np.ndarray:
+        """Yavg': the mean clipped height of the cell's ``Isect`` pieces."""
+        return _average(self.ysum_i, self.num_i, self.grid.cell_height)
+
     def cell_arrays(self) -> dict[str, np.ndarray]:
-        """The eight per-cell arrays keyed by their Table 1 names."""
+        """The eight per-cell arrays keyed by their Table 1 names
+        (the averages derived from the stored sums)."""
         return {
             "Num": self.num,
             "Cov": self.cov,
@@ -270,36 +270,10 @@ class PHHistogram:
         }
 
 
-def _case_sum(
-    first: tuple[np.ndarray, ...],
-    second: tuple[np.ndarray, ...],
-    cell_area: float,
-    scratch: tuple[np.ndarray, ...],
-) -> np.float64:
-    """Equation 1 applied per cell to one (group, group) case, summed.
-
-    ``first`` and ``second`` are row groups ``(num, cov, xavg, yavg)``
-    (see :meth:`PHHistogram._groups`); ``scratch`` is three planes of
-    working space, the rows of one block.
-    Each step is one ufunc written into scratch, and the steps build the
-    expression tree ``n1*c2 + c1*n2 + n1*n2*(x1*y2 + y1*x2) / cell_area``
-    in Python's evaluation order, so every cell rounds as that expression
-    would with fresh temporaries.
-    """
-    n1, c1, x1, y1 = first
-    n2, c2, x2, y2 = second
-    terms, cross, weight = scratch
-    np.multiply(n1, c2, out=terms)
-    np.multiply(c1, n2, out=cross)
-    terms += cross  # n1*c2 + c1*n2
-    np.multiply(x1, y2, out=cross)
-    np.multiply(y1, x2, out=weight)
-    cross += weight  # x1*y2 + y1*x2
-    np.multiply(n1, n2, out=weight)
-    weight *= cross
-    weight /= cell_area
-    terms += weight
-    return terms.sum()
+def _average(sums: np.ndarray, num: np.ndarray, cell_size: float) -> np.ndarray:
+    """Per-cell mean extent from sums in cell units; an empty cell's zero
+    sum over ``max(0, 1)`` is 0."""
+    return sums * cell_size / np.maximum(num, 1.0)
 
 
 def ph_selectivity(

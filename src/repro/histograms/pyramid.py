@@ -21,8 +21,10 @@ rebuilding — at the cost of one fine-level build.
 
 Notably this does **not** hold for basic GH (an MBR intersecting two
 sibling cells is one incidence in the parent, not two) nor for PH
-(averages don't aggregate): one more structural advantage of the revised
-scheme beyond the paper's accuracy argument.
+(an MBR crossing a fine cell line can be contained in the coarse cell,
+so its Cont/Isect split and AvgSpan change with the level): one more
+structural advantage of the revised scheme beyond the paper's accuracy
+argument.
 """
 
 from __future__ import annotations

@@ -16,17 +16,17 @@ over; :func:`estimate_many` instead
    :class:`~repro.perf.cache.HistogramCache` when one is supplied (so a
    warm cache skips building entirely);
 3. combines each query through its histogram's own
-   ``estimate_selectivity`` (the Equation 5 combine for GH); fresh
+   ``estimate_selectivity``, one :func:`~repro.histograms.fused.cross_dot`
+   per pair for GH (Equation 5) and PH (Equation 3's four cases); fresh
    results are then published to the memo, which refuses both lookups
    and inserts while a fault hook is active.
 
-The same-grid GH stack-and-fuse kernel
-(:func:`~repro.histograms.fused.fused_pair_estimates`) is not used
-here: copying the operands into a stack costs more than the combines
-it saves (on a 2-CPU x86_64 host, numpy 2.4.6, the per-pair combine
-won at levels 7 and 9 for 2 to 50 pairs).  The all-pairs matrix
-(:mod:`repro.core.matrix`) stacks nothing either: its kernel runs BLAS
-dot products on the histograms' own planes.
+:func:`~repro.histograms.fused.fused_pair_estimates` loops over pairs
+through the same kernel, so it would give the same floats, but it first
+copies every operand into a stack; it is imported here only so that a
+span tracer can find it by name.  The all-pairs matrix
+(:mod:`repro.core.matrix`) stacks nothing: its kernel runs whole-half
+BLAS dots on the histograms' own planes.
 
 Results are exactly what per-query estimation would produce: the same
 builders, the same combine formulas, the same empty-side and

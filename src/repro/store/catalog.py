@@ -78,9 +78,10 @@ __all__ = [
 ]
 
 #: Manifest schema version; bump on any incompatible layout change.
-#: Version 2 stacks GH planes in ``c, h, o, v`` order (version 1 stacked
-#: ``c, o, h, v``), so a version-1 entry reads as a miss and is rebuilt.
-FORMAT_VERSION = 2
+#: Version 2 stacked GH planes in ``c, h, o, v`` order (version 1 stacked
+#: ``c, o, h, v``); version 3 holds PH planes as per-cell sums rather than
+#: Table 1 averages.  An older entry reads as a miss and is rebuilt.
+FORMAT_VERSION = 3
 
 #: The per-entry manifest file, written last inside the staging dir.
 MANIFEST_NAME = "manifest.json"

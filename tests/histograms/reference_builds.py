@@ -172,17 +172,17 @@ def ph_reference(
     rects = dataset.rects
     planes = np.zeros((8, grid.cell_count), dtype=np.float64)
     avg_span = _ph_sums(grid, rects, tuple(planes)) if len(rects) else 1.0
-    # The shipped build's in-place normalization, unchanged.
-    cell_area = grid.cell_area
+    # The shipped build's in-place scaling to cell units, unchanged.
     for group in (planes[0:4], planes[4:8]):
-        group[1] /= cell_area
-        group[2:4] /= np.maximum(group[0], 1.0)
+        group[1] /= grid.cell_width
+        group[2] /= grid.cell_area
+        group[3] /= grid.cell_height
     return PHHistogram._from_planes(grid, len(rects), avg_span, planes)
 
 
 def _ph_sums(grid: Grid, rects: RectArray, stats: tuple[np.ndarray, ...]) -> float:
-    """The Cont and Isect per-cell sums, and AvgSpan."""
-    num, area_sum, w_sum, h_sum, num_i, area_sum_i, w_sum_i, h_sum_i = stats
+    """The Cont and Isect per-cell sums in block-row order, and AvgSpan."""
+    num, w_sum, area_sum, h_sum, num_i, w_sum_i, area_sum_i, h_sum_i = stats
     checkpoint("ph.build.contained")
     contained = grid.contained_mask(rects)
     cont = rects[contained]

@@ -88,14 +88,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown histogram kind"):
             load_histogram(path)
 
-    @pytest.mark.parametrize("version", [None, 1])
+    @pytest.mark.parametrize("version", [None, 1, 2])
     def test_unversioned_or_older_file_rejected(self, dataset, tmp_path, version):
         """Unversioned files stacked GH planes c, o, h, v; decoding one
-        under the c, h, o, v order would swap O and H, so it is refused."""
+        under the c, h, o, v order would swap O and H, so it is refused.
+        Version 2 held PH's Table 1 averages, which version 3 would read
+        as sums; every file older than the current version is refused."""
         hist = GHHistogram.build(dataset, 2)
         path = save_histogram(hist, tmp_path / "old.npz")
         blob = dict(np.load(path, allow_pickle=False))
-        assert int(blob["version"]) == 2
+        assert int(blob["version"]) == 3
         if version is None:
             del blob["version"]
         else:

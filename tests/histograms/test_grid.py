@@ -1,5 +1,7 @@
 """Unit tests for the grid machinery underlying PH and GH."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,28 @@ class TestIndexing:
         grid = Grid(Rect.unit(), 2)
         assert grid.column_of(np.array([-5.0]))[0] == 0
         assert grid.column_of(np.array([5.0]))[0] == 3
+
+    def test_int64_overflowing_quotient_clamped(self):
+        """A quotient too large for int64 lands in the last cell (the
+        cast used to wrap it into cell 0 with a RuntimeWarning)."""
+        grid = Grid(Rect.unit(), 9)
+        coords = np.array([5.0, 1e16, 2e16, 1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert grid.column_of(coords).tolist() == [511, 511, 511, 511, 0]
+            assert grid.row_of(coords).tolist() == [511, 511, 511, 511, 0]
+
+    @pytest.mark.parametrize("level", [0, 3, 9])
+    def test_in_range_cells_unchanged_by_the_clamp(self, level):
+        """Clamping before the cast moves no cell of a representable
+        quotient: the old cast-then-clamp expression, verbatim, agrees."""
+        grid = Grid(Rect(-3.0, 2.0, 5.0, 7.0), level)
+        rng = np.random.default_rng(level)
+        lines = -3.0 + np.arange(grid.side + 1) * grid.cell_width
+        xs = np.concatenate([rng.uniform(-20.0, 20.0, 5000), lines])
+        quotient = (xs - grid.extent.xmin) / grid.cell_width
+        old = np.clip(quotient.astype(np.int64), 0, grid.side - 1)
+        assert np.array_equal(grid.column_of(xs), old)
 
     def test_cell_ranges(self):
         grid = Grid(Rect.unit(), 2)

@@ -30,6 +30,9 @@ class TestBuild:
         assert hist.cov[0] == pytest.approx(summary.coverage)
         assert hist.xavg[0] == pytest.approx(summary.avg_width)
         assert hist.yavg[0] == pytest.approx(summary.avg_height)
+        # The stored planes are the sums behind those averages, in cell units.
+        assert hist.xsum[0] == pytest.approx(rects.widths().sum() / hist.grid.cell_width)
+        assert hist.ysum[0] == pytest.approx(rects.heights().sum() / hist.grid.cell_height)
         assert hist.num_i[0] == 0  # nothing can cross the only cell
 
     def test_cont_isect_partition(self, rng):

@@ -1,12 +1,14 @@
 """PH files as one plane block: every construction path yields it.
 
-A :class:`PHHistogram` keeps its eight Table 1 planes as the rows of one
-C-contiguous ``(8, cells)`` array, ``planes``, in ``STAT_PLANES["ph"]``
-order; ``build`` normalizes coverages and averages in place, a combine
-evaluates Equation 1 in reused scratch planes, and ``histogram_parts``
-persists the block as is.  Each test here builds a histogram one way and
-checks that invariant, or checks the in-place arithmetic against the
-fresh-temporary expressions it replaced, copied verbatim.
+A :class:`PHHistogram` keeps its eight per-cell planes as the rows of
+one C-contiguous ``(8, cells)`` array, ``planes``, in
+``STAT_PLANES["ph"]`` order: ``num, xsum, cov, ysum`` per group, with
+Table 1's averages held as sums in cell units.  ``build`` scales the
+accumulated sums in place, a combine runs chunked dot products over the
+groups' halves, and ``histogram_parts`` persists the block as is.  Each
+test here builds a histogram one way and checks that invariant, or
+checks the in-place arithmetic against fresh-temporary expressions
+written out plane by plane and dot by dot.
 """
 
 import io
@@ -32,9 +34,13 @@ from repro.store import ArtifactCatalog, MANIFEST_NAME, hist_entry_name
 import repro.store.catalog as catalog_module
 from tests.conftest import random_rects
 
-#: Table 1's planes in the order files and store entries have always
-#: stacked them, written out rather than read from ``STAT_PLANES``.
-PH_ORDER = ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i")
+#: The planes in the order version-3 files and store entries stack them,
+#: written out rather than read from ``STAT_PLANES``.
+PH_ORDER = ("num", "xsum", "cov", "ysum", "num_i", "xsum_i", "cov_i", "ysum_i")
+#: Table 1's order, which version-2 files and store entries stacked.
+TABLE1_ORDER = ("num", "cov", "xavg", "yavg", "num_i", "cov_i", "xavg_i", "yavg_i")
+#: The kernel's chunk: floats per BLAS dot.
+CHUNK = 8192
 LEVELS = range(10)
 
 
@@ -157,9 +163,10 @@ class TestPersistedOrder:
         assert np.shares_memory(stats, built.num)
 
     def test_version_two_npz_payload_decodes(self, dataset, tmp_path):
-        """A version-2 PH file as written before PH files became one
-        block (this payload builder is that writer, verbatim) decodes to
-        the same planes."""
+        """A version-2 PH file (this payload builder is its writer,
+        verbatim) holds Table 1 averages where version 3 holds sums, so
+        it no longer decodes: loading it raises instead of reading an
+        average as a sum."""
         hist = PHHistogram.build(dataset, 4)
         payload = {
             "version": np.int64(2),
@@ -167,42 +174,50 @@ class TestPersistedOrder:
             "level": np.int64(hist.grid.level),
             "extent": np.array(hist.grid.extent.as_tuple(), dtype=np.float64),
             "count": np.int64(hist.count),
-            "stats": np.stack([getattr(hist, plane) for plane in PH_ORDER]),
+            "stats": np.stack([getattr(hist, plane) for plane in TABLE1_ORDER]),
             "avg_span": np.float64(hist.avg_span),
         }
         np.savez(tmp_path / "v2.npz", **payload)
-        assert_same_planes(load_histogram(tmp_path / "v2.npz"), hist)
+        with pytest.raises(ValueError, match="version 2"):
+            load_histogram(tmp_path / "v2.npz")
         buf = io.BytesIO()
         np.savez(buf, **payload)
-        assert_same_planes(histogram_from_bytes(buf.getvalue()), hist)
+        with pytest.raises(ValueError, match="version 2"):
+            histogram_from_bytes(buf.getvalue())
 
     def test_version_two_store_entry_decodes(self, dataset, tmp_path, monkeypatch):
-        """A version-2 PH store entry whose stats were stacked plane by
-        plane (the encoder before the block, verbatim) loads with the
-        same planes, as a hit."""
+        """A version-2 PH store entry (Table 1 planes stacked plane by
+        plane, the encoder before the sums, verbatim) reads as a miss;
+        the cache rebuilds, republishes, and answers like a cold build."""
 
-        def stacked_encoder(hist):
+        def table1_encoder(hist):
             scalars, _ = histogram_parts(hist)
-            stats = np.stack([getattr(hist, plane) for plane in PH_ORDER])
+            stats = np.stack([getattr(hist, plane) for plane in TABLE1_ORDER])
             return scalars, {"stats": np.ascontiguousarray(stats)}
 
         store = ArtifactCatalog(tmp_path / "store")
         key = HistogramCache.key_for(dataset, "ph", 5)
         built = PHHistogram.build(dataset, 5)
-        monkeypatch.setattr(catalog_module, "encode_histogram", stacked_encoder)
+        monkeypatch.setattr(catalog_module, "encode_histogram", table1_encoder)
         assert store.put_histogram(key, built)
         monkeypatch.undo()
         manifest_path = store.root / "objects" / hist_entry_name(key) / MANIFEST_NAME
-        assert json.loads(manifest_path.read_text())["version"] == 2
-        loaded = store.load_histogram(key)
-        assert store.stats.hits == 1
-        assert_block(loaded)
-        assert_same_planes(loaded, built)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.load_histogram(key) is None
+        assert store.stats.hits == 0
+        hist, source = HistogramCache(store=store).resolve(dataset, "ph", 5)
+        assert source == "build"
+        assert_same_planes(hist, built)
+        republished = store.load_histogram(key)
+        assert_block(republished)
+        assert_same_planes(republished, built)
 
 
 def _capture_sums(monkeypatch):
     """Copies of the raw per-cell sums each build accumulates, before
-    ``build`` normalizes them in place."""
+    ``build`` scales them in place."""
     captured = []
     original = PHHistogram._accumulate
 
@@ -215,9 +230,19 @@ def _capture_sums(monkeypatch):
     return captured
 
 
-def _reference_normalize(sums, cell_area):
-    """The per-plane normalization ``build`` used before the block, verbatim."""
-    num, area_sum, w_sum, h_sum, num_i, area_sum_i, w_sum_i, h_sum_i = sums
+def _reference_scale(sums, grid):
+    """The per-cell planes from the raw sums, one fresh temporary each."""
+    num, w_sum, area_sum, h_sum, num_i, w_sum_i, area_sum_i, h_sum_i = sums
+    return (
+        num, w_sum / grid.cell_width, area_sum / grid.cell_area, h_sum / grid.cell_height,
+        num_i, w_sum_i / grid.cell_width, area_sum_i / grid.cell_area, h_sum_i / grid.cell_height,
+    )
+
+
+def _masked_averages(sums):
+    """Table 1's averages as the build computed them before the sums
+    layout, verbatim: width and height sums over Num, 0 where empty."""
+    num, w_sum, _, h_sum, num_i, w_sum_i, _, h_sum_i = sums
     with np.errstate(invalid="ignore"):
         occupied = num > 0
         denom = np.maximum(num, 1.0)
@@ -227,41 +252,52 @@ def _reference_normalize(sums, cell_area):
         denom = np.maximum(num_i, 1.0)
         xavg_i = np.where(occupied, w_sum_i / denom, 0.0)
         yavg_i = np.where(occupied, h_sum_i / denom, 0.0)
-    cov = area_sum / cell_area
-    cov_i = area_sum_i / cell_area
-    return (num, cov, xavg, yavg, num_i, cov_i, xavg_i, yavg_i)
+    return {"xavg": xavg, "yavg": yavg, "xavg_i": xavg_i, "yavg_i": yavg_i}
+
+
+def _reference_dot(x: np.ndarray, y: np.ndarray) -> np.float64:
+    """``x·y`` as one ``np.dot`` per chunk of ``CHUNK`` floats, the
+    partials summed by a 1-D sum."""
+    starts = range(0, len(x), CHUNK)
+    return np.array([np.dot(x[k : k + CHUNK], y[k : k + CHUNK]) for k in starts]).sum()
+
+
+def _reference_cross(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """``x_a·y_b + x_b·y_a`` for two four-row groups, halves ``x`` = rows
+    0-1 and ``y`` = rows 2-3, each flattened."""
+    xa, ya, xb, yb = a[:2].ravel(), a[2:].ravel(), b[:2].ravel(), b[2:].ravel()
+    return _reference_dot(xa, yb) + _reference_dot(xb, ya)
 
 
 def _reference_pairs(a, b, *, corrected=True):
-    """Equation 3 as one fresh temporary per ufunc, verbatim."""
-    cell_area = a.grid.cell_area
-
-    def case(n1, c1, x1, y1, n2, c2, x2, y2) -> np.ndarray:
-        return n1 * c2 + c1 * n2 + n1 * n2 * (x1 * y2 + y1 * x2) / cell_area
-
-    sa = case(a.num, a.cov, a.xavg, a.yavg, b.num, b.cov, b.xavg, b.yavg)
-    sb = case(a.num, a.cov, a.xavg, a.yavg, b.num_i, b.cov_i, b.xavg_i, b.yavg_i)
-    sc = case(a.num_i, a.cov_i, a.xavg_i, a.yavg_i, b.num, b.cov, b.xavg, b.yavg)
-    sd = case(a.num_i, a.cov_i, a.xavg_i, a.yavg_i, b.num_i, b.cov_i, b.xavg_i, b.yavg_i)
-    span_correction = (a.avg_span + b.avg_span) / 2.0
-    pairs = float(sa.sum() + sb.sum() + sc.sum() + sd.sum() / span_correction)
-    if corrected:
-        return pairs
-    sd_sum = float(sd.sum())
-    return pairs - sd_sum / span_correction + sd_sum
+    """Equation 3 with each case written out as chunked dots."""
+    cont, isect = a.planes[:4], a.planes[4:]
+    other_cont, other_isect = b.planes[:4], b.planes[4:]
+    sa = _reference_cross(cont, other_cont)
+    sb = _reference_cross(cont, other_isect)
+    sc = _reference_cross(isect, other_cont)
+    sd = _reference_cross(isect, other_isect)
+    span_correction = (a.avg_span + b.avg_span) / 2.0 if corrected else 1.0
+    return float(sa + sb + sc + sd / span_correction)
 
 
 class TestInPlaceArithmetic:
     @pytest.mark.parametrize("seed", [5, 23])
     def test_normalization_matches_masked_expressions(self, seed, monkeypatch):
+        """The stored planes equal the sums scaled by fresh temporaries,
+        and the derived averages equal the masked Table 1 expressions to
+        within rounding (a scale by the cell size and back)."""
         captured = _capture_sums(monkeypatch)
         empty_cells = 0
         for ds in mixed(seed):
             for level in LEVELS:
                 hist = PHHistogram.build(ds, level)
-                expected = _reference_normalize(captured.pop(), hist.grid.cell_area)
+                sums = captured.pop()
+                expected = _reference_scale(sums, hist.grid)
                 for name, plane in zip(PH_ORDER, expected):
                     assert getattr(hist, name).tobytes() == plane.tobytes(), (ds.name, level, name)
+                for name, average in _masked_averages(sums).items():
+                    np.testing.assert_allclose(getattr(hist, name), average, rtol=5e-16, atol=0)
                 empty_cells += int((hist.num == 0).sum())
         assert empty_cells > 0
 
@@ -281,5 +317,5 @@ class TestInPlaceArithmetic:
             hists = [GHHistogram.build(ds, level) for ds in mixed(seed)]
             for a in hists:
                 for b in hists:
-                    expected = float((a.c * b.o + b.c * a.o + a.h * b.v + b.h * a.v).sum())
+                    expected = float(_reference_cross(a.planes, b.planes))
                     assert a.estimate_intersection_points(b) == expected

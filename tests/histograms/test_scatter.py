@@ -87,8 +87,8 @@ class TestBaselineEquivalence:
             ref = ph_reference(ds, level, extent=extent)
             assert built.count == ref.count
             assert built.avg_span == ref.avg_span, ds.name
-            for name, plane in built.cell_arrays().items():
-                assert plane.tobytes() == ref.cell_arrays()[name].tobytes(), (ds.name, name)
+            for row, (plane, expected) in enumerate(zip(built.planes, ref.planes)):
+                assert plane.tobytes() == expected.tobytes(), (ds.name, row)
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_gh_basic_build_bit_identical(self, inputs, level):

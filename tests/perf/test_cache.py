@@ -320,7 +320,7 @@ class TestDerivation:
         assert np.array_equal(histogram_parts(hist)[1], histogram_parts(cold)[1])
 
     def test_ph_never_derives(self, dataset):
-        # PH averages are not additive across resolutions; a coarser PH
+        # PH's Cont/Isect split is not additive across resolutions; a coarser PH
         # must rebuild even when a finer one is cached.
         cache = HistogramCache()
         cache.get_or_build(dataset, "ph", 6)

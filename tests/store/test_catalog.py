@@ -94,7 +94,7 @@ class TestFormatVersion:
         key, _ = publish_gh(catalog, dataset)
         manifest_path = catalog.root / "objects" / hist_entry_name(key) / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == FORMAT_VERSION == 2
+        assert manifest["version"] == FORMAT_VERSION == 3
         manifest["version"] = 1
         manifest_path.write_text(json.dumps(manifest))
         assert catalog.load_histogram(key) is None
