@@ -3,8 +3,7 @@
 The operational payoff of GH's additivity: applying a batch of
 inserts/deletes costs O(batch), independent of the dataset size, while a
 rebuild costs O(N).  This bench measures both at increasing dataset
-sizes (the gap widens with N), plus the pyramid-vs-rebuild gap for
-multi-level construction.
+sizes (the gap widens with N).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import SpatialDataset, make_uniform
-from repro.histograms import GHHistogram, GHPyramid, apply_updates
+from repro.histograms import GHHistogram, apply_updates
 
 LEVEL = 7
 BATCH = 500
@@ -54,24 +53,3 @@ def test_update_equals_rebuild(update_case):
     assert updated.count == rebuilt.count
     assert np.allclose(updated.c, rebuilt.c)
     assert np.allclose(updated.o, rebuilt.o)
-
-
-def test_pyramid_all_levels(benchmark, all_pairs):
-    ds = all_pairs["TS_TCB"][1]
-    benchmark.group = "maintenance-pyramid"
-
-    def build_pyramid():
-        pyramid = GHPyramid(ds, LEVEL)
-        return [pyramid[level] for level in range(LEVEL + 1)]
-
-    levels = benchmark(build_pyramid)
-    assert len(levels) == LEVEL + 1
-
-
-def test_rebuild_all_levels(benchmark, all_pairs):
-    ds = all_pairs["TS_TCB"][1]
-    benchmark.group = "maintenance-pyramid"
-    levels = benchmark(
-        lambda: [GHHistogram.build(ds, level) for level in range(LEVEL + 1)]
-    )
-    assert len(levels) == LEVEL + 1

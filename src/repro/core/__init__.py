@@ -1,6 +1,5 @@
 """Core API: estimator interface/registry, catalog, metrics, optimizer."""
 
-from .advisor import CalibrationResult, calibrate_level, level_for_budget
 from .catalog import StatisticsCatalog, catalog_for
 from .estimator import (
     ESTIMATOR_KINDS,
@@ -30,9 +29,6 @@ __all__ = [
     "create_estimator",
     "StatisticsCatalog",
     "catalog_for",
-    "level_for_budget",
-    "calibrate_level",
-    "CalibrationResult",
     "pairwise_selectivities",
     "relative_error_pct",
     "ratio_pct",

@@ -2,7 +2,7 @@
 
 from .base import DatasetSummary, MutationToken, SpatialDataset
 from .io import load_dataset, save_dataset
-from .queries import data_centered_queries, query_grid, uniform_queries
+from .queries import query_grid
 from .realistic import (
     make_blocks_like,
     make_points_like,
@@ -46,7 +46,5 @@ __all__ = [
     "make_paper_dataset",
     "make_paper_pair",
     "paper_pairs",
-    "uniform_queries",
-    "data_centered_queries",
     "query_grid",
 ]

@@ -1,91 +1,12 @@
-"""Window-query workload generators.
-
-Range-query evaluation needs query workloads as much as data; the range
-literature the paper builds on (Kamel–Faloutsos, Jin et al. [14])
-standardly uses two: windows placed *uniformly* over the extent, and
-windows placed where the *data* is (each query centered on a randomly
-chosen data item — the "biased" workload, matching how users query
-maps: where the features are).
-"""
+"""Window-query workloads: a deterministic tiling of the extent."""
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Iterator
 
 from ..geometry import Rect
-from .base import SpatialDataset
-from .synthetic import as_generator
 
-__all__ = ["uniform_queries", "data_centered_queries", "query_grid"]
-
-
-def _window_at(cx: float, cy: float, w: float, h: float, extent: Rect) -> Rect:
-    """An ``w x h`` window at (cx, cy), slid to stay inside the extent."""
-    x0 = min(max(cx - w / 2, extent.xmin), extent.xmax - w)
-    y0 = min(max(cy - h / 2, extent.ymin), extent.ymax - h)
-    return Rect(x0, y0, x0 + w, y0 + h)
-
-
-def uniform_queries(
-    count: int,
-    *,
-    extent: Rect = None,
-    width_fraction: float = 0.1,
-    height_fraction: Optional[float] = None,
-    seed: int | np.random.Generator | None = 0,
-) -> list[Rect]:
-    """Windows of fixed relative size placed uniformly in the extent."""
-    extent = extent or Rect.unit()
-    if height_fraction is None:
-        height_fraction = width_fraction
-    if not (0 < width_fraction <= 1 and 0 < height_fraction <= 1):
-        raise ValueError("window fractions must be in (0, 1]")
-    rng = as_generator(seed)
-    w = width_fraction * extent.width
-    h = height_fraction * extent.height
-    return [
-        _window_at(
-            rng.uniform(extent.xmin, extent.xmax),
-            rng.uniform(extent.ymin, extent.ymax),
-            w,
-            h,
-            extent,
-        )
-        for _ in range(count)
-    ]
-
-
-def data_centered_queries(
-    dataset: SpatialDataset,
-    count: int,
-    *,
-    width_fraction: float = 0.1,
-    height_fraction: Optional[float] = None,
-    seed: int | np.random.Generator | None = 0,
-) -> list[Rect]:
-    """Windows centered on randomly drawn data items (biased workload).
-
-    This follows the data distribution, so on skewed datasets most
-    queries land in the dense regions — the regime where global
-    parametric range formulas fail hardest.
-    """
-    if len(dataset) == 0:
-        raise ValueError("data-centered queries need a non-empty dataset")
-    extent = dataset.extent
-    if height_fraction is None:
-        height_fraction = width_fraction
-    if not (0 < width_fraction <= 1 and 0 < height_fraction <= 1):
-        raise ValueError("window fractions must be in (0, 1]")
-    rng = as_generator(seed)
-    picks = rng.integers(0, len(dataset), size=count)
-    cx, cy = dataset.rects.centers()
-    w = width_fraction * extent.width
-    h = height_fraction * extent.height
-    return [
-        _window_at(float(cx[i]), float(cy[i]), w, h, extent) for i in picks
-    ]
+__all__ = ["query_grid"]
 
 
 def query_grid(

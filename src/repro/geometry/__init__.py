@@ -4,7 +4,6 @@ Everything in the library is built on axis-parallel rectangles (MBRs);
 this package is the lowest layer of the substrate.
 """
 
-from .mbr import points_mbrs, polygon_mbrs, polyline_mbrs, segment_mbrs
 from .extent import NormalizationTransform, common_extent, normalize_to_unit, pad_extent
 from .predicates import (
     IntersectionPointBreakdown,
@@ -46,8 +45,4 @@ __all__ = [
     "pad_extent",
     "normalize_to_unit",
     "NormalizationTransform",
-    "points_mbrs",
-    "polyline_mbrs",
-    "segment_mbrs",
-    "polygon_mbrs",
 ]

@@ -34,7 +34,6 @@ from .fused import (
 from .maintenance import apply_updates, merge_histograms
 from .parametric import aref_samet_selectivity, aref_samet_size, parametric_selectivity
 from .ph import PHHistogram, ph_selectivity
-from .pyramid import GHPyramid, downsample_gh
 from .range_query import range_count_gh, range_count_parametric, range_count_ph
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "range_count_parametric",
     "cell_contributions",
     "GHContributions",
-    "GHPyramid",
-    "downsample_gh",
     "GHStack",
     "stack_gh",
     "fused_pair_estimates",

@@ -43,8 +43,10 @@ retained object itself.
 — the in-memory L1, the optional artifact store, or a fresh build — and
 every one of them yields the very arrays a cold build would, so a
 selectivity never depends on which source answered.  (A coarser GH is
-*not* pooled from a cached finer one: 2×2 pooling sums cells in a
-different float order, see :mod:`repro.histograms.pyramid`.)
+*not* pooled from a cached finer one: summing 2×2 blocks of finer
+cells adds the same float contributions in a different order than a
+build does, so a pooled plane can differ from a cold build in the last
+bit.)
 
 Builds executed while a fault-injection hook is active are *not*
 inserted (a mutation hook may have corrupted the freshly built cells;

@@ -1,77 +1,9 @@
-"""Unit tests for the query-workload generators."""
+"""Unit tests for the query-window tiling."""
 
-import numpy as np
 import pytest
 
-from repro.datasets import (
-    data_centered_queries,
-    make_clustered,
-    make_uniform,
-    query_grid,
-    uniform_queries,
-)
+from repro.datasets import query_grid
 from repro.geometry import Rect
-
-
-class TestUniformQueries:
-    def test_count_and_size(self):
-        queries = uniform_queries(40, width_fraction=0.2, seed=0)
-        assert len(queries) == 40
-        for q in queries:
-            assert q.width == pytest.approx(0.2)
-            assert q.height == pytest.approx(0.2)
-
-    def test_inside_extent(self):
-        extent = Rect(-3, 5, 9, 11)
-        for q in uniform_queries(60, extent=extent, width_fraction=0.3, seed=1):
-            assert extent.contains_rect(q)
-
-    def test_anisotropic_windows(self):
-        queries = uniform_queries(5, width_fraction=0.4, height_fraction=0.1, seed=2)
-        assert queries[0].width == pytest.approx(0.4)
-        assert queries[0].height == pytest.approx(0.1)
-
-    def test_reproducible(self):
-        assert uniform_queries(5, seed=3) == uniform_queries(5, seed=3)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            uniform_queries(5, width_fraction=0.0)
-        with pytest.raises(ValueError):
-            uniform_queries(5, width_fraction=1.5)
-
-
-class TestDataCenteredQueries:
-    def test_follows_data_distribution(self):
-        ds = make_clustered(3000, seed=4, center=(0.3, 0.3), spread=0.03)
-        queries = data_centered_queries(ds, 100, width_fraction=0.05, seed=5)
-        centers = np.array([q.center for q in queries])
-        assert abs(centers[:, 0].mean() - 0.3) < 0.05
-        assert abs(centers[:, 1].mean() - 0.3) < 0.05
-
-    def test_inside_extent(self):
-        ds = make_uniform(500, seed=6)
-        for q in data_centered_queries(ds, 50, width_fraction=0.3, seed=7):
-            assert ds.extent.contains_rect(q)
-
-    def test_empty_dataset_rejected(self):
-        from repro.datasets import SpatialDataset
-        from repro.geometry import RectArray
-
-        empty = SpatialDataset("e", RectArray.empty())
-        with pytest.raises(ValueError):
-            data_centered_queries(empty, 5)
-
-    def test_biased_vs_uniform_hit_counts(self):
-        """On skewed data, biased queries see far more items on average."""
-        ds = make_clustered(5000, seed=8, spread=0.05)
-        biased = data_centered_queries(ds, 50, width_fraction=0.05, seed=9)
-        uniform = uniform_queries(50, width_fraction=0.05, seed=9)
-
-        def mean_hits(queries):
-            return np.mean([ds.rects.intersects_rect(q).sum() for q in queries])
-
-        assert mean_hits(biased) > 3 * mean_hits(uniform)
 
 
 class TestQueryGrid:

@@ -19,7 +19,6 @@ from repro.geometry import Rect
 from repro.histograms import (
     GHHistogram,
     apply_updates,
-    downsample_gh,
     fused_selectivity_matrix,
     histogram_from_bytes,
     histogram_to_bytes,
@@ -94,9 +93,6 @@ class TestConstructionPaths:
 
     def test_merge(self, dataset, other):
         assert_block(merge_histograms(GHHistogram.build(dataset, 4), GHHistogram.build(other, 4)))
-
-    def test_downsample(self, dataset):
-        assert_block(downsample_gh(GHHistogram.build(dataset, 5)))
 
     def test_mutate_hook_returning_fresh_arrays(self, dataset):
         """A fault hook hands back four new arrays; the constructor packs them."""
@@ -187,15 +183,6 @@ class TestBlockArithmetic:
         merged = merge_histograms(first, second)
         for name in ("c", "o", "h", "v"):
             assert np.array_equal(getattr(merged, name), getattr(first, name) + getattr(second, name))
-
-    def test_downsample_matches_per_plane_fold(self, dataset):
-        hist = GHHistogram.build(dataset, 5)
-        coarse = downsample_gh(hist)
-        side = hist.grid.side
-        for name, scale in (("c", 1.0), ("o", 0.25), ("h", 0.5), ("v", 0.5)):
-            blocks = getattr(hist, name).reshape(side, side).reshape(side // 2, 2, side // 2, 2)
-            expected = blocks.sum(axis=(1, 3)).reshape(-1) * scale
-            assert np.array_equal(getattr(coarse, name), expected), name
 
 
 class TestMatrixMechanism:

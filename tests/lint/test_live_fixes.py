@@ -9,10 +9,8 @@ checkpoint fails here, not just in the (structural) lint gate.
 import numpy as np
 import pytest
 
-from repro.datasets import SpatialDataset
 from repro.errors import EstimationTimeout
 from repro.geometry import Rect
-from repro.histograms.pyramid import GHPyramid
 from repro.predicates import STANDARD_PREDICATES
 from repro.predicates.joins import naive_predicate_count
 from repro.rtree import RTree
@@ -76,13 +74,3 @@ class TestRTreeCheckpoints:
         with runtime_scope(deadline=Deadline(0.0)):
             with pytest.raises(EstimationTimeout):
                 RTree.from_rect_array(rects, max_entries=8)
-
-
-class TestPyramidCheckpoints:
-    def test_downsample_chain_checkpoints(self, rng):
-        ds = SpatialDataset("d", random_rects(rng, 200, max_side=0.2))
-        pyramid = GHPyramid(ds, 4)
-        hook = Recorder()
-        with runtime_scope(hook=hook):
-            pyramid[0]  # materializes levels 3..0 through downsample_gh
-        assert hook.stages.count("pyramid.downsample") >= 4

@@ -17,7 +17,6 @@ PUBLIC_MODULES = [
     "repro.join",
     "repro.datasets",
     "repro.sampling",
-    "repro.fractal",
     "repro.histograms",
     "repro.core",
     "repro.eval",
