@@ -110,7 +110,7 @@ def histogram_from_parts(scalars: dict[str, object], stats: np.ndarray) -> Histo
     """Rebuild a histogram from :func:`histogram_parts` output.
 
     ``stats`` may be any array-like with the right leading dimension —
-    in particular a read-only ``np.load(..., mmap_mode="r")`` view, in
+    in particular a read-only ``np.memmap`` view of a store payload, in
     which case every plane is a zero-copy slice of that view (and a
     C-contiguous GH or PH ``stats`` becomes the histogram's block as is).
     """

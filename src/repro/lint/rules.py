@@ -451,7 +451,7 @@ def _check_single_writer(ctx: FileContext) -> list[Diagnostic]:
     publish (or the two sanctioned format modules).  A stray writer
     elsewhere can tear files mid-write, and every reader that memory-maps
     the catalog would inherit the corruption — the single-writer
-    discipline is what makes ``mmap_mode="r"`` loads safe."""
+    discipline is what makes read-only memory-mapped loads safe."""
     if not ctx.in_repro:
         return []
     if any(

@@ -4,33 +4,32 @@ A serving loop receives queries one at a time, but
 :func:`repro.perf.estimate_many` is dramatically cheaper per query when
 given many at once (cross-query build dedup + cache).  The
 :class:`MicroBatcher` bridges the two with **self-clocked** batches and
-no timer: a query that finds the batcher idle starts a drain on the next
-event-loop tick, so queries submitted in one tick share a batch, and
-queries that arrive while a batch runs form the next one (up to
-``max_batch``, in order).  One batch runs at a time — the work is
-GIL-bound — so batches grow with the load behind them.  Dropping the
-former fixed 2 ms window cut perfbench serve-miss's traced
-``serve.batch_wait_ms`` from 2.33 to 0.17 ms (2-CPU host, seed 1).
-Results are exactly what per-query estimation would produce
-(``estimate_many`` guarantees it): batching changes latency, not answers.
+no timer: the first query of an event-loop tick schedules one hand-off
+that passes the tick's queries to the batcher's worker thread in one
+queue put, and the worker runs what it holds as consecutive batches (up
+to ``max_batch``, in order), merging hand-offs that queued meanwhile.
+One batch runs at a time — the work is GIL-bound — so batches grow with
+the load behind them, and one callback settles each batch on the loop:
+a slow read crosses threads once each way (DESIGN §12 has the numbers).
+Results are exactly what per-query estimation would produce.
 
 Failure isolation is the subtle part: one **poison query** must not
 fail its batchmates.  When a batch run raises, the batcher retries each
 member *individually*; only the queries that fail on their own see the
 exception.  Deadlines compose the same way: a member whose deadline
 expired while it queued fails alone before the runner sees it, the
-batch runs under the *tightest* remaining member deadline (so nobody's
-budget is silently exceeded by a batchmate's work), and a member whose
-deadline forced the batch down is re-run solo under its own remaining
-budget.
+batch runs under the *tightest* remaining member deadline, and a
+member whose deadline forced the batch down is re-run solo under its
+own remaining budget.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import threading
+from collections import deque
+from queue import SimpleQueue
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import EstimationTimeout, EstimatorUnavailable
 from ..obs import Counters
@@ -39,18 +38,20 @@ from ..runtime import Deadline
 
 __all__ = ["BatchRunner", "MicroBatcher"]
 
-#: Executes a fused batch synchronously (on an executor thread) under an
+#: Executes a fused batch synchronously (on the worker thread) under an
 #: optional deadline budget in seconds; returns one selectivity per query.
 BatchRunner = Callable[[Sequence[BatchQuery], "float | None"], "list[float]"]
 
+#: One future and the value or exception it is to be settled with.
+_Outcome = tuple["asyncio.Future[Any]", object]
 
-@dataclass
-class _Pending:
+
+class _Pending(NamedTuple):
     """One submitted query waiting for its batch to run."""
 
     query: BatchQuery
     deadline: Deadline | None
-    future: "asyncio.Future[float]" = field(repr=False, kw_only=True)
+    future: asyncio.Future[float]
 
 
 class MicroBatcher:
@@ -77,10 +78,6 @@ class MicroBatcher:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._runner = runner
         self.max_batch = int(max_batch)
-        # One worker thread, since batches run one at a time: spreading
-        # builds over the loop's default pool raised peak RSS (one malloc
-        # arena per thread; perfbench serve-miss 107 -> 115 MB median).
-        self._executor = ThreadPoolExecutor(1, thread_name_prefix="repro-batch")
         self.stats = Counters(
             "queries",
             "batches",  # fused runs dispatched (each covers >= 1 query)
@@ -90,8 +87,12 @@ class MicroBatcher:
             # Queries that shared a fused run with at least one other.
             derived={"coalesced": lambda c: c["queries"] - c["batches"]},
         )
-        self._pending: list[_Pending] = []
-        self._drain: "asyncio.Task[None] | None" = None
+        self._pending: list[_Pending] = []  # this tick's submits
+        # Hand-offs, then a stop marker, for the one worker: batches run one
+        # at a time, and a thread pool raised peak RSS (one malloc arena per
+        # thread; serve-miss 107 -> 115 MB).
+        self._inbox: SimpleQueue[list[_Pending] | asyncio.Future[None]] = SimpleQueue()
+        self._worker: threading.Thread | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -108,120 +109,118 @@ class MicroBatcher:
             raise EstimatorUnavailable("MicroBatcher is closed")
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[float]" = loop.create_future()
-        self._pending.append(_Pending(query, deadline, future=future))
+        if not self._pending:
+            # Scheduled, not run: submits later in this tick join the hand-off.
+            loop.call_soon(self._hand_off)
+        self._pending.append(_Pending(query, deadline, future))
         self.stats.add("queries")
-        if self._drain is None:
-            # Scheduled, not run: submits later in this tick join the batch.
-            self._drain = loop.create_task(self._drain_pending())
         return await future
 
     async def aclose(self) -> None:
-        """Drain pending queries and wait for the batch in flight."""
-        while self._drain is not None:
-            await asyncio.wait((self._drain,))
+        """Refuse new queries, settle every submitted one, then stop the
+        worker thread; waits on the loop, never blocking it."""
         self._closed = True
-        self._executor.shutdown(wait=False)
+        self._hand_off()
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            stopped: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+            self._inbox.put(stopped)
+            await stopped
+            worker.join()  # it returns right after resolving ``stopped``
 
     # ------------------------------------------------------------------
-    async def _drain_pending(self) -> None:
-        """Run queued queries as consecutive batches until none are left."""
-        try:
-            while self._pending:
-                batch = self._take_batch()
-                if batch:
-                    await self._run_batch(batch)
-        finally:
-            self._drain = None
+    def _hand_off(self) -> None:
+        """Pass this tick's submits to the worker in one queue put."""
+        if not self._pending:
+            return
+        if self._worker is None:
+            self._worker = threading.Thread(target=self._work, name="repro-batch", daemon=True)
+            self._worker.start()
+        self._inbox.put(self._pending)
+        self._pending = []
 
-    def _take_batch(self) -> list[_Pending]:
-        """Pop the next batch; a member whose deadline ran out before it
-        starts fails alone here, without reaching the runner."""
-        batch = []
-        for pending in self._pending[: self.max_batch]:
+    def _work(self) -> None:
+        """Worker thread: run merged hand-offs as batches; block only when idle."""
+        backlog: "deque[_Pending]" = deque()
+        stop: "asyncio.Future[None] | None" = None
+        while True:
+            while not backlog or not self._inbox.empty():
+                if not backlog and stop is not None:
+                    _hand_back([(stop, None)])
+                    return
+                item = self._inbox.get()
+                if isinstance(item, list):
+                    backlog.extend(item)
+                else:
+                    stop = item
+            self._run_batch([backlog.popleft() for _ in range(min(self.max_batch, len(backlog)))])
+
+    def _run_batch(self, batch: list[_Pending]) -> None:
+        """Run one batch (expired members fail alone before the runner, a
+        fused failure re-runs members solo); settle it with one callback."""
+        outcomes: "list[_Outcome]" = []
+        ready: list[_Pending] = []
+        for pending in batch:
             try:
                 if pending.deadline is not None:
                     pending.deadline.check("serve.batch")
             except EstimationTimeout as exc:
                 self.stats.add("expired_before_run")
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
+                outcomes.append((pending.future, exc))
             else:
-                batch.append(pending)
-        del self._pending[: self.max_batch]
-        return batch
-
-    async def _run_batch(self, batch: list[_Pending]) -> None:
-        """Execute one fused batch; on failure, retry members solo."""
-        self.stats.add("batches")
-        loop = asyncio.get_running_loop()
-        queries = [p.query for p in batch]
-        deadline_s = _tightest_budget(batch)
-        try:
-            results = await loop.run_in_executor(
-                self._executor, self._runner, queries, deadline_s
-            )
-            # A (pluggable, possibly chaos-injected) runner that returns
-            # the wrong cardinality must not leave anyone's future
-            # unresolved forever — it is a batch failure like any other.
-            _check_cardinality(results, len(batch))
-        except asyncio.CancelledError:
-            for pending in batch:
-                if not pending.future.done():
-                    pending.future.cancel()
-            raise
-        # The solo retry IS the isolation mechanism: any fused failure —
-        # poison query, tightest-deadline expiry, transient fault — must
-        # be re-attributed to the member(s) that actually cause it.
-        except Exception:  # repro-lint: disable=R005  # noqa: BLE001
-            self.stats.add("batch_failures")
-            await self._retry_solo(batch)
-        else:
-            for pending, value in zip(batch, results):
-                if not pending.future.done():
-                    pending.future.set_result(value)
-
-    async def _retry_solo(self, batch: list[_Pending]) -> None:
-        """Re-run each member alone so only genuine failures propagate."""
-        loop = asyncio.get_running_loop()
-        for pending in batch:
-            if pending.future.done():
-                continue
-            self.stats.add("solo_retries")
-            budget = _tightest_budget([pending])
+                ready.append(pending)
+        if ready:
+            self.stats.add("batches")
             try:
-                results = await loop.run_in_executor(
-                    self._executor, self._runner, [pending.query], budget
-                )
-                _check_cardinality(results, 1)
-            except asyncio.CancelledError:
-                pending.future.cancel()
-                raise
-            except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            else:
-                if not pending.future.done():
-                    pending.future.set_result(results[0])
+                outcomes += zip([p.future for p in ready], self._call(ready))
+            # The solo retry IS the isolation mechanism: any fused failure —
+            # poison query, tightest-deadline expiry, transient fault — must
+            # be re-attributed to the member(s) that actually cause it.
+            except Exception:  # repro-lint: disable=R005  # noqa: BLE001
+                self.stats.add("batch_failures")
+                # A racy read of loop state (_settle checks again on the loop).
+                for pending in (p for p in ready if not p.future.done()):
+                    self.stats.add("solo_retries")
+                    try:
+                        outcomes.append((pending.future, self._call([pending])[0]))
+                    except Exception as exc:  # repro-lint: disable=R005  # noqa: BLE001
+                        outcomes.append((pending.future, exc))
+        _hand_back(outcomes)
+
+    def _call(self, batch: list[_Pending]) -> "list[float]":
+        """The runner's results under the smallest remaining member budget,
+        clamped at zero (a member whose budget ran out in a failed fused
+        run retries solo with none, so the timeout is attributed to it).
+        A (pluggable, possibly chaos-injected) runner returning the wrong
+        count fails the call, so no future is left unresolved forever."""
+        budgets = [p.deadline.remaining for p in batch if p.deadline is not None]
+        budget = max(0.0, min(budgets)) if budgets else None
+        results = self._runner([p.query for p in batch], budget)
+        if len(results) != len(batch):
+            raise EstimatorUnavailable(
+                f"batch runner returned {len(results)} results for {len(batch)} queries"
+            )
+        return results
 
     def __repr__(self) -> str:
         return f"MicroBatcher(max_batch={self.max_batch}, pending={len(self._pending)})"
 
 
-def _check_cardinality(results: "list[float]", expected: int) -> None:
-    if len(results) != expected:
-        raise EstimatorUnavailable(
-            f"batch runner returned {len(results)} results for {expected} queries"
-        )
+def _hand_back(outcomes: "list[_Outcome]") -> None:
+    """Settle ``outcomes`` by one callback per owning loop; a closed one's is dropped."""
+    by_loop: "dict[asyncio.AbstractEventLoop, list[_Outcome]]" = {}
+    for outcome in outcomes:
+        by_loop.setdefault(outcome[0].get_loop(), []).append(outcome)
+    for loop, settled in by_loop.items():
+        try:
+            loop.call_soon_threadsafe(_settle, settled)
+        except RuntimeError:
+            pass  # the loop is closed
 
 
-def _tightest_budget(batch: "list[_Pending]") -> "float | None":
-    """The smallest remaining deadline across members (None = unbudgeted).
-
-    Clamped at zero: a member whose budget ran out during a failed
-    fused run retries solo with a zero budget, so the runner's first
-    checkpoint raises and the timeout is attributed to that member.
-    """
-    budgets = [p.deadline.remaining for p in batch if p.deadline is not None]
-    if not budgets:
-        return None
-    return max(0.0, min(budgets))
+def _settle(outcomes: "list[_Outcome]") -> None:
+    """Loop side of :func:`_hand_back`: resolve each future not yet done."""
+    for future, outcome in outcomes:
+        if not future.done():
+            failed = isinstance(outcome, BaseException)
+            (future.set_exception if failed else future.set_result)(outcome)

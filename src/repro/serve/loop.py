@@ -29,7 +29,8 @@ batch-oriented estimation stack into a long-running service.  One
    full-quality one.
 
 Per-request deadlines thread end to end: the budget is checked at
-submission and shipped into executor threads as a cooperative
+submission and shipped into the batcher's worker thread (or the
+executor thread of a lower rung) as a cooperative
 :class:`~repro.runtime.Deadline` scope.
 """
 
@@ -177,6 +178,8 @@ class EstimationServer:
             else None
         )
         self._counters = Counters("fast_hits")  # memo answers on the fast lane
+        # Fallback chains by (scheme, level): every rung is stateless.
+        self._chains: "dict[tuple[str, int], tuple[JoinSelectivityEstimator, ...]]" = {}
         self.batcher = MicroBatcher(
             batch_runner if batch_runner is not None else self._default_runner,
             max_batch=self.config.max_batch,
@@ -266,9 +269,7 @@ class EstimationServer:
                     queue_depth=self.admission.depth,
                     tenant=request.tenant,
                 )
-            chain = default_fallback_chain(
-                create_estimator(request.scheme, level=request.level)
-            )
+            chain = self._chain(request.scheme, request.level)
             floor = len(chain) - 1
             start = {ServiceRung.FULL: 0, ServiceRung.CACHED: 1}.get(selected, floor)
             # Failure descent: any rung error — batch failure, deadline
@@ -314,6 +315,15 @@ class EstimationServer:
             self.admission.release(ticket)
 
     # ------------------------------------------------------------------
+    def _chain(self, scheme: str, level: int) -> "tuple[JoinSelectivityEstimator, ...]":
+        """The requested estimator's fallback chain, built once per
+        ``(scheme, level)``."""
+        chain = self._chains.get((scheme, level))
+        if chain is None:
+            chain = default_fallback_chain(create_estimator(scheme, level=level))
+            self._chains[scheme, level] = chain
+        return chain
+
     def _fast_lane(self, request: ServeRequest) -> "float | None":
         """Tier-0 memo consult, safe to run on the event loop.
 
@@ -388,8 +398,8 @@ class EstimationServer:
     ) -> "list[float]":
         """Default micro-batch runner: ``estimate_many`` + shared cache.
 
-        Runs on an executor thread, so it installs its own runtime scope
-        from the batch's tightest remaining budget.
+        Runs on the batcher's worker thread, so it installs its own
+        runtime scope from the batch's tightest remaining budget.
         """
         deadline = Deadline(budget_s) if budget_s is not None else None
         with runtime_scope(deadline=deadline):

@@ -9,8 +9,9 @@ content-addressed home on disk:
 * :class:`ArtifactCatalog` — one directory per artifact (raw ``.npy``
   payloads + a JSON manifest with dtype/shape/params/checksums), keyed
   by the same :mod:`repro.perf.fingerprint` identities the in-memory
-  caches use; loads are zero-copy ``np.load(mmap_mode="r")`` views and
-  publishes are crash-atomic (stage in ``tmp/``, fsync, rename);
+  caches use; loads are zero-copy read-only ``np.memmap`` views (the
+  ``.npy`` header is compared as bytes, not parsed) and publishes are
+  crash-atomic (stage in ``tmp/``, fsync, rename);
 * an optional **L2 tier** under
   :class:`~repro.perf.cache.HistogramCache` /
   :class:`~repro.perf.cache.FlatTreeCache` (L1 miss → catalog mmap →

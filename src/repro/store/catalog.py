@@ -25,11 +25,13 @@ leaves garbage in ``tmp/`` (swept by the next writable open), never a
 readable partial artifact.  Concurrent publishers of the same key race
 benignly: first rename wins, the loser discards its staging dir.
 
-**Zero-copy loads.**  ``np.load(mmap_mode="r")`` maps payload files
-read-only; processes touching the same entries share page cache
-instead of heap copies.  Loads cheaply cross-check manifest
-``file_bytes`` against ``os.stat`` and dtype/shape against the mapped
-header; full checksums are verified by ``python -m repro.store verify``.
+**Zero-copy loads.**  Payload files are mapped read-only with
+``np.memmap``; processes touching the same entries share page cache
+instead of heap copies.  Loads cheaply check the file size against the
+manifest's ``file_bytes`` and require the payload's ``.npy`` header
+bytes to equal the header :mod:`numpy.lib.format` writes for the
+manifest's dtype and shape, so no header is parsed; full checksums are
+verified by ``python -m repro.store verify``.
 Any mismatch counts ``corrupt_detected``, discards the entry, and
 degrades to a miss — the caller rebuilds and republishes.
 
@@ -42,8 +44,10 @@ publishes.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
+import operator
 import os
 import shutil
 from dataclasses import dataclass
@@ -371,8 +375,8 @@ class ArtifactCatalog:
     def verify_entry(self, name: str) -> list[str]:
         """Full integrity check of one entry; returns problem strings.
 
-        Unlike loads (which only cross-check sizes and the array
-        header), this re-reads every payload and recomputes the BLAKE2b
+        Unlike loads (which only check sizes and the array header),
+        this re-reads every payload and recomputes the BLAKE2b
         checksums recorded at publish time.
         """
         entry_dir = self._objects / name
@@ -390,21 +394,10 @@ class ArtifactCatalog:
             if not isinstance(spec, dict):
                 problems.append(f"{aname}: malformed array spec")
                 continue
-            path = entry_dir / str(spec.get("file"))
             try:
-                size = os.stat(path).st_size
-                arr = np.load(path, mmap_mode="r", allow_pickle=False)
-            except (OSError, ValueError) as exc:
-                problems.append(f"{aname}: unreadable payload ({type(exc).__name__})")
-                continue
-            if size != spec.get("file_bytes"):
-                problems.append(
-                    f"{aname}: file is {size} bytes, manifest says {spec.get('file_bytes')}"
-                )
-            if str(arr.dtype) != spec.get("dtype") or list(arr.shape) != spec.get("shape"):
-                problems.append(
-                    f"{aname}: header {arr.dtype}{arr.shape} does not match manifest"
-                )
+                arr = _map_payload(entry_dir / str(spec.get("file")), spec)
+            except ArtifactIntegrityError as exc:
+                problems.append(f"{aname}: {exc}")
                 continue
             digest = hashlib.blake2b(arr.tobytes()).hexdigest()
             if digest != spec.get("blake2b"):
@@ -459,23 +452,10 @@ class ArtifactCatalog:
         for aname, spec in specs.items():
             if not isinstance(spec, dict):
                 raise ArtifactIntegrityError(f"{name}/{aname}: malformed array spec")
-            path = entry_dir / str(spec.get("file"))
             try:
-                size = os.stat(path).st_size
-                arr = np.load(path, mmap_mode="r", allow_pickle=False)
-            except (OSError, ValueError) as exc:
-                raise ArtifactIntegrityError(
-                    f"{name}/{aname}: payload unreadable: {type(exc).__name__}"
-                ) from exc
-            if size != spec.get("file_bytes"):
-                raise ArtifactIntegrityError(
-                    f"{name}/{aname}: truncated payload ({size} bytes)"
-                )
-            if str(arr.dtype) != spec.get("dtype") or list(arr.shape) != spec.get("shape"):
-                raise ArtifactIntegrityError(
-                    f"{name}/{aname}: header does not match manifest"
-                )
-            arrays[aname] = arr
+                arrays[aname] = _map_payload(entry_dir / str(spec.get("file")), spec)
+            except ArtifactIntegrityError as exc:
+                raise ArtifactIntegrityError(f"{name}/{aname}: {exc}") from exc
         return manifest, arrays
 
     def _publish(
@@ -560,6 +540,44 @@ class ArtifactCatalog:
         """Reclaim staging debris left by crashed publishers."""
         for child in self._tmp.iterdir():
             shutil.rmtree(child, ignore_errors=True)
+
+
+def _map_payload(path: Path, spec: Mapping[str, object]) -> np.ndarray:
+    """The ``.npy`` payload at ``path`` as a read-only :class:`numpy.memmap`.
+
+    The file must hold the manifest's ``file_bytes`` and begin with the
+    very header :mod:`numpy.lib.format` writes for the manifest's
+    ``dtype`` and ``shape`` (what ``np.save`` wrote at publish), so the
+    header is compared as bytes rather than parsed.  Raises
+    :class:`ArtifactIntegrityError` on any mismatch, a malformed spec
+    or an unreadable file.
+    """
+    try:
+        dtype = np.dtype(str(spec.get("dtype")))
+        shape = tuple(operator.index(n) for n in spec.get("shape"))  # type: ignore[union-attr]
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header,
+            {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+             "shape": shape},
+        )
+    except (TypeError, ValueError) as exc:
+        raise ArtifactIntegrityError(f"malformed array spec ({type(exc).__name__})") from exc
+    if dtype.hasobject:
+        raise ArtifactIntegrityError("an object array is never mapped")
+    expected = header.getvalue()
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != spec.get("file_bytes"):
+                raise ArtifactIntegrityError(
+                    f"payload is {size} bytes, manifest says {spec.get('file_bytes')}"
+                )
+            if fh.read(len(expected)) != expected:
+                raise ArtifactIntegrityError("header does not match manifest")
+            return np.memmap(fh, dtype, "r", len(expected), shape)
+    except (OSError, ValueError) as exc:
+        raise ArtifactIntegrityError(f"payload unreadable: {type(exc).__name__}") from exc
 
 
 def _params_of(manifest: Mapping[str, object]) -> dict[str, object]:

@@ -6,9 +6,8 @@ objects and that ``(params, arrays)`` split:
 
 * histograms round-trip through
   :func:`repro.histograms.file.histogram_parts` — one stacked
-  ``stats`` array per histogram, so a warm open is a *single*
-  ``np.load(mmap_mode="r")`` and every stat plane is a zero-copy slice
-  of the same read-only view;
+  ``stats`` array per histogram, so a warm open maps a *single* file
+  read-only and every stat plane is a zero-copy slice of that view;
 * flat trees round-trip through :meth:`FlatRTree.to_blocks` /
   :meth:`~FlatRTree.from_blocks` — per-level MBR/start/count vectors
   plus the four child-coordinate planes stacked into one file per

@@ -8,6 +8,7 @@ build.
 * a cache that stays within its budget never packs;
 * a packed victim is dropped when it is the victim again, and the
   budget holds after every insert;
+* a victim mapped from the store is dropped, never packed;
 * a packed hit is a fresh dense file, equal to a cold build, also
   while threads race packs, drops and expansions.
 """
@@ -165,6 +166,27 @@ class TestCacheRetention:
             assert _same_file(hist, cold_small)
             assert hist.estimate_selectivity(cold_large) == want
         assert (cache.stats.packs, cache.stats.evictions) == (1, 0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_store_loaded_victim_is_dropped_not_packed(self, tmp_path, scheme):
+        """A victim whose planes view a store mapping is dropped: a
+        reopen is cheaper than copying its occupied cells off the map,
+        and the next resolve maps it again, equal to a cold build."""
+        builder = HISTOGRAM_SCHEMES[scheme]
+        small, large = _sparse(10, 30), _sparse(11, 400)
+        store = ArtifactCatalog(tmp_path)
+        cold = {}
+        for dataset in (small, large):
+            cold[dataset.name] = builder.build(dataset, 6)
+            store.put_histogram(HistogramCache.key_for(dataset, scheme, 6), cold[dataset.name])
+        cache = HistogramCache(max_bytes=2 * cold[small.name].size_bytes - 1, store=store)
+        assert cache.resolve(large, scheme, 6)[1] == "store"
+        assert cache.resolve(small, scheme, 6)[1] == "store"
+        assert (cache.stats.packs, cache.stats.evictions) == (0, 1)
+        assert cache.keys() == [HistogramCache.key_for(large, scheme, 6)]
+        hist, source = cache.resolve(small, scheme, 6)
+        assert source == "store"
+        assert _same_file(hist, cold[small.name])
 
     def test_threads_racing_packs_and_expansions(self):
         """More threads than cores share one squeezed cache: every answer
