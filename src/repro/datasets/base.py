@@ -152,6 +152,12 @@ class SpatialDataset:
         invalidated.  Mutating the arrays *without* calling this leaves
         stale identities behind; the periodic audit in
         :mod:`repro.perf.fingerprint` exists to catch exactly that.
+
+        A bump leaves the fingerprint cold: the next
+        :func:`~repro.perf.fingerprint.dataset_fingerprint` folds the
+        arrays again.  ``apply_updates(..., dataset=, republish_key=)``
+        bumps and then folds on the write path, so the dataset's reads
+        after a maintained write find the new digest already memoized.
         """
         self.token.bump()
 

@@ -111,11 +111,24 @@ def apply_updates(
     bumped via :meth:`~repro.datasets.base.SpatialDataset.mark_mutated`
     — this is the sanctioned write path, so fingerprint memos and every
     estimate cached under the old identity are invalidated in the same
-    operation that maintains the statistics.
+    operation that maintains the statistics.  With ``dataset`` alone the
+    fingerprint is left cold: the caller may still edit the arrays.
+
+    With ``dataset`` *and* ``republish_key``, the caller has finished
+    editing: the key it minted names the edited arrays.  The token is
+    bumped once, the edited arrays are folded here, on the write path,
+    and the digest stays memoized at the new version, so the next read
+    of the dataset finds its identity warm (a memo-lane answer in the
+    server) instead of folding it again on a worker.  A key whose
+    fingerprint is not that digest raises :class:`ValueError` before
+    anything is invalidated or published: publishing maintained
+    statistics under another dataset's key would serve them for data
+    they do not describe.
     """
     _check_supported(hist)
     hist_cls = type(hist)
     from ..datasets import SpatialDataset
+    from ..perf.fingerprint import dataset_fingerprint
 
     # One copy of the stacked planes (GH: its block), updated in place:
     # x + d and x - d round exactly as x + (±1.0 * d), with no temporary.
@@ -136,9 +149,16 @@ def apply_updates(
     # Float round-off can leave tiny negatives after removals.
     np.maximum(stats, 0.0, out=stats)
     result = _from_stats(hist, count, stats)
-    _sync_store(store, (stale_key,) if stale_key is not None else (), republish_key, result)
     if dataset is not None:
         dataset.mark_mutated()
+        if republish_key is not None:
+            digest = dataset_fingerprint(dataset)
+            if republish_key.fingerprint != digest:
+                raise ValueError(
+                    f"republish_key fingerprint {republish_key.fingerprint} does not "
+                    f"name dataset {dataset.name!r} (fingerprint {digest})"
+                )
+    _sync_store(store, (stale_key,) if stale_key is not None else (), republish_key, result)
     return result
 
 

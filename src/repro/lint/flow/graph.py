@@ -129,6 +129,9 @@ class ClassInfo:
     bases: tuple[str, ...]  #: written base-class names
     methods: tuple[str, ...]
     guarded: tuple[tuple[str, str], ...]  #: (attr, lock-attr) declarations
+    #: (lock-attr, written class) for each ``self.x = Cls(..., lock=self.<lock-attr>)``:
+    #: holding the lock also holds that ``Cls``'s ``lock``.
+    shared_locks: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -468,6 +471,7 @@ class _ClassAccumulator:
         self.name = name
         self.attr_refs: dict[str, TypeRef] = {}
         self.assign_lines: dict[int, str] = {}  #: source line -> attr name
+        self.shared_locks: set[tuple[str, str]] = set()
 
     def attr_ref(self, attr: str) -> TypeRef:
         return self.attr_refs.get(attr, (None, None))
@@ -520,10 +524,28 @@ def _extract_class(
                         parts = _dotted(value.func)
                         if parts is not None:
                             ref = (parts[-1], None)
+                            shared = _shared_lock(value)
+                            if shared is not None:
+                                acc.shared_locks.add((shared, parts[-1]))
                     elif isinstance(value, ast.Name):
                         ref = env.get(value.id, (None, None))
                     acc.note_attr(target.attr, ref, stmt.lineno)
     return acc, methods
+
+
+def _shared_lock(call: ast.Call) -> str | None:
+    """``X`` when ``call`` passes ``lock=self.X``: the constructed object
+    then guards its state with the caller's own lock."""
+    for kw in call.keywords:
+        value = kw.value
+        if (
+            kw.arg == "lock"
+            and isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "self"
+        ):
+            return value.attr
+    return None
 
 
 def _collect_imports(
@@ -642,6 +664,7 @@ def extract_summary(
                     ),
                     methods=tuple(name for name, _ in methods),
                     guarded=guarded,
+                    shared_locks=tuple(sorted(acc.shared_locks)),
                 )
             )
 

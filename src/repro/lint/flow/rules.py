@@ -246,7 +246,9 @@ def _check_r012(graph: CallGraph) -> list[Diagnostic]:
     enclosing function holds it).  Lock identity is class-level
     ``(Class, lock-attr)``: instances are not distinguished, which is
     sound for the pools/caches this guards (each access uses the same
-    instance's lock) and keeps the lattice finite."""
+    instance's lock) and keeps the lattice finite.  A class that builds
+    ``self.x = Other(..., lock=self._lock)`` hands ``Other`` its lock,
+    so holding ``(Class, _lock)`` also holds ``(Other, lock)``."""
     guarded: dict[tuple[str, str], dict[str, str]] = {}
     for key, cls in graph.classes.items():
         if cls.guarded:
@@ -265,8 +267,15 @@ def _check_r012(graph: CallGraph) -> list[Diagnostic]:
                 owner: tuple[str, str] | None = (module, fn.cls)
             else:
                 owner = graph.resolve_class(module, recv)
-            if owner is not None:
-                out.add((f"{owner[0]}:{owner[1]}", attr))
+            if owner is None:
+                continue
+            out.add((f"{owner[0]}:{owner[1]}", attr))
+            cls = graph.classes.get(owner)
+            for lock, written in cls.shared_locks if cls is not None else ():
+                if lock == attr:
+                    shared = graph.resolve_class(owner[0], written)
+                    if shared is not None:
+                        out.add((f"{shared[0]}:{shared[1]}", "lock"))
         return frozenset(out)
 
     universe = frozenset(

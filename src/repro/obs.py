@@ -3,10 +3,17 @@
 Each layer that counts events — the histogram and flat-tree caches, the
 estimate memo, the artifact store, admission, the micro-batcher, the
 degradation ladder and the server's fast lane — owns one
-:class:`Counters` and bumps it with a single call.  There is one lock
-per instance, so an increment is never lost to a race, and one
-:meth:`~Counters.snapshot` shape: a plain ``{name: number}`` dict for
-reports and benchmark JSON.
+:class:`Counters` and bumps it with a single call.  Every count sits
+behind one lock, so an increment is never lost to a race, and there is
+one :meth:`~Counters.snapshot` shape: a plain ``{name: number}`` dict
+for reports and benchmark JSON.
+
+The lock may be the owner's own (``lock=``).  An owner that counts
+inside a critical section it already holds then bumps with
+:meth:`~Counters.add_held` and pays no second acquisition: a retention
+tier counts its hits under the tier lock, and the server's fast-lane
+tally shares the ladder's lock, so a memo hit takes two lock round
+trips in all.
 
 Derived values (a hit rate, a difference of two counts) are declared
 once, as functions of the counts, and computed on read; they are never
@@ -39,28 +46,43 @@ class Counters:
     ``derived`` maps extra names to functions of the counts, evaluated
     on read.  Every name — count or derived — reads as an attribute
     (``stats.hits``) or an item (``stats["cached-coarse"]``).
+
+    ``lock`` shares an owner's (non-reentrant) lock instead of a private
+    one.  The owner must then never call a locking method while it holds
+    that lock; it counts there with :meth:`add_held`.
     """
 
-    def __init__(self, *names: str, derived: "Mapping[str, Derived] | None" = None) -> None:
-        self._counts: dict[str, int] = dict.fromkeys(names, 0)  # guarded-by: _lock
+    def __init__(
+        self,
+        *names: str,
+        derived: "Mapping[str, Derived] | None" = None,
+        lock: "threading.Lock | None" = None,
+    ) -> None:
+        self._counts: dict[str, int] = dict.fromkeys(names, 0)  # guarded-by: lock
         self._derived: dict[str, Derived] = dict(derived or {})
-        self._lock = threading.Lock()
+        #: The lock behind every count: private, or the owner's (``lock=``).
+        self.lock = lock if lock is not None else threading.Lock()
 
     def add(self, *names: str) -> None:
         """Add one to each of ``names``, atomically."""
-        with self._lock:
-            for name in names:
-                self._counts[name] += 1
+        with self.lock:
+            self.add_held(*names)
+
+    def add_held(self, *names: str) -> None:
+        """:meth:`add` for a caller that already holds :attr:`lock`."""
+        counts = self._counts
+        for name in names:
+            counts[name] += 1
 
     def raise_to(self, name: str, value: int) -> None:
         """Raise the high-water mark ``name`` to ``value`` if it is higher."""
-        with self._lock:
+        with self.lock:
             if value > self._counts[name]:
                 self._counts[name] = value
 
     def snapshot(self) -> dict[str, float]:
         """Every count, then every derived value, as one plain dict."""
-        with self._lock:
+        with self.lock:
             counts = dict(self._counts)
         out: dict[str, float] = dict(counts)
         for name, fn in self._derived.items():
@@ -68,7 +90,7 @@ class Counters:
         return out
 
     def __getitem__(self, name: str) -> float:
-        with self._lock:
+        with self.lock:
             if name in self._counts:
                 return self._counts[name]
             counts = dict(self._counts)

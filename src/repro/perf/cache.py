@@ -167,7 +167,8 @@ class _ByteCache(Generic[_K, _V]):
     per byte the order is exactly LRU.
 
     Owns the entries, their byte count, the lock and the
-    :class:`~repro.obs.Counters` named by ``_COUNTERS``; the L1 probe;
+    :class:`~repro.obs.Counters` named by ``_COUNTERS``, which share
+    that lock (a probe takes one acquisition); the L1 probe;
     the insert (nothing is retained under a fault hook, an entry larger
     than the whole budget is never retained, a racing insert keeps the
     first entry); and the best-effort publish to the optional ``store``
@@ -193,7 +194,10 @@ class _ByteCache(Generic[_K, _V]):
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
         self.store = store
-        self.stats = Counters(*self._COUNTERS, derived={"hit_rate": hit_rate})
+        self._lock = threading.Lock()
+        #: Shares the tier lock: a probe counts under the acquisition
+        #: that finds the entry.
+        self.stats = Counters(*self._COUNTERS, derived={"hit_rate": hit_rate}, lock=self._lock)
         self._entries: dict[_K, _V] = {}  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
         #: Live ``(H, touch sequence)`` per retained key.
@@ -204,7 +208,6 @@ class _ByteCache(Generic[_K, _V]):
         self._heap: list[tuple[float, int, _K]] = []  # guarded-by: _lock
         self._floor = 0.0  # guarded-by: _lock
         self._touches = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -281,14 +284,14 @@ class _ByteCache(Generic[_K, _V]):
         if packed is None:
             del self._rank[key], self._entries[key]
             self._bytes -= self._size(value)
-            self.stats.add("evictions")
+            self.stats.add_held("evictions")
             return
         # The packed copy is re-ranked as a fresh insert at its own size.
         self._entries[key] = packed
         self._bytes += self._size(packed) - self._size(value)
         self._touch(key, packed)
         heapq.heappush(heap, (*self._rank[key], key))
-        self.stats.add("packs")
+        self.stats.add_held("packs")
 
     def _probe(self, key: _K) -> "_V | None":
         """Count one lookup: the retained entry, or ``None`` on a miss."""
@@ -296,9 +299,9 @@ class _ByteCache(Generic[_K, _V]):
             hit = self._entries.get(key)
             if hit is not None:
                 self._touch(key, hit)
-                self.stats.add("hits")
+                self.stats.add_held("hits")
                 return hit
-            self.stats.add("misses")
+            self.stats.add_held("misses")
             return None
 
     def _admit_build(self, key: _K, value: _V) -> _V:

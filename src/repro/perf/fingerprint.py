@@ -119,6 +119,12 @@ def peek_fingerprint(dataset: SpatialDataset) -> "str | None":
     The serving fast lane runs on the event loop, where an O(n) fold
     would stall every other request; a cold memo simply means "take the
     slow path", which computes (and memoizes) the digest off-loop.
+
+    A bare :meth:`~repro.datasets.base.SpatialDataset.mark_mutated`
+    leaves the memo cold until some read folds it.  After
+    ``apply_updates(..., dataset=, republish_key=)`` this returns the
+    key's digest at once: maintenance folds the edited arrays on the
+    write path and refuses a key that does not name them.
     """
     return dataset._cached_fingerprint()
 

@@ -137,7 +137,10 @@ class EstimateCache(_ByteCache[EstimateKey, float]):
 
     # ------------------------------------------------------------------
     def get(self, key: "EstimateKey | None") -> "float | None":
-        """The memoized estimate, or None (miss, or fault-hook bypass)."""
+        """The memoized estimate, or None (miss, or fault-hook bypass).
+
+        One lock acquisition: the tier's, under which the hit or miss
+        is also counted (the counters share it)."""
         if key is None:
             return None
         scope = active_scope()

@@ -94,7 +94,9 @@ class ServeProvenance:
     carries the first failure that forced a descent (empty when the
     rung was selected purely by pressure), and ``attempts`` lists every
     rung run on the way, in the resilient wrapper's format (empty on a
-    memo fast-lane hit, which runs no rung).
+    memo fast-lane hit, which runs no rung).  Being frozen, a fast-lane
+    hit's provenance is shared by every hit with the same requested
+    label at the same queue depth.
     """
 
     rung: str  #: ServiceRung value that produced the answer
@@ -118,6 +120,8 @@ class DegradationLadder:
     :class:`DegradePolicy`; :meth:`record` tallies in ``stats`` which
     rung ultimately answered (failure descent walks the estimator's
     fallback chain and never sheds a request it already admitted).
+    The server's fast-lane counters share ``stats.lock``, so a memo
+    hit tallies ``full`` and ``fast_hits`` in one acquisition.
     """
 
     def __init__(self, policy: DegradePolicy | None = None) -> None:

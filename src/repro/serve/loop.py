@@ -177,7 +177,12 @@ class EstimationServer:
             if self.config.memo_entries > 0
             else None
         )
-        self._counters = Counters("fast_hits")  # memo answers on the fast lane
+        # Memo answers on the fast lane.  They share the ladder's lock, so
+        # a hit tallies ``fast_hits`` and the ladder's ``full`` at once.
+        self._counters = Counters("fast_hits", lock=self.ladder.stats.lock)
+        #: Fast-lane provenance by (requested label, queue depth): frozen
+        #: and fixed by that pair, so each is built once.
+        self._fast_provenances: "dict[tuple[str, int], ServeProvenance]" = {}
         # Fallback chains by (scheme, level): every rung is stateless.
         self._chains: "dict[tuple[str, int], tuple[JoinSelectivityEstimator, ...]]" = {}
         self.batcher = MicroBatcher(
@@ -222,25 +227,20 @@ class EstimationServer:
         # answer.  Tenant quotas still apply (a rate contract bills
         # every answered request); the bounded queue does not (a memo
         # hit consumes none of the capacity the queue protects).
-        fast = self._fast_lane(request)
+        requested = request.requested
+        fast = self._fast_lane(request, requested)
         if fast is not None:
             try:
                 self.admission.charge(request.tenant)
             except ServiceOverloadError:
                 self.ladder.record(ServiceRung.SHED)
                 raise
-            self._counters.add("fast_hits")
-            self.ladder.record(ServiceRung.FULL)
-            provenance = ServeProvenance(
-                rung=ServiceRung.FULL.value,
-                requested=request.requested,
-                degraded=False,
-                pressure=self.admission.pressure,
-                via="memo",
-            )
+            with self._counters.lock:
+                self._counters.add_held("fast_hits")
+                self.ladder.stats.add_held(ServiceRung.FULL.value)
             return ServeResponse(
                 selectivity=fast,
-                provenance=provenance,
+                provenance=self._fast_provenance(requested),
                 latency_s=time.monotonic() - started,
             )
         budget = (
@@ -297,7 +297,7 @@ class EstimationServer:
             reason = walk.reason
             provenance = ServeProvenance(
                 rung=answered.value,
-                requested=request.requested,
+                requested=requested,
                 degraded=walk.index > 0,
                 pressure=pressure,
                 reason=reason if reason else (
@@ -324,7 +324,7 @@ class EstimationServer:
             self._chains[scheme, level] = chain
         return chain
 
-    def _fast_lane(self, request: ServeRequest) -> "float | None":
+    def _fast_lane(self, request: ServeRequest, requested: str) -> "float | None":
         """Tier-0 memo consult, safe to run on the event loop.
 
         Strictly O(1): fingerprints are *peeked*, never folded — a cold
@@ -343,8 +343,23 @@ class EstimationServer:
             return None
         if len(ds1) == 0 or len(ds2) == 0 or ds1.extent != ds2.extent:
             return None
-        key = EstimateCache.peek_key_for(ds1, ds2, request.requested, ds1.extent)
+        key = EstimateCache.peek_key_for(ds1, ds2, requested, ds1.extent)
         return self.memo.get(key)
+
+    def _fast_provenance(self, requested: str) -> ServeProvenance:
+        """The provenance of a fast-lane answer, built once per
+        (requested label, queue depth) and then reused."""
+        key = (requested, self.admission.depth)
+        provenance = self._fast_provenances.get(key)
+        if provenance is None:
+            provenance = self._fast_provenances[key] = ServeProvenance(
+                rung=ServiceRung.FULL.value,
+                requested=requested,
+                degraded=False,
+                pressure=self.admission.pressure,
+                via="memo",
+            )
+        return provenance
 
     def _fallback(
         self,

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import SpatialDataset
-from repro.geometry import RectArray
+from repro.geometry import Rect, RectArray
 from repro.histograms import GHHistogram
 from repro.histograms.file import histogram_parts
 from repro.histograms.maintenance import apply_updates, merge_histograms
 from repro.perf import HistogramCache
+from repro.perf.fingerprint import peek_fingerprint
 from repro.store import ArtifactCatalog
 from tests.conftest import random_rects
 
@@ -69,6 +70,79 @@ class TestApplyUpdates:
         extra = random_rects(rng, 10)
         with_store_args = apply_updates(hist, added=extra)
         assert with_store_args.count == hist.count + 10
+
+
+def move_in_place(ds: SpatialDataset, idx: np.ndarray, dx: float) -> tuple[RectArray, RectArray]:
+    """Shift rows ``idx`` of ``ds`` right by ``dx`` in place; return the
+    (removed, added) rectangles the maintenance call needs."""
+    rects = ds.rects
+    removed = rects[idx]
+    added = RectArray(removed.xmin + dx, removed.ymin, removed.xmax + dx, removed.ymax)
+    rects.xmin[idx] = added.xmin
+    rects.xmax[idx] = added.xmax
+    return removed, added
+
+
+class TestWarmIdentity:
+    """``dataset=`` plus ``republish_key=`` leaves the edited dataset's
+    fingerprint memoized; a key that does not name it is refused."""
+
+    def seeded(self, store, rng):
+        """A dataset with room to move right, its key, and its stored GH."""
+        rects = random_rects(rng, 120, extent=Rect(0.0, 0.0, 0.9, 1.0))
+        ds = SpatialDataset("t", rects, Rect.unit())
+        key = HistogramCache.key_for(ds, "gh", 4)
+        hist = GHHistogram.build(ds, 4)
+        store.put_histogram(key, hist)
+        return ds, key, hist
+
+    def test_republish_leaves_the_key_digest_memoized(self, store, rng):
+        ds, key, hist = self.seeded(store, rng)
+        removed, added = move_in_place(ds, np.arange(10), 0.01)
+        ds.mark_mutated()
+        new_key = HistogramCache.key_for(ds, "gh", 4)
+        apply_updates(
+            hist, added=added, removed=removed, store=store,
+            stale_key=key, republish_key=new_key, dataset=ds,
+        )
+        assert peek_fingerprint(ds) == new_key.fingerprint
+        assert store.load_histogram(new_key) is not None
+
+    def test_dataset_alone_leaves_the_fingerprint_cold(self, store, rng):
+        ds, _key, hist = self.seeded(store, rng)
+        removed, added = move_in_place(ds, np.arange(10), 0.01)
+        apply_updates(hist, added=added, removed=removed, dataset=ds)
+        assert peek_fingerprint(ds) is None
+
+    def test_republish_key_of_another_dataset_is_refused(self, store, rng):
+        ds, key, hist = self.seeded(store, rng)
+        other = SpatialDataset("other", random_rects(rng, 60), ds.extent)
+        wrong_key = HistogramCache.key_for(other, "gh", 4)
+        removed, added = move_in_place(ds, np.arange(10), 0.01)
+        ds.mark_mutated()
+        before = ([e.name for e in store.entries()], store.stats.snapshot())
+        with pytest.raises(ValueError, match="does not name dataset 't'"):
+            apply_updates(
+                hist, added=added, removed=removed, store=store,
+                stale_key=key, republish_key=wrong_key, dataset=ds,
+            )
+        assert ([e.name for e in store.entries()], store.stats.snapshot()) == before
+        assert store.load_histogram(wrong_key) is None  # nothing published
+        assert store.load_histogram(key) is not None  # nothing invalidated
+
+    def test_a_key_minted_before_the_bump_is_refused(self, store, rng):
+        """Minting the key without bumping first returns the memoized
+        pre-edit digest, which names the old arrays."""
+        ds, key, hist = self.seeded(store, rng)
+        removed, added = move_in_place(ds, np.arange(10), 0.01)
+        stale_mint = HistogramCache.key_for(ds, "gh", 4)
+        assert stale_mint == key
+        with pytest.raises(ValueError, match="does not name"):
+            apply_updates(
+                hist, added=added, removed=removed, store=store,
+                stale_key=key, republish_key=stale_mint, dataset=ds,
+            )
+        assert store.load_histogram(key) is not None
 
 
 class TestMergeHistograms:

@@ -142,8 +142,9 @@ class TestR011AsyncBlocking:
 class TestR012GuardedBy:
     def test_unlocked_read_and_unlocked_entry_path_flagged(self, flow_report):
         assert hits(flow_report, "R012") == [
-            ("r012_cases.py", 25),  # racy_read
-            ("r012_cases.py", 28),  # _bump_locked via racy_entry
+            ("r012_cases.py", 27),  # racy_read
+            ("r012_cases.py", 30),  # _bump_locked via racy_entry
+            ("r012_cases.py", 67),  # Tally.add_held via Stranger.count
         ]
 
     def test_locked_paths_are_silent(self, flow_report):
@@ -152,6 +153,13 @@ class TestR012GuardedBy:
         msgs = [d.message for d in flow_report.diagnostics if d.rule == "R012"]
         assert all("Disciplined" not in m for m in msgs)
         assert names == {"r012_cases.py"}
+
+    def test_lock_handed_over_with_lock_keyword_is_held(self, flow_report):
+        """``Sharing`` builds ``Tally(lock=self._lock)``, so its probe
+        holds ``Tally.lock``; only ``Stranger``'s unshared lock leaves
+        ``add_held`` unguarded."""
+        msgs = [d.message for d in flow_report.diagnostics if d.rule == "R012"]
+        assert sum("Tally.add_held" in m for m in msgs) == 1
 
 
 class TestR014DeadlineSingleSpend:

@@ -1,14 +1,18 @@
 """The serve fast lane: tier-0 memo hits answered on the event loop."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
 from repro.datasets import SpatialDataset
 from repro.errors import ServiceOverloadError
-from repro.geometry import Rect
+from repro.geometry import Rect, RectArray
+from repro.histograms import GHHistogram, apply_updates
+from repro.perf import HistogramCache
 from repro.serve import EstimationServer, ServeRequest, ServerConfig
+from repro.store import ArtifactCatalog
 from tests.conftest import random_rects
 from tests.serve.conftest import FakeClock, unit_catalog
 
@@ -22,6 +26,40 @@ def serve_many(server, requests):
             return results
 
     return asyncio.run(go())
+
+
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self.acquisitions = 0
+
+    def acquire(self, *args, **kwargs) -> bool:
+        self.acquisitions += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> "CountingLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
+def count_locks(*owners) -> "list[CountingLock]":
+    """Replace every lock the ``owners`` hold by a counting wrapper; a
+    lock two owners share gets one wrapper."""
+    wrappers: "dict[int, CountingLock]" = {}
+    for owner in owners:
+        for name, value in list(vars(owner).items()):
+            if isinstance(value, type(threading.Lock())):
+                wrapper = wrappers.setdefault(id(value), CountingLock(value))
+                setattr(owner, name, wrapper)
+    return list(wrappers.values())
 
 
 def fresh_catalog(seed=7, n=300):
@@ -105,6 +143,102 @@ class TestFastLane:
         assert warm.provenance.via == "memo"
         assert after.provenance.via == "batch"  # fast lane declined
         assert after.selectivity != cold.selectivity
+
+    def test_a_hit_takes_at_most_two_lock_round_trips(self, catalog):
+        """One fast-lane hit acquires the memo tier's lock (its counters
+        share it) and the ladder's (the server's ``fast_hits`` share it).
+        Counting acquisitions, not time, holds on one CPU."""
+        server = EstimationServer(catalog)
+        request = ServeRequest("roads", "rivers", level=4)
+
+        async def go():
+            async with server:
+                await server.submit(request)  # warm the memo
+                locks = count_locks(
+                    server.memo, server.memo.stats, server._counters,
+                    server.ladder.stats, server.admission.stats,
+                )
+                hit = await server.submit(request)
+                return hit, sum(lock.acquisitions for lock in locks)
+
+        hit, acquisitions = asyncio.run(go())
+        assert hit.provenance.via == "memo"
+        assert acquisitions <= 2
+        assert server.memo.stats.lock is server.memo._lock
+        assert server._counters.lock is server.ladder.stats.lock
+        stats = server.stats()
+        assert stats["memo"]["fast_hits"] == 1
+        assert stats["memo"]["hits"] == 1
+        assert stats["rungs"]["full"] == 2
+
+    def test_memo_provenance_is_built_once_per_depth(self, catalog):
+        server = EstimationServer(catalog, ServerConfig(max_depth=4))
+        request = ServeRequest("roads", "parks", level=4)
+
+        async def go():
+            async with server:
+                await server.submit(request)  # warm the memo
+                first = await server.submit(request)
+                second = await server.submit(request)
+                server.admission._depth = 2
+                try:
+                    deeper = await server.submit(request)
+                finally:
+                    server.admission._depth = 0
+                return first, second, deeper
+
+        first, second, deeper = asyncio.run(go())
+        assert first.provenance is second.provenance
+        assert (first.provenance.rung, first.provenance.requested) == ("full", "gh(level=4)")
+        assert (first.provenance.via, first.provenance.pressure) == ("memo", 0.0)
+        assert not first.provenance.degraded and first.provenance.attempts == ()
+        assert deeper.provenance.via == "memo"
+        assert deeper.provenance.pressure == 0.5
+        assert deeper.provenance is not first.provenance
+
+    def test_move_then_undo_replays_from_the_memo(self, tmp_path):
+        """Maintenance with ``republish_key`` leaves the edited dataset's
+        identity warm: once an undo restores the arrays, the next read is
+        a memo hit with the answer from before the move."""
+        catalog = fresh_catalog()
+        store = ArtifactCatalog(tmp_path / "store")
+        server = EstimationServer(catalog, store=store)
+        request = ServeRequest("roads", "rivers", level=5)
+        roads = catalog["roads"]
+        idx = np.flatnonzero(roads.rects.xmin > 0.1)[:20]
+        hists = [GHHistogram.build(roads, 5)]
+
+        def write(added: RectArray) -> None:
+            stale_key = HistogramCache.key_for(roads, "gh", 5)
+            removed = roads.rects[idx]
+            for axis in ("xmin", "ymin", "xmax", "ymax"):
+                getattr(roads.rects, axis)[idx] = getattr(added, axis)
+            roads.mark_mutated()
+            hists.append(apply_updates(
+                hists[-1], added=added, removed=removed, store=store,
+                stale_key=stale_key,
+                republish_key=HistogramCache.key_for(roads, "gh", 5),
+                dataset=roads,
+            ))
+
+        async def go():
+            async with server:
+                before = await server.submit(request)
+                original = roads.rects[idx]
+                write(RectArray(
+                    original.xmin - 0.05, original.ymin,
+                    original.xmax - 0.05, original.ymax,
+                ))
+                moved = await server.submit(request)
+                write(original)
+                undone = await server.submit(request)
+                return before, moved, undone
+
+        before, moved, undone = asyncio.run(go())
+        assert before.provenance.via == "batch"
+        assert moved.provenance.via == "batch"  # new geometry, new memo key
+        assert undone.provenance.via == "memo"
+        assert undone.selectivity == before.selectivity
 
     def test_unknown_dataset_still_client_error(self, catalog):
         server = EstimationServer(catalog)
