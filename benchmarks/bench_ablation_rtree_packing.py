@@ -4,6 +4,8 @@ DESIGN.md §6.4: the reference join (the denominator of every relative
 metric in Figure 7) uses STR-packed trees.  This bench compares STR,
 Hilbert packing, and dynamic Guttman insertion on build time and on the
 cost of the join they support, plus tree-quality stats in extra_info.
+Every variant joins through the flat kernel; inserted trees are
+flattened with their node structure (``FlatRTree.from_tree``).
 Dynamic insertion is orders of magnitude slower to build (the paper's
 R-trees were insertion-built, which makes our Bld.Time percentages
 conservative — see EXPERIMENTS.md).
@@ -14,18 +16,20 @@ from __future__ import annotations
 import pytest
 
 from repro.rtree import (
+    FlatRTree,
     RTree,
-    bulk_load_hilbert,
-    bulk_load_str,
-    collect_stats,
-    rtree_join_count,
+    flat_join_count,
+    flat_load_hilbert,
+    flat_load_str,
 )
 
 LOADERS = {
-    "str": bulk_load_str,
-    "hilbert": bulk_load_hilbert,
-    "dynamic": RTree.from_rect_array,
-    "dynamic-rstar": lambda rects: RTree.from_rect_array(rects, split="rstar"),
+    "str": flat_load_str,
+    "hilbert": flat_load_hilbert,
+    "dynamic": lambda rects: FlatRTree.from_tree(RTree.from_rect_array(rects)),
+    "dynamic-rstar": lambda rects: FlatRTree.from_tree(
+        RTree.from_rect_array(rects, split="rstar")
+    ),
 }
 
 
@@ -38,9 +42,8 @@ def test_tree_build(benchmark, pair_context, loader):
         pytest.skip("dynamic insertion at this scale would dominate the run")
 
     tree = benchmark(lambda: LOADERS[loader](rects))
-    stats = collect_stats(tree)
-    benchmark.extra_info["height"] = stats.height
-    benchmark.extra_info["leaf_fill"] = round(stats.average_leaf_fill, 1)
+    benchmark.extra_info["height"] = tree.height
+    benchmark.extra_info["leaf_fill"] = round(len(tree) / len(tree.level_mbrs[0]), 1)
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
@@ -52,5 +55,5 @@ def test_join_on_packed_trees(benchmark, pair_context, loader):
     tree1 = LOADERS[loader](ctx.ds1.rects)
     tree2 = LOADERS[loader](ctx.ds2.rects)
 
-    count = benchmark(lambda: rtree_join_count(tree1, tree2))
+    count = benchmark(lambda: flat_join_count(tree1, tree2))
     assert count == ctx.actual_pairs  # packing never changes the result

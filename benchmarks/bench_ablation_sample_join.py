@@ -17,7 +17,7 @@ FRACTIONS = (0.1, 0.3)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
-@pytest.mark.parametrize("join_method", ["rtree", "sweep"])
+@pytest.mark.parametrize("join_method", ["flat", "sweep"])
 def test_sample_join_substrate(benchmark, pair_context, join_method, fraction):
     ctx = pair_context
     benchmark.group = f"ablation-samplejoin-{ctx.name}-f{fraction}"
@@ -32,6 +32,6 @@ def test_sample_join_substrate(benchmark, pair_context, join_method, fraction):
 def test_substrates_agree_exactly(pair_context, fraction):
     """Same deterministic samples, both engines exact: identical output."""
     ctx = pair_context
-    rtree = SamplingJoinEstimator("rs", fraction, fraction, join_method="rtree")
+    flat = SamplingJoinEstimator("rs", fraction, fraction, join_method="flat")
     sweep = SamplingJoinEstimator("rs", fraction, fraction, join_method="sweep")
-    assert rtree.estimate(ctx.ds1, ctx.ds2) == sweep.estimate(ctx.ds1, ctx.ds2)
+    assert flat.estimate(ctx.ds1, ctx.ds2) == sweep.estimate(ctx.ds1, ctx.ds2)

@@ -14,7 +14,7 @@ import pytest
 from repro.hilbert import hilbert_index_vectorized
 from repro.histograms import GHHistogram, PHHistogram
 from repro.join import partition_join_count, plane_sweep_count
-from repro.rtree import bulk_load_str, rtree_join_count
+from repro.rtree import flat_join_count, flat_load_str
 
 
 def test_hilbert_keys_100k(benchmark):
@@ -29,7 +29,7 @@ def test_hilbert_keys_100k(benchmark):
 def test_str_bulk_load(benchmark, pair_context):
     ctx = pair_context
     benchmark.group = "substrate-bulkload"
-    tree = benchmark(lambda: bulk_load_str(ctx.ds2.rects))
+    tree = benchmark(lambda: flat_load_str(ctx.ds2.rects))
     assert len(tree) == len(ctx.ds2)
 
 
@@ -46,8 +46,8 @@ def test_exact_join_engines(benchmark, pair_context, engine):
     elif engine == "sweep":
         count = benchmark(lambda: plane_sweep_count(a, b))
     else:
-        ta, tb = bulk_load_str(a), bulk_load_str(b)
-        count = benchmark(lambda: rtree_join_count(ta, tb))
+        ta, tb = flat_load_str(a), flat_load_str(b)
+        count = benchmark(lambda: flat_join_count(ta, tb))
     assert count == ctx.actual_pairs
 
 

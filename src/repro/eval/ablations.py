@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from ..core.metrics import relative_error_pct
 from ..histograms import BasicGHHistogram, GHHistogram, PHHistogram
-from ..rtree import RTree, bulk_load_hilbert, bulk_load_str, rtree_join_count
+from ..rtree import FlatRTree, RTree, flat_join_count, flat_load_hilbert, flat_load_str
 from ..sampling import SamplingJoinEstimator
 from .harness import PairContext
 
@@ -101,7 +101,7 @@ def run_sample_join_ablation(
     rows = []
     for ctx in contexts:
         for fraction in fractions:
-            for variant in ("rtree", "sweep"):
+            for variant in ("flat", "sweep"):
                 estimator = SamplingJoinEstimator(
                     "rs", fraction, fraction, join_method=variant
                 )
@@ -125,12 +125,15 @@ def run_packing_ablation(
     contexts: Iterable[PairContext], *, dynamic_limit: int = 30_000
 ) -> list[AblationRow]:
     """STR vs Hilbert packing vs dynamic insertion (quadratic and R*
-    splits): build + join cost."""
+    splits): build + join cost.  Inserted trees are flattened with their
+    node structure, so every variant joins through the one flat kernel."""
     loaders = {
-        "str": bulk_load_str,
-        "hilbert": bulk_load_hilbert,
-        "dynamic": RTree.from_rect_array,
-        "dynamic-rstar": lambda rects: RTree.from_rect_array(rects, split="rstar"),
+        "str": flat_load_str,
+        "hilbert": flat_load_hilbert,
+        "dynamic": lambda rects: FlatRTree.from_tree(RTree.from_rect_array(rects)),
+        "dynamic-rstar": lambda rects: FlatRTree.from_tree(
+            RTree.from_rect_array(rects, split="rstar")
+        ),
     }
     rows = []
     for ctx in contexts:
@@ -142,7 +145,7 @@ def run_packing_ablation(
             tree2 = loader(ctx.ds2.rects)
             build_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            count = rtree_join_count(tree1, tree2)
+            count = flat_join_count(tree1, tree2)
             join_seconds = time.perf_counter() - t0
             if count != ctx.actual_pairs:
                 raise AssertionError(

@@ -15,7 +15,10 @@ Two experiment drivers:
 Both consume :class:`PairContext` objects made by :func:`prepare_pair`,
 which computes the ground truth once per pair: the actual join result
 (via the R-tree join, as in the paper) plus the reference R-tree build
-times and sizes that all relative metrics are normalized by.
+times and sizes that all relative metrics are normalized by.  The
+reference join and the sampling estimators' sample joins run the same
+kernel (:func:`~repro.rtree.flat_join_count`), so every time ratio
+compares one R-tree join with another.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from typing import Iterable, Mapping, Sequence, Tuple
 from ..core.metrics import relative_error_pct
 from ..core.workload import FIGURE6_COMBOS, FIGURE6_METHODS, FIGURE7_LEVELS, SampleCombo
 from ..datasets import SpatialDataset
+from ..geometry import RectArray
 from ..histograms.file import HISTOGRAM_SCHEMES
-from ..rtree import bulk_load_str, rtree_join_count, tree_size_bytes
+from ..rtree import FlatRTree, RTree, flat_join_count, flat_load_str, tree_size_bytes
 from ..sampling import SamplingJoinEstimator
 from .timing import measure_seconds
 
@@ -103,21 +107,23 @@ def prepare_pair(
     and size normalize the relative metrics: ``"str"`` (default; STR
     bulk loading, what a modern system does) or ``"dynamic"`` (per-tuple
     Guttman insertion, the paper's setting — ~200x slower, which makes
-    Bld.Time percentages match the paper's much smaller values).
+    Bld.Time percentages match the paper's much smaller values; the
+    inserted tree is flattened with its node structure, so the join and
+    the space accounting see its real shape).  Either way the reference
+    join is :func:`~repro.rtree.flat_join_count`, the sample joins'
+    kernel.
     """
     if tree_build == "str":
-        build = bulk_load_str
+        build = flat_load_str
     elif tree_build == "dynamic":
-        from ..rtree import RTree
-
-        build = RTree.from_rect_array
+        build = _insertion_built
     else:
         raise ValueError(f"tree_build must be 'str' or 'dynamic', got {tree_build!r}")
     t0 = time.perf_counter()
     tree1 = build(ds1.rects)
     tree2 = build(ds2.rects)
     t1 = time.perf_counter()
-    pairs = rtree_join_count(tree1, tree2)
+    pairs = flat_join_count(tree1, tree2)
     t2 = time.perf_counter()
     n1, n2 = len(ds1), len(ds2)
     return PairContext(
@@ -130,6 +136,11 @@ def prepare_pair(
         build_seconds=t1 - t0,
         rtree_bytes=tree_size_bytes(tree1) + tree_size_bytes(tree2),
     )
+
+
+def _insertion_built(rects: RectArray) -> FlatRTree:
+    """Guttman insertion, flattened with its node structure for the join."""
+    return FlatRTree.from_tree(RTree.from_rect_array(rects))
 
 
 def prepare_pairs(

@@ -1,7 +1,8 @@
 """Unified entry points for exact spatial joins.
 
 ``join_count`` / ``join_pairs`` dispatch across the four exact engines
-(nested loop, plane sweep, PBSM, R-tree join); ``actual_selectivity``
+(nested loop, plane sweep, PBSM, and the R-tree join — STR-packed flat
+trees joined by :func:`~repro.rtree.flat_join_count`); ``actual_selectivity``
 computes the ground-truth selectivity every estimator in the library is
 scored against:
 
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from ..geometry import RectArray
-from ..rtree import bulk_load_str, rtree_join_count, rtree_join_pairs
+from ..rtree import flat_join_count, flat_join_pairs, flat_load_str
 from .naive import nested_loop_count, nested_loop_pairs
 from .partition import partition_join_count, partition_join_pairs
 from .planesweep import plane_sweep_count, plane_sweep_pairs
@@ -89,7 +90,7 @@ def join_count(
         return plane_sweep_count(a, b)
     if method == "partition":
         return partition_join_count(a, b)
-    return rtree_join_count(bulk_load_str(a), bulk_load_str(b))
+    return flat_join_count(flat_load_str(a), flat_load_str(b))
 
 
 def join_pairs(
@@ -113,7 +114,7 @@ def join_pairs(
         return plane_sweep_pairs(a, b)
     if method == "partition":
         return partition_join_pairs(a, b)
-    return rtree_join_pairs(bulk_load_str(a), bulk_load_str(b))
+    return flat_join_pairs(flat_load_str(a), flat_load_str(b))
 
 
 def actual_selectivity(

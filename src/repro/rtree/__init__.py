@@ -2,10 +2,13 @@
 
 The paper indexes datasets (and samples) with R-trees and computes the
 actual join — the estimators' ground truth — via synchronized traversal.
-Two join substrates share one contract: the pointer-based object tree
-(:class:`RTree`, the reference engine) and the flat structure-of-arrays
-tree (:class:`FlatRTree`, the fast engine used by the sampling
-estimators), whose join counts are bit-identical.
+Every join runs one kernel, the flat structure-of-arrays tree
+(:class:`FlatRTree`, :func:`flat_join_count`): the sampling estimators'
+sample joins, the reference join the relative costs divide by, and the
+exact ``method="rtree"`` engine.  The pointer-based object tree
+(:class:`RTree`) keeps insertion, deletion and window queries;
+:meth:`FlatRTree.from_tree` flattens it, node structure intact, when an
+insertion-built tree must be joined.
 """
 
 from .bulk import (
@@ -16,17 +19,17 @@ from .bulk import (
     str_order,
 )
 from .flat import (
+    BYTES_PER_ENTRY,
     FlatRTree,
     flat_join_count,
     flat_join_pairs,
     flat_load_hilbert,
     flat_load_str,
+    tree_size_bytes,
 )
-from .join import iter_join_pairs, rtree_join_count, rtree_join_pairs
 from .node import Node
 from .query import count_intersecting, search_contained, search_intersecting
 from .rtree import DEFAULT_MAX_ENTRIES, RTree
-from .stats import BYTES_PER_ENTRY, TreeStats, collect_stats, tree_size_bytes
 
 __all__ = [
     "RTree",
@@ -45,11 +48,6 @@ __all__ = [
     "search_intersecting",
     "search_contained",
     "count_intersecting",
-    "rtree_join_count",
-    "rtree_join_pairs",
-    "iter_join_pairs",
-    "TreeStats",
-    "collect_stats",
     "tree_size_bytes",
     "BYTES_PER_ENTRY",
 ]

@@ -12,7 +12,9 @@ Two classic packers are provided:
 
 Both return the same :class:`~repro.rtree.rtree.RTree` wrapper as the
 dynamic loader (with payload id = index into the input array), so all
-query/join code is shared.
+query code is shared.  Joins use :func:`repro.rtree.flat.flat_load_str` /
+:func:`~repro.rtree.flat.flat_load_hilbert`, which pack the same order
+straight into flat arrays.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """Flat structure-of-arrays R-tree with a vectorized synchronized join.
 
-The object tree (:mod:`repro.rtree.node` / :mod:`repro.rtree.join`)
-keeps one Python ``Node`` per R-tree node and recurses pair-at-a-time;
-that per-node Python overhead dominates the sampling estimators' "build
-sample trees, join them" hot path.  :class:`FlatRTree` removes the
-objects entirely, following the packing idea behind Hilbert-packed
-R-trees (Kamel & Faloutsos, CIKM '93): because a packed tree fills nodes
-*sequentially* along a linear order, every level is fully described by
-three contiguous arrays — an ``(m, 4)`` float64 MBR block plus int64
-child ``start``/``count`` range vectors into the level below (leaves
-range into the packed entry arrays).  Building a level is then four
-``reduceat`` calls, and no ``Node`` is ever allocated.
+This is the library's one R-tree join kernel: the sampling estimators'
+sample joins, the reference join every relative cost of Figures 6 and 7
+divides by, and the exact ``method="rtree"`` engine all run it.
+:class:`FlatRTree` keeps no Python object per node, following the
+packing idea behind Hilbert-packed R-trees (Kamel & Faloutsos, CIKM
+'93): every level is fully described by three contiguous arrays — an
+``(m, 4)`` float64 MBR block plus int64 child ``start``/``count`` range
+vectors into the level below (leaves range into the packed entry
+arrays).  A packed tree fills nodes *sequentially* along a linear order,
+so building a level is four ``reduceat`` calls
+(:meth:`FlatRTree.from_order`); an insertion-built object tree
+(:class:`~repro.rtree.rtree.RTree`, quadratic or R* splits) flattens
+into the same arrays with its variable fanouts intact
+(:meth:`FlatRTree.from_tree`).
 
 The synchronized join (:func:`flat_join_count` / :func:`flat_join_pairs`)
 is iterative and *frontier-based* instead of stack-based: because the
@@ -23,16 +26,13 @@ child-coordinate planes (one contiguous ``(parents, M)`` float64 plane
 per coordinate and level, tail slots filled with a never-intersecting
 sentinel): descending reduces a ``(pairs, M)`` mask against the other
 side's MBR columns, the leaf stage a ``(pairs, Ma, Mb)`` mask — no
-per-entry index expansion anywhere on the hot path.  Every
-block polls :func:`repro.runtime.checkpoint`, so
-deadlines and the fault harness preempt the join exactly as they do the
-object-tree engine.
-
-Pruning is identical to the object join's clipped-window test: a child
-``c`` of ``b`` satisfies ``c ∩ a ≠ ∅`` iff ``c ∩ (a ∩ b.mbr) ≠ ∅``
-(boxes; ``c ⊆ b.mbr``), so the two traversals visit the same node pairs
-and the counts are **bit-identical** — the differential matrix in
-``tests/join/test_join_agreement.py`` holds the flat engine to that.
+per-entry index expansion anywhere on the hot path.  Every block polls
+:func:`repro.runtime.checkpoint`, so deadlines and the fault harness
+preempt the join.  A child ``c`` of ``b`` is kept iff ``c ∩ a ≠ ∅``,
+the same node pairs a clipped-window traversal visits (``c ∩ a ≠ ∅``
+iff ``c ∩ (a ∩ b.mbr) ≠ ∅`` for boxes with ``c ⊆ b.mbr``); the
+differential matrix in ``tests/join/test_join_agreement.py`` holds the
+kernel to every other exact engine's answer.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from ..geometry import RectArray
 from ..hilbert import DEFAULT_ORDER
 from ..runtime import checkpoint
 from .bulk import hilbert_center_order, str_order
-from .rtree import DEFAULT_MAX_ENTRIES
+from .node import Node
+from .rtree import DEFAULT_MAX_ENTRIES, RTree
 
 __all__ = [
     "FlatRTree",
@@ -53,7 +54,12 @@ __all__ = [
     "flat_load_hilbert",
     "flat_join_count",
     "flat_join_pairs",
+    "tree_size_bytes",
+    "BYTES_PER_ENTRY",
 ]
+
+#: 4 coordinates x 8 bytes + 8-byte pointer/id, the usual textbook figure.
+BYTES_PER_ENTRY = 4 * 8 + 8
 
 #: Upper bound on candidate pairs expanded by one vectorized block; keeps
 #: peak scratch memory bounded (a few int64/bool arrays of this length)
@@ -79,22 +85,26 @@ def _reduce_mbrs(boxes: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _pad_child_blocks(
-    boxes: np.ndarray, n_parents: int, max_entries: int
+    boxes: np.ndarray, starts: np.ndarray, counts: np.ndarray, max_entries: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-parent ``(parents, M)`` child-coordinate planes, sentinel-padded.
 
-    Sequential packing puts parent ``p``'s children at rows
-    ``p * M : (p + 1) * M`` of ``boxes`` (entry coordinates at level 0,
-    the level below's node MBRs above), so each plane is just the column
-    padded to ``parents * M`` and reshaped.  The pad sentinel
+    Parent ``p``'s children are rows ``starts[p] : starts[p] + counts[p]``
+    of ``boxes`` (entry coordinates at level 0, the level below's node
+    MBRs above); the runs tile ``boxes`` in parent order, and child ``k``
+    of ``p`` lands in slot ``(p, k)``.  For a sequentially packed level
+    (every count ``M`` but the last) the scatter is the column padded to
+    ``parents * M`` and reshaped.  The pad sentinel
     ``(+inf, +inf, -inf, -inf)`` fails every closed intersection test,
     which lets the join broadcast full blocks without a validity mask.
     """
-    slots = n_parents * max_entries
+    n_parents = len(starts)
+    slots = np.repeat(np.arange(n_parents, dtype=np.int64) * max_entries - starts, counts)
+    slots += np.arange(len(boxes), dtype=np.int64)
 
     def plane(column: np.ndarray, fill: float) -> np.ndarray:
-        out = np.full(slots, fill, dtype=np.float64)
-        out[: len(column)] = column
+        out = np.full(n_parents * max_entries, fill, dtype=np.float64)
+        out[slots] = column
         return out.reshape(n_parents, max_entries)
 
     return (
@@ -116,7 +126,7 @@ def _intersect_mask(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
 
 
 class FlatRTree:
-    """A bulk-loaded R-tree stored as contiguous numpy arrays.
+    """An R-tree stored as contiguous numpy arrays.
 
     Attributes
     ----------
@@ -139,8 +149,8 @@ class FlatRTree:
         out the padding.  :attr:`leaf_blocks` aliases index 0.
 
     Instances are immutable by convention; build with
-    :func:`flat_load_str` / :func:`flat_load_hilbert` or
-    :meth:`from_order`.
+    :func:`flat_load_str` / :func:`flat_load_hilbert`,
+    :meth:`from_order` or :meth:`from_tree`.
     """
 
     __slots__ = (
@@ -208,7 +218,7 @@ class FlatRTree:
         level_mbrs = [_reduce_mbrs(coords, starts)]
         level_start = [starts]
         level_count = [counts]
-        child_blocks = [_pad_child_blocks(coords, len(starts), max_entries)]
+        child_blocks = [_pad_child_blocks(coords, starts, counts, max_entries)]
         while len(level_mbrs[-1]) > 1:
             checkpoint("rtree.flat.level")
             below = level_mbrs[-1]
@@ -216,7 +226,47 @@ class FlatRTree:
             level_mbrs.append(_reduce_mbrs(below, starts))
             level_start.append(starts)
             level_count.append(counts)
-            child_blocks.append(_pad_child_blocks(below, len(starts), max_entries))
+            child_blocks.append(_pad_child_blocks(below, starts, counts, max_entries))
+        return cls(
+            max_entries, coords, ids, level_mbrs, level_start, level_count, child_blocks
+        )
+
+    @classmethod
+    def from_tree(cls, tree: RTree) -> "FlatRTree":
+        """Flatten an object tree level by level, keeping its node structure.
+
+        The entries are the leaves' entries in leaf order, each level's
+        ``start``/``count`` vectors are the node fanouts, and the level
+        MBRs are the node MBRs, so any tree shape — packed, or built by
+        quadratic or R* insertion with variable fanout — joins through
+        the flat kernel.  Flattening a packed object tree gives the
+        arrays :meth:`from_order` builds from the same order.
+        """
+        max_entries = tree.max_entries
+        if len(tree) == 0:
+            empty = np.empty((0, 4), dtype=np.float64)
+            return cls(max_entries, empty, np.empty(0, dtype=np.int64), [], [], [], [])
+        levels: List[List[Node]] = [[tree.root]]
+        while not levels[-1][0].is_leaf:
+            checkpoint("rtree.flat.level")
+            levels.append([child for node in levels[-1] for child in node.children])
+        levels.reverse()
+        coords = np.concatenate([leaf.entry_coords for leaf in levels[0]])
+        ids = np.concatenate([leaf.entry_ids for leaf in levels[0]])
+        level_mbrs: List[np.ndarray] = []
+        level_start: List[np.ndarray] = []
+        level_count: List[np.ndarray] = []
+        child_blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        below = coords
+        for nodes in levels:
+            checkpoint("rtree.flat.level")
+            counts = np.array([node.fanout for node in nodes], dtype=np.int64)
+            starts = np.cumsum(counts) - counts
+            level_mbrs.append(np.array([node.mbr for node in nodes], dtype=np.float64))
+            level_start.append(starts)
+            level_count.append(counts)
+            child_blocks.append(_pad_child_blocks(below, starts, counts, max_entries))
+            below = level_mbrs[-1]
         return cls(
             max_entries, coords, ids, level_mbrs, level_start, level_count, child_blocks
         )
@@ -252,10 +302,12 @@ class FlatRTree:
     ) -> "FlatRTree":
         """Rebuild a tree from a :meth:`to_blocks` mapping.
 
-        Accepts read-only memmap views — every array is used as-is
-        (plane tuples are zero-copy slices of the stacked planes file),
-        so a catalog-loaded tree shares page-cache pages across
-        processes.  Raises :class:`ValueError` on any structural
+        The store holds packed trees only, so every level must hold
+        ``ceil(children / max_entries)`` nodes.  Accepts read-only
+        memmap views — every array is used as-is (plane tuples are
+        zero-copy slices of the stacked planes file), so a
+        catalog-loaded tree shares page-cache pages across processes.
+        Raises :class:`ValueError` on any structural
         inconsistency (missing level, shape mismatch, bad dtype) so
         torn or foreign payloads are rejected instead of mis-joined.
         """
@@ -360,14 +412,28 @@ class FlatRTree:
         )
 
 
+def tree_size_bytes(tree: FlatRTree) -> int:
+    """Byte size of the tree under a disk-page-style entry accounting.
+
+    The paper's *space cost* expresses histogram size as a percentage of
+    "the space required to maintain the R-trees for the actual
+    datasets".  Every data entry and every child pointer (one per
+    non-root node) stores an MBR of four floats plus a record id or
+    child pointer: :data:`BYTES_PER_ENTRY` each.
+    """
+    if len(tree) == 0:
+        return 0
+    return (len(tree) + tree.node_count - 1) * BYTES_PER_ENTRY
+
+
 def flat_load_str(
     rects: RectArray, *, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> FlatRTree:
     """Bulk-load a :class:`FlatRTree` in Sort-Tile-Recursive order.
 
-    Same slab ordering as :func:`repro.rtree.bulk.bulk_load_str`, so the
-    flat and object trees built from the same input are node-for-node
-    identical in shape.
+    Same slab ordering as :func:`repro.rtree.bulk.bulk_load_str`, so
+    flattening that object tree (:meth:`FlatRTree.from_tree`) gives the
+    same arrays.
     """
     return FlatRTree.from_order(
         rects, str_order(rects, max_entries=max_entries), max_entries=max_entries
@@ -507,8 +573,8 @@ def flat_join_count(
 ) -> int:
     """Number of intersecting ``(a, b)`` pairs between the two flat trees.
 
-    Bit-identical to :func:`repro.rtree.join.rtree_join_count` on the
-    same inputs (any packing order — the count is exact either way).
+    Exact for any tree shape and packing order: the count equals every
+    other exact engine's (:mod:`repro.join`).
     """
     if block < 1:
         raise ValueError(f"block must be positive, got {block}")

@@ -2,9 +2,10 @@
 
 A node at ``level == 0`` is a leaf and stores its entries as parallel
 numpy arrays (an ``(k, 4)`` coordinate block plus an id vector); internal
-nodes store a list of child nodes.  Keeping leaf entries in numpy form is
-what makes the synchronized-traversal join (:mod:`repro.rtree.join`) fast:
-leaf/leaf work is a single broadcast intersection mask.
+nodes store a list of child nodes.  Insertion, deletion and window
+queries walk nodes; joins flatten the tree first
+(:meth:`repro.rtree.flat.FlatRTree.from_tree` concatenates the leaves'
+blocks in leaf order).
 """
 
 from __future__ import annotations

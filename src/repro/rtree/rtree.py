@@ -2,14 +2,15 @@
 
 This is the classic structure from Guttman (SIGMOD '84) used by the paper
 as the join substrate: samples and full datasets are indexed with R-trees
-and joined via synchronized traversal (Brinkhoff et al., SIGMOD '93 —
-see :mod:`repro.rtree.join`).
+and joined via synchronized traversal (Brinkhoff et al., SIGMOD '93).
 
 The dynamic tree supports one-at-a-time insertion (choose-leaf by least
-enlargement, quadratic split on overflow).  For bulk data prefer the
-packed loaders in :mod:`repro.rtree.bulk`, which produce better trees in
-a fraction of the time; both produce the same :class:`~repro.rtree.node.Node`
-structure, so queries and joins are shared.
+enlargement, quadratic or R* split on overflow), deletion and window
+queries.  For bulk data prefer the packed loaders in
+:mod:`repro.rtree.bulk` / :mod:`repro.rtree.flat`, which produce better
+trees in a fraction of the time.  Joins run on the flat kernel:
+:meth:`~repro.rtree.flat.FlatRTree.from_tree` flattens an inserted tree
+with its node structure, so the join visits the tree as built.
 """
 
 from __future__ import annotations

@@ -27,15 +27,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..datasets import SpatialDataset
-from ..rtree import (
-    DEFAULT_MAX_ENTRIES,
-    FlatRTree,
-    RTree,
-    bulk_load_str,
-    flat_join_count,
-    flat_load_str,
-    rtree_join_count,
-)
+from ..rtree import DEFAULT_MAX_ENTRIES, FlatRTree, flat_join_count, flat_load_str
 from ..runtime import checkpoint
 from .pickers import SAMPLING_METHODS, pick_sample_indices
 
@@ -113,9 +105,8 @@ class SamplingJoinEstimator:
     join_method:
         ``"flat"`` (default: bulk-load :class:`~repro.rtree.flat.FlatRTree`
         structures on the samples and run the vectorized synchronized
-        join — bit-identical counts to the object engine, several times
-        faster), ``"rtree"`` (the reference object-tree engine the
-        differential gate holds ``"flat"`` against) or ``"sweep"``
+        R-tree join, the kernel the reference join of
+        :func:`repro.eval.harness.prepare_pair` runs too) or ``"sweep"``
         (plane sweep directly on the samples, the alternative the paper
         dismisses in Section 2 — kept for the ablation benchmark).
     tree_cache:
@@ -153,9 +144,9 @@ class SamplingJoinEstimator:
         for fraction in (fraction1, fraction2):
             if not 0 < fraction <= 1:
                 raise ValueError(f"fractions must be in (0, 1], got {fraction}")
-        if join_method not in ("flat", "rtree", "sweep"):
+        if join_method not in ("flat", "sweep"):
             raise ValueError(
-                f"join_method must be 'flat', 'rtree' or 'sweep', got {join_method!r}"
+                f"join_method must be 'flat' or 'sweep', got {join_method!r}"
             )
         if predicate is not None and not hasattr(predicate, "pair_mask"):
             raise TypeError(f"predicate must be a JoinPredicate, got {predicate!r}")
@@ -225,12 +216,6 @@ class SamplingJoinEstimator:
             t2 = time.perf_counter()
             checkpoint("sampling.join")
             pairs = flat_join_count(flat1, flat2)
-        elif self.join_method == "rtree":
-            tree1 = self._build_tree(sample1)
-            tree2 = self._build_tree(sample2)
-            t2 = time.perf_counter()
-            checkpoint("sampling.join")
-            pairs = rtree_join_count(tree1, tree2)
         else:
             from ..join import plane_sweep_count
 
@@ -248,9 +233,6 @@ class SamplingJoinEstimator:
             sample_size_2=n2s,
             timing=SampleJoinTiming(t1 - t0, t2 - t1, t3 - t2),
         )
-
-    def _build_tree(self, rects) -> RTree:
-        return bulk_load_str(rects, max_entries=self.max_entries)
 
     def _build_flat(self, rects) -> FlatRTree:
         if self.tree_cache is not None:

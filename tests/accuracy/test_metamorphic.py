@@ -116,13 +116,13 @@ _EXACT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("join_method", ["flat", "rtree"])
+@pytest.mark.parametrize("join_method", ["flat", "sweep"])
 @pytest.mark.parametrize("method,transform_name", _EXACT_CASES)
 def test_sampling_exact_transforms_bit_identical(pairs, method, transform_name, join_method):
     """Exact transforms: same seed → same sample ids → identical count.
 
-    Run under both join engines — the flat SoA kernel must preserve the
-    invariance exactly as the reference object tree does.
+    Run under both sample-join engines — the flat R-tree kernel must
+    preserve the invariance exactly as the plane sweep does.
     """
     transform, _ = TRANSFORMS[transform_name]
     estimator = SamplingJoinEstimator(method, 0.3, 0.3, seed=17, join_method=join_method)
@@ -132,7 +132,7 @@ def test_sampling_exact_transforms_bit_identical(pairs, method, transform_name, 
         assert base == moved, f"{method}/{join_method} under {transform_name} on {pair_name}"
 
 
-@pytest.mark.parametrize("join_method", ["flat", "rtree"])
+@pytest.mark.parametrize("join_method", ["flat", "sweep"])
 @pytest.mark.parametrize("method", ["rs", "rswr", "ss"])
 def test_sampling_translation_invariant(pairs, method, join_method):
     """Translation rounds coordinates (~1 ulp); intersection gaps in the
@@ -147,13 +147,13 @@ def test_sampling_translation_invariant(pairs, method, join_method):
 
 
 @pytest.mark.parametrize("method,transform_name", _EXACT_CASES)
-def test_flat_and_rtree_engines_agree_under_transforms(pairs, method, transform_name):
-    """The two R-tree engines must agree bit-for-bit on transformed data
-    too — the differential gate holds everywhere, not just on the raw
-    corpus."""
+def test_flat_and_sweep_engines_agree_under_transforms(pairs, method, transform_name):
+    """The R-tree kernel and the plane sweep must agree bit-for-bit on
+    transformed data too — the differential gate holds everywhere, not
+    just on the raw corpus."""
     transform, _ = TRANSFORMS[transform_name]
     flat = SamplingJoinEstimator(method, 0.3, 0.3, seed=17, join_method="flat")
-    ref = SamplingJoinEstimator(method, 0.3, 0.3, seed=17, join_method="rtree")
+    ref = SamplingJoinEstimator(method, 0.3, 0.3, seed=17, join_method="sweep")
     for pair_name, (ds1, ds2) in pairs.items():
         moved1, moved2 = transform(ds1), transform(ds2)
         got = flat.estimate_detailed(moved1, moved2)

@@ -49,7 +49,7 @@ class TestSampleJoinAblation:
     def test_substrates_have_identical_errors(self, context):
         rows = run_sample_join_ablation([context], fractions=(0.2,))
         errors = {r.variant: r.error_pct for r in rows}
-        assert errors["rtree"] == pytest.approx(errors["sweep"])
+        assert errors["flat"] == pytest.approx(errors["sweep"])
 
 
 class TestPackingAblation:

@@ -15,6 +15,7 @@ from repro.eval import (
     run_sampling_experiment,
 )
 from repro.join import actual_selectivity
+from repro.runtime import runtime_scope
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,50 @@ class TestPreparePair:
         b = make_uniform(200, seed=2)
         contexts = prepare_pairs({"X": (a, b), "Y": (b, a)})
         assert [c.name for c in contexts] == ["X", "Y"]
+
+
+class StageRecorder:
+    def __init__(self):
+        self.stages = set()
+
+    def on_checkpoint(self, stage):
+        self.stages.add(stage)
+
+    def join_stages(self):
+        """Stages polled by join kernels (not by builds or the estimator's
+        own pick/build/join markers)."""
+        kernels = ("join.", "rtree.join", "rtree.flat.", "predicates.")
+        return {
+            s for s in self.stages if s.startswith(kernels) and s != "rtree.flat.level"
+        }
+
+
+class TestOneJoinKernel:
+    """The reference join and the sample joins that Figure 6's time
+    ratios divide run the same kernel."""
+
+    @pytest.mark.parametrize("tree_build", ["str", "dynamic"])
+    def test_reference_join_runs_the_flat_kernel(self, tree_build):
+        a = make_uniform(600, seed=42, mean_width=0.02, mean_height=0.02)
+        b = make_clustered(600, seed=43, mean_width=0.02, mean_height=0.02)
+        hook = StageRecorder()
+        with runtime_scope(hook=hook):
+            ctx = prepare_pair("U_C", a, b, tree_build=tree_build)
+        assert ctx.actual_pairs == round(
+            actual_selectivity(a.rects, b.rects) * len(a) * len(b)
+        )
+        assert "rtree.flat.leaf" in hook.join_stages()
+        assert hook.join_stages() <= {"rtree.flat.descend", "rtree.flat.leaf"}
+
+    def test_figure6_sample_join_runs_the_flat_kernel(self, context):
+        hook = StageRecorder()
+        with runtime_scope(hook=hook):
+            run_sampling_experiment(
+                [context], combos=(SampleCombo(10, 10),), methods=("rs",), repeats=1
+            )
+        assert "sampling.join" in hook.stages
+        assert "rtree.flat.leaf" in hook.join_stages()
+        assert hook.join_stages() <= {"rtree.flat.descend", "rtree.flat.leaf"}
 
 
 class TestSamplingExperiment:

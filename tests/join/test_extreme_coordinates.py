@@ -13,7 +13,7 @@ from repro.join import (
     partition_join_count,
     plane_sweep_count,
 )
-from repro.rtree import bulk_load_str, rtree_join_count
+from repro.rtree import flat_join_count, flat_load_str
 from tests.conftest import random_rects
 
 REGIMES = [
@@ -33,7 +33,7 @@ class TestEngineAgreementAcrossRegimes:
         reference = nested_loop_count(a, b)
         assert plane_sweep_count(a, b) == reference
         assert partition_join_count(a, b) == reference
-        assert rtree_join_count(bulk_load_str(a), bulk_load_str(b)) == reference
+        assert flat_join_count(flat_load_str(a), flat_load_str(b)) == reference
 
     def test_histograms_work(self, rng, name, extent):
         from repro.datasets import SpatialDataset

@@ -1,5 +1,6 @@
-"""Cross-engine agreement: all five exact joins (including the flat SoA
-R-tree engine) must produce identical results on every input shape,
+"""Cross-engine agreement: every exact join (the public ``join_count``
+engines plus the flat SoA R-tree kernel called directly) must produce
+identical results on every input shape,
 including adversarial ones (touching edges, duplicates, points, heavy
 skew)."""
 
@@ -16,6 +17,8 @@ from repro.datasets import (
 )
 from repro.geometry import Rect, RectArray
 from repro.join import (
+    join_count,
+    join_pairs,
     nested_loop_count,
     nested_loop_pairs,
     partition_join_count,
@@ -23,14 +26,7 @@ from repro.join import (
     plane_sweep_count,
     plane_sweep_pairs,
 )
-from repro.rtree import (
-    bulk_load_str,
-    flat_join_count,
-    flat_join_pairs,
-    flat_load_str,
-    rtree_join_count,
-    rtree_join_pairs,
-)
+from repro.rtree import flat_join_count, flat_join_pairs, flat_load_str
 from tests.conftest import random_rects
 
 
@@ -38,14 +34,14 @@ COUNTERS = {
     "nested": nested_loop_count,
     "sweep": plane_sweep_count,
     "partition": partition_join_count,
-    "rtree": lambda a, b: rtree_join_count(bulk_load_str(a), bulk_load_str(b)),
+    "rtree": lambda a, b: join_count(a, b, method="rtree"),
     "flat": lambda a, b: flat_join_count(flat_load_str(a), flat_load_str(b)),
 }
 PAIRERS = {
     "nested": nested_loop_pairs,
     "sweep": plane_sweep_pairs,
     "partition": partition_join_pairs,
-    "rtree": lambda a, b: rtree_join_pairs(bulk_load_str(a), bulk_load_str(b)),
+    "rtree": lambda a, b: join_pairs(a, b, method="rtree"),
     "flat": lambda a, b: flat_join_pairs(flat_load_str(a), flat_load_str(b)),
 }
 

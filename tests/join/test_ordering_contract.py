@@ -24,7 +24,6 @@ from repro.join import (
     plane_sweep_pairs,
 )
 from repro.join.partition import canonical_pair_order
-from repro.rtree import bulk_load_str, rtree_join_pairs
 from tests.conftest import random_rects
 
 pytestmark = pytest.mark.accuracy
@@ -33,7 +32,7 @@ PAIRERS = {
     "nested": nested_loop_pairs,
     "sweep": plane_sweep_pairs,
     "partition": partition_join_pairs,
-    "rtree": lambda a, b: rtree_join_pairs(bulk_load_str(a), bulk_load_str(b)),
+    "rtree": lambda a, b: join_pairs(a, b, method="rtree"),
     "api_auto": join_pairs,
 }
 

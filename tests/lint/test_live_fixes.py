@@ -13,8 +13,7 @@ from repro.errors import EstimationTimeout
 from repro.geometry import Rect
 from repro.predicates import STANDARD_PREDICATES
 from repro.predicates.joins import naive_predicate_count
-from repro.rtree import RTree
-from repro.rtree.join import rtree_join_count
+from repro.rtree import FlatRTree, RTree, flat_join_count
 from repro.rtree.query import search_intersecting
 from repro.runtime import Deadline, runtime_scope
 
@@ -63,11 +62,13 @@ class TestRTreeCheckpoints:
         with runtime_scope(hook=hook):
             tree = RTree.from_rect_array(rects, max_entries=8)
             search_intersecting(tree.root, Rect(0.0, 0.0, 0.5, 0.5))
-            rtree_join_count(tree, tree)
+            flat = FlatRTree.from_tree(tree)
+            flat_join_count(flat, flat)
         assert "rtree.insert" in hook.stages
         assert "rtree.split" in hook.stages
         assert "rtree.query.node" in hook.stages
-        assert "rtree.join.node" in hook.stages
+        assert "rtree.flat.level" in hook.stages
+        assert "rtree.flat.leaf" in hook.stages
 
     def test_zero_deadline_cancels_dynamic_build(self, rng):
         rects = random_rects(rng, 300, max_side=0.2)

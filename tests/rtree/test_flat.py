@@ -1,6 +1,7 @@
-"""FlatRTree: SoA structure invariants, bit-identity to the object
-engine, the randomized naive-agreement property (zero-area and
-coincident rects included), and runtime preemption coverage."""
+"""FlatRTree: SoA structure invariants, flattening object trees, exact
+agreement with the other join engines, the randomized naive-agreement
+property (zero-area and coincident rects included), the join's work
+floor, and runtime preemption coverage."""
 
 from __future__ import annotations
 
@@ -11,17 +12,18 @@ from hypothesis import given, settings, strategies as st
 from repro.datasets import make_clustered, make_uniform
 from repro.errors import EstimationTimeout
 from repro.geometry import Rect, RectArray
+from repro.join import plane_sweep_count
 from repro.join.naive import nested_loop_count, nested_loop_pairs
 from repro.join.partition import canonical_pair_order
 from repro.rtree import (
     FlatRTree,
+    RTree,
     bulk_load_hilbert,
     bulk_load_str,
     flat_join_count,
     flat_join_pairs,
     flat_load_hilbert,
     flat_load_str,
-    rtree_join_count,
 )
 from repro.runtime import Deadline, runtime_scope
 from tests.conftest import random_rects
@@ -30,6 +32,19 @@ from tests.conftest import random_rects
 @pytest.fixture
 def rects(rng) -> RectArray:
     return random_rects(rng, 500)
+
+
+def polled_stages(fn) -> list[str]:
+    """The checkpoint stages ``fn()`` polls, in order."""
+    stages: list[str] = []
+
+    class Recorder:
+        def on_checkpoint(self, stage):
+            stages.append(stage)
+
+    with runtime_scope(hook=Recorder()):
+        fn()
+    return stages
 
 
 class TestStructure:
@@ -109,26 +124,97 @@ class TestStructure:
         assert "FlatRTree" in repr(flat_load_str(rects))
 
 
-class TestBitIdentity:
-    """The differential contract: flat counts == object-tree counts."""
+def assert_same_arrays(got: FlatRTree, want: FlatRTree) -> None:
+    """Every array of the two trees, padded planes included, is equal."""
+    assert got.max_entries == want.max_entries
+    assert np.array_equal(got.entry_coords, want.entry_coords)
+    assert np.array_equal(got.entry_ids, want.entry_ids)
+    assert got.height == want.height
+    for lvl in range(want.height):
+        assert np.array_equal(got.level_mbrs[lvl], want.level_mbrs[lvl])
+        assert np.array_equal(got.level_start[lvl], want.level_start[lvl])
+        assert np.array_equal(got.level_count[lvl], want.level_count[lvl])
+        for plane, expected in zip(got.child_blocks[lvl], want.child_blocks[lvl]):
+            assert plane.shape == expected.shape
+            assert np.array_equal(plane, expected)
 
-    def test_matches_object_engine(self, rng):
+
+class TestFromTree:
+    """Flattening an object tree keeps its node structure."""
+
+    @pytest.mark.parametrize("max_entries", [2, 3, 8, 32])
+    @pytest.mark.parametrize("n", [1, 21, 500, 2000])
+    def test_packed_trees_flatten_to_the_packed_loads(self, rng, n, max_entries):
+        rects = random_rects(rng, n)
+        assert_same_arrays(
+            FlatRTree.from_tree(bulk_load_str(rects, max_entries=max_entries)),
+            flat_load_str(rects, max_entries=max_entries),
+        )
+        assert_same_arrays(
+            FlatRTree.from_tree(bulk_load_hilbert(rects, max_entries=max_entries)),
+            flat_load_hilbert(rects, max_entries=max_entries),
+        )
+
+    def test_keeps_variable_fanouts(self, rng):
+        obj = RTree.from_rect_array(random_rects(rng, 300), max_entries=6)
+        flat = FlatRTree.from_tree(obj)
+        leaves = [node for node in obj.root.walk() if node.is_leaf]
+        assert flat.height == obj.height
+        assert sorted(flat.level_count[0].tolist()) == sorted(n.fanout for n in leaves)
+        assert flat.root_mbr == tuple(obj.root.mbr)
+        assert np.array_equal(np.sort(flat.entry_ids), np.arange(300))
+
+    @pytest.mark.parametrize("split", ["quadratic", "rstar"])
+    def test_inserted_trees_join_to_nested_loop(self, rng, split):
+        a, b = random_rects(rng, 700), random_rects(rng, 60)
+        ta = FlatRTree.from_tree(RTree.from_rect_array(a, max_entries=4, split=split))
+        tb = FlatRTree.from_tree(RTree.from_rect_array(b, max_entries=16, split=split))
+        assert ta.height > tb.height  # mixed heights and mixed max_entries
+        assert flat_join_count(ta, tb) == nested_loop_count(a, b)
+        assert flat_join_count(tb, ta) == nested_loop_count(b, a)
+        assert np.array_equal(
+            flat_join_pairs(ta, flat_load_str(b)),
+            canonical_pair_order(nested_loop_pairs(a, b)),
+        )
+
+    def test_empty_and_single_leaf_trees(self):
+        empty = FlatRTree.from_tree(RTree(max_entries=8))
+        assert len(empty) == 0 and empty.height == 0 and empty.max_entries == 8
+        single = FlatRTree.from_tree(
+            RTree.from_rect_array(RectArray.from_rects([Rect(0.1, 0.2, 0.3, 0.4)]))
+        )
+        assert single.height == 1
+        assert single.root_mbr == (0.1, 0.2, 0.3, 0.4)
+        assert flat_join_count(single, single) == 1
+        assert flat_join_count(empty, single) == 0
+
+    def test_level_loop_checkpoints(self, rng):
+        obj = bulk_load_str(random_rects(rng, 300), max_entries=4)
+        stages = polled_stages(lambda: FlatRTree.from_tree(obj))
+        assert stages.count("rtree.flat.level") >= obj.height
+
+
+class TestBitIdentity:
+    """The differential contract: flat counts == an independent exact
+    engine's counts."""
+
+    def test_matches_plane_sweep(self, rng):
         pairs = [
             (random_rects(rng, n1), random_rects(rng, n2))
             for n1, n2 in [(1, 1), (40, 31), (500, 700), (2000, 900)]
         ]
-        # The kernel inputs of benchmarks/bench_sampling.py.
+        # The inputs of the work floor below, at three sizes.
         pairs += [
             (make_uniform(n, seed=401).rects, make_clustered(n, seed=402).rects)
             for n in (8_000, 20_000, 50_000)
         ]
         for a, b in pairs:
-            want = rtree_join_count(bulk_load_str(a), bulk_load_str(b))
+            want = plane_sweep_count(a, b)
             assert flat_join_count(flat_load_str(a), flat_load_str(b)) == want
 
     def test_matches_under_hilbert_packing(self, rng):
         a, b = random_rects(rng, 600), random_rects(rng, 450)
-        want = rtree_join_count(bulk_load_hilbert(a), bulk_load_hilbert(b))
+        want = nested_loop_count(a, b)
         assert flat_join_count(flat_load_hilbert(a), flat_load_hilbert(b)) == want
 
     def test_duplicate_and_degenerate_rects(self):
@@ -172,6 +258,22 @@ class TestBitIdentity:
         # Hilbert packing permutes the entries but not the payload ids.
         got_h = flat_join_pairs(flat_load_hilbert(a), flat_load_hilbert(b))
         assert np.array_equal(got_h, got)
+
+
+class TestWorkFloor:
+    """The join's Python-level work stays blocked on large inputs."""
+
+    def test_join_steps_on_50k_inputs(self):
+        # Every descend block and every leaf block polls one checkpoint,
+        # so the poll count is the number of Python-level join steps.
+        # The frontier join reads 31 here (6 descend + 25 leaf blocks);
+        # a traversal that pops one node pair at a time takes 9 541.
+        # The floor asks for at least 100x fewer steps than that.
+        a = flat_load_str(make_uniform(50_000, seed=401).rects)
+        b = flat_load_str(make_clustered(50_000, seed=402).rects)
+        stages = polled_stages(lambda: flat_join_count(a, b))
+        steps = stages.count("rtree.flat.descend") + stages.count("rtree.flat.leaf")
+        assert 0 < steps <= 95
 
 
 class TestRuntimeIntegration:

@@ -59,7 +59,10 @@ def test_packed_tree_query_matches_brute_force(rects, query, loader):
 @given(rect_lists(max_size=40), rect_lists(max_size=40))
 def test_join_count_matches_oracle(a, b):
     from repro.join import nested_loop_count
-    from repro.rtree import rtree_join_count
+    from repro.rtree import FlatRTree, flat_join_count
 
-    got = rtree_join_count(bulk_load_str(a, max_entries=4), bulk_load_str(b, max_entries=4))
+    got = flat_join_count(
+        FlatRTree.from_tree(bulk_load_str(a, max_entries=4)),
+        FlatRTree.from_tree(RTree.from_rect_array(b, max_entries=4)),
+    )
     assert got == nested_loop_count(a, b)

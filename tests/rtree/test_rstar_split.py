@@ -53,12 +53,13 @@ class TestRStarSplit:
 
     def test_join_result_unchanged(self, rng):
         from repro.join import nested_loop_count
-        from repro.rtree import bulk_load_str, rtree_join_count
+        from repro.rtree import FlatRTree, flat_join_count, flat_load_str
 
         a = random_rects(rng, 400)
         b = random_rects(rng, 400)
         rstar_tree = RTree.from_rect_array(a, max_entries=8, split="rstar")
-        assert rtree_join_count(rstar_tree, bulk_load_str(b)) == nested_loop_count(a, b)
+        got = flat_join_count(FlatRTree.from_tree(rstar_tree), flat_load_str(b))
+        assert got == nested_loop_count(a, b)
 
     def test_delete_works_with_rstar(self, rng):
         rects = random_rects(rng, 100)

@@ -30,6 +30,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SamplingJoinEstimator("rswr", 0.5, fraction)
 
+    @pytest.mark.parametrize("join_method", ["rtree", "nested", ""])
+    def test_unknown_join_method(self, join_method):
+        with pytest.raises(ValueError, match="join_method"):
+            SamplingJoinEstimator("rs", 0.1, 0.1, join_method=join_method)
+
     def test_repr(self):
         est = SamplingJoinEstimator("rs", 0.1, 0.2)
         assert "rs" in repr(est) and "0.1" in repr(est)

@@ -33,7 +33,6 @@ ENTRY_MODULES = ("repro.eval.__main__", "repro.store.__main__", "repro.lint.__ma
 SCRIPTS = (
     *sorted((ROOT / "perfbench").glob("*.py")),
     *sorted((ROOT / "examples").glob("*.py")),
-    ROOT / "benchmarks" / "bench_sampling.py",
     ROOT / "benchmarks" / "make_golden_corpus.py",
 )
 
