@@ -24,6 +24,10 @@ that ``verify --rebuild`` cannot reproduce.  Both maintenance
 operations therefore accept the store plus the affected keys: stale
 input keys are invalidated and the maintained result may be republished
 under its new key, keeping the catalog an honest mirror of live data.
+The catalog writes both steps through to the in-memory caches layered
+over it: the stale keys leave every attached cache, and the republished
+result is installed there, so the next read is an L1 hit on the
+maintained histogram instead of a store load.
 """
 
 from __future__ import annotations
@@ -71,7 +75,13 @@ def _sync_store(
     republish_key: "CacheKey | None",
     result: AdditiveHistogram,
 ) -> None:
-    """Invalidate stale catalog entries, then publish the maintained one."""
+    """Invalidate stale catalog entries, then publish the maintained one.
+
+    Both go through the catalog's write-through: each invalidation
+    first drops its key from every cache attached to ``store`` (so no
+    cache keeps the unlinked file mapped), and a publish that writes
+    its entry installs ``result`` itself into those caches.
+    """
     if store is None:
         if stale_keys or republish_key is not None:
             raise ValueError("stale/republish keys need a store to act on")
@@ -105,6 +115,11 @@ def apply_updates(
     linger, and ``republish_key`` (the *mutated* dataset's key — the
     caller computes it, having the data) publishes the maintained
     result atomically.  Passing keys without a store is an error.
+    Every :class:`~repro.perf.HistogramCache` built over ``store``
+    follows both steps: the stale key leaves it before the file is
+    unlinked, and the returned histogram is installed under
+    ``republish_key`` (within its budget, not under a fault hook), so
+    the next read of the edited dataset is an L1 hit on it.
 
     When ``dataset`` is given (the live dataset whose arrays the caller
     is editing in place alongside this histogram), its mutation token is

@@ -176,6 +176,14 @@ class _ByteCache(Generic[_K, _V]):
     ``_size`` and ``_cost``, and may add ``_pack`` to keep a smaller
     stand-in for an eviction victim.
 
+    A tier built with ``store`` attaches itself to that catalog, which
+    writes through to it: a catalog removal calls :meth:`discard`
+    before unlinking the entry, and a publish that wrote its entry
+    calls :meth:`install` with the written object.  The tier's own
+    build publish is not installed back into it, so retention order
+    and counters are those of a tier with no store.  The tier never
+    calls the catalog while holding its lock.
+
     Thread-safe: lookups and insertions are lock-protected; builds run
     outside the lock so concurrent misses on different keys overlap.
     """
@@ -208,6 +216,8 @@ class _ByteCache(Generic[_K, _V]):
         self._heap: list[tuple[float, int, _K]] = []  # guarded-by: _lock
         self._floor = 0.0  # guarded-by: _lock
         self._touches = 0  # guarded-by: _lock
+        if store is not None:
+            store.attach(self)  # last: the catalog may call in from now on
 
     # ------------------------------------------------------------------
     @property
@@ -228,6 +238,34 @@ class _ByteCache(Generic[_K, _V]):
         """Retained keys in eviction order, next victim first."""
         with self._lock:
             return sorted(self._entries, key=self._rank.__getitem__)
+
+    def discard(self, key: _K) -> None:
+        """Drop ``key``'s entry, if one is retained.
+
+        The byte count stays exact.  The key's heap record stays behind
+        and :meth:`_evict_one` skips it when it surfaces; once the heap
+        holds over twice as many records as retained keys, it is
+        rebuilt from the live ranks.  The entry's last reference goes after the lock
+        is released, so freeing a large value blocks no lookup.
+        """
+        with self._lock:
+            value = self._entries.pop(key, None)
+            if value is None:
+                return
+            del self._rank[key]
+            self._bytes -= self._size(value)
+            if len(self._heap) > 2 * len(self._rank) + 16:
+                self._heap = [(*rank, kept) for kept, rank in self._rank.items()]
+                heapq.heapify(self._heap)
+
+    def install(self, key: _K, value: _V) -> None:
+        """Retain ``value`` as ``key``'s entry in place of any other.
+        The attached catalog calls this with what it just wrote, so the
+        L1 holds the bits the store holds.  Goes through
+        :meth:`_insert`: nothing is retained under a fault hook or over
+        the budget, and the new entry is ranked as a fresh insert."""
+        self.discard(key)
+        self._insert(key, value)
 
     def clear(self) -> None:
         """Drop every entry and reset the floor (counters are preserved)."""
@@ -268,16 +306,20 @@ class _ByteCache(Generic[_K, _V]):
         is non-empty.
 
         Ranks only rise, so a record matching its key's live rank is
-        the true minimum; a record that fell behind is re-filed first.
+        the true minimum; a record that fell behind is re-filed first,
+        and one whose key was discarded is dropped.
         """
         heap = self._heap
         while True:
             priority, touch, key = heap[0]
-            live = self._rank[key]
+            live = self._rank.get(key)
             if live == (priority, touch):
                 heapq.heappop(heap)
                 break
-            heapq.heapreplace(heap, (*live, key))
+            if live is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (*live, key))
         self._floor = priority
         value = self._entries[key]
         packed = self._pack(value)
@@ -331,6 +373,9 @@ class _ByteCache(Generic[_K, _V]):
             return
 
     def _put(self, store: "ArtifactCatalog", key: _K, value: _V) -> None:
+        """Publish ``value`` to ``store`` as this tier's own build: the
+        catalog installs it into every other attached tier, not this
+        one, which retains it in its own order."""
         raise NotImplementedError
 
     def _insert(self, key: _K, value: _V) -> bool:
@@ -370,7 +415,12 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
         miss then consults the catalog before building, and fresh builds
         are published back (atomically; skipped while any runtime
         scope is active, mirroring the no-poison insertion rule).
-        Catalog loads are zero-copy mmap views.
+        Catalog loads are zero-copy mmap views.  The cache follows the
+        catalog: a key the catalog invalidates or evicts leaves the
+        cache first, so no entry maps an unlinked file, and a
+        histogram another writer publishes through the catalog (e.g.
+        :func:`~repro.histograms.apply_updates` with ``store=``) is
+        installed, so its next read is an ``"l1"`` hit.
 
     Eviction weighs each file's rebuild cost (``count``, the N
     rectangles its build scans) per byte, so large datasets outlive
@@ -453,7 +503,7 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
         return hist, "build"
 
     def _put(self, store: "ArtifactCatalog", key: CacheKey, value: Histogram) -> None:
-        store.put_histogram(key, value)
+        store.put_histogram(key, value, origin=self)
 
     def _size(self, value: "Histogram | PackedHistogram") -> int:
         return value.size_bytes
@@ -605,7 +655,7 @@ class FlatTreeCache(_ByteCache[TreeCacheKey, FlatRTree]):
         return self._admit_build(key, tree), "build"
 
     def _put(self, store: "ArtifactCatalog", key: TreeCacheKey, value: FlatRTree) -> None:
-        store.put_tree(key, value)
+        store.put_tree(key, value, origin=self)
 
     def _size(self, value: FlatRTree) -> int:
         return value.size_bytes

@@ -139,9 +139,13 @@ class EstimateCache(_ByteCache[EstimateKey, float]):
     def get(self, key: "EstimateKey | None") -> "float | None":
         """The memoized estimate, or None (miss, or fault-hook bypass).
 
-        One lock acquisition: the tier's, under which the hit or miss
-        is also counted (the counters share it)."""
+        A ``None`` key (a fingerprint still cold, see
+        :meth:`peek_key_for`) counts as a miss, so the hit rate reads
+        what the memo holds, not how warm the fingerprints are.  One
+        lock acquisition: the tier's, under which the hit or miss is
+        also counted (the counters share it)."""
         if key is None:
+            self.stats.add("misses")
             return None
         scope = active_scope()
         if scope is not None and scope.hook is not None:

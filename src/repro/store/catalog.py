@@ -39,6 +39,20 @@ Counters live in one :class:`~repro.obs.Counters` (the stats shape of
 every serving layer) and are thread-safe; the filesystem is the source
 of truth for the entry set, so many processes may read while one
 publishes.
+
+**The L1 follows the catalog.**  Every in-process cache tier built over
+a catalog (``HistogramCache(store=...)``, ``FlatTreeCache(store=...)``)
+attaches itself, weakly held, and the catalog writes through to it.
+Every removal (:meth:`ArtifactCatalog.invalidate`,
+:meth:`ArtifactCatalog.evict`, a corrupt entry discarded on load) first
+drops the key from each attached tier, so a mapping is released while
+its file is still linked and no tier keeps an unlinked file alive.  A
+publish that writes its entry installs the object it wrote into each
+attached tier, so the next read of that key is an L1 hit on the bits
+the store holds; one that finds the entry already there installs
+nothing.  The catalog calls into tiers holding no lock of its own.
+Another process's tiers over the same root are not reached: they keep
+mapping files this process unlinked until they evict them.
 """
 
 from __future__ import annotations
@@ -50,6 +64,8 @@ import json
 import operator
 import os
 import shutil
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Mapping
@@ -59,7 +75,14 @@ import numpy as np
 from ..errors import ArtifactIntegrityError
 from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 from ..obs import Counters, hit_rate
-from ..perf.cache import _TREE_LOADERS, CacheKey, TreeCacheKey
+from ..perf.cache import (
+    _TREE_LOADERS,
+    CacheKey,
+    FlatTreeCache,
+    HistogramCache,
+    TreeCacheKey,
+    _ByteCache,
+)
 from ..runtime import checkpoint
 from .codec import (
     TREE_KIND,
@@ -195,6 +218,9 @@ class ArtifactCatalog:
         self._objects = self.root / "objects"
         self._tmp = self.root / "tmp"
         self._seq = itertools.count()
+        self._tiers_lock = threading.Lock()
+        #: The cache tiers that follow this catalog, held weakly.
+        self._tiers: "weakref.WeakSet[_ByteCache]" = weakref.WeakSet()  # guarded-by: _tiers_lock
         if not self.read_only:
             self._objects.mkdir(parents=True, exist_ok=True)
             self._tmp.mkdir(parents=True, exist_ok=True)
@@ -203,6 +229,14 @@ class ArtifactCatalog:
     def __repr__(self) -> str:
         mode = "ro" if self.read_only else "rw"
         return f"ArtifactCatalog({str(self.root)!r}, {mode})"
+
+    def attach(self, tier: "_ByteCache") -> None:
+        """Have ``tier`` follow this catalog: removals drop their keys
+        from it and publishes install what they wrote.  Held weakly, so
+        a collected tier leaves the registry; :class:`_ByteCache` calls
+        this for every tier built with ``store=``."""
+        with self._tiers_lock:
+            self._tiers.add(tier)
 
     # -- loads ----------------------------------------------------------
     def load_histogram(self, key: CacheKey) -> Histogram | None:
@@ -221,7 +255,7 @@ class ArtifactCatalog:
             manifest, arrays = found
             hist = decode_histogram(_params_of(manifest), arrays)
         except ArtifactIntegrityError:
-            self._note_corrupt(name)
+            self._note_corrupt(name, key)
             return None
         self._note_hit(name)
         return hist
@@ -237,7 +271,7 @@ class ArtifactCatalog:
             manifest, arrays = found
             tree = decode_tree(_params_of(manifest), arrays)
         except ArtifactIntegrityError:
-            self._note_corrupt(name)
+            self._note_corrupt(name, key)
             return None
         self._note_hit(name)
         return tree
@@ -249,6 +283,7 @@ class ArtifactCatalog:
         hist: Histogram,
         *,
         source: Mapping[str, object] | None = None,
+        origin: "_ByteCache | None" = None,
     ) -> bool:
         """Atomically publish ``hist`` under ``key``.
 
@@ -256,6 +291,15 @@ class ArtifactCatalog:
         the manifest so ``verify --rebuild`` can re-derive the artifact.
         Returns ``True`` once the entry exists (published now or
         already there), ``False`` from a read-only catalog.
+
+        A publish that writes the entry installs ``hist`` itself into
+        every attached :class:`~repro.perf.HistogramCache` (through its
+        ordinary insert: nothing under a fault hook, nothing over its
+        budget), replacing whatever that tier held under ``key``.  An
+        entry that already existed installs nothing, so a tier never
+        holds bits the store does not.  ``origin`` is the attached tier
+        publishing its own build; it retains ``hist`` in its own order
+        and is skipped.
         """
         params, arrays = encode_histogram(hist)
         if (
@@ -267,9 +311,7 @@ class ArtifactCatalog:
                 f"histogram ({params.get('kind')}, level {params.get('level')}) "
                 f"does not match key ({key.scheme}, level {key.level})"
             )
-        return self._publish(
-            hist_entry_name(key), key.scheme, _hist_key_json(key), params, arrays, source
-        )
+        return self._publish(key, hist, params, arrays, source, origin)
 
     def put_tree(
         self,
@@ -277,32 +319,33 @@ class ArtifactCatalog:
         tree: "FlatRTree",
         *,
         source: Mapping[str, object] | None = None,
+        origin: "_ByteCache | None" = None,
     ) -> bool:
-        """Atomically publish a packed flat tree under ``key``."""
+        """Atomically publish a packed flat tree under ``key``; installs
+        ``tree`` into the attached :class:`~repro.perf.FlatTreeCache`
+        tiers as :meth:`put_histogram` does."""
         params, arrays = encode_tree(tree)
         if params.get("max_entries") != key.max_entries:
             raise ValueError(
                 f"tree fan-out {params.get('max_entries')} does not match "
                 f"key max_entries {key.max_entries}"
             )
-        return self._publish(
-            tree_entry_name(key), TREE_KIND, _tree_key_json(key), params, arrays, source
-        )
+        return self._publish(key, tree, params, arrays, source, origin)
 
     # -- retention ------------------------------------------------------
     def invalidate(self, key: CacheKey | TreeCacheKey) -> bool:
         """Remove the entry for ``key`` (stale after a dataset mutation).
 
+        ``key`` is first dropped from every attached cache tier, so a
+        tier's mapping of the entry is released while its file is still
+        linked, and the writer, not the next read, pays for freeing it.
         True when an entry was removed.  Raises :class:`ValueError` on a
         read-only catalog — silent non-invalidation would serve stale
         statistics forever.
         """
         if self.read_only:
             raise ValueError("cannot invalidate through a read-only catalog")
-        name = (
-            hist_entry_name(key) if isinstance(key, CacheKey) else tree_entry_name(key)
-        )
-        removed = self._discard(name)
+        removed = self._discard(_entry_of(key)[0], key)
         if removed:
             self.stats.add("invalidations")
         return removed
@@ -311,7 +354,10 @@ class ArtifactCatalog:
         """Delete least-recently-used entries until ≤ ``max_bytes`` remain.
 
         Recency is the manifest mtime, touched on every (writable) load.
-        Returns the removed entry names, oldest first.
+        Each removed entry's key is dropped from the attached cache
+        tiers first, as :meth:`invalidate` does, so no tier keeps an
+        evicted file mapped.  Returns the removed entry names, oldest
+        first.
         """
         if self.read_only:
             raise ValueError("cannot evict through a read-only catalog")
@@ -323,7 +369,7 @@ class ArtifactCatalog:
         for entry in entries:
             if total <= max_bytes:
                 break
-            if self._discard(entry.name):
+            if self._discard(entry.name, _key_of(entry)):
                 total -= entry.nbytes
                 removed.append(entry.name)
                 self.stats.add("evictions")
@@ -405,10 +451,10 @@ class ArtifactCatalog:
         return problems
 
     # -- internals ------------------------------------------------------
-    def _note_corrupt(self, name: str) -> None:
+    def _note_corrupt(self, name: str, key: CacheKey | TreeCacheKey) -> None:
         self.stats.add("corrupt_detected", "misses")
         if not self.read_only:
-            self._discard(name)
+            self._discard(name, key)
 
     def _note_hit(self, name: str) -> None:
         self.stats.add("hits")
@@ -458,17 +504,26 @@ class ArtifactCatalog:
                 raise ArtifactIntegrityError(f"{name}/{aname}: {exc}") from exc
         return manifest, arrays
 
+    def _followers(self, key: CacheKey | TreeCacheKey) -> "list[_ByteCache]":
+        """The attached tiers that hold ``key``'s kind of entry."""
+        kind = HistogramCache if isinstance(key, CacheKey) else FlatTreeCache
+        with self._tiers_lock:
+            return [tier for tier in self._tiers if isinstance(tier, kind)]
+
     def _publish(
         self,
-        name: str,
-        kind: str,
-        key_json: dict[str, object],
+        key: CacheKey | TreeCacheKey,
+        value: object,
         params: dict[str, object],
         arrays: Mapping[str, np.ndarray],
         source: Mapping[str, object] | None,
+        origin: "_ByteCache | None",
     ) -> bool:
+        """Stage, fsync and rename one entry into ``objects/``, then
+        install ``value`` into every attached tier but ``origin``."""
         if self.read_only:
             return False
+        name, kind, key_json = _entry_of(key)
         final = self._objects / name
         if (final / MANIFEST_NAME).exists():
             return True  # already published (idempotent)
@@ -522,11 +577,18 @@ class ArtifactCatalog:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         self.stats.add("publishes")
+        for tier in self._followers(key):
+            if tier is not origin:
+                tier.install(key, value)
         return True
 
-    def _discard(self, name: str) -> bool:
-        """Atomically unlink one entry: rename out of ``objects/`` first
-        so readers see the entry disappear whole, then reclaim."""
+    def _discard(self, name: str, key: CacheKey | TreeCacheKey | None) -> bool:
+        """Atomically unlink one entry: drop ``key`` from the attached
+        tiers, rename out of ``objects/`` so readers see the entry
+        disappear whole, then reclaim."""
+        if key is not None:
+            for tier in self._followers(key):
+                tier.discard(key)
         entry_dir = self._objects / name
         trash = self._tmp / f"trash.{name}.{os.getpid()}.{next(self._seq)}"
         try:
@@ -578,6 +640,33 @@ def _map_payload(path: Path, spec: Mapping[str, object]) -> np.ndarray:
             return np.memmap(fh, dtype, "r", len(expected), shape)
     except (OSError, ValueError) as exc:
         raise ArtifactIntegrityError(f"payload unreadable: {type(exc).__name__}") from exc
+
+
+def _entry_of(key: CacheKey | TreeCacheKey) -> tuple[str, str, dict[str, object]]:
+    """``key``'s entry name, manifest kind and manifest key record."""
+    if isinstance(key, CacheKey):
+        return hist_entry_name(key), key.scheme, _hist_key_json(key)
+    return tree_entry_name(key), TREE_KIND, _tree_key_json(key)
+
+
+def _key_of(entry: StoreEntry) -> CacheKey | TreeCacheKey | None:
+    """The cache key a listed entry was published under, or ``None``
+    when its manifest key is malformed (no tier can hold it then)."""
+    fields = entry.key
+    fingerprint = fields.get("fingerprint")
+    if not isinstance(fingerprint, str):
+        return None
+    if entry.kind == TREE_KIND:
+        packing, fan_out = fields.get("packing"), fields.get("max_entries")
+        if isinstance(packing, str) and isinstance(fan_out, int):
+            return TreeCacheKey(fingerprint, packing, fan_out)
+        return None
+    scheme, level, extent = fields.get("scheme"), fields.get("level"), fields.get("extent")
+    if isinstance(scheme, str) and isinstance(level, int) and isinstance(extent, list):
+        if len(extent) == 4 and all(isinstance(x, (int, float)) for x in extent):
+            xmin, ymin, xmax, ymax = (float(x) for x in extent)
+            return CacheKey(fingerprint, scheme, level, (xmin, ymin, xmax, ymax))
+    return None
 
 
 def _params_of(manifest: Mapping[str, object]) -> dict[str, object]:

@@ -1,7 +1,8 @@
 """Property-based tests for the histogram cache's retention tier: any
-sequence of lookups and clears keeps the byte budget and counters
-consistent, charges every entry the bytes it holds (dense or packed),
-and every answer matches a cold build."""
+sequence of lookups, installs, removals and clears keeps the byte
+budget and counters consistent, charges every entry the bytes it holds
+(dense or packed), keeps every retained key ranked, evicts the smallest
+``(H, touch)`` first, and every answer matches a cold build."""
 
 from __future__ import annotations
 
@@ -42,7 +43,35 @@ lookup = st.tuples(
     st.sampled_from(sorted(BUILDERS)),
     st.sampled_from(LEVELS),
 )
-operation = st.one_of(lookup, st.just("clear"))
+operation = st.one_of(
+    lookup,
+    st.tuples(st.sampled_from(["install", "discard"]), lookup),
+    st.just("clear"),
+)
+
+
+def _check_ranked(histograms: HistogramCache) -> None:
+    """Every retained key has a live rank and a heap record at or below
+    it, which is what lets eviction trust the heap's minimum."""
+    with histograms._lock:
+        assert set(histograms._rank) == set(histograms._entries)
+        lowest = {}
+        for priority, touch, key in histograms._heap:
+            lowest[key] = min(lowest.get(key, (priority, touch)), (priority, touch))
+        assert all(lowest[key] <= rank for key, rank in histograms._rank.items())
+
+
+def _drain_in_rank_order(histograms: HistogramCache) -> None:
+    """Evict until empty; each victim is the smallest ``(H, touch)``."""
+    with histograms._lock:
+        for _ in range(2 * len(histograms._entries)):  # each key packs at most once
+            if not histograms._entries:
+                break
+            victim, rank = min(histograms._rank.items(), key=lambda item: item[1])
+            histograms._evict_one()
+            assert histograms._floor == rank[0]
+            assert histograms._rank.get(victim) != rank  # dropped, or packed and re-ranked
+        assert not histograms._entries and histograms._bytes == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,6 +87,16 @@ def test_lookup_sequences_keep_budget_counters_and_answers(ops, max_bytes):
     for op in ops:
         if op == "clear":
             histograms.clear()
+        elif op[0] == "install":
+            index, scheme, level = op[1]
+            key = HistogramCache.key_for(_dataset(index), scheme, level)
+            cold = _cold(index, scheme, level)
+            histograms.install(key, cold)
+            size_of[key] = cold.size_bytes
+            packed_size_of[key] = _packed_bytes(index, scheme, level)
+        elif op[0] == "discard":
+            index, scheme, level = op[1]
+            histograms.discard(HistogramCache.key_for(_dataset(index), scheme, level))
         else:
             index, scheme, level = op
             key = HistogramCache.key_for(_dataset(index), scheme, level)
@@ -83,3 +122,5 @@ def test_lookup_sequences_keep_budget_counters_and_answers(ops, max_bytes):
         assert stats.builds == stats.misses
         assert stats.derivations == 0
         assert stats.packs >= len(packed)
+        _check_ranked(histograms)
+    _drain_in_rank_order(histograms)

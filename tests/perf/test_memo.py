@@ -50,6 +50,7 @@ class TestEstimateCache:
     def test_none_key_tolerated(self, pair):
         memo = EstimateCache(16)
         assert memo.get(None) is None
+        assert (memo.stats.hits, memo.stats.misses) == (0, 1)  # a cold key is a miss
         memo.put(None, 1.0)  # no-op, not an error
         assert len(memo) == 0
 

@@ -98,9 +98,11 @@ def test_session_values(catalog, tmp_path):
         "hits": 0, "misses": 2, "builds": 2, "derivations": 0, "evictions": 0,
         "packs": 0, "hit_rate": 0.0,
     }
+    # Two misses: the fast lane's cold-fingerprint decline, then the
+    # batch's probe.
     assert stats["memo"] == {
-        "hits": 1, "misses": 1, "inserts": 1, "evictions": 0, "skips": 0,
-        "hit_rate": 0.5, "entries": 1, "fast_hits": 1,
+        "hits": 1, "misses": 2, "inserts": 1, "evictions": 0, "skips": 0,
+        "hit_rate": 1 / 3, "entries": 1, "fast_hits": 1,
     }
     assert stats["store"] == {
         "hits": 0, "misses": 2, "publishes": 2, "corrupt_detected": 0,
