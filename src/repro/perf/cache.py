@@ -123,6 +123,12 @@ _TREE_LOADERS = {
 #: Default byte budget: 64 MiB ≈ a level-9 GH plus plenty of headroom.
 DEFAULT_MAX_BYTES = 64 << 20
 
+#: Most cells a :meth:`HistogramCache.probe_resident` file may have:
+#: level 7.  A level-7 combine takes 38 µs (GH) to 135 µs (PH), less
+#: than a read's round trip to the serve batcher's worker thread;
+#: level 8 takes 223 to 682 µs (DESIGN §16).
+RESIDENT_MAX_CELLS = 4**7
+
 
 @dataclass(frozen=True, slots=True)
 class CacheKey:
@@ -168,7 +174,9 @@ class _ByteCache(Generic[_K, _V]):
 
     Owns the entries, their byte count, the lock and the
     :class:`~repro.obs.Counters` named by ``_COUNTERS``, which share
-    that lock (a probe takes one acquisition); the L1 probe;
+    that lock (a probe takes one acquisition); the L1 probes
+    (:meth:`_probe`, and :meth:`probe_resident` for two entries usable
+    as they are, which the serve fast lane combines on its event loop);
     the insert (nothing is retained under a fault hook, an entry larger
     than the whole budget is never retained, a racing insert keeps the
     first entry); and the best-effort publish to the optional ``store``
@@ -181,7 +189,9 @@ class _ByteCache(Generic[_K, _V]):
     before unlinking the entry, and a publish that wrote its entry
     calls :meth:`install` with the written object.  The tier's own
     build publish is not installed back into it, so retention order
-    and counters are those of a tier with no store.  The tier never
+    and counters are those of a tier with no store.  A store load is
+    retained only if no :meth:`discard` ran while it loaded, so a load
+    racing a removal never pins an unlinked file.  The tier never
     calls the catalog while holding its lock.
 
     Thread-safe: lookups and insertions are lock-protected; builds run
@@ -216,6 +226,9 @@ class _ByteCache(Generic[_K, _V]):
         self._heap: list[tuple[float, int, _K]] = []  # guarded-by: _lock
         self._floor = 0.0  # guarded-by: _lock
         self._touches = 0  # guarded-by: _lock
+        #: :meth:`discard` calls so far: a store load retains its result
+        #: only if this did not move while it loaded.
+        self._discards = 0  # guarded-by: _lock
         if store is not None:
             store.attach(self)  # last: the catalog may call in from now on
 
@@ -240,7 +253,8 @@ class _ByteCache(Generic[_K, _V]):
             return sorted(self._entries, key=self._rank.__getitem__)
 
     def discard(self, key: _K) -> None:
-        """Drop ``key``'s entry, if one is retained.
+        """Drop ``key``'s entry, if one is retained, and count the call
+        whether or not it was (see :meth:`_insert`'s ``epoch``).
 
         The byte count stays exact.  The key's heap record stays behind
         and :meth:`_evict_one` skips it when it surfaces; once the heap
@@ -249,6 +263,7 @@ class _ByteCache(Generic[_K, _V]):
         is released, so freeing a large value blocks no lookup.
         """
         with self._lock:
+            self._discards += 1
             value = self._entries.pop(key, None)
             if value is None:
                 return
@@ -346,6 +361,39 @@ class _ByteCache(Generic[_K, _V]):
             self.stats.add_held("misses")
             return None
 
+    def probe_resident(self, key1: _K, key2: _K) -> "tuple[_V, _V] | None":
+        """Both entries, when both are retained and :meth:`_resident`.
+
+        One acquisition of the tier lock: on success it counts two
+        ``hits`` and refreshes both ranks exactly as :meth:`_probe`
+        does; otherwise it returns ``None`` and counts nothing, so the
+        caller's ordinary lookups count the misses.
+        """
+        with self._lock:
+            first = self._entries.get(key1)
+            second = self._entries.get(key2)
+            if (
+                first is None or second is None
+                or not self._resident(first) or not self._resident(second)
+            ):
+                return None
+            self._touch(key1, first)
+            self._touch(key2, second)
+            self.stats.add_held("hits", "hits")
+            return first, second
+
+    def _resident(self, value: _V) -> bool:
+        """Whether a retained ``value`` is usable as it is, with no
+        expansion, file read or other blocking work.  Every value is by
+        default."""
+        return True
+
+    def _discard_epoch(self) -> int:
+        """The :meth:`discard` count, read before a store load and
+        handed to :meth:`_insert` with what the load returned."""
+        with self._lock:
+            return self._discards
+
     def _admit_build(self, key: _K, value: _V) -> _V:
         """Count a fresh build, publish it to the store, retain it."""
         self.stats.add("builds")
@@ -378,8 +426,13 @@ class _ByteCache(Generic[_K, _V]):
         one, which retains it in its own order."""
         raise NotImplementedError
 
-    def _insert(self, key: _K, value: _V) -> bool:
-        """Retain ``value``; True when it is a new entry."""
+    def _insert(self, key: _K, value: _V, epoch: "int | None" = None) -> bool:
+        """Retain ``value``; True when it is a new entry.
+
+        ``epoch`` is :meth:`_discard_epoch` read before a store load:
+        if a :meth:`discard` ran since, the catalog may have removed the
+        entry the load mapped, and retaining it would pin an unlinked
+        file under a dead key, so nothing is retained."""
         scope = active_scope()
         if scope is not None and scope.hook is not None:
             return False  # a mutation hook may have corrupted this build
@@ -387,6 +440,8 @@ class _ByteCache(Generic[_K, _V]):
         if size > self.max_bytes:
             return False  # would evict everything and still not fit
         with self._lock:
+            if epoch is not None and epoch != self._discards:
+                return False
             kept = self._entries.get(key)
             if kept is not None:  # another thread raced us; keep theirs
                 self._touch(key, kept)
@@ -494,9 +549,10 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
         if hit is not None:
             return hit, "l1"
         if self.store is not None:
+            epoch = self._discard_epoch()
             stored = self.store.load_histogram(key)
             if stored is not None:
-                self._insert(key, stored)
+                self._insert(key, stored, epoch)
                 return stored, "store"
         hist = HISTOGRAM_SCHEMES[scheme].build(dataset, level, extent=extent)
         self._admit_build(key, hist)
@@ -521,6 +577,16 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
         if isinstance(value, PackedHistogram) or _store_mapped(value):
             return None
         return pack_if_smaller(value)
+
+    def _resident(self, value: "Histogram | PackedHistogram") -> bool:
+        """A dense file on the heap of at most :data:`RESIDENT_MAX_CELLS`
+        cells: its combine needs no expansion, reads no file mapping
+        and costs less than a hand-off to another thread."""
+        return (
+            not isinstance(value, PackedHistogram)
+            and value.grid.cell_count <= RESIDENT_MAX_CELLS
+            and not _store_mapped(value)
+        )
 
 
 def _store_mapped(hist: Histogram) -> bool:
@@ -647,9 +713,10 @@ class FlatTreeCache(_ByteCache[TreeCacheKey, FlatRTree]):
         if hit is not None:
             return hit, "l1"
         if self.store is not None:
+            epoch = self._discard_epoch()
             stored = self.store.load_tree(key)
             if stored is not None:
-                self._insert(key, stored)
+                self._insert(key, stored, epoch)
                 return stored, "store"
         tree = _TREE_LOADERS[packing](rects, max_entries=max_entries)
         return self._admit_build(key, tree), "build"

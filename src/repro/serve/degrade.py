@@ -94,9 +94,9 @@ class ServeProvenance:
     carries the first failure that forced a descent (empty when the
     rung was selected purely by pressure), and ``attempts`` lists every
     rung run on the way, in the resilient wrapper's format (empty on a
-    memo fast-lane hit, which runs no rung).  Being frozen, a fast-lane
-    hit's provenance is shared by every hit with the same requested
-    label at the same queue depth.
+    fast-lane answer, which runs no rung).  Being frozen, a fast-lane
+    answer's provenance is shared by every answer with the same
+    requested label, queue depth and ``via``.
     """
 
     rung: str  #: ServiceRung value that produced the answer
@@ -106,7 +106,9 @@ class ServeProvenance:
     reason: str = ""  #: first failure that forced a descent ("" = pressure only)
     #: Execution path: "batch", "memo" (the tier-0 estimate
     #: memo answered on the event loop — a bit-identical replay of a
-    #: previous full-rung answer), or "local"; the cached rung refines
+    #: previous full-rung answer), "l1" (the event loop combined two
+    #: files resident in the L1 cache — the batcher's call on the
+    #: batcher's inputs, so the same bits), or "local"; the cached rung refines
     #: "local" to "store" (answered off the artifact catalog) or
     #: "build" (a side had to scan the data) when a store is attached.
     via: str = "local"
@@ -121,7 +123,8 @@ class DegradationLadder:
     rung ultimately answered (failure descent walks the estimator's
     fallback chain and never sheds a request it already admitted).
     The server's fast-lane counters share ``stats.lock``, so a memo
-    hit tallies ``full`` and ``fast_hits`` in one acquisition.
+    hit tallies ``full`` and ``fast_hits`` (an L1 combine ``full`` and
+    ``fast_combines``) in one acquisition.
     """
 
     def __init__(self, policy: DegradePolicy | None = None) -> None:

@@ -28,6 +28,14 @@ batch-oriented estimation stack into a long-running service.  One
    actually answered, so a degraded answer can never masquerade as a
    full-quality one.
 
+Before step 1 a *fast lane* answers on the event loop, with no queue
+slot and no thread hop, when it can do so without blocking: a tier-0
+memo hit replays a previous full-rung answer (``via="memo"``), and a
+pair whose two files are dense, heap-resident L1 entries of at most
+level 7 is combined by the same ``estimate_selectivity`` call
+``estimate_many`` makes (``via="l1"``).  Only reads that must unpack,
+load or build a file cross to the batcher.
+
 Per-request deadlines thread end to end: the budget is checked at
 submission and shipped into the batcher's worker thread (or the
 executor thread of a lower rung) as a cooperative
@@ -37,9 +45,10 @@ executor thread of a lower rung) as a cooperative
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, cast
 
 from ..core.estimator import (
     BasicGHEstimator,
@@ -52,12 +61,12 @@ from ..core.estimator import (
 from ..datasets import SpatialDataset
 from ..errors import EstimatorUnavailable, ServiceOverloadError
 from ..histograms import MAX_LEVEL
-from ..histograms.file import HISTOGRAM_SCHEMES
+from ..histograms.file import HISTOGRAM_SCHEMES, Histogram
 from ..obs import Counters
 from ..perf.batch import BatchQuery, estimate_many
-from ..perf.cache import HistogramCache
+from ..perf.cache import CacheKey, HistogramCache
 from ..perf.memo import EstimateCache, scheme_formula
-from ..runtime import Deadline, runtime_scope
+from ..runtime import Deadline, active_scope, runtime_scope
 from ..service.resilient import Descent, default_fallback_chain
 from .admission import AdmissionController
 from .batcher import BatchRunner, MicroBatcher
@@ -120,7 +129,9 @@ class ServerConfig:
     max_batch: int = 16  #: most queries one micro-batch runs
     default_timeout_s: "float | None" = None  #: deadline when requests carry none
     cache_bytes: int = 64 * 1024 * 1024  #: shared histogram cache budget
-    memo_entries: int = 64 * 1024  #: tier-0 estimate-memo budget (0 = no fast lane)
+    #: tier-0 estimate-memo budget (0 = no fast lane: no memo replays
+    #: and no L1 combines on the event loop)
+    memo_entries: int = 64 * 1024
 
 
 class EstimationServer:
@@ -177,12 +188,13 @@ class EstimationServer:
             if self.config.memo_entries > 0
             else None
         )
-        # Memo answers on the fast lane.  They share the ladder's lock, so
-        # a hit tallies ``fast_hits`` and the ladder's ``full`` at once.
-        self._counters = Counters("fast_hits", lock=self.ladder.stats.lock)
-        #: Fast-lane provenance by (requested label, queue depth): frozen
-        #: and fixed by that pair, so each is built once.
-        self._fast_provenances: "dict[tuple[str, int], ServeProvenance]" = {}
+        # Fast-lane answers: memo hits and L1 combines.  They share the
+        # ladder's lock, so an answer tallies its counter and the
+        # ladder's ``full`` at once.
+        self._counters = Counters("fast_hits", "fast_combines", lock=self.ladder.stats.lock)
+        #: Fast-lane provenance by (requested label, queue depth, via):
+        #: frozen and fixed by that triple, so each is built once.
+        self._fast_provenances: "dict[tuple[str, int, str], ServeProvenance]" = {}
         # Fallback chains by (scheme, level): every rung is stateless.
         self._chains: "dict[tuple[str, int], tuple[JoinSelectivityEstimator, ...]]" = {}
         self.batcher = MicroBatcher(
@@ -221,26 +233,28 @@ class EstimationServer:
         if self._closed:
             raise EstimatorUnavailable("EstimationServer is closed")
         started = time.monotonic()
-        # Fast lane: a tier-0 memo hit answers on the event loop with no
-        # queue slot, no executor hop, no deadline bookkeeping — the
-        # value is a bit-identical replay of a previous full-rung
-        # answer.  Tenant quotas still apply (a rate contract bills
-        # every answered request); the bounded queue does not (a memo
-        # hit consumes none of the capacity the queue protects).
+        # Fast lane: a tier-0 memo hit, or a combine of two files
+        # resident in L1, answers on the event loop with no queue slot,
+        # no thread hop, no deadline bookkeeping — the value is the one
+        # the batcher would return, bit for bit.  Tenant quotas still
+        # apply (a rate contract bills every answered request); the
+        # bounded queue does not (the lane consumes none of the capacity
+        # the queue protects).
         requested = request.requested
         fast = self._fast_lane(request, requested)
         if fast is not None:
+            value, via = fast
             try:
                 self.admission.charge(request.tenant)
             except ServiceOverloadError:
                 self.ladder.record(ServiceRung.SHED)
                 raise
             with self._counters.lock:
-                self._counters.add_held("fast_hits")
+                self._counters.add_held("fast_hits" if via == "memo" else "fast_combines")
                 self.ladder.stats.add_held(ServiceRung.FULL.value)
             return ServeResponse(
-                selectivity=fast,
-                provenance=self._fast_provenance(requested),
+                selectivity=value,
+                provenance=self._fast_provenance(requested, via),
                 latency_s=time.monotonic() - started,
             )
         budget = (
@@ -324,16 +338,26 @@ class EstimationServer:
             self._chains[scheme, level] = chain
         return chain
 
-    def _fast_lane(self, request: ServeRequest, requested: str) -> "float | None":
-        """Tier-0 memo consult, safe to run on the event loop.
+    def _fast_lane(
+        self, request: ServeRequest, requested: str
+    ) -> "tuple[float, str] | None":
+        """The full-rung answer and its ``via`` when the event loop can
+        give it without blocking, else ``None``.
 
-        Strictly O(1): fingerprints are *peeked*, never folded — a cold
-        fingerprint memo (new or just-mutated dataset) simply routes to
-        the slow path, which warms it off-loop.  Unknown dataset names,
-        empty sides, and extent mismatches also decline, so every error
-        and edge case keeps its slow-path semantics; the lane answers
-        only when a previous full-quality answer for this exact
-        (geometry, scheme, level, extent) is already in the memo.
+        ``"memo"``: the tier-0 memo holds the answer.  ``"l1"``: both
+        files are dense, heap-resident L1 entries of at most level 7
+        (:meth:`~repro.perf.cache.HistogramCache.probe_resident`), so
+        the answer is their combine, the very call ``estimate_many``
+        makes, and it is memoized like the batcher's.
+
+        Fingerprints are *peeked*, never folded — a cold fingerprint
+        memo (new or just-mutated dataset) simply routes to the slow
+        path, which warms it off-loop.  Unknown dataset names, empty
+        sides, extent mismatches and an active fault hook also
+        decline, and so does a pair that would need an unpack, a store
+        read or a build: nothing on the loop allocates a dense file,
+        reads a file mapping or scans rectangles, and every error and
+        edge case keeps its slow-path semantics.
         """
         if self.memo is None:
             return None
@@ -344,12 +368,33 @@ class EstimationServer:
         if len(ds1) == 0 or len(ds2) == 0 or ds1.extent != ds2.extent:
             return None
         key = EstimateCache.peek_key_for(ds1, ds2, requested, ds1.extent)
-        return self.memo.get(key)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit, "memo"
+        if key is None:
+            return None
+        scope = active_scope()
+        if scope is not None and scope.hook is not None:
+            return None  # the memo's no-poison rule
+        level = int(request.level)
+        pair = self.cache.probe_resident(
+            CacheKey(key.fingerprint1, request.scheme, level, key.extent),
+            CacheKey(key.fingerprint2, request.scheme, level, key.extent),
+        )
+        if pair is None:
+            return None
+        # A resident entry is never packed.
+        hist1, hist2 = cast("tuple[Histogram, Histogram]", pair)
+        value = hist1.estimate_selectivity(hist2)
+        if not math.isfinite(value) or value < 0:
+            return None  # the slow path descends past an invalid value
+        self.memo.put(key, value)
+        return value, "l1"
 
-    def _fast_provenance(self, requested: str) -> ServeProvenance:
+    def _fast_provenance(self, requested: str, via: str) -> ServeProvenance:
         """The provenance of a fast-lane answer, built once per
-        (requested label, queue depth) and then reused."""
-        key = (requested, self.admission.depth)
+        (requested label, queue depth, via) and then reused."""
+        key = (requested, self.admission.depth, via)
         provenance = self._fast_provenances.get(key)
         if provenance is None:
             provenance = self._fast_provenances[key] = ServeProvenance(
@@ -357,7 +402,7 @@ class EstimationServer:
                 requested=requested,
                 degraded=False,
                 pressure=self.admission.pressure,
-                via="memo",
+                via=via,
             )
         return provenance
 

@@ -585,16 +585,25 @@ class ArtifactCatalog:
     def _discard(self, name: str, key: CacheKey | TreeCacheKey | None) -> bool:
         """Atomically unlink one entry: drop ``key`` from the attached
         tiers, rename out of ``objects/`` so readers see the entry
-        disappear whole, then reclaim."""
-        if key is not None:
-            for tier in self._followers(key):
-                tier.discard(key)
+        disappear whole, drop ``key`` again, then reclaim.
+
+        The first drop releases a tier's mapping while its file is still
+        linked.  The second catches a tier load that mapped the entry in
+        between: it either finds the load retained and drops it, or
+        moves the tier's discard count so the load is not retained."""
+        def drop_from_tiers() -> None:
+            if key is not None:
+                for tier in self._followers(key):
+                    tier.discard(key)
+
+        drop_from_tiers()
         entry_dir = self._objects / name
         trash = self._tmp / f"trash.{name}.{os.getpid()}.{next(self._seq)}"
         try:
             os.rename(entry_dir, trash)
         except OSError:
             return False  # already gone, or raced with another discard
+        drop_from_tiers()
         shutil.rmtree(trash, ignore_errors=True)
         return True
 

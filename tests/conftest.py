@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import asyncio
+import functools
+from typing import Any, Callable
+
 import numpy as np
 import pytest
 
+import repro.histograms.file as file_mod
+import repro.perf.cache as cache_mod
 from repro.geometry import Rect, RectArray
 from repro.histograms import GHHistogram
+from repro.histograms.file import HISTOGRAM_SCHEMES
+from repro.store import ArtifactCatalog
 
 
 @pytest.fixture
@@ -50,3 +58,57 @@ def small_rects(rng) -> RectArray:
 @pytest.fixture
 def two_rect_sets(rng) -> tuple[RectArray, RectArray]:
     return random_rects(rng, 300), random_rects(rng, 400)
+
+
+class LoopBlockingCall(AssertionError):
+    """A blocking call made on the thread of a running event loop."""
+
+
+def _on_loop() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+def _off_loop(name: str, func: Callable[..., Any]) -> Callable[..., Any]:
+    @functools.wraps(func)
+    def guarded(*args: Any, **kwargs: Any) -> Any:
+        if _on_loop():
+            raise LoopBlockingCall(f"{name} called on an event loop's thread")
+        return func(*args, **kwargs)
+
+    return guarded
+
+
+class _GuardedMemmap(np.memmap):
+    def __new__(cls, *args: Any, **kwargs: Any) -> "_GuardedMemmap":
+        if _on_loop():
+            raise LoopBlockingCall("np.memmap called on an event loop's thread")
+        return super().__new__(cls, *args, **kwargs)
+
+
+@pytest.fixture
+def loop_guard(monkeypatch) -> None:
+    """Make the calls that build, unpack or read a histogram file raise
+    :class:`LoopBlockingCall` when made on a thread whose event loop is
+    running: every scheme's ``build``, ``ArtifactCatalog.load_histogram``,
+    ``unpack_histogram``, ``np.load`` and ``np.memmap``.  Worker and
+    executor threads run no loop, so the serving stack's off-loop work
+    is unaffected.  Arrays mapped under the guard are instances of a
+    ``np.memmap`` subclass, so create mapped files inside the test."""
+    for scheme, cls in HISTOGRAM_SCHEMES.items():
+        build = _off_loop(f"{scheme} build", cls.build.__func__)
+        monkeypatch.setattr(cls, "build", classmethod(build))
+    monkeypatch.setattr(
+        ArtifactCatalog, "load_histogram",
+        _off_loop("load_histogram", ArtifactCatalog.load_histogram),
+    )
+    for module in (file_mod, cache_mod):
+        monkeypatch.setattr(
+            module, "unpack_histogram",
+            _off_loop("unpack_histogram", file_mod.unpack_histogram),
+        )
+    monkeypatch.setattr(np, "load", _off_loop("np.load", np.load))
+    monkeypatch.setattr(np, "memmap", _GuardedMemmap)

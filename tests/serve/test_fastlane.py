@@ -198,8 +198,10 @@ class TestFastLane:
 
     def test_move_then_undo_replays_from_the_memo(self, tmp_path):
         """Maintenance with ``republish_key`` leaves the edited dataset's
-        identity warm: once an undo restores the arrays, the next read is
-        a memo hit with the answer from before the move."""
+        identity warm and installs its file in the L1: the read after the
+        move combines the resident files on the loop, and once an undo
+        restores the arrays, the next read is a memo hit with the answer
+        from before the move."""
         catalog = fresh_catalog()
         store = ArtifactCatalog(tmp_path / "store")
         server = EstimationServer(catalog, store=store)
@@ -236,7 +238,7 @@ class TestFastLane:
 
         before, moved, undone = asyncio.run(go())
         assert before.provenance.via == "batch"
-        assert moved.provenance.via == "batch"  # new geometry, new memo key
+        assert moved.provenance.via == "l1"  # new memo key, files resident
         assert undone.provenance.via == "memo"
         assert undone.selectivity == before.selectivity
 

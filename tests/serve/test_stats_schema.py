@@ -35,7 +35,7 @@ SERVER_KEYS = {
     },
     "cache": CACHE_KEYS,
     "memo": {"hits", "misses", "inserts", "evictions", "skips", "hit_rate",
-             "entries", "fast_hits"},
+             "entries", "fast_hits", "fast_combines"},
     "store": STORE_KEYS,
 }
 
@@ -73,7 +73,7 @@ def test_server_stats_key_sets(catalog, tmp_path):
 def test_server_stats_without_store_or_memo(catalog):
     stats = EstimationServer(catalog, ServerConfig(memo_entries=0)).stats()
     assert "store" not in stats
-    assert stats["memo"] == {"entries": 0, "fast_hits": 0}
+    assert stats["memo"] == {"entries": 0, "fast_hits": 0, "fast_combines": 0}
 
 
 def test_cache_and_store_snapshots(catalog, tmp_path):
@@ -102,7 +102,7 @@ def test_session_values(catalog, tmp_path):
     # batch's probe.
     assert stats["memo"] == {
         "hits": 1, "misses": 2, "inserts": 1, "evictions": 0, "skips": 0,
-        "hit_rate": 1 / 3, "entries": 1, "fast_hits": 1,
+        "hit_rate": 1 / 3, "entries": 1, "fast_hits": 1, "fast_combines": 0,
     }
     assert stats["store"] == {
         "hits": 0, "misses": 2, "publishes": 2, "corrupt_detected": 0,

@@ -224,6 +224,69 @@ class TestRemovalsDrop:
         assert set(store._tiers) == {trees}
 
 
+class TestLoadsRacingRemovals:
+    """A store load the catalog removes while it loads is returned but
+    not retained: a retained load would pin an unlinked file under a
+    dead key."""
+
+    def test_a_histogram_invalidated_mid_load_is_not_retained(self, store, rng, monkeypatch):
+        ds = _movable(rng, "t")
+        key = HistogramCache.key_for(ds, "gh", LEVEL)
+        built = GHHistogram.build(ds, LEVEL)
+        assert store.put_histogram(key, built)
+        cache = HistogramCache(store=store)
+        load = ArtifactCatalog.load_histogram
+
+        def load_then_invalidate(catalog, wanted):
+            loaded = load(catalog, wanted)
+            assert catalog.invalidate(wanted)
+            return loaded
+
+        monkeypatch.setattr(ArtifactCatalog, "load_histogram", load_then_invalidate)
+        hist, source = cache.resolve(ds, "gh", LEVEL)
+        assert source == "store"
+        assert histogram_parts(hist)[1].tobytes() == histogram_parts(built)[1].tobytes()
+        assert key not in cache
+        assert len(cache) == cache.current_bytes == 0
+
+    def test_a_tree_invalidated_mid_load_is_not_retained(self, store, rng, monkeypatch):
+        rects = random_rects(rng, 300)
+        key = FlatTreeCache.key_for(rects, "str", 8)
+        assert store.put_tree(key, flat_load_str(rects, max_entries=8))
+        trees = FlatTreeCache(store=store)
+        load = ArtifactCatalog.load_tree
+
+        def load_then_invalidate(catalog, wanted):
+            loaded = load(catalog, wanted)
+            assert catalog.invalidate(wanted)
+            return loaded
+
+        monkeypatch.setattr(ArtifactCatalog, "load_tree", load_then_invalidate)
+        assert trees.resolve(rects, "str", max_entries=8)[1] == "store"
+        assert key not in trees
+        assert len(trees) == 0
+
+    def test_a_load_between_the_drop_and_the_unlink_is_dropped(self, store, rng, monkeypatch):
+        """The catalog drops the key from its tiers again after the
+        unlink, so a load that mapped the entry in between goes too."""
+        ds = _movable(rng, "t")
+        key = HistogramCache.key_for(ds, "gh", LEVEL)
+        assert store.put_histogram(key, GHHistogram.build(ds, LEVEL))
+        cache = HistogramCache(store=store)
+        discard = cache.discard
+        sources = []
+
+        def discard_then_load(dropped):
+            discard(dropped)
+            if not sources:
+                sources.append(cache.resolve(ds, "gh", LEVEL)[1])
+
+        monkeypatch.setattr(cache, "discard", discard_then_load)
+        assert store.invalidate(key)
+        assert sources == ["store"]
+        assert key not in cache
+
+
 def test_racing_resolves_and_writes_keep_the_byte_count(store, rng):
     """Six threads, switching every microsecond: resolves against
     invalidations and publishes of the same keys.  Whatever the

@@ -157,8 +157,12 @@ def _check_serve_rungs(scheme, levels, ds1, ds2):
                 cold = chain[0].estimate(ds1, ds2)
                 first = await fast.submit(request)
                 replay = await fast.submit(request)
+                assert fast.memo is not None
+                fast.memo.clear()
+                combined = await fast.submit(request)
                 assert (first.provenance.via, replay.provenance.via) == ("batch", "memo")
-                assert first.selectivity == replay.selectivity == cold
+                assert combined.provenance.via == "l1"
+                assert first.selectivity == replay.selectivity == combined.selectivity == cold
 
     asyncio.run(go())
     assert server.cache.stats.derivations == 0
