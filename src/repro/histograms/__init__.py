@@ -9,9 +9,10 @@
 * :class:`BasicGHHistogram` — the count-based precursor (Equation 4),
   kept for the worked examples and ablations.
 
-Each scheme has one ``build``: a single cell-range/run expansion
-(:class:`~repro.histograms.grid.GridRuns`) feeds every per-cell
-statistic, scattered with ``np.add.at``.
+Each scheme has one ``build``: one split of the rectangles into
+single-cell and spanning (:class:`~repro.histograms.grid.CellSplit`)
+feeds every per-cell statistic, scattered with ``np.add.at``; only the
+spanning ones expand into runs (:class:`~repro.histograms.grid.GridRuns`).
 """
 
 from .endpoint import EndpointHistogram, endpoint_inequality_estimate

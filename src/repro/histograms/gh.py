@@ -41,6 +41,24 @@ pairs ``C`` with ``O`` and ``H`` with ``V``, so ``[C|H]`` (rows 0-1) and
 ``[O|V]`` (rows 2-3) are each one contiguous run of ``2·cells`` floats
 and ``IP(a, b) = [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va]`` is one
 :func:`~repro.histograms.fused.cross_dot` on views of the blocks.
+
+**Accumulation order.**  A build splits its rectangles once
+(:class:`~repro.histograms.grid.CellSplit`).  Its float planes are
+sums, so their bits depend on the order in which contributions reach a
+cell, and that order is part of the build's contract (the store's
+``FORMAT_VERSION`` 4 pins it; ``tests/histograms/reference_builds.py``
+reproduces it stage by stage):
+
+* ``O``: the single-cell rectangles' clipped areas, in rectangle order,
+  then the spanning rectangles' (rectangle, cell) incidences,
+  rectangle-major with each rectangle's cells row-major;
+* ``H``: the single-cell rectangles' bottom-edge weights in rectangle
+  order, the sum doubled (a single-cell rectangle's top edge is the
+  same segment in the same cell; doubling is exact), then every
+  spanning bottom-edge run, then every spanning top-edge run;
+* ``V``: the same with left edges, then spanning lefts, then rights;
+* ``C`` holds exact small integers (4 per single-cell rectangle, one
+  per spanning corner), so its order is free.
 """
 
 from __future__ import annotations
@@ -53,7 +71,7 @@ from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .fused import cross_dot
-from .grid import Grid, GridRuns
+from .grid import CellSplit, Grid
 
 __all__ = ["GHHistogram", "gh_selectivity"]
 
@@ -136,7 +154,9 @@ class GHHistogram:
         h: np.ndarray,
         v: np.ndarray,
     ) -> None:
-        """One shared cell-range/run expansion feeding all four statistics.
+        """One cell split feeding all four statistics, in the module's
+        accumulation order: single-cell rectangles scatter straight to
+        their cells, and only spanning ones expand into runs.
 
         A function of its own so that the expansion's temporaries are
         freed before ``build`` returns the block: held until then, they
@@ -144,25 +164,41 @@ class GHHistogram:
         build-heavy serving set-ups measurably slower.
         """
         checkpoint("gh.build.corners")
-        runs = GridRuns(grid, rects)
-        rows0 = runs.j0 * grid.side
-        rows1 = runs.j1 * grid.side
+        split = CellSplit(grid, rects)
+        runs = split.runs
         # Corner counts are exact small integers in float64 — order-free,
-        # so the four corner families can scatter independently.
-        np.add.at(c, rows0 + runs.i0, 1.0)
-        np.add.at(c, rows0 + runs.i1, 1.0)
-        np.add.at(c, rows1 + runs.i1, 1.0)
-        np.add.at(c, rows1 + runs.i0, 1.0)
+        # so a single-cell rectangle's four corners are one +4.0 and the
+        # four spanning corner families scatter independently.
+        np.add.at(c, split.flat, 4.0)
+        if runs is not None:
+            rows0 = runs.j0 * grid.side
+            rows1 = runs.j1 * grid.side
+            np.add.at(c, rows0 + runs.i0, 1.0)
+            np.add.at(c, rows0 + runs.i1, 1.0)
+            np.add.at(c, rows1 + runs.i1, 1.0)
+            np.add.at(c, rows1 + runs.i0, 1.0)
         checkpoint("gh.build.overlaps")
-        np.add.at(
-            o,
-            runs.cross_flat(),
-            runs.take_x(runs.rawx) * runs.repeat_y(runs.rawy) / grid.cell_area,
-        )
+        rawx, rawy = split.contained_clips()
+        np.add.at(o, split.flat, rawx * rawy / grid.cell_area)
+        if runs is not None:
+            np.add.at(
+                o,
+                runs.cross_flat(),
+                runs.take_x(runs.rawx) * runs.repeat_y(runs.rawy) / grid.cell_area,
+            )
         checkpoint("gh.build.edges")
-        # Horizontal edges: bottom (row j0) then top (row j1) share one
-        # run expansion and one weights array, and each cell receives
-        # its bottoms before its tops.
+        # A single-cell rectangle's two horizontal edges are one segment
+        # counted twice in one cell: its part of H is the rect-ordered
+        # sum of the bottoms, doubled (exact), before any spanning edge.
+        np.add.at(h, split.flat, np.maximum(rawx, 0.0) / grid.cell_width)
+        h *= 2.0
+        np.add.at(v, split.flat, np.maximum(rawy, 0.0) / grid.cell_height)
+        v *= 2.0
+        if runs is None:
+            return
+        # Spanning horizontal edges: bottom (row j0) then top (row j1)
+        # share one run expansion and one weights array, and each cell
+        # receives its bottoms before its tops.
         weights = np.maximum(runs.rawx, 0.0) / grid.cell_width
         np.add.at(h, runs.expand_x(rows0) + runs.cx, weights)
         np.add.at(h, runs.expand_x(rows1) + runs.cx, weights)

@@ -30,7 +30,7 @@ import numpy as np
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
-from .grid import Grid, GridRuns
+from .grid import CellSplit, Grid
 
 __all__ = ["BasicGHHistogram", "gh_basic_selectivity"]
 
@@ -72,10 +72,19 @@ class BasicGHHistogram:
         h: np.ndarray,
         v: np.ndarray,
     ) -> None:
-        """One shared cell-range/run expansion feeding all four counts
-        (see :meth:`GHHistogram._accumulate`); every one is an exact
-        integer count, so scatter order is free."""
-        runs = GridRuns(grid, rects, clips=False)
+        """One cell split feeding all four counts (see
+        :meth:`GHHistogram._accumulate`); every one is an exact integer
+        count, so scatter order is free: a single-cell rectangle adds
+        4 corners, 1 incidence and 2 edges of each direction to its
+        cell, and only spanning rectangles expand into runs."""
+        split = CellSplit(grid, rects, clips=False)
+        np.add.at(c, split.flat, 4.0)
+        np.add.at(i_cnt, split.flat, 1.0)
+        np.add.at(h, split.flat, 2.0)
+        np.add.at(v, split.flat, 2.0)
+        runs = split.runs
+        if runs is None:
+            return
         rows0 = runs.j0 * grid.side
         rows1 = runs.j1 * grid.side
         np.add.at(c, rows0 + runs.i0, 1.0)

@@ -138,7 +138,10 @@ def apply_updates(
     fingerprint is not that digest raises :class:`ValueError` before
     anything is invalidated or published: publishing maintained
     statistics under another dataset's key would serve them for data
-    they do not describe.
+    they do not describe.  A caller that bumped the token itself after
+    editing, then minted ``republish_key`` and passes the pre-edit
+    ``stale_key``, has already left the new digest memoized; then there
+    is no second bump or fold.
     """
     _check_supported(hist)
     hist_cls = type(hist)
@@ -164,7 +167,7 @@ def apply_updates(
     # Float round-off can leave tiny negatives after removals.
     np.maximum(stats, 0.0, out=stats)
     result = _from_stats(hist, count, stats)
-    if dataset is not None:
+    if dataset is not None and not _already_current(dataset, stale_key, republish_key):
         dataset.mark_mutated()
         if republish_key is not None:
             digest = dataset_fingerprint(dataset)
@@ -175,6 +178,31 @@ def apply_updates(
                 )
     _sync_store(store, (stale_key,) if stale_key is not None else (), republish_key, result)
     return result
+
+
+def _already_current(
+    dataset: "SpatialDatasetT",
+    stale_key: "CacheKey | None",
+    republish_key: "CacheKey | None",
+) -> bool:
+    """Whether the caller already bumped and minted ``republish_key``.
+
+    True when the fingerprint memo at the dataset's current token
+    version names the key's digest and ``stale_key`` names another: the
+    caller bumped after its edit and folded the edited arrays while
+    minting the key, so a second bump and fold would only repeat that
+    work.  A key minted before the bump reads the pre-edit memo, which
+    is ``stale_key``'s digest; without a ``stale_key`` nothing tells
+    the two apart, so both cases take the bump, the fold and the check.
+    """
+    from ..perf.fingerprint import peek_fingerprint
+
+    return (
+        republish_key is not None
+        and stale_key is not None
+        and stale_key.fingerprint != republish_key.fingerprint
+        and peek_fingerprint(dataset) == republish_key.fingerprint
+    )
 
 
 def merge_histograms(

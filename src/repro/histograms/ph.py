@@ -35,6 +35,12 @@ y1·x2)/A`` is ``X1·Y2 + Y1·X2``, so each case is
 ``[Num|X]1·[Cov|Y]2 + [Cov|Y]1·[Num|X]2`` over contiguous halves of
 the groups, and one :func:`~repro.histograms.fused.cross_dot` call
 returns all four case sums.
+
+``Cont`` and ``Isect`` are the two halves of the
+:class:`~repro.histograms.grid.CellSplit` every histogram build makes:
+``Cont`` sums scatter straight to each rectangle's one cell in
+rectangle order, and only the spanning rectangles expand into
+(rectangle, cell) incidences, rectangle-major, for the ``Isect`` sums.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .fused import cross_dot
-from .grid import Grid, GridRuns
+from .grid import CellSplit, Grid
 
 __all__ = ["PHHistogram", "ph_selectivity"]
 
@@ -144,47 +150,28 @@ class PHHistogram:
 
     @staticmethod
     def _accumulate(grid: Grid, rects: RectArray, stats: tuple[np.ndarray, ...]) -> float:
-        """The per-cell Cont and Isect sums from one cell-range pass; returns AvgSpan.
+        """The per-cell Cont and Isect sums from one cell split; returns AvgSpan.
 
-        The spanning rectangles' run expansion is shared across the four
-        Isect statistics.
+        ``Cont`` is the split's single-cell group, scattered straight to
+        its cells; the spanning group's run expansion is shared across
+        the four Isect statistics.
         """
         num, w_sum, area_sum, h_sum, num_i, w_sum_i, area_sum_i, h_sum_i = stats
         checkpoint("ph.build.contained")
-        i0, i1, j0, j1 = grid.cell_ranges(rects)
-        contained = (i0 == i1) & (j0 == j1)
-        # Index lists beat boolean masks here: one mask scan, then cheap
-        # ``take`` gathers for every per-group array.
-        idx_c = np.nonzero(contained)[0]
-        if idx_c.size:
-            flat = j0.take(idx_c) * grid.side + i0.take(idx_c)
-            xmin = rects.xmin.take(idx_c)
-            ymin = rects.ymin.take(idx_c)
-            widths = rects.xmax.take(idx_c) - xmin
-            heights = rects.ymax.take(idx_c) - ymin
-            np.add.at(num, flat, 1.0)
-            np.add.at(area_sum, flat, widths * heights)
-            np.add.at(w_sum, flat, widths)
-            np.add.at(h_sum, flat, heights)
+        split = CellSplit(grid, rects)
+        idx_c, flat = split.contained, split.flat
+        xmin = rects.xmin.take(idx_c)
+        ymin = rects.ymin.take(idx_c)
+        widths = rects.xmax.take(idx_c) - xmin
+        heights = rects.ymax.take(idx_c) - ymin
+        np.add.at(num, flat, 1.0)
+        np.add.at(area_sum, flat, widths * heights)
+        np.add.at(w_sum, flat, widths)
+        np.add.at(h_sum, flat, heights)
         checkpoint("ph.build.spanning")
-        idx_s = np.nonzero(~contained)[0]
-        if not idx_s.size:
+        runs = split.runs
+        if runs is None:
             return 1.0
-        # Gather the spanning coordinates once (no revalidation/copy) and
-        # reuse the already-computed cell ranges for their expansion.
-        spanning = RectArray(
-            rects.xmin.take(idx_s),
-            rects.ymin.take(idx_s),
-            rects.xmax.take(idx_s),
-            rects.ymax.take(idx_s),
-            validate=False,
-            copy=False,
-        )
-        runs = GridRuns(
-            grid,
-            spanning,
-            ranges=(i0.take(idx_s), i1.take(idx_s), j0.take(idx_s), j1.take(idx_s)),
-        )
         flat = runs.cross_flat()
         widths = runs.take_x(runs.rawx)
         heights = runs.repeat_y(runs.rawy)

@@ -104,11 +104,15 @@ __all__ = [
     "tree_entry_name",
 ]
 
-#: Manifest schema version; bump on any incompatible layout change.
-#: Version 2 stacked GH planes in ``c, h, o, v`` order (version 1 stacked
-#: ``c, o, h, v``); version 3 holds PH planes as per-cell sums rather than
-#: Table 1 averages.  An older entry reads as a miss and is rebuilt.
-FORMAT_VERSION = 3
+#: Manifest schema version; bump on any incompatible layout change, and
+#: on any change to the bits a cold build writes, so that a served entry
+#: always equals a cold build.  Version 2 stacked GH planes in
+#: ``c, h, o, v`` order (version 1 stacked ``c, o, h, v``); version 3
+#: holds PH planes as per-cell sums rather than Table 1 averages;
+#: version 4 holds GH planes accumulated single-cell rectangles first
+#: (see :meth:`~repro.histograms.gh.GHHistogram.build`).  An older entry
+#: reads as a counted miss and is rebuilt.
+FORMAT_VERSION = 4
 
 #: The per-entry manifest file, written last inside the staging dir.
 MANIFEST_NAME = "manifest.json"

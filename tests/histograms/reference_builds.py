@@ -1,14 +1,16 @@
 """The staged histogram builds the shipped ones replaced, kept as a reference.
 
-Each shipped ``build`` derives cell ranges once per build and shares one
-axis-run expansion (:class:`~repro.histograms.grid.GridRuns`) across every
-statistic.  The builds here are the earlier staging, stage by stage: every
+Each shipped ``build`` derives cell ranges once per build, scatters the
+single-cell rectangles straight to their cells and shares one axis-run
+expansion of the spanning rest (:class:`~repro.histograms.grid.CellSplit`)
+across every statistic.  The builds here are the earlier staging, stage by stage: every
 stage re-derives its own cell indices and expansions and scatters with
 ``np.add.at``.  They serve two purposes:
 
 * the ``tobytes()`` reference the shipped builds must equal (the same
   float expression trees, and incidences reaching each cell in the same
-  order);
+  order — for GH, the single-cell-first order of
+  :meth:`GHHistogram._accumulate`);
 * the baseline of the build-time floors in ``test_scatter.py``.
 
 Each function takes the arguments of the shipped ``build`` and returns a
@@ -37,6 +39,10 @@ def _add_at(out: np.ndarray, idx: np.ndarray, weights: np.ndarray | None = None)
 def gh_reference(
     dataset: SpatialDataset, level: int, *, extent: Rect | None = None
 ) -> GHHistogram:
+    """GH in the shipped build's accumulation order: the single-cell
+    rectangles' O, H and V contributions first, in rectangle order (each
+    one's two H and two V edges as the doubled sum of its bottom and
+    left edges), then the spanning rectangles' incidences."""
     grid = Grid(extent or dataset.extent, level)
     rects = dataset.rects
     planes = np.zeros((4, grid.cell_count), dtype=np.float64)
@@ -44,11 +50,24 @@ def gh_reference(
     if len(rects):
         checkpoint("gh.build.corners")
         _gh_corners(grid, rects, c)
+        contained = grid.contained_mask(rects)
+        single, spanning = rects[contained], rects[~contained]
         checkpoint("gh.build.overlaps")
-        ov = grid.overlaps(rects)
-        _add_at(o, ov.flat, ov.clipped.areas() / grid.cell_area)
+        for part in (single, spanning):
+            ov = grid.overlaps(part)
+            _add_at(o, ov.flat, ov.clipped.areas() / grid.cell_area)
         checkpoint("gh.build.edges")
-        _gh_edges(grid, rects, h, v)
+        bottom, _top, left, _right = _gh_edges(grid, single)
+        _scatter_runs(h, bottom)
+        h *= 2.0
+        _scatter_runs(v, left)
+        v *= 2.0
+        # Each family of spanning edges scatters in one pass per axis
+        # (indices and weights concatenated): bottoms then tops, lefts
+        # then rights.
+        bottom, top, left, right = _gh_edges(grid, spanning)
+        _scatter_runs(h, bottom, top)
+        _scatter_runs(v, left, right)
     return GHHistogram._from_planes(grid, len(rects), planes)
 
 
@@ -65,8 +84,12 @@ def _gh_corners(grid: Grid, rects: RectArray, c: np.ndarray) -> None:
         _add_at(c, flat)
 
 
-def _gh_edges(grid: Grid, rects: RectArray, h: np.ndarray, v: np.ndarray) -> None:
-    """Spread each MBR's four edges over the cells they cross.
+Runs = tuple[np.ndarray, np.ndarray]
+
+
+def _gh_edges(grid: Grid, rects: RectArray) -> tuple[Runs, Runs, Runs, Runs]:
+    """Each MBR's four edges spread over the cells they cross, as
+    ``(bottom, top, left, right)`` incidence lists.
 
     A horizontal edge at height ``y`` lives in the cell row containing
     ``y`` and spans the cell columns of ``[xmin, xmax]``; each touched
@@ -76,45 +99,35 @@ def _gh_edges(grid: Grid, rects: RectArray, h: np.ndarray, v: np.ndarray) -> Non
     i1 = grid.column_of(rects.xmax)
     j0 = grid.row_of(rects.ymin)
     j1 = grid.row_of(rects.ymax)
-    # Horizontal edges: bottom (row j0) and top (row j1).  Both edge
-    # families scatter in one pass per axis (indices and weights are
-    # concatenated first), keeping per-cell addition order identical
-    # to sequential accumulation while touching the grid once.
-    _scatter_runs(
-        h,
-        *(
-            _spread_segments(
-                starts=rects.xmin,
-                ends=rects.xmax,
-                lo_cell=i0,
-                hi_cell=i1,
-                fixed_cell=row,
-                axis_origin=grid.extent.xmin,
-                cell_size=grid.cell_width,
-                flat_stride_fixed=grid.side,  # flat = row * side + col
-                flat_stride_moving=1,
-            )
-            for row in (j0, j1)
-        ),
+    bottom, top = (
+        _spread_segments(
+            starts=rects.xmin,
+            ends=rects.xmax,
+            lo_cell=i0,
+            hi_cell=i1,
+            fixed_cell=row,
+            axis_origin=grid.extent.xmin,
+            cell_size=grid.cell_width,
+            flat_stride_fixed=grid.side,  # flat = row * side + col
+            flat_stride_moving=1,
+        )
+        for row in (j0, j1)
     )
-    # Vertical edges: left (column i0) and right (column i1).
-    _scatter_runs(
-        v,
-        *(
-            _spread_segments(
-                starts=rects.ymin,
-                ends=rects.ymax,
-                lo_cell=j0,
-                hi_cell=j1,
-                fixed_cell=col,
-                axis_origin=grid.extent.ymin,
-                cell_size=grid.cell_height,
-                flat_stride_fixed=1,  # flat = row * side + col
-                flat_stride_moving=grid.side,
-            )
-            for col in (i0, i1)
-        ),
+    left, right = (
+        _spread_segments(
+            starts=rects.ymin,
+            ends=rects.ymax,
+            lo_cell=j0,
+            hi_cell=j1,
+            fixed_cell=col,
+            axis_origin=grid.extent.ymin,
+            cell_size=grid.cell_height,
+            flat_stride_fixed=1,  # flat = row * side + col
+            flat_stride_moving=grid.side,
+        )
+        for col in (i0, i1)
     )
+    return bottom, top, left, right
 
 
 def _spread_segments(

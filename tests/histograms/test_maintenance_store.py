@@ -108,6 +108,36 @@ class TestWarmIdentity:
         assert peek_fingerprint(ds) == new_key.fingerprint
         assert store.load_histogram(new_key) is not None
 
+    def test_a_maintained_write_folds_the_dataset_once(self, store, rng, monkeypatch):
+        """The caller bumps and mints the key (one fold); maintenance
+        finds that digest memoized and neither bumps nor folds again."""
+        import repro.perf.fingerprint as fingerprint_mod
+
+        folds = []
+        fold = fingerprint_mod.dataset_fingerprint_uncached
+        monkeypatch.setattr(
+            fingerprint_mod,
+            "dataset_fingerprint_uncached",
+            lambda dataset: folds.append(dataset.name) or fold(dataset),
+        )
+        ds, key, hist = self.seeded(store, rng)
+        for write in range(3):
+            folds.clear()
+            removed, added = move_in_place(ds, np.arange(10), 0.01)
+            ds.mark_mutated()
+            version = ds.token.version
+            new_key = HistogramCache.key_for(ds, "gh", 4)
+            hist = apply_updates(
+                hist, added=added, removed=removed, store=store,
+                stale_key=key, republish_key=new_key, dataset=ds,
+            )
+            assert folds == ["t"], write
+            assert ds.token.version == version
+            assert peek_fingerprint(ds) == new_key.fingerprint
+            assert store.load_histogram(new_key) is not None
+            assert store.load_histogram(key) is None
+            key = new_key
+
     def test_dataset_alone_leaves_the_fingerprint_cold(self, store, rng):
         ds, _key, hist = self.seeded(store, rng)
         removed, added = move_in_place(ds, np.arange(10), 0.01)

@@ -1,8 +1,9 @@
 """Histogram builds against the staged reference builds they replaced.
 
 The shipped GH, PH and basic-GH builds scatter every statistic from one
-shared cell-range/run expansion; :mod:`tests.histograms.reference_builds`
-keeps the earlier per-stage scatters.  The shipped builds must equal
+split into single-cell and spanning rectangles and one run expansion of
+the spanning ones; :mod:`tests.histograms.reference_builds` keeps
+per-stage scatters in the same accumulation order.  The shipped builds must equal
 them bit for bit (``tobytes()`` on every plane) on the paper's datasets
 and on degenerate inputs at every level 0-9, and beat them on
 paper-shaped data.
@@ -104,8 +105,8 @@ class TestBaselineEquivalence:
 
 
 #: Build-time floors over the reference builds at levels 6-7 on the
-#: scale-20 TS/TCB pair (measured ~1.9-2.1x GH and ~1.4-1.55x PH on a 2-CPU
-#: x86_64 host).
+#: scale-20 TS/TCB pair (measured ~2.3-3.0x GH against the single-cell-first
+#: reference and ~1.5x PH on a loaded 2-CPU x86_64 host).
 BUILD_FLOORS = {GHHistogram: 1.5, PHHistogram: 1.2}
 REFERENCES = {GHHistogram: gh_reference, PHHistogram: ph_reference}
 

@@ -94,7 +94,7 @@ class TestFormatVersion:
         key, _ = publish_gh(catalog, dataset)
         manifest_path = catalog.root / "objects" / hist_entry_name(key) / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == FORMAT_VERSION == 3
+        assert manifest["version"] == FORMAT_VERSION == 4
         manifest["version"] = 1
         manifest_path.write_text(json.dumps(manifest))
         assert catalog.load_histogram(key) is None
@@ -107,6 +107,31 @@ class TestFormatVersion:
         assert hist.estimate_selectivity(cold) == cold.estimate_selectivity(cold)
         republished = catalog.load_histogram(key)
         assert np.array_equal(republished.planes, cold.planes)
+
+
+    def test_version_three_gh_entry_is_a_counted_miss_and_rebuilt(self, catalog, dataset):
+        """A version-3 entry holds GH planes accumulated in rectangle
+        order, which a cold build no longer reproduces bit for bit: it
+        must read as a counted miss, and the republished rebuild must be
+        the current version and equal a cold build."""
+        key, _ = publish_gh(catalog, dataset)
+        manifest_path = catalog.root / "objects" / hist_entry_name(key) / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        misses = catalog.stats.misses
+        assert catalog.load_histogram(key) is None
+        assert catalog.stats.misses == misses + 1
+        assert catalog.stats.hits == 0
+        cache = HistogramCache(store=catalog)
+        hist, source = cache.resolve(dataset, "gh", 5)
+        assert source == "build"
+        assert cache.stats.builds == 1
+        cold = GHHistogram.build(dataset, 5)
+        assert hist.planes.tobytes() == cold.planes.tobytes()
+        assert json.loads(manifest_path.read_text())["version"] == FORMAT_VERSION
+        republished = catalog.load_histogram(key)
+        assert republished.planes.tobytes() == cold.planes.tobytes()
 
 
 class TestTreeRoundTrip:
