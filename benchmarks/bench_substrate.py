@@ -13,7 +13,7 @@ import pytest
 
 from repro.hilbert import hilbert_index_vectorized
 from repro.histograms import GHHistogram, PHHistogram
-from repro.join import partition_join_count, plane_sweep_count
+from repro.join import plane_sweep_count
 from repro.rtree import flat_join_count, flat_load_str
 
 
@@ -35,15 +35,13 @@ def test_str_bulk_load(benchmark, pair_context):
 
 @pytest.mark.parametrize(
     "engine",
-    ["partition", "sweep", "rtree"],
+    ["sweep", "rtree"],
 )
 def test_exact_join_engines(benchmark, pair_context, engine):
     ctx = pair_context
     benchmark.group = f"substrate-join-{ctx.name}"
     a, b = ctx.ds1.rects, ctx.ds2.rects
-    if engine == "partition":
-        count = benchmark(lambda: partition_join_count(a, b))
-    elif engine == "sweep":
+    if engine == "sweep":
         count = benchmark(lambda: plane_sweep_count(a, b))
     else:
         ta, tb = flat_load_str(a), flat_load_str(b)

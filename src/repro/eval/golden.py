@@ -2,7 +2,8 @@
 
 The corpus is a small set of *seeded* synthetic join pairs for which we
 commit (a) the exact intersecting-pair count — verified at test time
-against the PBSM oracle — and (b) per-estimator relative-error
+through :func:`~repro.join.join_count`, the R-tree join at these sizes
+— and (b) per-estimator relative-error
 baselines with a regression margin.  The committed file
 ``tests/accuracy/golden_corpus.json`` is the contract; the ``pytest -m
 accuracy`` CI job replays it through :func:`check_corpus`.
@@ -13,7 +14,8 @@ pair count under that predicate (recomputed at check time through the
 predicate engines) and the error ceilings of that predicate's estimator
 family.  The ``intersects`` predicate entry doubles as a cross-gate —
 its count must equal the pair's top-level ``exact_count``, tying the
-predicate engines to the PBSM oracle inside the committed file itself.
+predicate engines to the ``join_count`` oracle inside the committed file
+itself.
 
 The estimators are fully deterministic given the spec (histograms and
 the parametric model are data-functions; the sampling entries carry a
@@ -38,7 +40,7 @@ from ..datasets import (
     make_grid_aligned,
     make_uniform,
 )
-from ..join import partition_join_count
+from ..join import join_count
 from ..predicates import (
     STANDARD_PREDICATES,
     EndpointInequalityEstimator,
@@ -218,7 +220,7 @@ def build_corpus() -> dict:
     for name in GOLDEN_PAIRS:
         ds1, ds2 = build_pair(name)
         n1, n2 = len(ds1), len(ds2)
-        count = partition_join_count(ds1.rects, ds2.rects)
+        count = join_count(ds1.rects, ds2.rects)
         actual = count / (n1 * n2)
         pairs[name] = {
             "n1": n1,
@@ -271,7 +273,7 @@ def _check_predicates(
 
     Counts are recomputed through the predicate engines; the
     ``intersects`` section additionally cross-gates against the pair's
-    top-level PBSM count.
+    top-level ``join_count``.
     """
     n1, n2 = len(ds1), len(ds2)
     for pred_name, section in entry.get("predicates", {}).items():
@@ -308,7 +310,7 @@ def check_corpus(corpus: dict) -> list[GoldenMismatch]:
     """Replay a committed corpus; return every violated expectation.
 
     Checks, per pair: dataset sizes, the exact count (recomputed through
-    the PBSM oracle), that each estimator's current relative
+    ``join_count``), that each estimator's current relative
     error stays within its committed ``max_error_pct``, and every
     per-predicate section (counts via the predicate engines, grades via
     the predicate estimators, the intersects count cross-gate).
@@ -325,7 +327,7 @@ def check_corpus(corpus: dict) -> list[GoldenMismatch]:
                 GoldenMismatch(name, "size", entry["n1"], float(len(ds1)))
             )
             continue
-        count = partition_join_count(ds1.rects, ds2.rects)
+        count = join_count(ds1.rects, ds2.rects)
         if count != entry["exact_count"]:
             mismatches.append(
                 GoldenMismatch(name, "count", entry["exact_count"], count)

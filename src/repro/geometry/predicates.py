@@ -229,7 +229,7 @@ def pairwise_intersection_mask(a: RectArray, b: RectArray) -> np.ndarray:
     """Dense ``(len(a), len(b))`` boolean intersection matrix.
 
     Memory is Θ(len(a) · len(b)); intended for small inputs (tests and
-    per-partition work inside PBSM).  Larger joins should use
+    the blocks of the naive predicate oracle).  Larger joins should use
     :mod:`repro.join`.
     """
     return (

@@ -1,13 +1,12 @@
 """Exact spatial-join engines (the estimators' ground truth).
 
-Four interchangeable exact algorithms — blocked nested loop, plane sweep,
-PBSM partition join, and the R-tree synchronized-traversal join — all
-producing identical results (cross-checked in the test suite).
+Three interchangeable exact algorithms — blocked nested loop, plane
+sweep, and the R-tree synchronized-traversal join — all producing
+identical results (cross-checked in the test suite).
 """
 
 from .api import JoinMethod, actual_selectivity, join_count, join_pairs
 from .naive import nested_loop_count, nested_loop_pairs
-from .partition import choose_grid_size, partition_join_count, partition_join_pairs
 from .planesweep import plane_sweep_count, plane_sweep_pairs
 
 __all__ = [
@@ -19,7 +18,4 @@ __all__ = [
     "nested_loop_pairs",
     "plane_sweep_count",
     "plane_sweep_pairs",
-    "partition_join_count",
-    "partition_join_pairs",
-    "choose_grid_size",
 ]

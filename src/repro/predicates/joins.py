@@ -21,8 +21,10 @@ Each predicate supports a subset of three engine names (plus ``"auto"``):
     once, then one vectorized ``searchsorted`` answers every row —
     O((n + m) log(n + m)) counts, output-linear pairs.
 
-* ``"flat"`` — the vectorized flat R-tree kernel
-  (:mod:`repro.rtree.flat`), where a tree engine exists: directly for
+* ``"flat"`` — the exact R-tree join of :mod:`repro.join.api`
+  (:func:`~repro.join.api.rtree_join_count`, the ``method="rtree"``
+  engine: STR trees joined by the flat kernel of
+  :mod:`repro.rtree.flat`), where a tree engine exists: directly for
   ``Intersects``, over the inflated left input (plus refinement) for
   ``WithinDistance``, over the y-flattened inputs for
   ``IntervalOverlap``.  ``Inequality`` is inherently 1-D and has no tree
@@ -50,9 +52,9 @@ from typing import List, Tuple
 import numpy as np
 
 from ..geometry import RectArray
+from ..join.api import canonical_pair_order, rtree_join_count, rtree_join_pairs
 from ..join.naive import nested_loop_count, nested_loop_pairs
 from ..join.planesweep import plane_sweep_count, plane_sweep_pairs
-from ..rtree.flat import flat_join_count, flat_join_pairs, flat_load_str
 from ..runtime import checkpoint
 from .base import Inequality, Intersects, IntervalOverlap, JoinPredicate, WithinDistance
 
@@ -113,9 +115,7 @@ def naive_predicate_pairs(
                 chunks.append(np.stack([ia + s, ib + t], axis=1))
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(chunks, axis=0).astype(np.int64)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    return canonical_pair_order(np.concatenate(chunks, axis=0).astype(np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _epsilon_candidates(
     """L∞ candidate pairs via one-sided inflation of ``a`` by ``eps``."""
     inflated = a.inflate(eps)
     if engine == "flat":
-        return flat_join_pairs(flat_load_str(inflated), flat_load_str(b))
+        return rtree_join_pairs(inflated, b)
     return plane_sweep_pairs(inflated, b)
 
 
@@ -196,7 +196,7 @@ def interval_join_count(
     """Number of closed interval overlaps along ``axis``."""
     fa, fb = _flatten_to_axis(a, axis), _flatten_to_axis(b, axis)
     if engine == "flat":
-        return flat_join_count(flat_load_str(fa), flat_load_str(fb))
+        return rtree_join_count(fa, fb)
     if engine == "sweep":
         return plane_sweep_count(fa, fb)
     if engine == "nested":
@@ -210,7 +210,7 @@ def interval_join_pairs(
     """All closed interval overlaps along ``axis``, canonical order."""
     fa, fb = _flatten_to_axis(a, axis), _flatten_to_axis(b, axis)
     if engine == "flat":
-        return flat_join_pairs(flat_load_str(fa), flat_load_str(fb))
+        return rtree_join_pairs(fa, fb)
     if engine == "sweep":
         return plane_sweep_pairs(fa, fb)
     if engine == "nested":
@@ -281,9 +281,7 @@ def inequality_join_pairs(
     offsets = np.concatenate([[0], np.cumsum(runs)[:-1]])
     local = np.arange(total, dtype=np.int64) - np.repeat(offsets, runs)
     b_pos = np.repeat(start, runs) + local
-    pairs = np.stack([a_ids, order_b[b_pos]], axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    return canonical_pair_order(np.stack([a_ids, order_b[b_pos]], axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +320,7 @@ def predicate_join_count(
         return naive_predicate_count(a, b, predicate)
     if isinstance(predicate, Intersects):
         if method == "flat":
-            return flat_join_count(flat_load_str(a), flat_load_str(b))
+            return rtree_join_count(a, b)
         return plane_sweep_count(a, b)
     if isinstance(predicate, WithinDistance):
         return epsilon_join_count(a, b, predicate.eps, engine=method)
@@ -344,7 +342,7 @@ def predicate_join_pairs(
         return naive_predicate_pairs(a, b, predicate)
     if isinstance(predicate, Intersects):
         if method == "flat":
-            return flat_join_pairs(flat_load_str(a), flat_load_str(b))
+            return rtree_join_pairs(a, b)
         return plane_sweep_pairs(a, b)
     if isinstance(predicate, WithinDistance):
         return epsilon_join_pairs(a, b, predicate.eps, engine=method)

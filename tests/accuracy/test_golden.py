@@ -1,12 +1,12 @@
 """Golden accuracy gate: the committed corpus must replay exactly.
 
 ``golden_corpus.json`` freezes, for four seeded synthetic join pairs:
-the exact intersecting-pair count (re-verified here through the PBSM
-oracle), a per-estimator relative-error
-ceiling (measured error x1.5 + 1pp at freeze time), and — since corpus
-version 2 — a per-predicate section per pair: the exact count under
-every standard predicate plus the error ceilings of that predicate's
-estimator family.  A failure means an estimator or a generator changed
+the exact intersecting-pair count (re-verified here through
+``join_count``, the R-tree join at these sizes), a per-estimator
+relative-error ceiling (measured error x1.5 + 1pp at freeze time), and
+— since corpus version 2 — a per-predicate section per pair: the exact
+count under every standard predicate plus the error ceilings of that
+predicate's estimator family.  A failure means an estimator or a generator changed
 behavior; regenerate deliberately with
 ``python benchmarks/make_golden_corpus.py`` and justify the diff.
 ``test_corpus_regenerates_exactly`` keeps that script honest: the
@@ -27,7 +27,7 @@ from repro.eval.golden import (
     build_pair,
     check_corpus,
 )
-from repro.join import partition_join_count
+from repro.join import join_count
 from repro.predicates import STANDARD_PREDICATES, naive_predicate_count, predicate_from_key
 
 pytestmark = pytest.mark.accuracy
@@ -57,8 +57,8 @@ def test_corpus_file_shape(corpus):
 
 def test_intersects_sections_cross_gate_the_oracle(corpus):
     """The committed intersects-predicate count must equal the pair's
-    top-level PBSM count — the predicate engines and the partition
-    oracle are tied together inside the committed file itself."""
+    top-level ``join_count`` — the predicate engines and the oracle are
+    tied together inside the committed file itself."""
     for name, entry in corpus["pairs"].items():
         assert entry["predicates"]["intersects"]["exact_count"] == entry["exact_count"], name
 
@@ -78,10 +78,10 @@ def test_corpus_regenerates_exactly(corpus):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PAIRS))
 def test_exact_counts_match_serial_engine(corpus, name):
-    """The serial PBSM engine must reproduce each pair's frozen count
-    (one test per pair, so a drift names its pair)."""
+    """``join_count`` must reproduce each pair's frozen count (one test
+    per pair, so a drift names its pair)."""
     ds1, ds2 = build_pair(name)
-    assert partition_join_count(ds1.rects, ds2.rects) == corpus["pairs"][name]["exact_count"]
+    assert join_count(ds1.rects, ds2.rects) == corpus["pairs"][name]["exact_count"]
 
 
 @pytest.mark.parametrize("pred_name", sorted(STANDARD_PREDICATES))

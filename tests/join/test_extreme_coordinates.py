@@ -8,11 +8,7 @@ engines must agree regardless of magnitude and offset.
 import pytest
 
 from repro.geometry import Rect, RectArray
-from repro.join import (
-    nested_loop_count,
-    partition_join_count,
-    plane_sweep_count,
-)
+from repro.join import join_count, nested_loop_count, plane_sweep_count
 from repro.rtree import flat_join_count, flat_load_str
 from tests.conftest import random_rects
 
@@ -32,7 +28,7 @@ class TestEngineAgreementAcrossRegimes:
         b = random_rects(rng, 400, extent=extent)
         reference = nested_loop_count(a, b)
         assert plane_sweep_count(a, b) == reference
-        assert partition_join_count(a, b) == reference
+        assert join_count(a, b) == reference
         assert flat_join_count(flat_load_str(a), flat_load_str(b)) == reference
 
     def test_histograms_work(self, rng, name, extent):
@@ -54,5 +50,5 @@ class TestMixedMagnitudes:
         merged = RectArray.concatenate([giant, tiny])
         other = random_rects(rng, 200)
         reference = nested_loop_count(merged, other)
-        assert partition_join_count(merged, other) == reference
+        assert join_count(merged, other, method="rtree") == reference
         assert plane_sweep_count(merged, other) == reference

@@ -21,8 +21,6 @@ from repro.join import (
     join_pairs,
     nested_loop_count,
     nested_loop_pairs,
-    partition_join_count,
-    partition_join_pairs,
     plane_sweep_count,
     plane_sweep_pairs,
 )
@@ -31,16 +29,16 @@ from tests.conftest import random_rects
 
 
 COUNTERS = {
+    "auto": join_count,
     "nested": nested_loop_count,
     "sweep": plane_sweep_count,
-    "partition": partition_join_count,
     "rtree": lambda a, b: join_count(a, b, method="rtree"),
     "flat": lambda a, b: flat_join_count(flat_load_str(a), flat_load_str(b)),
 }
 PAIRERS = {
+    "auto": join_pairs,
     "nested": nested_loop_pairs,
     "sweep": plane_sweep_pairs,
-    "partition": partition_join_pairs,
     "rtree": lambda a, b: join_pairs(a, b, method="rtree"),
     "flat": lambda a, b: flat_join_pairs(flat_load_str(a), flat_load_str(b)),
 }
@@ -78,7 +76,7 @@ class TestRandomInputs:
 
     def test_large_rects(self, rng):
         # Rectangles spanning large fractions of the extent stress
-        # replication (PBSM) and active-list size (sweep).
+        # node overlap (R-tree) and active-list size (sweep).
         a = random_rects(rng, 150, max_side=0.9)
         b = random_rects(rng, 150, max_side=0.9)
         counts = all_counts(a, b)
@@ -109,7 +107,7 @@ _MATRIX_PAIRS = {
 
 @pytest.mark.accuracy
 class TestDifferentialMatrix:
-    """Random datasets × all five engines: counts AND pair sets must
+    """Random datasets × every engine: counts AND pair sets must
     agree exactly.  This is the differential gate the flat SoA engine is
     held to — one seeded matrix row per spatial pathology."""
 
@@ -133,6 +131,37 @@ class TestEdgeCases:
             assert fn(a, empty) == 0
             assert fn(empty, a) == 0
             assert fn(empty, empty) == 0
+        for name, fn in PAIRERS.items():
+            for left, right in ((a, empty), (empty, a), (empty, empty)):
+                pairs = fn(left, right)
+                assert pairs.shape == (0, 2) and pairs.dtype == np.int64, name
+
+    def test_empty_side_above_the_small_input_cut(self, rng):
+        # An empty side against 600 rectangles: ``auto`` runs the R-tree
+        # join with one empty tree.
+        full = random_rects(rng, 600)
+        empty = RectArray.empty()
+        for name, fn in COUNTERS.items():
+            assert fn(full, empty) == 0, name
+            assert fn(empty, full) == 0, name
+        for name, fn in PAIRERS.items():
+            for left, right in ((full, empty), (empty, full)):
+                pairs = fn(left, right)
+                assert pairs.shape == (0, 2) and pairs.dtype == np.int64, name
+
+    def test_one_large_rect_against_many_small(self, rng):
+        # One rectangle covering the extent meets every small one exactly
+        # once, however many leaves (or sweep events) it overlaps.  The
+        # small side is above the nested-loop cut, so ``auto`` runs the
+        # R-tree join here.
+        big = RectArray.from_rects([Rect(0, 0, 1, 1)])
+        small = random_rects(rng, 600)
+        for name, fn in COUNTERS.items():
+            assert fn(big, small) == len(small), name
+            assert fn(small, big) == len(small), name
+        expected = np.stack([np.zeros(len(small), np.int64), np.arange(len(small))], axis=1)
+        for name, fn in PAIRERS.items():
+            assert np.array_equal(fn(big, small), expected), name
 
     def test_single_pair_touching_edge(self):
         a = RectArray.from_rects([Rect(0, 0, 1, 1)])
@@ -154,7 +183,7 @@ class TestEdgeCases:
 
     def test_grid_aligned_shared_edges(self):
         # A tiling where every neighbor touches: worst case for
-        # closed-interval handling and for PBSM reference points.
+        # closed-interval handling.
         rects = [
             Rect(i * 0.25, j * 0.25, (i + 1) * 0.25, (j + 1) * 0.25)
             for i in range(4)
@@ -165,6 +194,24 @@ class TestEdgeCases:
         assert len(set(counts.values())) == 1, counts
         # Interior cell touches 8 neighbors + itself; verify via oracle.
         assert counts["nested"] == nested_loop_count(arr, arr)
+
+    def test_edge_touching_tiling_above_the_small_input_cut(self):
+        # 24 x 24 tiles touching their neighbours along shared edges and
+        # corners, joined with itself: 576 + 576 rectangles, so ``auto``
+        # runs the R-tree join.  Tile (i, j) meets every (i', j') with
+        # |i - i'| <= 1 and |j - j'| <= 1: 22 * 22 * 9 interior, 4 * 22 * 6
+        # edge and 4 * 4 corner pairs.
+        side = 24
+        edges = np.arange(side + 1) / side
+        i, j = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+        i, j = i.ravel(), j.ravel()
+        tiles = RectArray(edges[i], edges[j], edges[i + 1], edges[j + 1])
+        expected = 22 * 22 * 9 + 4 * 22 * 6 + 4 * 4
+        for name, fn in COUNTERS.items():
+            assert fn(tiles, tiles) == expected, name
+        reference = nested_loop_pairs(tiles, tiles)
+        for name, fn in PAIRERS.items():
+            assert np.array_equal(fn(tiles, tiles), reference), name
 
     def test_degenerate_segments(self):
         a = RectArray.from_rects([Rect(0, 0.5, 1, 0.5), Rect(0.5, 0, 0.5, 1)])

@@ -1,7 +1,7 @@
 """The pair-output ordering contract shared by every exact engine.
 
 Contract (documented in :mod:`repro.join.api`): every ``*_pairs``
-function — nested loop, plane sweep, PBSM and R-tree join — returns
+function — nested loop, plane sweep and R-tree join — returns
 
 * a ``(k, 2)`` array of dtype ``int64`` (ids into the original inputs),
 * with **unique** rows (each intersecting pair reported exactly once),
@@ -17,13 +17,8 @@ here with a named reason instead of as an opaque matrix mismatch.
 import numpy as np
 import pytest
 
-from repro.join import (
-    join_pairs,
-    nested_loop_pairs,
-    partition_join_pairs,
-    plane_sweep_pairs,
-)
-from repro.join.partition import canonical_pair_order
+from repro.join import join_pairs, nested_loop_pairs, plane_sweep_pairs
+from repro.join.api import canonical_pair_order
 from tests.conftest import random_rects
 
 pytestmark = pytest.mark.accuracy
@@ -31,7 +26,6 @@ pytestmark = pytest.mark.accuracy
 PAIRERS = {
     "nested": nested_loop_pairs,
     "sweep": plane_sweep_pairs,
-    "partition": partition_join_pairs,
     "rtree": lambda a, b: join_pairs(a, b, method="rtree"),
     "api_auto": join_pairs,
 }
@@ -70,7 +64,7 @@ def test_empty_result_shape(name):
 def test_canonical_pair_order_is_idempotent(rng):
     a = random_rects(rng, 350)
     b = random_rects(rng, 350)
-    pairs = partition_join_pairs(a, b)
+    pairs = join_pairs(a, b)
     assert np.array_equal(canonical_pair_order(pairs), pairs)
     # A shuffle sorts back to the same array — the order is total.
     shuffled = pairs[rng.permutation(len(pairs))]

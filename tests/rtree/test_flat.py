@@ -14,7 +14,7 @@ from repro.errors import EstimationTimeout
 from repro.geometry import Rect, RectArray
 from repro.join import plane_sweep_count
 from repro.join.naive import nested_loop_count, nested_loop_pairs
-from repro.join.partition import canonical_pair_order
+from repro.join.api import canonical_pair_order
 from repro.rtree import (
     FlatRTree,
     RTree,
