@@ -166,10 +166,14 @@ class GHHistogram:
         checkpoint("gh.build.corners")
         split = CellSplit(grid, rects)
         runs = split.runs
+        # With no single-cell rectangle (a small maintenance delta of
+        # large ones, a coarse level) their stage adds nothing: skip it.
+        single = split.contained.size > 0
         # Corner counts are exact small integers in float64 — order-free,
         # so a single-cell rectangle's four corners are one +4.0 and the
         # four spanning corner families scatter independently.
-        np.add.at(c, split.flat, 4.0)
+        if single:
+            np.add.at(c, split.flat, 4.0)
         if runs is not None:
             rows0 = runs.j0 * grid.side
             rows1 = runs.j1 * grid.side
@@ -178,8 +182,9 @@ class GHHistogram:
             np.add.at(c, rows1 + runs.i1, 1.0)
             np.add.at(c, rows1 + runs.i0, 1.0)
         checkpoint("gh.build.overlaps")
-        rawx, rawy = split.contained_clips()
-        np.add.at(o, split.flat, rawx * rawy / grid.cell_area)
+        if single:
+            rawx, rawy = split.contained_clips()
+            np.add.at(o, split.flat, rawx * rawy / grid.cell_area)
         if runs is not None:
             np.add.at(
                 o,
@@ -190,10 +195,11 @@ class GHHistogram:
         # A single-cell rectangle's two horizontal edges are one segment
         # counted twice in one cell: its part of H is the rect-ordered
         # sum of the bottoms, doubled (exact), before any spanning edge.
-        np.add.at(h, split.flat, np.maximum(rawx, 0.0) / grid.cell_width)
-        h *= 2.0
-        np.add.at(v, split.flat, np.maximum(rawy, 0.0) / grid.cell_height)
-        v *= 2.0
+        if single:
+            np.add.at(h, split.flat, np.maximum(rawx, 0.0) / grid.cell_width)
+            h *= 2.0
+            np.add.at(v, split.flat, np.maximum(rawy, 0.0) / grid.cell_height)
+            v *= 2.0
         if runs is None:
             return
         # Spanning horizontal edges: bottom (row j0) then top (row j1)

@@ -78,10 +78,11 @@ class BasicGHHistogram:
         4 corners, 1 incidence and 2 edges of each direction to its
         cell, and only spanning rectangles expand into runs."""
         split = CellSplit(grid, rects, clips=False)
-        np.add.at(c, split.flat, 4.0)
-        np.add.at(i_cnt, split.flat, 1.0)
-        np.add.at(h, split.flat, 2.0)
-        np.add.at(v, split.flat, 2.0)
+        if split.contained.size:
+            np.add.at(c, split.flat, 4.0)
+            np.add.at(i_cnt, split.flat, 1.0)
+            np.add.at(h, split.flat, 2.0)
+            np.add.at(v, split.flat, 2.0)
         runs = split.runs
         if runs is None:
             return

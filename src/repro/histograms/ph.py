@@ -160,14 +160,15 @@ class PHHistogram:
         checkpoint("ph.build.contained")
         split = CellSplit(grid, rects)
         idx_c, flat = split.contained, split.flat
-        xmin = rects.xmin.take(idx_c)
-        ymin = rects.ymin.take(idx_c)
-        widths = rects.xmax.take(idx_c) - xmin
-        heights = rects.ymax.take(idx_c) - ymin
-        np.add.at(num, flat, 1.0)
-        np.add.at(area_sum, flat, widths * heights)
-        np.add.at(w_sum, flat, widths)
-        np.add.at(h_sum, flat, heights)
+        if idx_c.size:  # else the Cont group is empty and adds nothing
+            xmin = rects.xmin.take(idx_c)
+            ymin = rects.ymin.take(idx_c)
+            widths = rects.xmax.take(idx_c) - xmin
+            heights = rects.ymax.take(idx_c) - ymin
+            np.add.at(num, flat, 1.0)
+            np.add.at(area_sum, flat, widths * heights)
+            np.add.at(w_sum, flat, widths)
+            np.add.at(h_sum, flat, heights)
         checkpoint("ph.build.spanning")
         runs = split.runs
         if runs is None:

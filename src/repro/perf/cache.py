@@ -29,17 +29,24 @@ thousands-of-rectangles files of a serving working set outweighs the
 N term and ranks them by scheme instead of by rebuild work.
 
 **Packed victims.**  At fine levels most cells of a skewed dataset are
-empty, so when the budget overflows the victim is first replaced by its
-occupied cells (:func:`~repro.histograms.file.pack_histogram`) rather
-than dropped, and re-ranked like a fresh insert at its packed size:
-its credit becomes ``count / packed bytes``, plain GreedyDual-Size with
-no extra knob.  A packed entry is dropped when it is the victim again,
-and so is a victim mapped from the store: packing it would copy
-page-cache bytes onto the heap to save a reopen of about 0.4 ms.
-A hit on one expands it outside the lock, by zero-fill plus one
-scatter, to planes ``tobytes()``-identical to a cold build.  A cache
-that never exceeds its budget never packs, so its hits return the
-retained object itself.
+empty, and keeping a file's occupied cells
+(:func:`~repro.histograms.file.pack_histogram`) is far cheaper than
+redoing its build, so eviction has two phases: while any retained dense
+file may still pack, the lowest-ranked one is packed, and only when
+none can is an entry dropped.  A pack loses no entry, so
+GreedyDual-Size, which ranks what to *lose*, orders the drops alone: a
+pack leaves the floor where it is (a floor raised by packs ages every
+file past the ones just packed and drops them sooner, which built more
+files in 23 of 33 replayed budgets and streams and fewer in one,
+DESIGN §19), and the packed file is re-ranked like a fresh insert at
+its packed size, its credit ``count / packed bytes``.  A dense file
+that packs no smaller (it has no empty cell) is remembered after that
+one scan and waits with the packed files, as does a file mapped from
+the store: packing it would copy page-cache bytes onto the heap to save
+a reopen of about 0.4 ms.  A hit on a packed file expands it outside
+the lock, by zero-fill plus one scatter, to planes
+``tobytes()``-identical to a cold build.  A cache that never exceeds
+its budget never packs, so its hits return the retained object itself.
 
 **One answer per key.**  A lookup resolves from exactly three sources
 — the in-memory L1, the optional artifact store, or a fresh build — and
@@ -160,17 +167,27 @@ class _ByteCache(Generic[_K, _V]):
     (:class:`~repro.perf.memo.EstimateCache`): GreedyDual-Size within a
     byte budget.
 
-    Each retained entry carries a priority ``H = L + cost / size``
-    where ``size`` is :meth:`_size`, ``cost`` is :meth:`_cost`, a
-    deterministic proxy for the work a rebuild would redo, and ``L`` is
-    the inflation floor.  A hit (or a racing re-insert) refreshes ``H``
-    against the current ``L``; when the budget overflows, the entry
-    with the smallest ``(H, touch sequence)`` is evicted and ``L``
-    rises to its ``H`` (Cao & Irani,
+    Each retained entry carries a rank ``(form, H, touch sequence)``.
+    ``H = L + cost / size`` where ``size`` is :meth:`_size`, ``cost`` is
+    :meth:`_cost`, a deterministic proxy for the work a rebuild would
+    redo, and ``L`` is the inflation floor.  A hit (or a racing
+    re-insert) refreshes ``H`` against the current ``L``; when the
+    budget overflows and no entry can pack (below), the entry with the
+    smallest ``(H, touch sequence)`` is evicted and ``L`` rises to its
+    ``H`` (Cao & Irani,
     "Cost-Aware WWW Proxy Caching Algorithms", USENIX 1997).  So at
     equal bytes a cheap rebuild goes before an expensive one, entries
     nobody touches age out as ``L`` climbs past them, and at equal cost
     per byte the order is exactly LRU.
+
+    ``form`` (:meth:`_form`) puts a cheaper way to shed bytes first: an
+    entry of form 0 may still :meth:`_pack` into a smaller stand-in that
+    loses nothing, so the lowest-ranked form-0 entry is packed before
+    any entry is dropped, and a pack moves it to form 1 without raising
+    ``L``.  The form is set on insert and on pack only, as membership of
+    the form-0 key set, so a hit refreshes ``(H, touch)`` alone.  A tier
+    that never packs ranks every entry at form 1, so its order is plain
+    GreedyDual-Size.
 
     Owns the entries, their byte count, the lock and the
     :class:`~repro.obs.Counters` named by ``_COUNTERS``, which share
@@ -181,8 +198,8 @@ class _ByteCache(Generic[_K, _V]):
     than the whole budget is never retained, a racing insert keeps the
     first entry); and the best-effort publish to the optional ``store``
     L2 tier.  Subclasses add their key type, ``key_for``, ``resolve``,
-    ``_size`` and ``_cost``, and may add ``_pack`` to keep a smaller
-    stand-in for an eviction victim.
+    ``_size`` and ``_cost``, and may add ``_form`` and ``_pack`` to
+    keep a smaller stand-in in place of a dropped entry.
 
     A tier built with ``store`` attaches itself to that catalog, which
     writes through to it: a catalog removal calls :meth:`discard`
@@ -220,10 +237,13 @@ class _ByteCache(Generic[_K, _V]):
         self._bytes = 0  # guarded-by: _lock
         #: Live ``(H, touch sequence)`` per retained key.
         self._rank: dict[_K, tuple[float, int]] = {}  # guarded-by: _lock
-        #: One ``(H, sequence, key)`` record per retained key, at most its
-        #: live rank: a hit raises only ``_rank``, and eviction re-files
-        #: a record that has fallen behind before trusting the minimum.
-        self._heap: list[tuple[float, int, _K]] = []  # guarded-by: _lock
+        #: The retained keys of form 0, whose entries may still pack.
+        self._packable: set[_K] = set()  # guarded-by: _lock
+        #: One ``(form, H, sequence, key)`` record per retained key, at
+        #: most its live rank (:meth:`_live`): a hit raises only
+        #: ``_rank``, and eviction re-files a record that has fallen
+        #: behind before trusting the minimum.
+        self._heap: list[tuple[int, float, int, _K]] = []  # guarded-by: _lock
         self._floor = 0.0  # guarded-by: _lock
         self._touches = 0  # guarded-by: _lock
         #: :meth:`discard` calls so far: a store load retains its result
@@ -248,9 +268,10 @@ class _ByteCache(Generic[_K, _V]):
             return key in self._entries
 
     def keys(self) -> list[_K]:
-        """Retained keys in eviction order, next victim first."""
+        """Retained keys in eviction order, next victim first (the next
+        to pack, while any may)."""
         with self._lock:
-            return sorted(self._entries, key=self._rank.__getitem__)
+            return sorted(self._entries, key=self._live)
 
     def discard(self, key: _K) -> None:
         """Drop ``key``'s entry, if one is retained, and count the call
@@ -268,9 +289,10 @@ class _ByteCache(Generic[_K, _V]):
             if value is None:
                 return
             del self._rank[key]
+            self._packable.discard(key)
             self._bytes -= self._size(value)
             if len(self._heap) > 2 * len(self._rank) + 16:
-                self._heap = [(*rank, kept) for kept, rank in self._rank.items()]
+                self._heap = [(*self._live(kept), kept) for kept in self._rank]
                 heapq.heapify(self._heap)
 
     def install(self, key: _K, value: _V) -> None:
@@ -287,6 +309,7 @@ class _ByteCache(Generic[_K, _V]):
         with self._lock:
             self._entries.clear()
             self._rank.clear()
+            self._packable.clear()
             self._heap.clear()
             self._bytes = 0
             self._floor = 0.0
@@ -308,17 +331,35 @@ class _ByteCache(Generic[_K, _V]):
         credit = self._cost(value) / (self._size(value) or 1)  # an empty tree has 0 bytes
         self._rank[key] = (self._floor + credit, self._touches)
 
+    def _live(self, key: _K) -> "tuple[int, float, int] | None":
+        """``key``'s live rank ``(form, H, touch sequence)``, or ``None``
+        once it is no longer retained.  Caller holds ``_lock``."""
+        rank = self._rank.get(key)
+        if rank is None:
+            return None
+        return (0 if key in self._packable else 1, *rank)
+
+    def _form(self, value: _V) -> int:
+        """0 when a new entry ``value`` may still :meth:`_pack`, else 1.
+        The default is 1: the tier never packs.  A subclass that returns
+        0 overrides :meth:`_pack` and declares a ``packs`` counter."""
+        return 1
+
     def _pack(self, value: _V) -> "_V | None":
-        """A smaller stand-in for an eviction victim, or ``None`` to
-        drop it.  Caller holds ``_lock``.  The default never packs; a
-        subclass that packs declares a ``packs`` counter."""
-        return None
+        """A smaller stand-in for a form-0 entry, or ``None`` when it
+        packs no smaller.  Caller holds ``_lock``."""
+        raise NotImplementedError
 
     def _evict_one(self) -> None:
-        """Evict the lowest-priority entry and raise the floor to its
-        ``H``: replace the entry by :meth:`_pack`'s stand-in when there
-        is one, else drop it.  Caller holds ``_lock`` and ``_entries``
-        is non-empty.
+        """Shed bytes from the lowest-ranked entry.  Caller holds
+        ``_lock`` and ``_entries`` is non-empty.
+
+        A form-0 entry is packed: replaced by :meth:`_pack`'s stand-in
+        and re-ranked as a fresh insert at its own size, or, when it
+        packs no smaller, kept as it is with its ``H`` and touch.  Either
+        way it moves to form 1, so it is never scanned again, and the
+        floor stays where it is.  A form-1 entry is dropped and the
+        floor rises to its ``H``.
 
         Ranks only rise, so a record matching its key's live rank is
         the true minimum; a record that fell behind is re-filed first,
@@ -326,29 +367,30 @@ class _ByteCache(Generic[_K, _V]):
         """
         heap = self._heap
         while True:
-            priority, touch, key = heap[0]
-            live = self._rank.get(key)
-            if live == (priority, touch):
-                heapq.heappop(heap)
+            form, priority, touch, key = heap[0]
+            live = self._live(key)
+            if live == (form, priority, touch):
                 break
             if live is None:
                 heapq.heappop(heap)
             else:
                 heapq.heapreplace(heap, (*live, key))
-        self._floor = priority
         value = self._entries[key]
-        packed = self._pack(value)
-        if packed is None:
-            del self._rank[key], self._entries[key]
-            self._bytes -= self._size(value)
-            self.stats.add_held("evictions")
+        if form == 0:
+            self._packable.remove(key)
+            packed = self._pack(value)
+            if packed is not None:
+                self._entries[key] = packed
+                self._bytes += self._size(packed) - self._size(value)
+                self._touch(key, packed)
+                self.stats.add_held("packs")
+            heapq.heapreplace(heap, (1, *self._rank[key], key))
             return
-        # The packed copy is re-ranked as a fresh insert at its own size.
-        self._entries[key] = packed
-        self._bytes += self._size(packed) - self._size(value)
-        self._touch(key, packed)
-        heapq.heappush(heap, (*self._rank[key], key))
-        self.stats.add_held("packs")
+        heapq.heappop(heap)
+        self._floor = priority
+        del self._rank[key], self._entries[key]
+        self._bytes -= self._size(value)
+        self.stats.add_held("evictions")
 
     def _probe(self, key: _K) -> "_V | None":
         """Count one lookup: the retained entry, or ``None`` on a miss."""
@@ -449,7 +491,10 @@ class _ByteCache(Generic[_K, _V]):
             self._entries[key] = value
             self._bytes += size
             self._touch(key, value)
-            heapq.heappush(self._heap, (*self._rank[key], key))
+            form = self._form(value)
+            if form == 0:
+                self._packable.add(key)
+            heapq.heappush(self._heap, (form, *self._rank[key], key))
             while self._bytes > self.max_bytes:
                 self._evict_one()
             return True
@@ -480,13 +525,14 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
     Eviction weighs each file's rebuild cost (``count``, the N
     rectangles its build scans) per byte, so large datasets outlive
     small ones of the same level, and a file outlives a larger one of
-    any scheme or level that is cheaper per byte to rebuild.  A dense
-    victim that has empty cells is first packed
+    any scheme or level that is cheaper per byte to rebuild.  Over
+    budget, every dense file with empty cells is packed
     (:func:`~repro.histograms.file.pack_histogram`, counted as
-    ``packs``) and re-ranked at its packed size; only a packed victim,
-    one with no empty cell, or one mapped from the store is dropped
-    (``evictions``).  A hit on a packed entry expands it, outside the
-    lock, to a fresh dense file equal to a cold build.
+    ``packs``), lowest rank first, before any file is dropped
+    (``evictions``); only packed files, files with no empty cell (found
+    by one failed pack, never rescanned) and files mapped from the
+    store are ever dropped.  A hit on a packed entry expands it,
+    outside the lock, to a fresh dense file equal to a cold build.
     """
 
     _COUNTERS = _ByteCache._COUNTERS + ("packs",)
@@ -570,13 +616,15 @@ class HistogramCache(_ByteCache[CacheKey, "Histogram | PackedHistogram"]):
         constant per scheme to every ``cost / size`` credit."""
         return value.count
 
+    def _form(self, value: "Histogram | PackedHistogram") -> int:
+        """0 for a dense file on the heap; 1 for a packed file and for a
+        view of a store mapping (a reopen is cheaper than copying the
+        mapped bytes onto the heap)."""
+        return 1 if isinstance(value, PackedHistogram) or _store_mapped(value) else 0
+
     def _pack(self, value: "Histogram | PackedHistogram") -> "PackedHistogram | None":
-        """The occupied cells of a dense victim, when they are smaller and
-        the victim is not a view of a store mapping (a reopen is cheaper
-        than copying the mapped bytes onto the heap)."""
-        if isinstance(value, PackedHistogram) or _store_mapped(value):
-            return None
-        return pack_if_smaller(value)
+        """The occupied cells of a dense file, when they are smaller."""
+        return pack_if_smaller(value)  # type: ignore[arg-type]  # form 0 is dense
 
     def _resident(self, value: "Histogram | PackedHistogram") -> bool:
         """A dense file on the heap of at most :data:`RESIDENT_MAX_CELLS`

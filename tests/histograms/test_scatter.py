@@ -43,6 +43,9 @@ def _degenerate() -> list[tuple[SpatialDataset, Rect | None]]:
         "zero_width": RectArray(x, y, x, ye),
         "zero_height": RectArray(x, y, xe, y),
         "cell_lines": RectArray(lines[0], lines[1], lines[2], lines[3]),
+        # Every rectangle crosses x = 0.5, so from level 1 on none is
+        # single-cell and the builds skip that stage.
+        "spanning": RectArray(0.49 * x, y, 0.51 + 0.49 * w, ye),
         "beyond": RectArray(
             beyond[0], beyond[1], beyond[0] + side[0], beyond[1] + side[1]
         ),

@@ -214,6 +214,30 @@ class TestCostAwareRetention:
         assert cache.stats.packs == 0
         assert cache.keys()[-1] == large_key  # last in eviction order
 
+    def test_unpackable_file_is_scanned_once(self, rng, monkeypatch):
+        """A file with no empty cell packs no smaller; the tier remembers
+        that after one scan, so the retained large file of a cyclic scan
+        reaches ``pack_if_smaller`` once however often the budget
+        overflows around it."""
+        scanned = []
+        pack_if_smaller = cache_module.pack_if_smaller
+
+        def counting_pack(hist):
+            scanned.append(hist)
+            return pack_if_smaller(hist)
+
+        monkeypatch.setattr(cache_module, "pack_if_smaller", counting_pack)
+        cache = HistogramCache(max_bytes=2 * self.size)
+        large = _full(rng, n=4000, name="large")
+        small = [_full(rng, n=40, name=f"small{i}") for i in range(2)]
+        large_hist = cache.get_or_build(large, "gh", self.level)
+        for _ in range(6):
+            for ds in (large, *small):
+                assert cache.get_or_build(ds, "gh", self.level) is not None
+        assert cache.get_or_build(large, "gh", self.level) is large_hist  # retained throughout
+        assert sum(hist is large_hist for hist in scanned) == 1
+        assert cache.stats.evictions == 11 and cache.stats.packs == 0
+
     @pytest.mark.parametrize("touched", [True, False])
     def test_hit_refreshes_priority(self, rng, touched):
         """A stream of cheap entries raises the floor ``L`` until it
@@ -264,9 +288,9 @@ class TestCostAwareRetention:
 
     def test_packed_victim_is_credited_at_its_packed_size(self, rng):
         """A victim with empty cells is packed, not dropped, and ranks
-        as a fresh insert of ``count / packed bytes`` over the floor its
-        own eviction raised: small enough, it outlives a dense file that
-        is dearer per *dense* byte."""
+        at form 1 as a fresh insert of ``count / packed bytes`` over the
+        floor, which the pack leaves at 0: small enough, it outlives a
+        dense file that is dearer per *dense* byte."""
         sparse = _make(rng, n=40, name="sparse")
         dense = [_full(rng, n=300, name=f"dense{i}") for i in range(2)]
         cache = HistogramCache(max_bytes=2 * self.size)
@@ -280,7 +304,7 @@ class TestCostAwareRetention:
         assert cache.stats.evictions == 1
         assert sparse_key in cache
         assert HistogramCache.key_for(dense[0], "gh", self.level) not in cache
-        assert cache._rank[sparse_key][0] == 40 / self.size + 40 / packed.size_bytes
+        assert cache._live(sparse_key)[:2] == (1, 40 / packed.size_bytes)
         assert cache.current_bytes == self.size + packed.size_bytes
 
     def test_clear_resets_the_floor(self, rng):

@@ -1,11 +1,14 @@
-"""Packed L1 victims: a histogram file evicted from the cache is first
-kept as its occupied cells, and every hit on it answers ``==`` a cold
-build.
+"""Packed L1 files: over budget, the cache keeps dense histogram files
+as their occupied cells before it drops any file, and every hit on a
+packed file answers ``==`` a cold build.
 
 * pack/unpack is a ``tobytes()``-exact round trip for every scheme and
   level on the paper's datasets, on a store memmap entry and on a plane
   holding ``-0.0``;
 * a cache that stays within its budget never packs;
+* every dense file that can pack is packed before any file is dropped,
+  so a working set whose packed files fit the budget builds each file
+  once;
 * a packed victim is dropped when it is the victim again, and the
   budget holds after every insert;
 * a victim mapped from the store is dropped, never packed;
@@ -120,6 +123,27 @@ class TestCacheRetention:
                     assert cache.get_or_build(ds, scheme, 6) is first[(ds.name, scheme)]
         assert cache.stats.packs == 0
         assert cache.stats.evictions == 0
+
+    def test_packed_working_set_is_built_once(self):
+        """Four sparse files cycled through a budget that holds one dense
+        file beside the others packed, but not all four dense: packing
+        the dense large-N files before dropping the packed small-N ones
+        builds each file once and drops nothing.  (Ranked by
+        GreedyDual-Size alone, a packed small-N file falls below a dense
+        large-N one and is dropped and rebuilt.)"""
+        datasets = [_sparse(seed, n) for seed, n in enumerate((30, 30, 300, 300))]
+        dense = HISTOGRAM_SCHEMES["gh"].build(datasets[0], 5).size_bytes
+        packed = sorted(
+            pack_histogram(HISTOGRAM_SCHEMES["gh"].build(ds, 5)).size_bytes for ds in datasets
+        )
+        cache = HistogramCache(max_bytes=dense + sum(packed[:-1]))
+        assert cache.max_bytes < len(datasets) * dense  # the premise
+        for _ in range(5):
+            for dataset in datasets:
+                cache.get_or_build(dataset, "gh", 5)
+        assert cache.stats.builds == len(datasets)
+        assert cache.stats.evictions == 0
+        assert cache.stats.hits == 4 * len(datasets)
 
     def test_packed_victim_is_dropped_when_it_is_the_victim_again(self):
         """Distinct sparse files streamed through a budget of one dense

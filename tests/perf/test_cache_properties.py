@@ -1,8 +1,9 @@
 """Property-based tests for the histogram cache's retention tier: any
 sequence of lookups, installs, removals and clears keeps the byte
 budget and counters consistent, charges every entry the bytes it holds
-(dense or packed), keeps every retained key ranked, evicts the smallest
-``(H, touch)`` first, and every answer matches a cold build."""
+(dense or packed), keeps every retained key ranked, packs every dense
+entry that can pack before it drops one, evicts the smallest
+``(form, H, touch)`` first, and every answer matches a cold build."""
 
 from __future__ import annotations
 
@@ -13,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import SpatialDataset
 from repro.histograms import GHHistogram, PHHistogram
-from repro.histograms.file import PackedHistogram, histogram_parts, pack_histogram
+from repro.histograms.file import (
+    PackedHistogram,
+    histogram_parts,
+    pack_histogram,
+    pack_if_smaller,
+)
 from repro.perf import HistogramCache
 from tests.conftest import random_rects
 
@@ -52,25 +58,48 @@ operation = st.one_of(
 
 def _check_ranked(histograms: HistogramCache) -> None:
     """Every retained key has a live rank and a heap record at or below
-    it, which is what lets eviction trust the heap's minimum."""
+    it, which is what lets eviction trust the heap's minimum; a packed
+    entry ranks at form 1."""
     with histograms._lock:
-        assert set(histograms._rank) == set(histograms._entries)
+        assert set(histograms._rank) == set(histograms._entries) >= histograms._packable
         lowest = {}
-        for priority, touch, key in histograms._heap:
-            lowest[key] = min(lowest.get(key, (priority, touch)), (priority, touch))
-        assert all(lowest[key] <= rank for key, rank in histograms._rank.items())
+        for form, priority, touch, key in histograms._heap:
+            record = (form, priority, touch)
+            lowest[key] = min(lowest.get(key, record), record)
+        assert all(lowest[key] <= histograms._live(key) for key in histograms._rank)
+        for key, value in histograms._entries.items():
+            if isinstance(value, PackedHistogram):
+                assert key not in histograms._packable
+
+
+def _check_packs_before_drops(histograms: HistogramCache) -> None:
+    """After a step that dropped an entry, no retained dense entry could
+    still pack: each was packed, or scanned once and found unpackable."""
+    with histograms._lock:
+        assert not histograms._packable
+        for value in histograms._entries.values():
+            if not isinstance(value, PackedHistogram):
+                assert pack_if_smaller(value) is None
 
 
 def _drain_in_rank_order(histograms: HistogramCache) -> None:
-    """Evict until empty; each victim is the smallest ``(H, touch)``."""
+    """Evict until empty; each victim is the smallest ``(form, H,
+    touch)``.  A form-0 victim is packed, or kept as it is when it packs
+    no smaller, at form 1 with the floor unchanged; a form-1 victim is
+    dropped and the floor rises to its ``H``."""
     with histograms._lock:
         for _ in range(2 * len(histograms._entries)):  # each key packs at most once
             if not histograms._entries:
                 break
-            victim, rank = min(histograms._rank.items(), key=lambda item: item[1])
+            victim = min(histograms._rank, key=histograms._live)
+            rank, floor = histograms._live(victim), histograms._floor
             histograms._evict_one()
-            assert histograms._floor == rank[0]
-            assert histograms._rank.get(victim) != rank  # dropped, or packed and re-ranked
+            if rank[0] == 0:
+                assert histograms._floor == floor
+                assert histograms._live(victim)[0] == 1
+            else:
+                assert histograms._floor == rank[1]
+                assert victim not in histograms._rank
         assert not histograms._entries and histograms._bytes == 0
 
 
@@ -85,6 +114,7 @@ def test_lookup_sequences_keep_budget_counters_and_answers(ops, max_bytes):
     packed_size_of = {}
     lookups = 0
     for op in ops:
+        evictions = histograms.stats.evictions
         if op == "clear":
             histograms.clear()
         elif op[0] == "install":
@@ -123,4 +153,6 @@ def test_lookup_sequences_keep_budget_counters_and_answers(ops, max_bytes):
         assert stats.derivations == 0
         assert stats.packs >= len(packed)
         _check_ranked(histograms)
+        if stats.evictions > evictions:
+            _check_packs_before_drops(histograms)
     _drain_in_rank_order(histograms)
