@@ -42,20 +42,25 @@ pairs ``C`` with ``O`` and ``H`` with ``V``, so ``[C|H]`` (rows 0-1) and
 and ``IP(a, b) = [Ca|Ha]·[Ob|Vb] + [Cb|Hb]·[Oa|Va]`` is one
 :func:`~repro.histograms.fused.cross_dot` on views of the blocks.
 
-**Accumulation order.**  A build splits its rectangles once
+**Accumulation order.**  A build walks its rectangles in consecutive
+blocks of at most :data:`~repro.histograms.grid.BUILD_BLOCK` (16 384)
+and splits each block once
 (:class:`~repro.histograms.grid.CellSplit`).  Its float planes are
 sums, so their bits depend on the order in which contributions reach a
 cell, and that order is part of the build's contract (the store's
-``FORMAT_VERSION`` 4 pins it; ``tests/histograms/reference_builds.py``
-reproduces it stage by stage):
+``FORMAT_VERSION`` 5 pins it; ``tests/histograms/reference_builds.py``
+reproduces it stage by stage).  The order is block-major: each block
+adds all of its contributions before the next block adds any, and
+within a block
 
 * ``O``: the single-cell rectangles' clipped areas, in rectangle order,
   then the spanning rectangles' (rectangle, cell) incidences,
   rectangle-major with each rectangle's cells row-major;
-* ``H``: the single-cell rectangles' bottom-edge weights in rectangle
-  order, the sum doubled (a single-cell rectangle's top edge is the
-  same segment in the same cell; doubling is exact), then every
-  spanning bottom-edge run, then every spanning top-edge run;
+* ``H``: the single-cell rectangles' doubled bottom-edge weights
+  ``(max(rawx, 0) / CW) * 2.0`` in rectangle order (a single-cell
+  rectangle's top edge is the same segment in the same cell, and
+  doubling is exact), then every spanning bottom-edge run, then every
+  spanning top-edge run;
 * ``V``: the same with left edges, then spanning lefts, then rights;
 * ``C`` holds exact small integers (4 per single-cell rectangle, one
   per spanning corner), so its order is free.
@@ -71,7 +76,7 @@ from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .fused import cross_dot
-from .grid import CellSplit, Grid
+from .grid import CellSplit, Grid, rect_blocks
 
 __all__ = ["GHHistogram", "gh_selectivity"]
 
@@ -134,10 +139,10 @@ class GHHistogram:
         # The stages accumulate straight into the rows of the block.
         planes = np.zeros((_PER_CELL_VALUES, grid.cell_count), dtype=np.float64)
         c, h, o, v = planes
-        if len(rects):
-            # Cooperative checkpoints between the vectorized stages let a
-            # per-call deadline (and the fault harness) preempt the build.
-            cls._accumulate(grid, rects, c, o, h, v)
+        # Cooperative checkpoints between the vectorized stages let a
+        # per-call deadline (and the fault harness) preempt the build.
+        for block in rect_blocks(rects):
+            cls._accumulate(grid, block, c, o, h, v)
         stats = (c, o, h, v)
         mutated = mutate("gh.build.cells", stats)
         if mutated is stats:  # no hook replaced them: still the block's rows
@@ -154,14 +159,13 @@ class GHHistogram:
         h: np.ndarray,
         v: np.ndarray,
     ) -> None:
-        """One cell split feeding all four statistics, in the module's
-        accumulation order: single-cell rectangles scatter straight to
-        their cells, and only spanning ones expand into runs.
+        """One block's cell split feeding all four statistics, in the
+        module's accumulation order: single-cell rectangles scatter
+        straight to their cells, and only spanning ones expand into runs.
 
-        A function of its own so that the expansion's temporaries are
-        freed before ``build`` returns the block: held until then, they
-        shifted glibc's adaptive allocation thresholds and made
-        build-heavy serving set-ups measurably slower.
+        Each block adds everything it contributes, so a call's
+        temporaries are sized by the block and freed before the next
+        block starts (DESIGN §22).
         """
         checkpoint("gh.build.corners")
         split = CellSplit(grid, rects)
@@ -193,13 +197,11 @@ class GHHistogram:
             )
         checkpoint("gh.build.edges")
         # A single-cell rectangle's two horizontal edges are one segment
-        # counted twice in one cell: its part of H is the rect-ordered
-        # sum of the bottoms, doubled (exact), before any spanning edge.
+        # counted twice in one cell: its bottom edge's weight, doubled
+        # (exact), in rectangle order before any spanning edge.
         if single:
-            np.add.at(h, split.flat, np.maximum(rawx, 0.0) / grid.cell_width)
-            h *= 2.0
-            np.add.at(v, split.flat, np.maximum(rawy, 0.0) / grid.cell_height)
-            v *= 2.0
+            np.add.at(h, split.flat, np.maximum(rawx, 0.0) / grid.cell_width * 2.0)
+            np.add.at(v, split.flat, np.maximum(rawy, 0.0) / grid.cell_height * 2.0)
         if runs is None:
             return
         # Spanning horizontal edges: bottom (row j0) then top (row j1)

@@ -30,7 +30,7 @@ import numpy as np
 from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
-from .grid import CellSplit, Grid
+from .grid import CellSplit, Grid, rect_blocks
 
 __all__ = ["BasicGHHistogram", "gh_basic_selectivity"]
 
@@ -57,9 +57,9 @@ class BasicGHHistogram:
         i_cnt = np.zeros(cells, dtype=np.float64)
         h = np.zeros(cells, dtype=np.float64)
         v = np.zeros(cells, dtype=np.float64)
-        if len(rects):
+        for block in rect_blocks(rects):
             checkpoint("gh_basic.build")
-            cls._accumulate(grid, rects, c, i_cnt, h, v)
+            cls._accumulate(grid, block, c, i_cnt, h, v)
         c, i_cnt, h, v = mutate("gh_basic.build.cells", (c, i_cnt, h, v))
         return cls(grid=grid, count=len(rects), c=c, i=i_cnt, h=h, v=v)
 
@@ -72,11 +72,12 @@ class BasicGHHistogram:
         h: np.ndarray,
         v: np.ndarray,
     ) -> None:
-        """One cell split feeding all four counts (see
+        """One block's cell split feeding all four counts (see
         :meth:`GHHistogram._accumulate`); every one is an exact integer
-        count, so scatter order is free: a single-cell rectangle adds
-        4 corners, 1 incidence and 2 edges of each direction to its
-        cell, and only spanning rectangles expand into runs."""
+        count, so scatter order and blocking are free: a single-cell
+        rectangle adds 4 corners, 1 incidence and 2 edges of each
+        direction to its cell, and only spanning rectangles expand into
+        runs."""
         split = CellSplit(grid, rects, clips=False)
         if split.contained.size:
             np.add.at(c, split.flat, 4.0)

@@ -3,9 +3,11 @@
 All histogram schemes grid the extent into equi-sized cells with ``2^h``
 vertical and ``2^h`` horizontal lines, where ``h`` is the *level* of
 gridding, for a total of ``4^h`` cells.  :class:`Grid` owns that geometry.
-Every histogram build starts from :class:`CellSplit`: rectangles inside
-one cell scatter straight to it, and only the spanning rest is expanded
-over cells by :class:`GridRuns`.
+Every histogram build walks its rectangles in consecutive blocks of at
+most :data:`BUILD_BLOCK` (:func:`rect_blocks`) and splits each block
+with :class:`CellSplit`: rectangles inside one cell scatter straight to
+it, and only the spanning rest is expanded over cells by
+:class:`GridRuns`.
 
 Cell indexing convention: cell ``(i, j)`` covers
 ``[xmin + i*cw, xmin + (i+1)*cw] x [ymin + j*ch, ymin + (j+1)*ch]``;
@@ -16,16 +18,26 @@ to the last cell.  Flat ids are row-major: ``flat = j * side + i``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..geometry import Rect, RectArray
 
-__all__ = ["Grid", "CellOverlap", "GridRuns", "CellSplit", "MAX_LEVEL"]
+__all__ = [
+    "Grid", "CellOverlap", "GridRuns", "CellSplit", "MAX_LEVEL", "BUILD_BLOCK", "rect_blocks",
+]
 
 #: 4^12 = 16.7M cells (~128MB per float64 stat array) — a sane ceiling.
 MAX_LEVEL = 12
+
+#: Rectangles per build block.  A build's temporaries (cell ranges, the
+#: split's index lists, the spanning runs) are sized by one block, not
+#: by N, so a build allocates the same on any thread: a float64 column
+#: of a block is 128 KiB.  GH's accumulation order is block-major, so
+#: the value is part of its persisted bits (DESIGN §22).
+BUILD_BLOCK = 16_384
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +168,25 @@ class Grid:
         return CellOverlap(rect_rep, ci, cj, cj * self.side + ci, clipped)
 
 
+def rect_blocks(rects: RectArray) -> Iterator[RectArray]:
+    """Consecutive zero-copy views of at most :data:`BUILD_BLOCK`
+    rectangles each, in input order.
+
+    The views are built directly: ``RectArray.__getitem__`` copies.
+    """
+    block = BUILD_BLOCK
+    for start in range(0, len(rects), block):
+        stop = start + block
+        yield RectArray(
+            rects.xmin[start:stop],
+            rects.ymin[start:stop],
+            rects.xmax[start:stop],
+            rects.ymax[start:stop],
+            validate=False,
+            copy=False,
+        )
+
+
 def _cell_index(coords: np.ndarray, origin: float, size: float, side: int) -> np.ndarray:
     """Cell indices of coordinates along one axis, clamped to ``[0, side)``.
 
@@ -211,12 +242,12 @@ def _run_offsets(spans: np.ndarray) -> np.ndarray:
 
 
 class GridRuns:
-    """The rectangle-over-cells expansion of a build's spanning rectangles.
+    """The rectangle-over-cells expansion of a build block's spanning rectangles.
 
-    A build constructs one through :class:`CellSplit`, over the
-    rectangles whose cell range is wider than one cell.  Corners,
-    overlaps and each edge family of those rectangles read their cell
-    indices and runs from it, which computes, once per build,
+    A build constructs one per block through :class:`CellSplit`, over
+    the block's rectangles whose cell range is wider than one cell.
+    Corners, overlaps and each edge family of those rectangles read
+    their cell indices and runs from it, which computes, once per block,
 
     * the inclusive cell ranges ``(i0, i1, j0, j1)`` per rectangle,
     * one *x-run* per (rectangle, column) and one *y-run* per
@@ -323,17 +354,17 @@ class GridRuns:
 
 
 class CellSplit:
-    """A build's rectangles split by cell range: single-cell and spanning.
+    """A build block's rectangles split by cell range: single-cell and spanning.
 
-    Every histogram build starts here.  A rectangle whose cell range is
-    one cell (``i0 == i1`` and ``j0 == j1``) contributes to that cell
-    alone, so its statistics scatter straight to :attr:`flat` with no
-    run expansion; only the *spanning* rest goes through
-    :class:`GridRuns` (:attr:`runs`, ``None`` when nothing spans), which
-    reuses the cell ranges computed here.  The split is the one PH's
-    ``Cont``/``Isect`` grouping (paper Section 3.1.2) always made; GH
-    and basic GH take it for speed — at level 5, 90% of CAR's
-    rectangles stay inside one cell.
+    Every histogram build splits each of its :func:`rect_blocks` here.
+    A rectangle whose cell range is one cell (``i0 == i1`` and
+    ``j0 == j1``) contributes to that cell alone, so its statistics
+    scatter straight to :attr:`flat` with no run expansion; only the
+    *spanning* rest goes through :class:`GridRuns` (:attr:`runs`,
+    ``None`` when nothing spans), which reuses the cell ranges computed
+    here.  The split is the one PH's ``Cont``/``Isect`` grouping (paper
+    Section 3.1.2) always made; GH and basic GH take it for speed — at
+    level 5, 90% of CAR's rectangles stay inside one cell.
 
     * ``contained``: ascending indices of the single-cell rectangles in
       the input array (index lists, not masks: one mask scan, then cheap

@@ -37,10 +37,15 @@ the groups, and one :func:`~repro.histograms.fused.cross_dot` call
 returns all four case sums.
 
 ``Cont`` and ``Isect`` are the two halves of the
-:class:`~repro.histograms.grid.CellSplit` every histogram build makes:
+:class:`~repro.histograms.grid.CellSplit` every histogram build makes
+per block of rectangles (:func:`~repro.histograms.grid.rect_blocks`):
 ``Cont`` sums scatter straight to each rectangle's one cell in
 rectangle order, and only the spanning rectangles expand into
 (rectangle, cell) incidences, rectangle-major, for the ``Isect`` sums.
+The two groups are separate planes, so each plane's sums arrive in
+rectangle order whatever the block size, and AvgSpan is the integer
+span total over the spanning count: the build's bits do not depend on
+the blocking.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from ..datasets import SpatialDataset
 from ..geometry import Rect, RectArray
 from ..runtime import checkpoint, mutate
 from .fused import cross_dot
-from .grid import CellSplit, Grid
+from .grid import CellSplit, Grid, rect_blocks
 
 __all__ = ["PHHistogram", "ph_selectivity"]
 
@@ -138,7 +143,12 @@ class PHHistogram:
         stats = tuple(planes)
         # Cooperative checkpoints between the vectorized stages let a
         # per-call deadline (and the fault harness) preempt the build.
-        avg_span = cls._accumulate(grid, rects, stats) if len(rects) else 1.0
+        span_total = span_count = 0
+        for block in rect_blocks(rects):
+            total, count = cls._accumulate(grid, block, stats)
+            span_total += total
+            span_count += count
+        avg_span = span_total / span_count if span_count else 1.0
         for group in (planes[0:4], planes[4:8]):
             group[1] /= grid.cell_width
             group[2] /= grid.cell_area
@@ -149,8 +159,12 @@ class PHHistogram:
         return cls(grid, len(rects), avg_span, *mutated)
 
     @staticmethod
-    def _accumulate(grid: Grid, rects: RectArray, stats: tuple[np.ndarray, ...]) -> float:
-        """The per-cell Cont and Isect sums from one cell split; returns AvgSpan.
+    def _accumulate(
+        grid: Grid, rects: RectArray, stats: tuple[np.ndarray, ...]
+    ) -> tuple[int, int]:
+        """One block's per-cell Cont and Isect sums from one cell split;
+        returns the block's total cells spanned by spanning rectangles
+        and their count (AvgSpan's numerator and denominator).
 
         ``Cont`` is the split's single-cell group, scattered straight to
         its cells; the spanning group's run expansion is shared across
@@ -172,7 +186,7 @@ class PHHistogram:
         checkpoint("ph.build.spanning")
         runs = split.runs
         if runs is None:
-            return 1.0
+            return 0, 0
         flat = runs.cross_flat()
         widths = runs.take_x(runs.rawx)
         heights = runs.repeat_y(runs.rawy)
@@ -180,8 +194,7 @@ class PHHistogram:
         np.add.at(area_sum_i, flat, widths * heights)
         np.add.at(w_sum_i, flat, widths)
         np.add.at(h_sum_i, flat, heights)
-        spans = runs.wx * runs.wy
-        return float(spans.mean())
+        return int((runs.wx * runs.wy).sum()), len(runs.wx)
 
     # ------------------------------------------------------------------
     def estimate_pairs(self, other: "PHHistogram") -> float:

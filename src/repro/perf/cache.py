@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, Hashable, TypeVar
 
 import numpy as np
@@ -139,12 +139,30 @@ RESIDENT_MAX_CELLS = 4**7
 
 @dataclass(frozen=True, slots=True)
 class CacheKey:
-    """Content-addressed identity of one histogram file."""
+    """Content-addressed identity of one histogram file.
+
+    Its hash is computed once, at construction: a warm hit hashes its
+    key at least twice (the entry lookup and the rank refresh).  The
+    hash is never pickled, because string hashes differ between
+    processes; an unpickled key hashes afresh.
+    """
 
     fingerprint: str
     scheme: str
     level: int
     extent: tuple[float, float, float, float]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.fingerprint, self.scheme, self.level, self.extent))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.fingerprint, self.scheme, self.level, self.extent))
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,7 +33,7 @@ no-poison rule, applied one tier up).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..datasets import SpatialDataset
 from ..geometry import Rect
@@ -60,12 +60,30 @@ def scheme_formula(scheme: str, level: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class EstimateKey:
-    """Content-addressed identity of one selectivity estimate."""
+    """Content-addressed identity of one selectivity estimate.
+
+    Its hash is computed once, at construction, and never pickled (see
+    :class:`~repro.perf.cache.CacheKey`).
+    """
 
     fingerprint1: str
     fingerprint2: str
     formula: str
     extent: tuple[float, float, float, float]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.fingerprint1, self.fingerprint2, self.formula, self.extent)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.fingerprint1, self.fingerprint2, self.formula, self.extent))
 
 
 class EstimateCache(_ByteCache[EstimateKey, float]):

@@ -109,10 +109,14 @@ __all__ = [
 #: always equals a cold build.  Version 2 stacked GH planes in
 #: ``c, h, o, v`` order (version 1 stacked ``c, o, h, v``); version 3
 #: holds PH planes as per-cell sums rather than Table 1 averages;
-#: version 4 holds GH planes accumulated single-cell rectangles first
-#: (see :meth:`~repro.histograms.gh.GHHistogram.build`).  An older entry
-#: reads as a counted miss and is rebuilt.
-FORMAT_VERSION = 4
+#: version 4 held GH planes accumulated single-cell rectangles first;
+#: version 5 holds them accumulated block-major, one block of
+#: :data:`~repro.histograms.grid.BUILD_BLOCK` (16 384) rectangles after
+#: another, single-cell rectangles first within each (see the
+#: :mod:`~repro.histograms.gh` docstring), so GH entries of datasets
+#: above one block differ from version 4 in the last bits.  An older
+#: entry reads as a counted miss and is rebuilt.
+FORMAT_VERSION = 5
 
 #: The per-entry manifest file, written last inside the staging dir.
 MANIFEST_NAME = "manifest.json"

@@ -9,8 +9,11 @@ stage re-derives its own cell indices and expansions and scatters with
 
 * the ``tobytes()`` reference the shipped builds must equal (the same
   float expression trees, and incidences reaching each cell in the same
-  order — for GH, the single-cell-first order of
-  :meth:`GHHistogram._accumulate`);
+  order — for GH, the block-major, single-cell-first order of
+  :meth:`GHHistogram._accumulate`, with blocks of
+  :data:`~repro.histograms.grid.BUILD_BLOCK` rectangles: the block size
+  is part of GH's format, while PH and basic GH are built here in one
+  pass over all rectangles, since their bits do not depend on it);
 * the baseline of the build-time floors in ``test_scatter.py``.
 
 Each function takes the arguments of the shipped ``build`` and returns a
@@ -24,6 +27,7 @@ import numpy as np
 from repro.datasets import SpatialDataset
 from repro.geometry import Rect, RectArray
 from repro.histograms import BasicGHHistogram, GHHistogram, Grid, PHHistogram
+from repro.histograms import grid as grid_module
 from repro.runtime import checkpoint
 
 __all__ = ["gh_reference", "ph_reference", "gh_basic_reference"]
@@ -39,36 +43,44 @@ def _add_at(out: np.ndarray, idx: np.ndarray, weights: np.ndarray | None = None)
 def gh_reference(
     dataset: SpatialDataset, level: int, *, extent: Rect | None = None
 ) -> GHHistogram:
-    """GH in the shipped build's accumulation order: the single-cell
-    rectangles' O, H and V contributions first, in rectangle order (each
-    one's two H and two V edges as the doubled sum of its bottom and
-    left edges), then the spanning rectangles' incidences."""
+    """GH in the shipped build's accumulation order: block-major over
+    consecutive blocks of ``BUILD_BLOCK`` rectangles (read at call time),
+    and within a block the single-cell rectangles' O, H and V
+    contributions first, in rectangle order (each one's two H and two V
+    edges as its doubled bottom and left edge weights), then the
+    spanning rectangles' incidences."""
     grid = Grid(extent or dataset.extent, level)
     rects = dataset.rects
     planes = np.zeros((4, grid.cell_count), dtype=np.float64)
     c, h, o, v = planes
-    if len(rects):
-        checkpoint("gh.build.corners")
-        _gh_corners(grid, rects, c)
-        contained = grid.contained_mask(rects)
-        single, spanning = rects[contained], rects[~contained]
-        checkpoint("gh.build.overlaps")
-        for part in (single, spanning):
-            ov = grid.overlaps(part)
-            _add_at(o, ov.flat, ov.clipped.areas() / grid.cell_area)
-        checkpoint("gh.build.edges")
-        bottom, _top, left, _right = _gh_edges(grid, single)
-        _scatter_runs(h, bottom)
-        h *= 2.0
-        _scatter_runs(v, left)
-        v *= 2.0
-        # Each family of spanning edges scatters in one pass per axis
-        # (indices and weights concatenated): bottoms then tops, lefts
-        # then rights.
-        bottom, top, left, right = _gh_edges(grid, spanning)
-        _scatter_runs(h, bottom, top)
-        _scatter_runs(v, left, right)
+    block = grid_module.BUILD_BLOCK
+    for start in range(0, len(rects), block):
+        _gh_block(grid, rects[start : start + block], c, o, h, v)
     return GHHistogram._from_planes(grid, len(rects), planes)
+
+
+def _gh_block(
+    grid: Grid, rects: RectArray, c: np.ndarray, o: np.ndarray, h: np.ndarray, v: np.ndarray
+) -> None:
+    """One block's every contribution, stage by stage."""
+    checkpoint("gh.build.corners")
+    _gh_corners(grid, rects, c)
+    contained = grid.contained_mask(rects)
+    single, spanning = rects[contained], rects[~contained]
+    checkpoint("gh.build.overlaps")
+    for part in (single, spanning):
+        ov = grid.overlaps(part)
+        _add_at(o, ov.flat, ov.clipped.areas() / grid.cell_area)
+    checkpoint("gh.build.edges")
+    bottom, _top, left, _right = _gh_edges(grid, single)
+    _scatter_runs(h, (bottom[0], bottom[1] * 2.0))
+    _scatter_runs(v, (left[0], left[1] * 2.0))
+    # Each family of spanning edges scatters in one pass per axis
+    # (indices and weights concatenated): bottoms then tops, lefts
+    # then rights.
+    bottom, top, left, right = _gh_edges(grid, spanning)
+    _scatter_runs(h, bottom, top)
+    _scatter_runs(v, left, right)
 
 
 def _gh_corners(grid: Grid, rects: RectArray, c: np.ndarray) -> None:

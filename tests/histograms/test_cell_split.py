@@ -2,11 +2,14 @@
 
 A rectangle whose cell range is one cell scatters straight to that cell;
 only the rectangles whose range is wider than one cell may be expanded
-into runs.  Each :class:`~repro.histograms.grid.GridRuns` a build
-constructs is recorded with the rectangles it is built over, and those
-must be exactly the spanning subset, in input order: none at all for
-point data, and the spanning part of CAR at levels 5 and 7.  No clock is
-read, so the gate cannot flake on a loaded machine.
+into runs.  A build splits its rectangles one block at a time
+(:func:`~repro.histograms.grid.rect_blocks`), so it constructs one
+:class:`~repro.histograms.grid.GridRuns` per block with a spanning
+rectangle.  Each is recorded with the rectangles it is built over, and
+those, concatenated in order, must be exactly the spanning subset, in
+input order: none at all for point data, and the spanning part of CAR
+at levels 5 and 7.  No clock is read, so the gate cannot flake on a
+loaded machine.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 from repro.datasets import SpatialDataset, make_paper_dataset
 from repro.geometry import RectArray
 from repro.histograms import BasicGHHistogram, GHHistogram, Grid, PHHistogram
-from repro.histograms.grid import GridRuns
+from repro.histograms.grid import BUILD_BLOCK, GridRuns
 
 SCHEMES = [GHHistogram, PHHistogram, BasicGHHistogram]
 
@@ -63,7 +66,8 @@ def test_only_spanning_rectangles_expand(expansions, car, cls, level):
     # Most of CAR stays inside one cell at these levels, but not all.
     assert 0 < len(spanning) < len(rects) // 2
     cls.build(car, level)
-    assert len(expansions) == 1
-    (expanded,) = expansions
+    # One expansion per block, each over that block's spanning part.
+    assert len(expansions) == -(-len(rects) // BUILD_BLOCK) > 1
     for axis in ("xmin", "ymin", "xmax", "ymax"):
-        assert np.array_equal(getattr(expanded, axis), getattr(rects, axis)[spanning]), axis
+        expanded = np.concatenate([getattr(part, axis) for part in expansions])
+        assert np.array_equal(expanded, getattr(rects, axis)[spanning]), axis

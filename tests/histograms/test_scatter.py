@@ -1,9 +1,10 @@
 """Histogram builds against the staged reference builds they replaced.
 
-The shipped GH, PH and basic-GH builds scatter every statistic from one
-split into single-cell and spanning rectangles and one run expansion of
-the spanning ones; :mod:`tests.histograms.reference_builds` keeps
-per-stage scatters in the same accumulation order.  The shipped builds must equal
+The shipped GH, PH and basic-GH builds scatter every statistic, one
+block of rectangles at a time, from one split into single-cell and
+spanning rectangles and one run expansion of the spanning ones;
+:mod:`tests.histograms.reference_builds` keeps per-stage scatters in the
+same accumulation order (for GH, block-major over the same blocks).  The shipped builds must equal
 them bit for bit (``tobytes()`` on every plane) on the paper's datasets
 and on degenerate inputs at every level 0-9, and beat them on
 paper-shaped data.
